@@ -23,7 +23,6 @@ from .fiber import (
     ProblemSpec,
     SectorDomain,
     branch_base,
-    fiber_values,
     monodromy_profile,
 )
 from .solver import (
@@ -69,7 +68,6 @@ __all__ = [
     "eisenstein_invariants",
     "enumerate_lattice",
     "exp_E",
-    "fiber_values",
     "log_E",
     "log_E_near",
     "measure_contraction",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (solve: at least one record, all records valid),
 2 spec/input parse failure, 3 degenerate geometry (bad direction point,
-contraction gate, degenerate base fiber), 4 no convergent lattice points.
+contraction gate, degenerate base fiber), 4 no convergent lattice points,
+5 internal record invariants violated.
 All diagnostics and timings go to stderr; reports go to --out or stdout.
 """
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .solver import (
 )
 from .specfile import ParseError, ValidationError, parse_complex, parse_run
 
-EXIT_OK, EXIT_PARSE, EXIT_GEOMETRY, EXIT_NO_POINTS = 0, 2, 3, 4
+EXIT_OK, EXIT_PARSE, EXIT_GEOMETRY, EXIT_NO_POINTS, EXIT_INVARIANTS = 0, 2, 3, 4, 5
 MONODROMY_WINDOW = 2.0 * math.pi - 0.2  # diagnostic window width (>= pi)
 
 
@@ -107,7 +108,6 @@ def _apply_domain_overrides(setup, args):
 
 
 def cmd_solve(args) -> int:
-    t_start = time.perf_counter()
     setup, digest = _load_run(args.spec)
     if setup is None:
         return EXIT_PARSE
@@ -149,18 +149,9 @@ def cmd_solve(args) -> int:
     bad = [r for r in result.records if not (r.residual < tol and r.f_residual < tol)]
     if bad or len(result.records) > result.degree * result.enumerated:
         _err("internal record invariants violated")
-        return EXIT_NO_POINTS
+        return EXIT_INVARIANTS
 
-    run = report_mod.RunReport(
-        spec_digest=digest,
-        degree=result.degree,
-        records=result.records,
-        asymptotics=result.asymptotics,
-        skipped=result.skipped,
-        contraction=result.contraction,
-        timings={"solve_s": solve_s, "total_s": time.perf_counter() - t_start},
-    )
-    payload = report_mod.run_payload(run, run.spec_digest, sig)
+    payload = report_mod.run_payload(result, digest, sig)
     text = report_mod.emit_csv(payload) if args.format == "csv" else report_mod.emit_json(payload)
     if args.out:
         with open(args.out, "w") as fh:

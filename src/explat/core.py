@@ -1,87 +1,17 @@
-"""Complex polynomial and iteration kernels.
+"""Complex polynomial kernels and the shared iteration error.
 
-All-roots polynomial solving (simultaneous Aberth-Ehrlich iteration),
-root continuation along path segments, vector fixed-point iteration and
-central-difference Jacobians.  Everything downstream builds on these.
+All-roots polynomial solving (simultaneous Aberth-Ehrlich iteration) on
+batches of same-degree polynomials, plus the rowwise residual check that
+accepts its roots.  The fiber solver and the continuation tracker build on
+these.
 """
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
 import numpy as np
-
-# CVec: complex128 numpy vector of fixed length n >= 1.
-CVec = np.ndarray
-
-RESIDUAL_TOL = 1e-12   # default relative residual tolerance
-GAP_FACTOR = 0.5       # per-step root motion must stay below GAP_FACTOR * min gap
-NEWTON_CAP = 50        # Newton budget for standalone correctors
-CLUSTER_FACTOR = 1e2   # roots closer than CLUSTER_FACTOR * tol are one cluster
 
 
 class NonConvergence(RuntimeError):
     """An iteration exhausted its budget or its iterates diverged."""
-
-
-class BranchPointOnPath(RuntimeError):
-    """Adaptive continuation could not separate roots along the path."""
-
-
-# ----------------------------------------------------------------------
-# polynomials
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Univariate polynomial with coefficients in ascending degree order."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        cs = tuple(complex(c) for c in self.coeffs)
-        # strip trailing (leading-degree) zeros so degree() is honest
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        if not cs:
-            cs = (0j,)
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def norm(self) -> float:
-        """Max absolute coefficient; scale for residual bounds."""
-        return max(abs(c) for c in self.coeffs)
-
-    def __call__(self, z):
-        acc = self.coeffs[-1]
-        if isinstance(z, np.ndarray):
-            acc = np.full_like(z, acc, dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
-
-    def deriv(self) -> "Poly":
-        if self.degree == 0:
-            return Poly((0j,))
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-
-@dataclass(frozen=True)
-class PathSegment:
-    """Straight segment in the complex parameter plane."""
-
-    start: complex
-    end: complex
-    max_step: float = 0.25
-
-
-# ----------------------------------------------------------------------
-# all-roots solving
 
 
 def _aberth(coeffs: np.ndarray, tol: float, max_iter: int = 160):
@@ -139,172 +69,3 @@ def _poly_residual_ok(coeffs: np.ndarray, roots: np.ndarray, tol: float) -> np.n
     norm = np.max(np.abs(coeffs), axis=1)
     scale = np.maximum(1.0, norm[:, None] * np.maximum(1.0, np.abs(roots)) ** d)
     return np.all(np.abs(p) <= tol * scale, axis=1)
-
-
-def poly_roots(p: Poly, tol: float = RESIDUAL_TOL) -> list:
-    """All complex roots of p, multiplicity included, sorted by (re, im).
-
-    Simultaneous iteration from a circle of Cauchy-bound radius; root
-    clusters tighter than CLUSTER_FACTOR * tol * scale are averaged so a
-    multiple root comes back as repeated copies of one value.
-    """
-    if p.degree < 1:
-        raise ValueError("poly_roots needs degree >= 1")
-    if p.degree == 1:
-        roots = np.array([-p.coeffs[0] / p.coeffs[1]])
-    else:
-        coeffs = np.array([p.coeffs], dtype=complex)
-        roots, ok = _aberth(coeffs, tol)
-        roots = roots[0]
-        if not ok[0] and not _poly_residual_ok(coeffs, roots[None, :], tol)[0]:
-            raise NonConvergence("all-roots iteration did not converge")
-    coeffs = np.array([p.coeffs], dtype=complex)
-    if not _poly_residual_ok(coeffs, roots[None, :], tol)[0]:
-        raise NonConvergence("root residuals exceed tolerance")
-    roots = _merge_clusters(roots, tol)
-    order = np.lexsort((roots.imag, roots.real))
-    return [complex(r) for r in roots[order]]
-
-
-def _merge_clusters(roots: np.ndarray, tol: float) -> np.ndarray:
-    """Average mutually close roots; keeps multiplicity, stabilizes output."""
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    thresh = CLUSTER_FACTOR * tol * scale
-    roots = roots.copy()
-    used = np.zeros(len(roots), dtype=bool)
-    for i in range(len(roots)):
-        if used[i]:
-            continue
-        close = np.abs(roots - roots[i]) < thresh
-        close &= ~used | (np.arange(len(roots)) == i)
-        if np.count_nonzero(close) > 1:
-            roots[close] = np.mean(roots[close])
-        used |= close
-    return roots
-
-
-# ----------------------------------------------------------------------
-# root continuation
-
-
-def continue_root(
-    p_of_t: Callable[[complex], Poly],
-    seg: PathSegment,
-    r0: complex,
-    tol: float = RESIDUAL_TOL,
-) -> complex:
-    """Track the root r0 of the family p_of_t from seg.start to seg.end.
-
-    Predictor-corrector: the previous root seeds a Newton corrector at the
-    next path point.  A step is halved when the corrector needs more than
-    5 Newton iterations or the tracked root moves further than GAP_FACTOR
-    times its minimal gap to the other roots; underflow of the step size
-    signals a branch point on the path.
-    """
-    length = abs(seg.end - seg.start)
-    if length == 0:
-        return r0
-    step = min(1.0, seg.max_step / length)
-    t = 0.0
-    r = complex(r0)
-    min_step = 1e-12
-    while t < 1.0:
-        t_new = min(1.0, t + step)
-        z = seg.start + t_new * (seg.end - seg.start)
-        p = p_of_t(z)
-        ok, r_new = _newton_correct(p, r, tol, budget=5)
-        if ok:
-            all_roots = np.array(poly_roots(p, tol))
-            k = int(np.argmin(np.abs(all_roots - r_new)))
-            others = np.delete(all_roots, k)
-            gap = float(np.min(np.abs(others - r_new))) if len(others) else np.inf
-            if abs(r_new - r) <= GAP_FACTOR * gap:
-                r = r_new
-                t = t_new
-                step = min(step * 2.0, 1.0 - t if t < 1.0 else 1.0, seg.max_step / length)
-                if step == 0.0:
-                    step = min_step
-                continue
-        step *= 0.5
-        if step < min_step:
-            raise BranchPointOnPath(
-                f"step underflow near path point {seg.start + t * (seg.end - seg.start):.6g}"
-            )
-    return r
-
-
-def _newton_correct(p: Poly, r0: complex, tol: float, budget: int):
-    dp = p.deriv()
-    scale = max(1.0, p.norm * max(1.0, abs(r0)) ** p.degree)
-    r = r0
-    for _ in range(budget):
-        d = dp(r)
-        if d == 0:
-            return False, r
-        r = r - p(r) / d
-        if abs(p(r)) <= tol * scale:
-            return True, r
-    return abs(p(r)) <= tol * scale, r
-
-
-# ----------------------------------------------------------------------
-# fixed points and Jacobians
-
-
-@dataclass
-class FixedPointResult:
-    """Converged iterate plus the iteration count and final ratio estimate."""
-
-    z: CVec
-    iterations: int
-    ratio: float
-
-
-def fixed_point_solve(
-    map_fn: Callable[[CVec], CVec],
-    z0: CVec,
-    tol: float = 1e-12,
-    max_iter: int = 80,
-) -> FixedPointResult:
-    """Iterate z <- map_fn(z) until successive iterates differ by < tol.
-
-    Raises NonConvergence when the budget runs out or the iterates drift
-    from z0 by more than ten times the initial step.
-    """
-    z0 = np.asarray(z0, dtype=complex)
-    z = z0
-    prev_delta = None
-    ratio = np.nan
-    first_step = None
-    for k in range(1, max_iter + 1):
-        z_new = np.asarray(map_fn(z), dtype=complex)
-        delta = float(np.max(np.abs(z_new - z)))
-        if first_step is None:
-            first_step = delta
-        if prev_delta is not None and prev_delta > 0:
-            ratio = delta / prev_delta
-        if delta < tol:
-            return FixedPointResult(z=z_new, iterations=k, ratio=ratio)
-        if first_step > 0 and float(np.max(np.abs(z_new - z0))) > 10.0 * first_step:
-            raise NonConvergence(f"iterates diverged after {k} steps")
-        prev_delta = delta
-        z = z_new
-    raise NonConvergence(f"no fixed point within {max_iter} iterations")
-
-
-def finite_diff_jacobian(
-    map_fn: Callable[[CVec], CVec],
-    z: CVec,
-    h: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference Jacobian d(map)/dz at z; O(h^2) for analytic maps."""
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[0]
-    jac = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[j] = h
-        plus = np.asarray(map_fn(z + e), dtype=complex)
-        minus = np.asarray(map_fn(z - e), dtype=complex)
-        jac[:, j] = (plus - minus) / (2.0 * h)
-    return jac

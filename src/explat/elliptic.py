@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,6 @@ SERIES_TARGET = 1e-16      # wp tail series truncation target
 
 class PoleAtLatticePoint(ArithmeticError):
     """wp/wp' evaluated too close to a lattice point."""
-
-
-# NoConvergence is the shared iteration-failure error; log_E raises it too.
-NoConvergence = NonConvergence
 
 
 # ----------------------------------------------------------------------
@@ -129,20 +125,6 @@ def reduce_mod_lattice(z, lat: Lattice):
     if rep.shape == ():
         return complex(rep), complex(part)
     return rep, part
-
-
-@dataclass
-class FundamentalDomain:
-    """Half-open period cell of a lattice, ties broken toward the <= side."""
-
-    lattice: Lattice
-
-    def reduce(self, z):
-        return reduce_mod_lattice(z, self.lattice)[0]
-
-    def contains(self, z) -> bool:
-        s, t = self.lattice.coords(z)
-        return bool(-0.5 < s <= 0.5) and bool(-0.5 < t <= 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -409,46 +391,69 @@ def _gauss_newton_log(curve, x, y, v0, iters=48):
     return v, ok, res
 
 
+def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
+    """Group logarithms of the affine points (x[r], y[r]), batched.
+
+    Each row runs Gauss-Newton from its seeds in turn until one converges:
+    the anchor when one is given, the 4 points of a 24x24 grid over the cell
+    whose wp is nearest x, the near-pole asymptotics +-1/sqrt(x), and, only
+    for rows that still fail, the rest of the grid.  Returns (v, ok): v is
+    reduced to the fundamental cell, or with an anchor (one per row, or one
+    for all) is the lattice translate nearest it; v is 0 where ok is False.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    m = x.shape[0]
+    grid_z, grid_wp = curve.tables().grid()
+    order = np.argsort(np.abs(grid_wp[None, :] - x[:, None]), axis=1)[:, :4]
+    root = 1.0 / np.sqrt(np.where(x == 0, 1.0, x))
+    if anchor is not None:
+        anchor = np.broadcast_to(np.asarray(anchor, dtype=complex), (m,))
+    seed_sets = [] if anchor is None else [anchor]
+    seed_sets += [grid_z[order[:, j]] for j in range(order.shape[1])] + [root, -root]
+    v = np.zeros(m, dtype=complex)
+    done = np.zeros(m, dtype=bool)
+    for seed in seed_sets:
+        todo = ~done
+        if not todo.any():
+            break
+        vt, okt, _ = _gauss_newton_log(curve, x[todo], y[todo], seed[todo])
+        sub = np.flatnonzero(todo)
+        v[sub[okt]] = vt[okt]
+        done[sub] = okt
+    for r in np.flatnonzero(~done):
+        far = np.argsort(np.abs(grid_wp - x[r]))[4:]
+        vt, okt, _ = _gauss_newton_log(curve, np.full(far.size, x[r]), np.full(far.size, y[r]), grid_z[far])
+        if okt.any():
+            v[r] = vt[np.argmax(okt)]
+            done[r] = True
+    rep, _ = reduce_mod_lattice(np.where(done, v, 0.0), curve.lattice)
+    if anchor is not None:
+        rep = np.where(done, rep + curve.lattice.nearest_point(anchor - rep), 0.0)
+    return rep, done
+
+
 def log_E(p: EPoint, curve: EllipticCurveParams, seed: complex | None = None) -> complex:
     """Group logarithm: the z in the fundamental cell with exp_E(z) = p.
 
-    Newton on the pair (wp - x, wp' - y), seeded from the supplied seed,
-    from the near-pole asymptotic when |x| is large, then from a 24x24
-    grid over the cell ordered by wp proximity.
+    One row of log_E_batch, seeded first from seed when one is given.
     """
     if p.is_identity:
         return 0j
-    seeds: list[complex] = []
-    if seed is not None:
-        seeds.append(complex(seed))
-    if p.x != 0:
-        root = 1.0 / np.sqrt(complex(p.x))
-        seeds.extend([complex(root), complex(-root)])
-    tab = curve.tables()
-    grid_z, grid_wp = tab.grid()
-    order = np.argsort(np.abs(grid_wp - p.x))
-    batches = [seeds[i : i + 1] for i in range(len(seeds))]
-    batches.append(list(grid_z[order[:16]]))
-    batches.append(list(grid_z[order[16:128]]))
-    batches.append(list(grid_z[order[128:]]))
-    best = None
-    for batch in batches:
-        if not batch:
-            continue
-        v, ok, res = _gauss_newton_log(curve, [p.x] * len(batch), [p.y] * len(batch), batch)
-        if ok.any():
-            cand = v[np.flatnonzero(ok)[0]]
-            return reduce_mod_lattice(complex(cand), curve.lattice)[0]
-        k = int(np.argmin(res))
-        if best is None or res[k] < best[0]:
-            best = (float(res[k]), complex(v[k]))
-    raise NoConvergence(f"log_E failed; best residual {best[0]:.3g}" if best else "log_E failed")
+    v = _one_log(p, curve, seed)
+    return v if seed is None else reduce_mod_lattice(v, curve.lattice)[0]
 
 
 def log_E_near(p: EPoint, curve: EllipticCurveParams, anchor: complex) -> complex:
     """Logarithm on the branch nearest to anchor (lattice translate choice)."""
-    lat = curve.lattice
     if p.is_identity:
-        return complex(lat.nearest_point(anchor))
-    cell = log_E(p, curve, seed=anchor)
-    return cell + complex(lat.nearest_point(anchor - cell))
+        return complex(curve.lattice.nearest_point(anchor))
+    return _one_log(p, curve, anchor)
+
+
+def _one_log(p: EPoint, curve: EllipticCurveParams, anchor) -> complex:
+    """One row of log_E_batch; raises NonConvergence when no seed converged."""
+    v, ok = log_E_batch(curve, p.x, p.y, None if anchor is None else complex(anchor))
+    if not ok[0]:
+        raise NonConvergence("log_E: no seed converged")
+    return complex(v[0])

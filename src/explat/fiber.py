@@ -19,16 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BranchPointOnPath, NonConvergence, Poly, _aberth, _poly_residual_ok, poly_roots
+from .core import NonConvergence, _aberth, _poly_residual_ok
 from .elliptic import (
     EllipticCurveParams,
     EPoint,
     _gauss_newton_log,
     epoint_distance,
     exp_E,
-    log_E,
+    log_E_batch,
 )
-from .torus import TORUS_PERIOD, torus_exp, torus_log_near
+from .torus import torus_exp, torus_log_near
 
 ROOT_TOL = 1e-12       # stage root residual tolerance
 LEAD_TOL = 1e-10       # relative leading-coefficient degeneracy threshold
@@ -326,38 +326,83 @@ def build_problem(sig: GroupSignature, equations) -> ProblemSpec:
 
 
 # ----------------------------------------------------------------------
-# fiber solving at a point
+# fiber solving and logarithms
 
 
-def _stage_poly(stage: Stage, known) -> Poly:
-    coeffs = [complex(cp.eval(known)) for cp in stage.coeff_polys]
-    top = max(abs(c) for c in coeffs)
-    if top == 0 or abs(coeffs[-1]) < LEAD_TOL * top:
-        raise DegenerateFiber(f"leading coefficient of the {stage.unknown} stage vanished")
-    return Poly(tuple(coeffs))
+def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
+    """Solve the full fiber over each row of Z, expanding rows branch-wise.
 
-
-def fiber_values(spec: ProblemSpec, z, tol: float = ROOT_TOL):
-    """All d solutions of the fiber system at parameter z, as var dicts."""
-    z = np.asarray(z, dtype=complex)
-    base = {name: complex(z[i]) for i, name in enumerate(spec.signature.z_vars)}
-    partials = [base]
+    tol is the root-residual tolerance: ROOT_TOL for base points and
+    verification, 1e-9 for contraction sampling.  Returns (rowsZ, vals,
+    idx, dropped): idx maps each output row to its row of Z, and dropped
+    maps every row of Z that lost a branch to (stage unknown, guard) of its
+    first failure, the guard being "leading coefficient", "root residual"
+    or "root gap".  Only the failing branches are dropped.  Root order
+    within a stage is np.sort_complex, so the row order is deterministic.
+    """
+    rows = np.array(Z, dtype=complex)
+    idx = np.arange(rows.shape[0])
+    vals: dict = {}
+    dropped: dict = {}
+    znames = spec.signature.z_vars
     for stage in spec.stages:
-        grown = []
-        for vals in partials:
-            p = _stage_poly(stage, vals)
-            roots = poly_roots(p, tol)
-            scale = max(1.0, max(abs(r) for r in roots))
-            if len(roots) > 1:
-                gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]]
-                if min(gaps) < CLUSTER_TOL * scale:
-                    raise DegenerateFiber(f"clustered roots in the {stage.unknown} stage")
-            for r in roots:
-                nxt = dict(vals)
-                nxt[stage.unknown] = r
-                grown.append(nxt)
-        partials = grown
-    return partials
+        m = rows.shape[0]
+        known = {nm: rows[:, i] for i, nm in enumerate(znames)}
+        known.update(vals)
+        coeffs = np.stack(
+            [np.broadcast_to(np.asarray(cp.eval(known), dtype=complex), (m,)) for cp in stage.coeff_polys],
+            axis=1,
+        )
+        top = np.max(np.abs(coeffs), axis=1)
+        lead_ok = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
+        d = stage.degree
+        if d == 1:
+            res_ok = gap_ok = np.ones(m, dtype=bool)
+            roots = (-coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0))[:, None]
+        else:
+            safe = coeffs.copy()
+            safe[~lead_ok] = 0.0
+            safe[~lead_ok, -1] = 1.0  # dummy monic rows keep the batch solvable
+            roots, _ = _aberth(safe, ROOT_TOL)
+            res_ok = _poly_residual_ok(safe, roots, tol)
+            roots = np.sort_complex(roots)
+            dmat = np.abs(roots[:, :, None] - roots[:, None, :])
+            dmat[:, np.arange(d), np.arange(d)] = np.inf
+            scale = np.maximum(1.0, np.abs(roots).max(axis=1))
+            gap_ok = dmat.min(axis=(1, 2)) > CLUSTER_TOL * scale
+        good = lead_ok & res_ok & gap_ok
+        for r in np.flatnonzero(~good):
+            guard = "leading coefficient" if not lead_ok[r] else "root residual" if not res_ok[r] else "root gap"
+            dropped.setdefault(int(idx[r]), (stage.unknown, guard))
+        rows = np.repeat(rows[good], d, axis=0)
+        idx = np.repeat(idx[good], d)
+        for nm in vals:
+            vals[nm] = np.repeat(vals[nm][good], d)
+        vals[stage.unknown] = roots[good].ravel()
+    return rows, vals, idx, dropped
+
+
+def fiber_logs(spec: ProblemSpec, vals: dict, anchor=None):
+    """Logarithms of fiber values per factor, batched over rows.
+
+    Without anchor: the anchor-0 torus branch and the fundamental-cell
+    elliptic logarithm.  With anchor (rows x n): the branch nearest each
+    anchor, elliptic logs seeded from it.  Returns (G, ok).
+    """
+    m = len(next(iter(vals.values())))
+    G = np.zeros((m, spec.n), dtype=complex)
+    ok = np.ones(m, dtype=bool)
+    for k, (kind, curve) in enumerate(spec.signature.factors):
+        a = 0.0 if anchor is None else anchor[:, k]
+        if kind == "torus":
+            w = vals[spec.signature.factor_vars(k)[0]]
+            ok &= np.abs(w) > 0
+            G[:, k] = torus_log_near(np.where(np.abs(w) > 0, w, 1.0), a)
+            continue
+        xk, yk = spec.signature.factor_vars(k)
+        G[:, k], vok = log_E_batch(curve, vals[xk], vals[yk], None if anchor is None else a)
+        ok &= vok
+    return G, ok
 
 
 def values_to_alpha(spec: ProblemSpec, vals):
@@ -373,14 +418,6 @@ def values_to_alpha(spec: ProblemSpec, vals):
             xk, yk = spec.signature.factor_vars(k)
             out.append(EPoint.affine(vals[xk], vals[yk]))
     return tuple(out)
-
-
-def fiber_roots(spec: ProblemSpec, z, tol: float = ROOT_TOL):
-    """The d fiber points over z as group point tuples (deterministic order)."""
-    sets = fiber_values(spec, z, tol)
-    alphas = [values_to_alpha(spec, v) for v in sets]
-    order = sorted(range(len(alphas)), key=lambda i: _alpha_key(spec, alphas[i]))
-    return [alphas[i] for i in order]
 
 
 def _alpha_key(spec: ProblemSpec, alpha):
@@ -406,21 +443,6 @@ class BranchState:
     g: np.ndarray
     branch_id: int
 
-    @property
-    def alpha(self):
-        """Group point per factor, reconstructed from the stage values."""
-        out = []
-        k = 1
-        while True:
-            if f"w{k}" in self.values:
-                out.append(self.values[f"w{k}"])
-            elif f"x{k}" in self.values:
-                out.append(EPoint.affine(self.values[f"x{k}"], self.values[f"y{k}"]))
-            else:
-                break
-            k += 1
-        return tuple(out)
-
 
 def state_alpha(spec: ProblemSpec, state: BranchState):
     return values_to_alpha(spec, state.values)
@@ -430,25 +452,23 @@ def branch_base(spec: ProblemSpec, domain: SectorDomain, z0):
     """One BranchState per fiber point at z0, ids by lexicographic alpha order.
 
     g starts as the anchor-0 torus branch / fundamental-cell elliptic
-    logarithm of each alpha coordinate.
+    logarithm of each alpha coordinate.  A degenerate fiber raises
+    DegenerateFiber naming the guard and the stage that fired.
     """
     z0 = np.asarray(z0, dtype=complex)
     if domain is not None and not domain.contains(z0):
         raise LeftDomain("base point outside the sector domain")
-    sets = fiber_values(spec, z0)
-    alphas = [values_to_alpha(spec, v) for v in sets]
-    order = sorted(range(len(sets)), key=lambda i: _alpha_key(spec, alphas[i]))
-    states = []
-    for bid, idx in enumerate(order):
-        vals = {st.unknown: sets[idx][st.unknown] for st in spec.stages}
-        g = np.zeros(spec.n, dtype=complex)
-        for k, (kind, curve) in enumerate(spec.signature.factors):
-            if kind == "torus":
-                g[k] = torus_log_near(alphas[idx][k], 0.0)
-            else:
-                g[k] = log_E(alphas[idx][k], curve)
-        states.append(BranchState(z=z0.copy(), values=dict(vals), g=g, branch_id=bid))
-    return states
+    _, vals, _, dropped = _batched_fiber(spec, z0[None, :], ROOT_TOL)
+    if dropped:
+        unknown, guard = dropped[0]
+        raise DegenerateFiber(f"{guard} guard fired in the {unknown} stage")
+    rows = [{nm: complex(col[r]) for nm, col in vals.items()} for r in range(spec.degree)]
+    alphas = [values_to_alpha(spec, v) for v in rows]
+    G, ok = fiber_logs(spec, vals)
+    if not ok.all():
+        raise NonConvergence("base-point logarithm did not converge")
+    order = sorted(range(len(rows)), key=lambda i: _alpha_key(spec, alphas[i]))
+    return [BranchState(z=z0.copy(), values=rows[i], g=G[i], branch_id=bid) for bid, i in enumerate(order)]
 
 
 # ----------------------------------------------------------------------
@@ -612,20 +632,6 @@ class _Tracker:
         return active & ~failed & (t_cur >= 1.0 - 1e-12), fail_reason
 
 
-def branch_continue(spec: ProblemSpec, state: BranchState, target, domain=None, enforce_domain=True):
-    """Continue one branch along the straight segment state.z -> target."""
-    target = np.asarray(target, dtype=complex)
-    tr = _Tracker.from_states(spec, [state])
-    path = straight_path(state.z[None, :], target[None, :])
-    seg_len = float(np.max(np.abs(target - state.z)))
-    ok, reason = tr.advance(path, [seg_len], domain=domain if enforce_domain else None)
-    if not ok[0]:
-        if reason[0] == _Tracker.FAIL_DOMAIN:
-            raise LeftDomain("continuation segment left the sector domain")
-        raise BranchPointOnPath("step underflow during branch continuation")
-    return tr.to_states()[0]
-
-
 # ----------------------------------------------------------------------
 # monodromy
 
@@ -662,6 +668,3 @@ def monodromy_profile(spec: ProblemSpec, domain: SectorDomain, state: BranchStat
             return {"e": turn, "stage_orders": stage_orders}
     raise NonConvergence("branch did not recur within the fiber degree")
 
-
-def monodromy_index(spec: ProblemSpec, domain: SectorDomain, state: BranchState) -> int:
-    return monodromy_profile(spec, domain, state)["e"]

@@ -12,25 +12,10 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
 
 
 def spec_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-@dataclass
-class RunReport:
-    """Everything a run produced; the JSON payload is a fixed subset."""
-
-    spec_digest: str
-    degree: int
-    records: list
-    asymptotics: dict
-    skipped: list
-    contraction: object = None
-    monodromy: dict | None = None  # filled by the monodromy subcommand only
-    timings: dict = field(default_factory=dict)
 
 
 def _cvec(vec) -> list:

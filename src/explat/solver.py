@@ -15,30 +15,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import NonConvergence, _aberth, _poly_residual_ok
-from .elliptic import (
-    EPoint,
-    Lattice,
-    _gauss_newton_log,
-    epoint_distance,
-    log_E_near,
-    reduce_mod_lattice,
-    wp_both,
-)
+from .core import NonConvergence
+from .elliptic import EPoint, epoint_distance, wp_both
 from .fiber import (
-    CLUSTER_TOL,
-    LEAD_TOL,
+    ROOT_TOL,
     LeftDomain,
     ProblemSpec,
     SectorDomain,
+    _batched_fiber,
     _Tracker,
     branch_base,
-    fiber_values,
-    group_distance,
+    fiber_logs,
     straight_path,
-    values_to_alpha,
 )
-from .torus import torus_log_near
 
 CHUNK_LAMBDAS = 24     # lattice points per work chunk, fixed for determinism
 GATE_LIMIT = 0.5       # contraction bound required before sweeping
@@ -74,14 +63,6 @@ class LatticeProduct:
     @property
     def n(self) -> int:
         return len(self.factors)
-
-    def gap(self, k: int) -> float:
-        kind, lat = self.factors[k]
-        return 2.0 * math.pi if kind == "torus" else lat.min_gap
-
-    @property
-    def min_gap(self) -> float:
-        return min(self.gap(k) for k in range(self.n))
 
     def annulus_points(self, k: int, rmin: float, rmax: float) -> np.ndarray:
         """Nonzero lattice points of factor k with rmin < |p| <= rmax."""
@@ -163,95 +144,6 @@ def enumerate_lattice(lattice: LatticeProduct, domain: SectorDomain, radius_rang
 
 
 # ----------------------------------------------------------------------
-# batched fiber solving and logarithms (for sampling-based measurement)
-
-
-def _batched_fiber(spec: ProblemSpec, Z: np.ndarray):
-    """Solve the full fiber over each row of Z, expanding rows branch-wise.
-
-    Returns (rowsZ, vals, sample_idx); rows from degenerate samples are
-    dropped.  Root order within a stage is np.sort_complex, so the row
-    order is deterministic.
-    """
-    rows = np.array(Z, dtype=complex)
-    idx = np.arange(rows.shape[0])
-    vals: dict = {}
-    znames = spec.signature.z_vars
-    for stage in spec.stages:
-        m = rows.shape[0]
-        known = {nm: rows[:, i] for i, nm in enumerate(znames)}
-        known.update(vals)
-        coeffs = np.stack(
-            [np.broadcast_to(np.asarray(cp.eval(known), dtype=complex), (m,)) for cp in stage.coeff_polys],
-            axis=1,
-        )
-        top = np.max(np.abs(coeffs), axis=1)
-        good = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
-        if stage.degree == 1:
-            root = -coeffs[:, 0] / np.where(good, coeffs[:, 1], 1.0)
-            rows, idx = rows[good], idx[good]
-            for nm in vals:
-                vals[nm] = vals[nm][good]
-            vals[stage.unknown] = root[good]
-            continue
-        safe = coeffs.copy()
-        safe[~good] = 0.0
-        safe[~good, -1] = 1.0
-        roots, _ = _aberth(safe, 1e-12)
-        good &= _poly_residual_ok(safe, roots, 1e-9)
-        roots = np.sort_complex(roots)
-        dmat = np.abs(roots[:, :, None] - roots[:, None, :])
-        dmat[:, np.arange(stage.degree), np.arange(stage.degree)] = np.inf
-        gaps = dmat.min(axis=(1, 2))
-        scale = np.maximum(1.0, np.abs(roots).max(axis=1))
-        good &= gaps > CLUSTER_TOL * scale
-        d = stage.degree
-        rows = np.repeat(rows[good], d, axis=0)
-        idx = np.repeat(idx[good], d)
-        for nm in vals:
-            vals[nm] = np.repeat(vals[nm][good], d)
-        vals[stage.unknown] = roots[good].ravel()
-    return rows, vals, idx
-
-
-def _batched_logs(spec: ProblemSpec, rowsZ: np.ndarray, vals: dict):
-    """Anchor-0 / cell-representative logarithms of the fiber values, batched.
-
-    Returns (G, ok).  Elliptic coordinates run Gauss-Newton from grid seeds
-    ordered by wp proximity, then the near-pole seeds.
-    """
-    m = rowsZ.shape[0]
-    G = np.zeros((m, spec.n), dtype=complex)
-    ok = np.ones(m, dtype=bool)
-    for k, (kind, curve) in enumerate(spec.signature.factors):
-        if kind == "torus":
-            w = vals[spec.signature.factor_vars(k)[0]]
-            ok &= np.abs(w) > 0
-            G[:, k] = torus_log_near(np.where(np.abs(w) > 0, w, 1.0), 0.0)
-            continue
-        xk, yk = spec.signature.factor_vars(k)
-        x, y = vals[xk], vals[yk]
-        grid_z, grid_wp = curve.tables().grid()
-        order = np.argsort(np.abs(grid_wp[None, :] - x[:, None]), axis=1)[:, :4]
-        root = 1.0 / np.sqrt(np.where(x == 0, 1.0, x))
-        seed_sets = [grid_z[order[:, j]] for j in range(order.shape[1])] + [root, -root]
-        v = np.zeros(m, dtype=complex)
-        done = np.zeros(m, dtype=bool)
-        for seeds in seed_sets:
-            todo = ~done
-            if not todo.any():
-                break
-            vt, okt, _ = _gauss_newton_log(curve, x[todo], y[todo], seeds[todo])
-            sub = np.flatnonzero(todo)
-            v[sub[okt]] = vt[okt]
-            done[sub] = okt
-        ok &= done
-        rep, _ = reduce_mod_lattice(np.where(done, v, 0.0), curve.lattice)
-        G[:, k] = rep
-    return G, ok
-
-
-# ----------------------------------------------------------------------
 # contraction measurement
 
 
@@ -295,10 +187,10 @@ def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range,
     """
     rng = np.random.default_rng(seed)
     Z = _sample_domain(domain, radius_range, samples, rng)
-    rowsZ, vals, _ = _batched_fiber(spec, Z)
+    rowsZ, vals, _, _ = _batched_fiber(spec, Z, 1e-9)
     if rowsZ.shape[0] == 0:
         raise NonConvergence("no usable contraction samples")
-    G, ok = _batched_logs(spec, rowsZ, vals)
+    G, ok = fiber_logs(spec, vals)
     rowsZ, G = rowsZ[ok], G[ok]
     vals = {nm: col[ok] for nm, col in vals.items()}
     m, n = rowsZ.shape
@@ -401,14 +293,6 @@ class SolutionRecord:
     iterations: int
     g_lambda: np.ndarray  # G at z = lambda, kept for asymptotic tables
     gamma_estimate: np.ndarray | None = None  # per-branch limit, abelian coords
-
-
-def G_eval(state) -> np.ndarray:
-    return state.g
-
-
-def F_eval(state) -> np.ndarray:
-    return state.z - state.g
 
 
 def _base_point(domain: SectorDomain) -> np.ndarray:
@@ -751,39 +635,35 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     """Re-check every record from scratch; returns (all_ok, row list).
 
     Rows are (index, check-name, ok, detail).  Residuals are recomputed by
-    re-solving the fiber at s (no branch state reused).
+    re-solving the fibers at all s in one batch (no branch state reused).
     """
     rows = []
     all_ok = True
     slack = 50.0  # fresh fiber roots carry their own tolerance
+    S = np.array([rec.s for rec in records], dtype=complex).reshape(len(records), spec.n)
+    LAM = np.array([rec.lam for rec in records], dtype=complex).reshape(len(records), spec.n)
+    rowsS, vals, owner, dropped = _batched_fiber(spec, S, ROOT_TOL)
+    dist = _exp_residuals(spec, rowsS, vals)
+    # an intact record owns spec.degree consecutive rows; its alpha is the nearest one
+    kept = [i for i in range(len(records)) if i not in dropped]
+    first = np.searchsorted(owner, kept)
+    pick = first + np.array([np.argmin(dist[f : f + spec.degree]) for f in first], dtype=int)
+    # f-residual: g from the matched alpha, branch anchored at s - lambda
+    G, g_ok = fiber_logs(spec, {nm: col[pick] for nm, col in vals.items()}, anchor=S[kept] - LAM[kept])
+    f_res = np.where(g_ok, np.max(np.abs(S[kept] - LAM[kept] - G), axis=1), np.inf)
+    checked = {i: (float(r), float(f)) for i, r, f in zip(kept, dist[pick], f_res)}
     for idx, rec in enumerate(records):
-        s = np.asarray(rec.s, dtype=complex)
-        lam = np.asarray(rec.lam, dtype=complex)
-        try:
-            fib = fiber_values(spec, s)
-            alphas = [values_to_alpha(spec, v) for v in fib]
-        except Exception as exc:  # degenerate fiber at a claimed solution
-            rows.append((idx, "fiber", False, str(exc)))
+        if idx in dropped:  # degenerate fiber at a claimed solution
+            unknown, guard = dropped[idx]
+            rows.append((idx, "fiber", False, f"{guard} guard fired in the {unknown} stage"))
             all_ok = False
             continue
-        exp_s = spec.signature.exp_point(s)
-        dists = [group_distance(spec.signature, exp_s, al) for al in alphas]
-        pick = int(np.argmin(dists))
-        res = dists[pick]
+        res, f_r = checked[idx]
         ok_res = res < slack * max(tol, float(rec.residual) + tol)
         rows.append((idx, "residual", ok_res, f"{res:.3e}"))
-        # f-residual: g from the matched alpha, branch anchored at s - lambda
-        g = np.zeros(spec.n, dtype=complex)
-        for k, (kind, curve) in enumerate(spec.signature.factors):
-            anchor = s[k] - lam[k]
-            if kind == "torus":
-                g[k] = torus_log_near(alphas[pick][k], anchor)
-            else:
-                g[k] = log_E_near(alphas[pick][k], curve, anchor)
-        f_res = float(np.max(np.abs(s - lam - g)))
-        ok_f = f_res < slack * max(tol, float(rec.f_residual) + tol)
-        rows.append((idx, "f_residual", ok_f, f"{f_res:.3e}"))
-        ok_dom = domain.contains(s)
+        ok_f = f_r < slack * max(tol, float(rec.f_residual) + tol)
+        rows.append((idx, "f_residual", ok_f, f"{f_r:.3e}"))
+        ok_dom = domain.contains(S[idx])
         rows.append((idx, "in-domain", ok_dom, ""))
         all_ok &= ok_res and ok_f and ok_dom
     # pairwise distinctness per lattice point

@@ -7,7 +7,6 @@ indices so continuation composes without a global branch-cut convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,37 +49,3 @@ def torus_log_near(w, anchor):
     k = np.round((anchor.imag - base.imag) / (2.0 * math.pi))
     out = base + TORUS_PERIOD * k
     return out if out.shape else complex(out)
-
-
-def torus_reduce(z):
-    """Representative of z mod 2*pi*i with Im in (-pi, pi] (ties to +pi)."""
-    z = np.asarray(z, dtype=complex)
-    m = np.ceil(z.imag / (2.0 * math.pi) - 0.5)
-    out = z - TORUS_PERIOD * m
-    return out if out.shape else complex(out)
-
-
-@dataclass(frozen=True)
-class GrowthExponent:
-    """Measured polynomial-growth window: |z|^-q < |alpha(z)| < |z|^q."""
-
-    q: int
-    q_max: int = 16
-
-    @classmethod
-    def fit(cls, z_abs, alpha_abs, q_max: int = 16) -> "GrowthExponent":
-        """Smallest integer q whose window covers all samples (|z| > 1)."""
-        z_abs = np.asarray(z_abs, dtype=float)
-        alpha_abs = np.asarray(alpha_abs, dtype=float)
-        if np.any(z_abs <= 1.0):
-            raise ValueError("growth fit needs samples with |z| > 1")
-        if np.any(alpha_abs <= 0.0):
-            raise ValueError("alpha vanished at a sample point")
-        ratio = np.abs(np.log(alpha_abs) / np.log(z_abs))
-        q = int(math.floor(np.max(ratio))) + 1
-        if q > q_max:
-            raise ValueError(f"growth exponent {q} exceeds cap {q_max}")
-        return cls(q=q, q_max=q_max)
-
-    def contains(self, z_abs: float, alpha_abs: float) -> bool:
-        return z_abs ** (-self.q) < alpha_abs < z_abs ** self.q

@@ -125,6 +125,28 @@ def test_exit_on_empty_annulus():
     assert run_cli("solve", "--spec", TORUS_SPEC, "--radius", "100:50").returncode == 4
 
 
+def test_exit_on_violated_record_invariants(monkeypatch, capsys):
+    # a record above tol is never written, and the exit code says so
+    # instead of claiming that no lattice point converged
+    import numpy as np
+
+    import explat.cli as cli
+    from explat.solver import SolutionRecord, SweepResult
+
+    bad = SolutionRecord(
+        lam=np.array([2j * np.pi]), s=np.array([2.06 + 7.59j]), branch_id=0, residual=1.0,
+        f_residual=0.0, iterations=1, g_lambda=np.zeros(1, dtype=complex),
+    )
+    result = SweepResult(
+        records=[bad], skipped=[], contraction=None, margins=None, degree=1, enumerated=1, asymptotics={},
+    )
+    monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: result)
+    assert cli.main(["solve", "--spec", str(TORUS_SPEC)]) == 5
+    captured = capsys.readouterr()
+    assert "internal record invariants violated" in captured.err
+    assert captured.out == ""
+
+
 def test_invariants_square_lattice():
     r = run_cli("invariants", "--omega1", "1", "--omega2", "1i")
     assert r.returncode == 0, r.stderr

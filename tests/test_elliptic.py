@@ -17,7 +17,6 @@ from explat.core import NonConvergence
 from explat.elliptic import (
     EPoint,
     EllipticCurveParams,
-    FundamentalDomain,
     Lattice,
     PoleAtLatticePoint,
     curve_residual,
@@ -131,13 +130,6 @@ def test_reduce_mod_lattice_tie_convention():
     assert abs(rep - 0.5) < 1e-15 and abs(part) < 1e-15
     rep, part = reduce_mod_lattice(-0.5 + 0j, SQUARE)
     assert abs(rep - 0.5) < 1e-15 and abs(part + 1.0) < 1e-15
-
-
-def test_fundamental_domain_contains_its_reductions():
-    dom = FundamentalDomain(SKEW)
-    z = RNG.normal(size=50) * 9 + 1j * RNG.normal(size=50) * 9
-    for zi in z:
-        assert dom.contains(dom.reduce(zi))
 
 
 def test_nearest_point_is_nearest():

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from explat.core import BranchPointOnPath
 from explat.elliptic import EllipticCurveParams, Lattice, curve_residual
 from explat.fiber import (
+    ROOT_TOL,
     BranchState,
     DegenerateFiber,
     GroupSignature,
@@ -14,14 +14,11 @@ from explat.fiber import (
     MPoly,
     NonTriangularSystem,
     SectorDomain,
+    _batched_fiber,
     _Tracker,
     branch_base,
-    branch_continue,
     build_problem,
-    fiber_roots,
-    fiber_values,
     group_distance,
-    monodromy_index,
     monodromy_profile,
     state_alpha,
     straight_path,
@@ -175,26 +172,27 @@ def test_build_problem_rejects_non_triangular():
 
 def test_fiber_count_is_constant(curve_pair_spec):
     # generic parameter points all carry exactly degree-many solutions
-    for _ in range(5):
-        z = 15.0 + 10.0 * RNG.random(2) + 1j * (1.0 + 3.0 * RNG.random(2))
-        sets = fiber_values(curve_pair_spec, z)
-        assert len(sets) == 12
-        for vals in sets:
-            full = dict(vals)
-            for st in curve_pair_spec.stages:
-                assert abs(st.residual.eval(full)) < 1e-8
+    Z = 15.0 + 10.0 * RNG.random((5, 2)) + 1j * (1.0 + 3.0 * RNG.random((5, 2)))
+    rows, vals, idx, dropped = _batched_fiber(curve_pair_spec, Z, ROOT_TOL)
+    assert not dropped
+    assert np.bincount(idx).tolist() == [12] * 5
+    full = dict(vals, z1=rows[:, 0], z2=rows[:, 1])
+    for st in curve_pair_spec.stages:
+        assert np.max(np.abs(st.residual.eval(full))) < 1e-8
 
 
 def test_fiber_points_lie_on_curves(curve_pair_spec, square_curve):
-    z = np.array([19.0 + 2.0j, 23.0 - 1.5j])
-    for alpha in fiber_roots(curve_pair_spec, z):
-        for pt in alpha:
+    states = branch_base(curve_pair_spec, None, [19.0 + 2.0j, 23.0 - 1.5j])
+    assert len(states) == 12
+    for s in states:
+        for pt in state_alpha(curve_pair_spec, s):
             assert curve_residual(pt, square_curve) < 1e-10
 
 
 def test_fiber_degenerate_at_branch_locus(sqrt_spec):
-    with pytest.raises(DegenerateFiber):
-        fiber_values(sqrt_spec, [0.0])
+    # w1^2 = z1 has a double root at z1 = 0
+    with pytest.raises(DegenerateFiber, match="root gap guard fired in the w1 stage"):
+        branch_base(sqrt_spec, None, [0.0])
 
 
 def test_fiber_degenerate_leading_coefficient():
@@ -203,13 +201,27 @@ def test_fiber_degenerate_leading_coefficient():
     av = sig.z_vars + sig.group_vars
     eq = MPoly.from_dict(av, {term(av, z1=1, w1=2): 1.0, term(av): -1.0})
     spec = build_problem(sig, [eq])
-    assert len(fiber_values(spec, [2.0 + 1.0j])) == 2
-    with pytest.raises(DegenerateFiber):
-        fiber_values(spec, [0.0])
+    assert len(branch_base(spec, None, [2.0 + 1.0j])) == 2
+    with pytest.raises(DegenerateFiber, match="leading coefficient guard fired in the w1 stage"):
+        branch_base(spec, None, [0.0])
 
 
 # ----------------------------------------------------------------------
 # branch bases and continuation
+
+
+def _carry(spec, states, target, domain=None):
+    """Continue states along straight segments to target; (ok, reason, states)."""
+    tr = _Tracker.from_states(spec, states)
+    target = np.broadcast_to(np.asarray(target, dtype=complex), tr.Z.shape)
+    ok, reason = tr.advance(straight_path(tr.Z, target), np.max(np.abs(target - tr.Z), axis=1), domain=domain)
+    return ok, reason, tr.to_states()
+
+
+def _carry_one(spec, state, target):
+    ok, _, (out,) = _carry(spec, [state], target)
+    assert ok[0]
+    return out
 
 
 def test_branch_base_ids_and_logs(curve_pair_spec):
@@ -232,8 +244,7 @@ def test_continuation_roundtrip(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([25.0 - 1.0j, 27.0 + 3.0j])
     s0 = branch_base(curve_pair_spec, None, z0)[3]
-    s1 = branch_continue(curve_pair_spec, s0, z1)
-    s2 = branch_continue(curve_pair_spec, s1, z0)
+    s2 = _carry_one(curve_pair_spec, _carry_one(curve_pair_spec, s0, z1), z0)
     assert max(abs(s2.values[k] - s0.values[k]) for k in s0.values) < 1e-9
     assert np.max(np.abs(s2.g - s0.g)) < 1e-9
 
@@ -244,8 +255,8 @@ def test_continuation_path_independent(curve_pair_spec):
     z1 = np.array([26.0 + 4.0j, 24.0 - 2.0j])
     mid = 0.5 * (z0 + z1)
     s0 = branch_base(curve_pair_spec, None, z0)[7]
-    direct = branch_continue(curve_pair_spec, s0, z1)
-    via = branch_continue(curve_pair_spec, branch_continue(curve_pair_spec, s0, mid), z1)
+    direct = _carry_one(curve_pair_spec, s0, z1)
+    via = _carry_one(curve_pair_spec, _carry_one(curve_pair_spec, s0, mid), z1)
     assert max(abs(direct.values[k] - via.values[k]) for k in direct.values) < 1e-9
     assert np.max(np.abs(direct.g - via.g)) < 1e-9
 
@@ -255,8 +266,9 @@ def test_continued_branches_exhaust_fiber(curve_pair_spec):
     sig = curve_pair_spec.signature
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([24.0 + 5.0j, 21.0 + 0.5j])
-    moved = [branch_continue(curve_pair_spec, s, z1) for s in branch_base(curve_pair_spec, None, z0)]
-    target = fiber_roots(curve_pair_spec, z1)
+    ok, _, moved = _carry(curve_pair_spec, branch_base(curve_pair_spec, None, z0), z1)
+    assert ok.all()
+    target = [state_alpha(curve_pair_spec, s) for s in branch_base(curve_pair_spec, None, z1)]
     used = [False] * len(target)
     for s in moved:
         al = state_alpha(curve_pair_spec, s)
@@ -271,12 +283,10 @@ def test_batched_tracker_matches_single_rows(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([23.0 + 3.0j, 25.0 + 2.0j])
     states = branch_base(curve_pair_spec, None, z0)
-    tr = _Tracker.from_states(curve_pair_spec, states)
-    ok, _ = tr.advance(straight_path(tr.Z, np.broadcast_to(z1, tr.Z.shape)), np.full(len(states), float(np.max(np.abs(z1 - z0)))))
+    ok, _, batched = _carry(curve_pair_spec, states, z1)
     assert ok.all()
-    batched = tr.to_states()
     for s0, sb in zip(states, batched):
-        one = branch_continue(curve_pair_spec, s0, z1)
+        one = _carry_one(curve_pair_spec, s0, z1)
         assert max(abs(one.values[k] - sb.values[k]) for k in one.values) < 1e-10
         assert np.max(np.abs(one.g - sb.g)) < 1e-10
 
@@ -284,15 +294,15 @@ def test_batched_tracker_matches_single_rows(curve_pair_spec):
 def test_continuation_detects_branch_point(sqrt_spec):
     # the segment 1 -> -1 passes through the double root at the origin
     s0 = branch_base(sqrt_spec, None, [1.0 + 0.0j])[1]
-    with pytest.raises(BranchPointOnPath):
-        branch_continue(sqrt_spec, s0, np.array([-1.0 + 0.0j]))
+    ok, reason, _ = _carry(sqrt_spec, [s0], [-1.0 + 0.0j])
+    assert not ok[0] and reason[0] == _Tracker.FAIL_BRANCH
 
 
 def test_continuation_respects_domain(identity_spec):
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=0.1, eta=1.5)
     s0 = branch_base(identity_spec, dom, [10.0 * np.exp(0.5j)])[0]
-    with pytest.raises(LeftDomain):
-        branch_continue(identity_spec, s0, np.array([10.0 * np.exp(2.2j)]), domain=dom)
+    ok, reason, _ = _carry(identity_spec, [s0], [10.0 * np.exp(2.2j)], domain=dom)
+    assert not ok[0] and reason[0] == _Tracker.FAIL_DOMAIN
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +311,7 @@ def test_continuation_respects_domain(identity_spec):
 
 def test_monodromy_sqrt_is_two(sqrt_spec):
     s0 = branch_base(sqrt_spec, None, [9.0 + 1.0j])[0]
-    assert monodromy_index(sqrt_spec, None, s0) == 2
+    assert monodromy_profile(sqrt_spec, None, s0)["e"] == 2
 
 
 def test_monodromy_identity_is_one(identity_spec):

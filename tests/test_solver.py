@@ -3,13 +3,14 @@
 import cmath
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from explat.core import NonConvergence
-from explat.elliptic import EPoint, Lattice, log_E_near, reduce_mod_lattice
-from explat.fiber import LeftDomain, SectorDomain, branch_base, fiber_values
+from explat.elliptic import EllipticCurveParams, EPoint, Lattice, log_E_near, reduce_mod_lattice
+from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _batched_fiber, branch_base
 from explat.solver import (
     ContractionGateFailed,
     LatticeProduct,
@@ -21,6 +22,7 @@ from explat.solver import (
     measure_contraction,
     solve_at_lattice_point,
     sweep,
+    verify_records,
 )
 from explat.specfile import parse_run
 
@@ -98,10 +100,11 @@ def wp_mini():
 
 
 def test_lattice_product_gaps():
-    lat = LatticeProduct(factors=(("torus", None), ("elliptic", Lattice(1.0, 1j))))
-    assert lat.gap(0) == pytest.approx(2 * math.pi)
-    assert lat.gap(1) == pytest.approx(1.0)     # [DERIVED] shortest vector of Z+iZ
-    assert lat.min_gap == pytest.approx(1.0)
+    curve = EllipticCurveParams.from_lattice(Lattice(1.0, 1j))
+    sig = GroupSignature(factors=(("torus", None), ("elliptic", curve)))
+    assert sig.gap(0) == pytest.approx(2 * math.pi)
+    assert sig.gap(1) == pytest.approx(1.0)     # [DERIVED] shortest vector of Z+iZ
+    assert sig.min_gap == pytest.approx(1.0)
 
 
 def test_torus_annulus_matches_integer_count():
@@ -285,6 +288,23 @@ def test_single_point_solve_raises_off_domain():
         solve_at_lattice_point(st.problem, st.domain, base[0], np.array([0.2j]))
 
 
+def test_verify_flags_record_on_branch_locus():
+    # w1^2 = z1 has a double root at s = 0: that record gets a fiber FAIL
+    # row naming the guard, while a solved record next to it still passes
+    st = parse_run(TORUS_SRC.replace("w1 = z1", "w1^2 = z1"))
+    base = branch_base(st.problem, st.domain, _base_point(st.domain))
+    good = solve_at_lattice_point(st.problem, st.domain, base[0], np.array([10j * math.pi]))
+    locus = SimpleNamespace(lam=good.lam, s=np.zeros(1, dtype=complex), residual=0.0, f_residual=0.0)
+    all_ok, rows = verify_records(st.problem, st.domain, [good, locus], st.tol)
+    assert not all_ok
+    assert [(i, name, ok) for i, name, ok, _ in rows] == [
+        (0, "residual", True), (0, "f_residual", True), (0, "in-domain", True),
+        (1, "fiber", False), (0, "distinct", True),
+    ]
+    assert rows[3][3] == "root gap guard fired in the w1 stage"
+    assert verify_records(st.problem, st.domain, [], st.tol) == (True, [])
+
+
 def test_empty_annulus_returns_empty_result():
     st = torus_setup()
     out = sweep(st.problem, st.domain, (100.0, 50.0))
@@ -322,11 +342,12 @@ def test_gamma_matches_fresh_log_of_alpha():
     for b, (_, rec) in best.items():
         g_b = np.asarray(gam[b])
         dmin = math.inf
-        for vals in fiber_values(st.problem, np.asarray(rec.s)):
+        _, vals, _, _ = _batched_fiber(st.problem, np.asarray(rec.s)[None, :], ROOT_TOL)
+        for r in range(st.problem.degree):
             d = 0.0
             for k, (kind, curve) in enumerate(st.problem.signature.factors):
                 xk, yk = st.problem.signature.factor_vars(k)
-                p = EPoint.affine(vals[xk], vals[yk])
+                p = EPoint.affine(vals[xk][r], vals[yk][r])
                 d = max(d, abs(log_E_near(p, curve, g_b[k]) - g_b[k]))
             dmin = min(dmin, d)
         assert dmin < 0.02

@@ -7,11 +7,9 @@ import pytest
 from explat.torus import (
     TORUS_PERIOD,
     ExpOverflow,
-    GrowthExponent,
     torus_exp,
     torus_log,
     torus_log_near,
-    torus_reduce,
 )
 
 RNG = np.random.default_rng(20260816)
@@ -64,24 +62,3 @@ def test_exp_of_log_identity():
     w = RNG.normal(size=100) + 1j * RNG.normal(size=100)
     w = w[np.abs(w) > 1e-3]
     assert np.max(np.abs(torus_exp(torus_log(w)) - w) / np.abs(w)) < 1e-12
-
-
-def test_reduce_convention():
-    assert abs(torus_reduce(5j * math.pi) - 1j * math.pi) < 1e-12
-    assert abs(torus_reduce(1j * math.pi) - 1j * math.pi) < 1e-15
-    assert abs(torus_reduce(-1j * math.pi) - 1j * math.pi) < 1e-12
-    z = RNG.normal(size=50) + 1j * RNG.normal(size=50) * 30
-    red = torus_reduce(z)
-    assert np.all((red.imag > -math.pi - 1e-12) & (red.imag <= math.pi + 1e-12))
-    k = (z - red) / TORUS_PERIOD
-    assert np.max(np.abs(k - np.round(k.real))) < 1e-9
-    assert np.max(np.abs(torus_reduce(red) - red)) < 1e-12
-
-
-def test_growth_exponent_fit():
-    z_abs = np.array([10.0, 40.0, 160.0])
-    ge = GrowthExponent.fit(z_abs, z_abs ** 2 * 3.0)
-    assert ge.q == 3  # |alpha| ~ 3|z|^2 needs q > 2 at the smallest sample
-    assert all(ge.contains(r, 3.0 * r ** 2) for r in z_abs)
-    with pytest.raises(ValueError):
-        GrowthExponent.fit(z_abs, np.exp(z_abs), q_max=16)
