@@ -3,15 +3,20 @@
 Pipeline: enumerate period-lattice points inside a sector domain, gate on a
 measured contraction bound for dG, drop points too close to the domain
 boundary (closer than the measured G bound), then continue every branch from
-one base point to each lattice point and run the fixed-point iteration
-z <- lambda + G(z).  Work is batched in fixed chunks of lattice points so
-output is independent of --jobs.
+one base point to each distinct chart point once (leg 1), fan those end
+states out to the lattice points sharing that chart point, continue each
+to its own lattice point (leg 2) and run the fixed-point iteration
+z <- lambda + G(z).
+Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
+point are batched in fixed chunks of lattice points, so output is
+independent of --jobs.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -321,29 +326,35 @@ def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
     return worst
 
 
-def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk: np.ndarray,
-                 tol: float, max_iter: int):
-    """Continue every branch to each lambda of the chunk and iterate to S(lambda).
+class _Leg1(NamedTuple):
+    """Leg-1 end states: one tracker row per (chart point, branch), chart-major."""
 
-    Returns (records, skipped) with deterministic in-chunk order
-    (lambda-major, branch-minor).
+    charts: np.ndarray  # distinct chart coordinates lambda_l
+    tracker: _Tracker
+    alive: np.ndarray
+    reason: np.ndarray
+
+
+def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts) -> _Leg1:
+    """Continue every branch once from the base point to each distinct chart point.
+
+    Leg 1 runs along the log-spiral c * exp((1-t) log(base) + t log(lambda_l)),
+    which depends on lambda only through lambda_l, so lattice points sharing
+    a chart coordinate share its leg-1 rows.
     """
+    charts = np.unique(np.asarray(charts, dtype=complex))
     d = len(base_states)
-    K = lam_chunk.shape[0]
-    n = lam_chunk.shape[1]
-    m = K * d
-    ell = domain.chart
+    m = charts.size * d
     cvec = np.array(domain.c, dtype=complex)
 
     Z0 = np.repeat(base_states[0].z[None, :], m, axis=0)
     names = [st.unknown for st in spec.stages]
-    vals = {nm: np.tile(np.array([s.values[nm] for s in base_states]), K) for nm in names}
-    G0 = np.tile(np.stack([s.g for s in base_states]), (K, 1))
-    ids = list(np.tile(np.array([s.branch_id for s in base_states]), K))
+    vals = {nm: np.tile(np.array([s.values[nm] for s in base_states]), charts.size) for nm in names}
+    G0 = np.tile(np.stack([s.g for s in base_states]), (charts.size, 1))
+    ids = list(np.tile(np.array([s.branch_id for s in base_states]), charts.size))
     tr = _Tracker(spec, Z0, vals, G0, ids)
 
-    LAM = np.repeat(lam_chunk, d, axis=0)
-    lam_l = LAM[:, ell]
+    lam_l = np.repeat(charts, d)
     base_r = BASE_RADIUS_FACTOR / domain.epsilon
     mid = 0.5 * (domain.theta + domain.eta)
     L0 = complex(math.log(base_r), mid)
@@ -354,6 +365,46 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
 
     seg1 = np.abs(L1 - L0) * np.maximum(base_r, np.abs(lam_l))
     alive, reason = tr.advance(leg1, seg1, domain=domain)
+    return _Leg1(charts, tr, alive, reason)
+
+
+def _fan_out(leg1: _Leg1, lam_l: np.ndarray, d: int):
+    """Leg-1 rows for (lam_l[k], branch), lambda-major, branch-minor.
+
+    Rows are looked up by exact chart value (a missing one raises KeyError).
+    Returns a fresh (tracker, alive, reason) holding copies of those rows.
+    """
+    pos = {c: i for i, c in enumerate(leg1.charts.tolist())}
+    u = np.array([pos[c] for c in np.asarray(lam_l).tolist()], dtype=int)
+    rows = (u[:, None] * d + np.arange(d)[None, :]).ravel()
+    tr = leg1.tracker
+    out = _Tracker(tr.spec, tr.Z[rows], {nm: col[rows] for nm, col in tr.vals.items()}, tr.G[rows],
+                   [tr.branch_ids[r] for r in rows])
+    return out, leg1.alive[rows], leg1.reason[rows]
+
+
+def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk: np.ndarray,
+                 leg1: _Leg1, tol: float, max_iter: int):
+    """Solve every branch at each lambda of the chunk from its leg-1 end state.
+
+    leg1 holds the chart points of the chunk (more are allowed).  Its end
+    states are fanned out to the (lambda, branch) rows, continued along leg 2
+    from c * lambda_l to lambda, then iterated z <- lambda + G(z) to S(lambda).
+    A row whose chart point failed leg 1 is skipped with that failure.
+    Returns (records, skipped) with deterministic in-chunk order
+    (lambda-major, branch-minor).
+    """
+    d = len(base_states)
+    K = lam_chunk.shape[0]
+    n = lam_chunk.shape[1]
+    m = K * d
+    ell = domain.chart
+    cvec = np.array(domain.c, dtype=complex)
+
+    LAM = np.repeat(lam_chunk, d, axis=0)
+    lam_l = LAM[:, ell]
+    tr, alive, reason = _fan_out(leg1, lam_chunk[:, ell], d)
+    ids = tr.branch_ids
     fail_reason = np.where(alive, 0, reason)
 
     if n > 1:
@@ -436,7 +487,8 @@ def solve_at_lattice_point(spec: ProblemSpec, domain: SectorDomain, branch, lam,
                            tol: float = 1e-10, max_iter: int = 60) -> SolutionRecord:
     """Solve one lattice point on one branch; raises instead of skipping."""
     lam = np.asarray(lam, dtype=complex)
-    records, skipped = _solve_chunk(spec, domain, [branch], lam[None, :], tol, max_iter)
+    leg1 = _continue_leg1(spec, domain, [branch], lam[domain.chart : domain.chart + 1])
+    records, skipped = _solve_chunk(spec, domain, [branch], lam[None, :], leg1, tol, max_iter)
     if records:
         return records[0]
     why = skipped[0][2]
@@ -511,13 +563,23 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
         base = _base_point(domain)
         states = branch_base(spec, domain, base)
         kept_arr = np.stack(kept)
+        ell = domain.chart
+        leg1 = _continue_leg1(spec, domain, states, kept_arr[:, ell])
         chunks = [kept_arr[i : i + CHUNK_LAMBDAS] for i in range(0, len(kept), CHUNK_LAMBDAS)]
+        # each chunk carries the leg-1 rows of just the chart points it holds
+        legs = []
+        for ch in chunks:
+            charts = np.unique(ch[:, ell])
+            legs.append(_Leg1(charts, *_fan_out(leg1, charts, len(states))))
         if jobs > 1 and len(chunks) > 1:
             with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-                futs = [pool.submit(_solve_chunk, spec, domain, states, ch, tol, max_iter) for ch in chunks]
+                futs = [
+                    pool.submit(_solve_chunk, spec, domain, states, ch, lg, tol, max_iter)
+                    for ch, lg in zip(chunks, legs)
+                ]
                 parts = [f.result() for f in futs]
         else:
-            parts = [_solve_chunk(spec, domain, states, ch, tol, max_iter) for ch in chunks]
+            parts = [_solve_chunk(spec, domain, states, ch, lg, tol, max_iter) for ch, lg in zip(chunks, legs)]
         for recs, skips in parts:
             records.extend(recs)
             skipped.extend(skips)

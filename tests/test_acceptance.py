@@ -8,6 +8,7 @@ import cmath
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -27,6 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TORUS_SPEC = ROOT / "examples" / "torus_identity.spec"
 SQRT_SPEC = ROOT / "examples" / "sqrt_branch.spec"
 WP_SPEC = ROOT / "examples" / "wp_example.spec"
+# child interpreters find the package through the repo's src, installed or not
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
 
 
 _CAPSYS = None
@@ -353,7 +359,7 @@ def test_criterion_9_jobs_determinism(tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "explat.cli", "solve", "--spec", str(TORUS_SPEC),
              "--jobs", jobs, "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert r.returncode == 0, r.stderr
     same = out1.read_bytes() == out8.read_bytes()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TORUS_SPEC = ROOT / "examples" / "torus_identity.spec"
 SQRT_SPEC = ROOT / "examples" / "sqrt_branch.spec"
 WP_SPEC = ROOT / "examples" / "wp_example.spec"
+# child interpreters find the package through the repo's src, installed or not
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args):
@@ -21,6 +27,7 @@ def run_cli(*args):
         [sys.executable, "-m", "explat.cli", *map(str, args)],
         capture_output=True,
         text=True,
+        env=CLI_ENV,
     )
 
 

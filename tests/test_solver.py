@@ -12,6 +12,7 @@ from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, EPoint, Lattice, log_E_near, reduce_mod_lattice
 from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _batched_fiber, branch_base
 from explat.solver import (
+    CHUNK_LAMBDAS,
     ContractionGateFailed,
     LatticeProduct,
     MarginModel,
@@ -279,6 +280,38 @@ def test_single_point_solve_matches_sweep():
     rec = solve_at_lattice_point(st.problem, st.domain, base[0], lam)
     (match,) = [r for r in res.records if abs(r.lam[0] - lam[0]) < 1e-9]
     assert abs(rec.s[0] - match.s[0]) < 1e-10
+
+    # curve product: 37 lambda share the chart point 8+2i, split over two
+    # chunks that both fan out the same leg-1 rows; each chunk's first and
+    # last lambda on every branch must match a solve that runs its own leg 1
+    st = wp_setup()
+    dom, res = wp_mini()
+    base = branch_base(st.problem, dom, _base_point(dom))
+    lams = list({tuple(r.lam): r.lam for r in res.records}.values())
+    assert len(lams) == 37 and CHUNK_LAMBDAS < 37 <= 2 * CHUNK_LAMBDAS
+    by_key = {(tuple(r.lam), r.branch_id): r for r in res.records}
+    for k in (0, CHUNK_LAMBDAS - 1, CHUNK_LAMBDAS, len(lams) - 1):
+        for b, state in enumerate(base):
+            rec = solve_at_lattice_point(st.problem, dom, state, lams[k])
+            match = by_key[(tuple(lams[k]), b)]
+            assert np.max(np.abs(rec.s - match.s)) <= 1e-12
+
+
+def test_jobs_do_not_move_shared_chart_rows():
+    # the leg-1 rows of the one chart point 8+2i go to both worker chunks
+    st = wp_setup()
+    dom, res1 = wp_mini()
+    res2 = sweep(st.problem, dom, (8.2, 8.7), tol=1e-10, max_iter=60, jobs=2)
+
+    def rows(res):
+        return [(r.lam.tolist(), r.branch_id, r.s.tolist(), r.residual) for r in res.records]
+
+    def skips(res):
+        return [(lam.tolist(), bid, why) for lam, bid, why in res.skipped]
+
+    assert len(res1.records) == 444
+    assert rows(res2) == rows(res1)
+    assert skips(res2) == skips(res1)
 
 
 def test_single_point_solve_raises_off_domain():
