@@ -329,6 +329,24 @@ def build_problem(sig: GroupSignature, equations) -> ProblemSpec:
 # fiber solving and logarithms
 
 
+def _stage_coeffs(stage: Stage, known: dict, m: int):
+    """One stage's coefficient rows (m, degree+1) at `known`, and the LEAD_TOL guard.
+
+    For degree > 1 the rows failing the guard are replaced by the dummy monic
+    row x^d, which keeps a batched Aberth solve over all m rows well posed.
+    """
+    coeffs = np.stack(
+        [np.broadcast_to(np.asarray(cp.eval(known), dtype=complex), (m,)) for cp in stage.coeff_polys],
+        axis=1,
+    )
+    top = np.max(np.abs(coeffs), axis=1)
+    lead_ok = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
+    if stage.degree > 1:
+        coeffs[~lead_ok] = 0.0
+        coeffs[~lead_ok, -1] = 1.0
+    return coeffs, lead_ok
+
+
 def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
     """Solve the full fiber over each row of Z, expanding rows branch-wise.
 
@@ -349,22 +367,14 @@ def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
         m = rows.shape[0]
         known = {nm: rows[:, i] for i, nm in enumerate(znames)}
         known.update(vals)
-        coeffs = np.stack(
-            [np.broadcast_to(np.asarray(cp.eval(known), dtype=complex), (m,)) for cp in stage.coeff_polys],
-            axis=1,
-        )
-        top = np.max(np.abs(coeffs), axis=1)
-        lead_ok = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
+        coeffs, lead_ok = _stage_coeffs(stage, known, m)
         d = stage.degree
         if d == 1:
             res_ok = gap_ok = np.ones(m, dtype=bool)
             roots = (-coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0))[:, None]
         else:
-            safe = coeffs.copy()
-            safe[~lead_ok] = 0.0
-            safe[~lead_ok, -1] = 1.0  # dummy monic rows keep the batch solvable
-            roots, _ = _aberth(safe, ROOT_TOL)
-            res_ok = _poly_residual_ok(safe, roots, tol)
+            roots, _ = _aberth(coeffs, ROOT_TOL)
+            res_ok = _poly_residual_ok(coeffs, roots, tol)
             roots = np.sort_complex(roots)
             dmat = np.abs(roots[:, :, None] - roots[:, None, :])
             dmat[:, np.arange(d), np.arange(d)] = np.inf
@@ -535,24 +545,14 @@ class _Tracker:
         known = {nm: Znext[:, i] for i, nm in enumerate(spec.signature.z_vars)}
         cand = {}
         for stage in spec.stages:
-            cols = []
-            for cp in stage.coeff_polys:
-                v = cp.eval(known)
-                cols.append(np.broadcast_to(np.asarray(v, dtype=complex), (m,)))
-            coeffs = np.stack(cols, axis=1)
-            top = np.max(np.abs(coeffs), axis=1)
-            lead_ok = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
+            coeffs, lead_ok = _stage_coeffs(stage, known, m)
             ok &= lead_ok
             prev = self.vals[stage.unknown]
             if stage.degree == 1:
-                denom = np.where(lead_ok, coeffs[:, 1], 1.0)
-                chosen = -coeffs[:, 0] / denom
+                chosen = -coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0)
             else:
-                safe = coeffs.copy()
-                safe[~lead_ok] = 0.0
-                safe[~lead_ok, -1] = 1.0  # dummy monic rows keep the batch solvable
-                roots, _ = _aberth(safe, ROOT_TOL)
-                res_ok = _poly_residual_ok(safe, roots, 1e-9)
+                roots, _ = _aberth(coeffs, ROOT_TOL)
+                res_ok = _poly_residual_ok(coeffs, roots, 1e-9)
                 dist = np.abs(roots - prev[:, None])
                 pick = np.argmin(dist, axis=1)
                 rows = np.arange(m)

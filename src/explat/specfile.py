@@ -6,15 +6,10 @@ z1..zn and the group coordinates (wk torus, xk/yk elliptic), one per line,
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import re
 from dataclasses import dataclass
-
-from sympy import Float, Function, I, Integer, Poly, PolynomialError, Rational, Symbol
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
 
 from .elliptic import EllipticCurveParams, Lattice
 from .fiber import (
@@ -28,7 +23,7 @@ from .fiber import (
 
 
 class ParseError(ValueError):
-    """Malformed document; carries the 1-based source line."""
+    """Malformed document; carries the 1-based source line (and column, if known)."""
 
     def __init__(self, msg: str, line: int, column: int | None = None):
         at = f"line {line}" if column is None else f"line {line}, column {column}"
@@ -45,16 +40,14 @@ _SECTIONS = ("group", "curve", "equations", "solver")
 _GROUP_KEYS = {"factors"}
 _CURVE_KEYS = {"omega1", "omega2"}
 _SOLVER_KEYS = {"c", "chart", "epsilon", "theta", "eta", "radius", "tol", "max_iter"}
-_COMPLEX_RE = re.compile(r"^[0-9eEij+\-. ]+$")
-_EQ_TRANSFORMS = standard_transformations + (convert_xor,)
-# names the tokenizer's eval step needs; everything else becomes a Symbol
-_EQ_GLOBALS = {
-    "Integer": Integer,
-    "Float": Float,
-    "Rational": Rational,
-    "Symbol": Symbol,
-    "Function": Function,  # lets sin(z1) reach the not-polynomial check
-}
+_COMPLEX_RE = r"^[0-9eEij+\-. ]+$"
+# equation tokens; a letter right after a number is "glued" (2z1 is not 2*z1), any other stray character "bad"
+_TOKEN_RE = (
+    r"(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?P<glued>[A-Za-z_])?"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>\*\*|[-+*/^()=])|\s+|(?P<bad>.)"
+)
+_MAX_DEGREE = 1000  # a power of higher degree (or constant power of higher exponent) is refused unexpanded
+_MAX_WORK = 10**5  # term products one equation may form while it is expanded
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class RunSetup:
 def parse_complex(tok: str, line: int) -> complex:
     """`a+bi` literal (also bare reals and bare imaginaries)."""
     s = tok.strip()
-    if not s or not _COMPLEX_RE.match(s) or "inf" in s.lower() or "nan" in s.lower():
+    if not s or not re.match(_COMPLEX_RE, s) or "inf" in s.lower() or "nan" in s.lower():
         raise ParseError(f"bad complex literal {tok!r}", line)
     try:
         return complex(s.replace(" ", "").replace("i", "j"))
@@ -91,7 +84,8 @@ def _split_sections(text: str):
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        content = raw.split("#", 1)[0].rstrip()  # left as is, so columns count in the file's line
+        line = content.strip()
         if not line:
             continue
         if line.startswith("["):
@@ -112,7 +106,7 @@ def _split_sections(text: str):
             continue
         if current is None:
             raise ParseError("content before any section header", lineno)
-        current[2].append((lineno, line))
+        current[2].append((lineno, content))
     return sections
 
 
@@ -131,36 +125,123 @@ def _keyvals(section_name, rows, allowed):
     return out
 
 
-def _parse_equation(line: str, lineno: int, symbols: dict) -> MPoly:
-    """One `lhs = rhs` (or bare expression) line -> MPoly over the declared vars."""
-    if line.count("=") > 1:
-        raise ParseError("more than one '=' in equation", lineno)
-    lhs, _, rhs = line.partition("=")
-    local = {**symbols, "i": I}
-    try:
-        expr = parse_expr(lhs, local_dict=local, global_dict=dict(_EQ_GLOBALS), transformations=_EQ_TRANSFORMS)
-        if rhs.strip():
-            expr = expr - parse_expr(
-                rhs, local_dict=local, global_dict=dict(_EQ_GLOBALS), transformations=_EQ_TRANSFORMS
-            )
-    except SyntaxError as exc:
-        col = exc.offset if isinstance(exc.offset, int) else None
-        raise ParseError(f"cannot parse equation: {exc.msg}", lineno, col) from None
-    except Exception as exc:
-        raise ParseError(f"cannot parse equation: {exc}", lineno) from None
-    stray = expr.free_symbols - set(symbols.values())
-    if stray:
-        names = ", ".join(sorted(s.name for s in stray))
-        raise ValidationError(f"line {lineno}: undeclared variable(s) {names}")
-    names = tuple(symbols)
-    try:
-        poly = Poly(expr, *(symbols[nm] for nm in names))
-    except PolynomialError as exc:
-        raise ValidationError(f"line {lineno}: not polynomial: {exc}") from None
-    terms = {}
-    for exps, coeff in poly.terms():
-        terms[tuple(int(e) for e in exps)] = complex(coeff)
-    return MPoly.from_dict(names, terms)
+class _Equation:
+    """One equation line -> MPoly by recursive descent; nothing in it is run as code.
+
+    equation := expr ['=' expr]   expr := term (('+'|'-') term)*   term := unary (('*'|'/') unary)*
+    unary := ('+'|'-') unary | power   power := atom [('^'|'**') unary]   atom := number | name | '(' expr ')'
+    Values are dicts {exponent tuple over names: complex coefficient}; `i` is the imaginary unit.
+    """
+
+    def __init__(self, line: str, lineno: int, names: tuple):
+        self.lineno, self.names, self.one, self.k, self.work, self.toks = lineno, names, (0,) * len(names), 0, 0, []
+        for m in re.finditer(_TOKEN_RE, line):
+            if m.lastgroup in ("bad", "glued"):
+                raise ParseError(f"unexpected character {m.group()[-1]!r}", lineno, m.end())
+            if m.lastgroup:
+                self.toks.append((m.lastgroup, m.group(), m.start() + 1))
+        self.toks.append(("end", "", len(line) + 1))
+
+    def peek(self) -> str:
+        return self.toks[self.k][1]
+
+    def take(self):  # each caller that takes the end token returns or raises next
+        self.k += 1
+        return self.toks[self.k - 1]
+
+    def poly(self) -> MPoly:
+        stray = {t for (kind, t, _), nxt in zip(self.toks, self.toks[1:]) if kind == "name" and nxt[1] != "("}
+        stray -= {*self.names, "i"}
+        if stray:
+            raise ValidationError(f"line {self.lineno}: undeclared variable(s) {', '.join(sorted(stray))}")
+        try:
+            p = self.expr()
+            if self.peek() == "=":
+                self.take()
+                p = self.add(True, p, self.expr())
+        except RecursionError:
+            raise ParseError("equation nested too deeply", self.lineno, self.toks[self.k - 1][2]) from None
+        _, text, col = self.take()
+        if text:
+            raise ParseError(f"unexpected {text!r}", self.lineno, col)
+        if not all(cmath.isfinite(c) for c in p.values()):
+            raise ValidationError(f"line {self.lineno}: non-finite coefficient")
+        # + 0.0 clears the sign of a zero part, so -z1 and z1*(-1) give one coefficient
+        return MPoly.from_dict(self.names, {k: complex(c.real + 0.0, c.imag + 0.0) for k, c in p.items()})
+
+    def expr(self) -> dict:
+        p = self.term()
+        while self.peek() in ("+", "-"):
+            p = self.add(self.take()[1] == "-", p, self.term())
+        return p
+
+    def term(self) -> dict:
+        p = self.unary()
+        while self.peek() in ("*", "/"):
+            if self.take()[1] == "*":
+                p = self.mul(p, self.unary())
+            elif (d := self.const(self.unary(), "division by a non-constant")) == 0:
+                raise ValidationError(f"line {self.lineno}: division by zero")
+            else:
+                p = {k: c / d for k, c in p.items()}
+        return p
+
+    def unary(self) -> dict:
+        if self.peek() in ("+", "-"):
+            return self.add(self.take()[1] == "-", {}, self.unary())
+        return self.power()
+
+    def power(self) -> dict:
+        p = self.atom()
+        if self.peek() not in ("^", "**"):
+            return p
+        self.take()
+        e = self.const(self.unary(), "non-constant exponent")
+        if e.imag or not e.real.is_integer() or e.real < 0:
+            raise ValidationError(f"line {self.lineno}: not polynomial: exponents must be non-negative integers")
+        if e.real * max([1] + [sum(k) for k, c in p.items() if c]) > _MAX_DEGREE:
+            raise ValidationError(f"line {self.lineno}: power too large (degree above {_MAX_DEGREE})")
+        return functools.reduce(self.mul, [p] * int(e.real), {self.one: 1 + 0j})
+
+    def atom(self) -> dict:
+        kind, text, col = self.take()
+        if text == "(":
+            p = self.expr()
+            _, close, at = self.take()
+            if close != ")":
+                raise ParseError("expected ')'" if close else "'(' was never closed", self.lineno, at if close else col)
+            return p
+        if kind == "num":
+            return {self.one: complex(float(text))}
+        if kind != "name":
+            raise ParseError("expected a number, a variable or '('", self.lineno, col)
+        if self.peek() == "(":
+            raise ValidationError(f"line {self.lineno}: not polynomial: call of {text}")
+        return {self.one: 1j} if text == "i" else {tuple(int(v == text) for v in self.names): 1 + 0j}
+
+    def const(self, p: dict, what: str) -> complex:
+        if any(c for k, c in p.items() if any(k)):
+            raise ValidationError(f"line {self.lineno}: not polynomial: {what}")
+        return p.get(self.one, 0j)
+
+    @staticmethod
+    def add(neg: bool, p: dict, q: dict) -> dict:
+        """p - q if neg else p + q; the sign comes first so it is taken before q is parsed."""
+        out = dict(p)
+        for k, c in q.items():
+            out[k] = out.get(k, 0j) + (-c if neg else c)
+        return out
+
+    def mul(self, p: dict, q: dict) -> dict:
+        self.work += len(p) * len(q)
+        if self.work > _MAX_WORK:
+            raise ValidationError(f"line {self.lineno}: equation too large to expand")
+        out = {}
+        for a, c in p.items():
+            for b, d in q.items():
+                k = tuple(x + y for x, y in zip(a, b))
+                out[k] = out.get(k, 0j) + c * d
+        return out
 
 
 def _build_signature(sections) -> GroupSignature:
@@ -216,9 +297,8 @@ def parse_spec(text: str) -> ProblemSpec:
     eq_sections = [s for s in sections if s[0] == "equations"]
     if len(eq_sections) != 1 or not eq_sections[0][2]:
         raise ParseError("exactly one nonempty [equations] section required", 1)
-    all_vars = sig.z_vars + sig.group_vars
-    symbols = {name: Symbol(name) for name in all_vars}
-    equations = [_parse_equation(line, lineno, symbols) for lineno, line in eq_sections[0][2]]
+    names = sig.z_vars + sig.group_vars
+    equations = [_Equation(line, lineno, names).poly() for lineno, line in eq_sections[0][2]]
     try:
         return build_problem(sig, equations)
     except NonTriangularSystem as exc:

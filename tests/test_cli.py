@@ -112,6 +112,23 @@ def test_exit_on_parse_error(tmp_path):
     assert run_cli("solve", "--spec", tmp_path / "missing.spec").returncode == 2
 
 
+def test_problem_files_parse_without_sympy():
+    # the equation parser is self-contained: reading every example leaves sympy unimported
+    code = (
+        "import pathlib, sys\n"
+        "import explat.cli\n"
+        "from explat.specfile import parse_run\n"
+        "specs = sorted(pathlib.Path(sys.argv[1]).glob('*.spec'))\n"
+        "for p in specs:\n"
+        "    parse_run(p.read_text())\n"
+        "assert 'sympy' not in sys.modules\n"
+        "print(len(specs))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code, str(ROOT / "examples")], capture_output=True, text=True, env=CLI_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "3"
+
+
 def test_exit_on_degenerate_geometry(tmp_path):
     # w = z^3 has dG = 3/z, above 1/2 on the inner shell: gate refuses the run
     cubic = tmp_path / "cubic.spec"

@@ -4,6 +4,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explat.specfile import (
     ParseError,
@@ -54,6 +56,15 @@ eta = 0.095
 radius = 29.5:30.5
 tol = 1e-10
 max_iter = 60
+"""
+
+TWO_TORUS_SRC = """
+[group]
+factors = torus, torus
+
+[equations]
+{eq}
+w2 = z2
 """
 
 
@@ -135,6 +146,117 @@ def test_non_polynomial_equation():
         parse_spec(TORUS_SRC.format(eq="w1 = sin(z1)"))
     with pytest.raises(ValidationError, match="not polynomial"):
         parse_spec(TORUS_SRC.format(eq="w1 = 1/z1"))
+
+
+def test_equation_grammar():
+    spec = parse_spec(TWO_TORUS_SRC.format(eq="w1 = -z1^2^2 + 2**3*z2 - (z1 - i)*(z1 + i) + .5 - 1e-3/4"))
+    at = {"z1": 1.5 - 0.5j, "z2": 2.0 + 1j, "w1": 0j, "w2": 0j}
+    z1, z2 = at["z1"], at["z2"]
+    # ^ and ** are one right-associative operator that binds tighter than unary minus
+    want = -(z1 ** 4) + 8 * z2 - (z1 * z1 + 1) + 0.5 - 0.00025
+    assert -spec.equations[0].eval(at) == pytest.approx(want, rel=1e-12)
+    bare = parse_spec(TWO_TORUS_SRC.format(eq="w1 - z1"))   # a bare expression means expr = 0
+    assert bare.equations[0] == parse_spec(TWO_TORUS_SRC.format(eq="w1 = z1")).equations[0]
+
+
+@pytest.mark.parametrize("eq", ["w1 = z1^-1", "w1 = z1^(1/2)", "w1 = z1**0.5", "w1 = z1^z1", "w1 = q(z1)"])
+def test_non_polynomial_forms(eq):
+    with pytest.raises(ValidationError, match="not polynomial"):
+        parse_spec(TORUS_SRC.format(eq=eq))
+
+
+def test_non_finite_coefficients():
+    with pytest.raises(ValidationError, match="line 6: division by zero"):
+        parse_spec(TORUS_SRC.format(eq="w1 = z1 / 0"))
+    with pytest.raises(ValidationError, match="line 6: non-finite coefficient"):
+        parse_spec(TORUS_SRC.format(eq="w1 = 1e400*z1"))
+
+
+@pytest.mark.parametrize(
+    "eq",
+    [
+        "w1 = z1 + 0*(lambda: ().__class__.__base__.__subclasses__().__len__())()",
+        "w1 = z1 + 0*().__class__.__name__.__len__()",
+    ],
+)
+def test_equation_text_is_never_run(eq):
+    with pytest.raises(ParseError):
+        parse_spec(TORUS_SRC.format(eq=eq))
+
+
+@pytest.mark.parametrize(
+    "eq, column",
+    [
+        ("w1 = z1 + 2 3", 13),
+        ("w1 = (z1", 6),        # the '(' that is never closed
+        ("w1 = z1 !", 9),
+        ("  w1 = z1 + 2 3", 15),  # columns count in the file's line, indent included
+        ("w1 = 2z1", 7),        # no implicit multiplication
+        ("w1 = 2j*z1", 7),      # no j suffix
+        ("w1 =", 5),            # an empty side is an error, at the end of the line
+        ("= z1", 1),
+        ("w1 = z1 = z1", 9),
+    ],
+)
+def test_syntax_error_columns(eq, column):
+    with pytest.raises(ParseError) as info:
+        parse_spec(TORUS_SRC.format(eq=eq))
+    assert (info.value.line, info.value.column) == (6, column)
+
+
+def test_runaway_equations_are_refused():
+    with pytest.raises(ValidationError, match="degree above"):
+        parse_spec(TORUS_SRC.format(eq="w1 = z1^1000000000000"))
+    with pytest.raises(ValidationError, match="too large"):
+        parse_spec(TORUS_SRC.format(eq="w1 = (z1 + 1)^999"))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_spec(TORUS_SRC.format(eq="w1 = " + "(" * 5000 + "z1" + ")" * 5000))
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def poly_text(draw, depth=4):
+    """Polynomial text over z1, z2 from small integers, i, + - * ^ and parentheses."""
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(["z1", "z2", "i"]) | st.integers(0, 12).map(str))
+    op = draw(st.sampled_from(["+", "-", "*", "^", "neg", "()"]))
+    a = draw(poly_text(depth - 1))
+    if op == "^":
+        return f"({a})^{draw(st.integers(0, 3))}"
+    if op == "neg":
+        return f"-{a}"
+    if op == "()":
+        return f"({a})"
+    return f"{a} {op} {draw(poly_text(depth - 1))}"
+
+
+POINTS = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@FUZZ
+@given(text=poly_text(), z1=POINTS, z2=POINTS)
+def test_equation_matches_python_arithmetic(text, z1, z2):
+    spec = parse_spec(TWO_TORUS_SRC.format(eq=f"w1 = {text}"))
+    got = -spec.equations[0].eval({"z1": z1, "z2": z2, "w1": 0j, "w2": 0j})
+    py = text.replace("^", "**")
+    want = eval(py.replace("i", "1j"), {"__builtins__": {}, "z1": z1, "z2": z2})
+    # every term taken positive bounds each partial result, so rounding stays below eps times it
+    scale = eval(py.replace("i", "1").replace("-", "+"), {"__builtins__": {}, "z1": abs(z1), "z2": abs(z2)})
+    assert abs(got - want) <= 1e-9 * max(1.0, scale)
+
+
+EQUATION_CHARS = st.sampled_from(list("zwxyi12 +-*/^()=.e0#[]\n")) | st.characters()
+
+
+@FUZZ
+@given(text=st.text(EQUATION_CHARS, max_size=40))
+def test_any_equation_text_fails_cleanly(text):
+    try:
+        parse_spec(TORUS_SRC.format(eq=text))
+    except (ParseError, ValidationError):
+        pass
 
 
 def test_empty_equations():
