@@ -4,16 +4,11 @@ curves and algebraic tori, parametrized by period-lattice points."""
 from .core import NonConvergence
 from .elliptic import (
     EllipticCurveParams,
-    EPoint,
     Lattice,
     eisenstein_invariants,
-    exp_E,
-    log_E,
-    log_E_near,
+    log_E_batch,
     reduce_mod_lattice,
-    wp,
     wp_both,
-    wp_prime,
 )
 from .fiber import (
     BranchState,
@@ -47,7 +42,6 @@ __all__ = [
     "BranchState",
     "ContractionGateFailed",
     "DegenerateFiber",
-    "EPoint",
     "EllipticCurveParams",
     "Lattice",
     "LatticeProduct",
@@ -67,9 +61,7 @@ __all__ = [
     "count_zeros_window",
     "eisenstein_invariants",
     "enumerate_lattice",
-    "exp_E",
-    "log_E",
-    "log_E_near",
+    "log_E_batch",
     "measure_contraction",
     "monodromy_profile",
     "parse_run",
@@ -79,7 +71,5 @@ __all__ = [
     "sweep",
     "torus_log",
     "torus_log_near",
-    "wp",
     "wp_both",
-    "wp_prime",
 ]

@@ -1,9 +1,9 @@
 """Command-line surface: solve, verify, invariants, monodromy.
 
 Exit codes: 0 success (solve: at least one record, all records valid),
-2 spec/input parse failure, 3 degenerate geometry (bad direction point,
-contraction gate, degenerate base fiber), 4 no convergent lattice points,
-5 internal record invariants violated.
+2 spec/input parse failure (verify: a malformed report), 3 degenerate
+geometry (bad direction point, contraction gate, degenerate base fiber),
+4 no convergent lattice points, 5 internal record invariants violated.
 All diagnostics and timings go to stderr; reports go to --out or stdout.
 """
 from __future__ import annotations
@@ -176,32 +176,59 @@ def _alpha_of_z(problem):
     return lambda z: -c0.eval({"z1": z}) / lead
 
 
+def _numbers(v, size: int) -> bool:
+    """v is a list of `size` JSON numbers."""
+    return isinstance(v, list) and len(v) == size and all(type(x) in (int, float) for x in v)
+
+
+def _report_contents(payload, n: int):
+    """(records, decay table) of a parsed report; ValueError names the bad field."""
+    if not isinstance(payload, dict):
+        raise ValueError("the report is not a JSON object")
+    records = payload.get("records", [])
+    if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+        raise ValueError("records is not a list of objects")
+    for i, rec in enumerate(records):
+        for key in ("lambda", "s"):
+            if not _numbers(rec.get(key), 2 * n):
+                raise ValueError(f"record {i}: {key} is not a list of {2 * n} numbers")
+        for key in ("residual", "f_residual"):
+            if not _numbers([rec.get(key)], 1):
+                raise ValueError(f"record {i}: {key} is not a number")
+        if type(rec.get("branch_id")) is not int:
+            raise ValueError(f"record {i}: branch_id is not an integer")
+    asym = payload.get("asymptotics", {})
+    decay = asym.get("decay", []) if isinstance(asym, dict) else None
+    if not (isinstance(decay, list) and all(_numbers(pair, 2) for pair in decay)):
+        raise ValueError("asymptotics.decay is not a list of number pairs")
+    records = [
+        SimpleNamespace(
+            lam=np.array(rec["lambda"][0::2]) + 1j * np.array(rec["lambda"][1::2]),
+            s=np.array(rec["s"][0::2]) + 1j * np.array(rec["s"][1::2]),
+            branch_id=rec["branch_id"],
+            residual=rec["residual"],
+            f_residual=rec["f_residual"],
+        )
+        for rec in records
+    ]
+    return records, decay
+
+
 def cmd_verify(args) -> int:
     setup, digest = _load_run(args.spec)
     if setup is None:
         return EXIT_PARSE
     try:
         payload = report_mod.parse_json(open(args.report).read())
+        records, decay = _report_contents(payload, setup.problem.n)
     except (OSError, ValueError) as exc:
         _err(f"cannot read report: {exc}")
         return EXIT_PARSE
 
     rows = [("-", "digest", payload.get("spec_digest") == digest, "")]
-    records = []
-    for rec in payload.get("records", []):
-        records.append(
-            SimpleNamespace(
-                lam=np.array(rec["lambda"][0::2]) + 1j * np.array(rec["lambda"][1::2]),
-                s=np.array(rec["s"][0::2]) + 1j * np.array(rec["s"][1::2]),
-                branch_id=rec["branch_id"],
-                residual=rec["residual"],
-                f_residual=rec["f_residual"],
-            )
-        )
     _, rec_rows = verify_records(setup.problem, setup.domain, records, setup.tol)
     rows.extend(rec_rows)
 
-    decay = payload.get("asymptotics", {}).get("decay", [])
     if decay:
         finite = all(math.isfinite(a) and math.isfinite(b) for a, b in decay)
         rows.append(("-", "decay-trend", finite and decay[-1][1] < decay[0][1],

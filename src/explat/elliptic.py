@@ -1,5 +1,5 @@
-"""Elliptic-curve kernel: period lattices, Weierstrass functions, and the
-exponential/logarithm of a curve in Weierstrass form.
+"""Elliptic-curve kernel: period lattices, Weierstrass functions, the
+batched logarithm of a curve in Weierstrass form, and the curve-point metric.
 
 wp evaluation scheme: reduce the argument to its minimal lattice
 representative, treat every lattice point within a fixed radius exactly
@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonConvergence
-
 POLE_REL_TOL = 1e-8        # dist(z, lattice) below this times |omega1| is a pole
-LOG_ACCEPT_TOL = 1e-10     # log_E acceptance residual (relative)
+LOG_ACCEPT_TOL = 1e-10     # logarithm acceptance residual (relative)
 SERIES_TARGET = 1e-16      # wp tail series truncation target
-
-
-class PoleAtLatticePoint(ArithmeticError):
-    """wp/wp' evaluated too close to a lattice point."""
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +157,7 @@ def eisenstein_invariants(lat: Lattice):
 
 
 # ----------------------------------------------------------------------
-# curve parameters and points
+# curve parameters and the point metric
 
 
 @dataclass
@@ -196,47 +190,53 @@ class EllipticCurveParams:
         return self._tables
 
 
-@dataclass(frozen=True)
-class EPoint:
-    """Point of the curve: the identity, or an affine pair (x, y)."""
+def _modulus(z):
+    """|z| as hypot(re, im), as Python's abs() of a complex computes it.
 
-    x: complex = 0j
-    y: complex = 0j
-    is_identity: bool = False
-
-    @classmethod
-    def identity(cls) -> "EPoint":
-        return cls(is_identity=True)
-
-    @classmethod
-    def affine(cls, x: complex, y: complex) -> "EPoint":
-        return cls(x=complex(x), y=complex(y))
+    np.abs of a complex array rounds differently in the last bit on about a
+    third of inputs.
+    """
+    return np.hypot(z.real, z.imag)
 
 
-def curve_residual(p: EPoint, curve: EllipticCurveParams) -> float:
-    """Scaled defect of the curve equation at p; 0 for the identity."""
-    if p.is_identity:
-        return 0.0
-    val = p.y ** 2 - (4.0 * p.x ** 3 - curve.g2 * p.x - curve.g3)
-    return abs(val) / (1.0 + abs(p.x) ** 3)
+def _cdiv(a, b):
+    """Rowwise a / b by CPython's complex division (Smith's method).
+
+    numpy's complex division multiplies by the reciprocal of the
+    denominator, so its last bits differ from Python's.  Rows with b = 0
+    give a finite placeholder; callers mask them.
+    """
+    by_re = np.abs(b.real) >= np.abs(b.imag)
+    big = np.where(by_re, b.real, b.imag)
+    small = np.where(by_re, b.imag, b.real)
+    big = np.where(big == 0, 1.0, big)
+    ratio = small / big
+    denom = big + small * ratio
+    re = np.where(by_re, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom
+    im = np.where(by_re, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return re + 1j * im
 
 
-def epoint_distance(p: EPoint, q: EPoint) -> float:
-    """Metric on the curve: scaled affine distance, chart-swapped near the
-    pole so points close to the identity compare in (x/y, 1/y)."""
-    if p.is_identity and q.is_identity:
-        return 0.0
-    if p.is_identity or q.is_identity:
-        other = q if p.is_identity else p
-        if other.y == 0:
-            return 1.0
-        return max(abs(other.x / other.y), abs(1.0 / other.y))
-    scale = 1.0 + max(abs(p.x), abs(p.y), abs(q.x), abs(q.y))
-    d_aff = max(abs(p.x - q.x), abs(p.y - q.y)) / scale
-    if p.y != 0 and q.y != 0:
-        d_pole = max(abs(p.x / p.y - q.x / q.y), abs(1.0 / p.y - 1.0 / q.y))
-        return min(d_aff, d_pole)
-    return d_aff
+def curve_distance(px, py, qx, qy, p_identity=None):
+    """Rowwise metric between curve points P and Q; Q is affine, P may be
+    the identity where p_identity is True.
+
+    A scaled affine distance, chart-swapped near the pole so points close to
+    the identity compare in (x/y, 1/y); the identity's distance to Q is the
+    size of Q in that chart (1 where Q has y = 0).  Moduli and quotients
+    round as Python complex arithmetic does, so every row equals the scalar
+    formula bit for bit.
+    """
+    px, py, qx, qy = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (px, py, qx, qy))
+    scale = 1.0 + np.maximum(np.maximum(_modulus(px), _modulus(py)), np.maximum(_modulus(qx), _modulus(qy)))
+    d_aff = np.maximum(_modulus(px - qx), _modulus(py - qy)) / scale
+    q_ratio, q_inv = _cdiv(qx, qy), _cdiv(1.0, qy)
+    d_pole = np.maximum(_modulus(_cdiv(px, py) - q_ratio), _modulus(_cdiv(1.0, py) - q_inv))
+    d = np.where((py != 0) & (qy != 0), np.minimum(d_aff, d_pole), d_aff)
+    if p_identity is None:
+        return d
+    to_identity = np.where(qy != 0, np.maximum(_modulus(q_ratio), _modulus(q_inv)), 1.0)
+    return np.where(p_identity, to_identity, d)
 
 
 # ----------------------------------------------------------------------
@@ -244,7 +244,7 @@ def epoint_distance(p: EPoint, q: EPoint) -> float:
 
 
 class _WpTables:
-    """Precomputed data for wp/wp' evaluation and log_E seeding."""
+    """Precomputed data for wp/wp' evaluation and logarithm seeding."""
 
     def __init__(self, curve: EllipticCurveParams):
         lat = curve.lattice
@@ -276,7 +276,7 @@ class _WpTables:
         self._grid = None
 
     def grid(self):
-        """Cached log_E seed grid over the fundamental cell with wp values."""
+        """Cached logarithm seed grid over the fundamental cell with wp values."""
         if self._grid is None:
             lat = self.curve.lattice
             k = (np.arange(24) + 0.5) / 24.0 - 0.5
@@ -305,7 +305,7 @@ def _laurent_coeffs(g2: complex, g3: complex, jmax: int) -> np.ndarray:
 def wp_both(z, curve: EllipticCurveParams):
     """Vectorized wp and wp' with a pole mask; no pole error is raised here.
 
-    Returns (wp, wp_prime, pole_mask) over the flattened input; callers
+    Returns (wp, wp', pole_mask) over the flattened input; callers
     that promise pole-free input can ignore the mask.
     """
     tab = curve.tables()
@@ -329,36 +329,8 @@ def wp_both(z, curve: EllipticCurveParams):
     return val, dval, pole
 
 
-def wp(z, curve: EllipticCurveParams):
-    """Weierstrass wp; scalar in, scalar out (arrays allowed elementwise)."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    val, _, pole = wp_both(z_arr, curve)
-    if pole.any():
-        raise PoleAtLatticePoint("wp evaluated at a lattice point")
-    return val if np.ndim(z) else complex(val[0])
-
-
-def wp_prime(z, curve: EllipticCurveParams):
-    """Derivative wp'; same conventions as wp."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    _, dval, pole = wp_both(z_arr, curve)
-    if pole.any():
-        raise PoleAtLatticePoint("wp' evaluated at a lattice point")
-    return dval if np.ndim(z) else complex(dval[0])
-
-
 # ----------------------------------------------------------------------
-# exponential and logarithm of the curve
-
-
-def exp_E(z: complex, curve: EllipticCurveParams) -> EPoint:
-    """Group exponential: z -> (wp(z), wp'(z)), lattice points -> identity."""
-    z = complex(z)
-    zr = z - curve.lattice.nearest_point(z)
-    if abs(zr) < curve.pole_tol:
-        return EPoint.identity()
-    val, dval, _ = wp_both(np.array([z]), curve)
-    return EPoint.affine(complex(val[0]), complex(dval[0]))
+# logarithm of the curve
 
 
 def _gauss_newton_log(curve, x, y, v0, iters=48):
@@ -431,29 +403,3 @@ def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
     if anchor is not None:
         rep = np.where(done, rep + curve.lattice.nearest_point(anchor - rep), 0.0)
     return rep, done
-
-
-def log_E(p: EPoint, curve: EllipticCurveParams, seed: complex | None = None) -> complex:
-    """Group logarithm: the z in the fundamental cell with exp_E(z) = p.
-
-    One row of log_E_batch, seeded first from seed when one is given.
-    """
-    if p.is_identity:
-        return 0j
-    v = _one_log(p, curve, seed)
-    return v if seed is None else reduce_mod_lattice(v, curve.lattice)[0]
-
-
-def log_E_near(p: EPoint, curve: EllipticCurveParams, anchor: complex) -> complex:
-    """Logarithm on the branch nearest to anchor (lattice translate choice)."""
-    if p.is_identity:
-        return complex(curve.lattice.nearest_point(anchor))
-    return _one_log(p, curve, anchor)
-
-
-def _one_log(p: EPoint, curve: EllipticCurveParams, anchor) -> complex:
-    """One row of log_E_batch; raises NonConvergence when no seed converged."""
-    v, ok = log_E_batch(curve, p.x, p.y, None if anchor is None else complex(anchor))
-    if not ok[0]:
-        raise NonConvergence("log_E: no seed converged")
-    return complex(v[0])

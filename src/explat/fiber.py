@@ -20,15 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .core import NonConvergence, _aberth, _poly_residual_ok
-from .elliptic import (
-    EllipticCurveParams,
-    EPoint,
-    _gauss_newton_log,
-    epoint_distance,
-    exp_E,
-    log_E_batch,
-)
-from .torus import torus_exp, torus_log_near
+from .elliptic import EllipticCurveParams, _gauss_newton_log, curve_distance, log_E_batch
+from .torus import torus_log_near
 
 ROOT_TOL = 1e-12       # stage root residual tolerance
 LEAD_TOL = 1e-10       # relative leading-coefficient degeneracy threshold
@@ -155,23 +148,19 @@ class GroupSignature:
     def min_gap(self) -> float:
         return min(self.gap(k) for k in range(self.n))
 
-    def exp_point(self, z):
-        """exp_S(z): one group point per factor."""
-        out = []
-        for k, (kind, curve) in enumerate(self.factors):
-            out.append(torus_exp(complex(z[k])) if kind == "torus" else exp_E(complex(z[k]), curve))
-        return tuple(out)
 
-
-def group_distance(sig: GroupSignature, a, b) -> float:
-    """Max over factors of the per-factor scaled distance."""
+def group_distance(sig: GroupSignature, a: dict, b: dict):
+    """Rowwise max over factors of the per-factor scaled distance between
+    the group points whose coordinates a and b map by group variable."""
     worst = 0.0
     for k, (kind, _) in enumerate(sig.factors):
         if kind == "torus":
-            d = abs(a[k] - b[k]) / (1.0 + max(abs(a[k]), abs(b[k])))
+            (w,) = sig.factor_vars(k)
+            d = np.abs(a[w] - b[w]) / (1.0 + np.maximum(np.abs(a[w]), np.abs(b[w])))
         else:
-            d = epoint_distance(a[k], b[k])
-        worst = max(worst, d)
+            xk, yk = sig.factor_vars(k)
+            d = curve_distance(a[xk], a[yk], b[xk], b[yk])
+        worst = np.maximum(worst, d)
     return worst
 
 
@@ -415,31 +404,6 @@ def fiber_logs(spec: ProblemSpec, vals: dict, anchor=None):
     return G, ok
 
 
-def values_to_alpha(spec: ProblemSpec, vals):
-    """Group point tuple of one fiber solution."""
-    out = []
-    for k, (kind, _) in enumerate(spec.signature.factors):
-        if kind == "torus":
-            w = vals[spec.signature.factor_vars(k)[0]]
-            if abs(w) < ALPHA_TINY * (1.0 + abs(w)):
-                raise DegenerateFiber("torus coordinate vanished on the fiber")
-            out.append(w)
-        else:
-            xk, yk = spec.signature.factor_vars(k)
-            out.append(EPoint.affine(vals[xk], vals[yk]))
-    return tuple(out)
-
-
-def _alpha_key(spec: ProblemSpec, alpha):
-    key = []
-    for k, (kind, _) in enumerate(spec.signature.factors):
-        if kind == "torus":
-            key.extend((alpha[k].real, alpha[k].imag))
-        else:
-            key.extend((alpha[k].x.real, alpha[k].x.imag, alpha[k].y.real, alpha[k].y.imag))
-    return tuple(key)
-
-
 # ----------------------------------------------------------------------
 # branch states
 
@@ -452,10 +416,6 @@ class BranchState:
     values: dict
     g: np.ndarray
     branch_id: int
-
-
-def state_alpha(spec: ProblemSpec, state: BranchState):
-    return values_to_alpha(spec, state.values)
 
 
 def branch_base(spec: ProblemSpec, domain: SectorDomain, z0):
@@ -472,13 +432,21 @@ def branch_base(spec: ProblemSpec, domain: SectorDomain, z0):
     if dropped:
         unknown, guard = dropped[0]
         raise DegenerateFiber(f"{guard} guard fired in the {unknown} stage")
-    rows = [{nm: complex(col[r]) for nm, col in vals.items()} for r in range(spec.degree)]
-    alphas = [values_to_alpha(spec, v) for v in rows]
+    sig = spec.signature
+    for k, (kind, _) in enumerate(sig.factors):
+        if kind == "torus":
+            w = vals[sig.factor_vars(k)[0]]
+            if np.any(np.abs(w) < ALPHA_TINY * (1.0 + np.abs(w))):
+                raise DegenerateFiber("torus coordinate vanished on the fiber")
     G, ok = fiber_logs(spec, vals)
     if not ok.all():
         raise NonConvergence("base-point logarithm did not converge")
-    order = sorted(range(len(rows)), key=lambda i: _alpha_key(spec, alphas[i]))
-    return [BranchState(z=z0.copy(), values=rows[i], g=G[i], branch_id=bid) for bid, i in enumerate(order)]
+    # lexicographic in (re, im) of the group variables; stable on ties
+    order = np.lexsort([part(vals[nm]) for nm in reversed(sig.group_vars) for part in (np.imag, np.real)])
+    return [
+        BranchState(z=z0.copy(), values={nm: complex(col[i]) for nm, col in vals.items()}, g=G[i], branch_id=bid)
+        for bid, i in enumerate(order)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -522,15 +490,6 @@ class _Tracker:
         names = [st.unknown for st in spec.stages]
         vals = {nm: np.array([s.values[nm] for s in states]) for nm in names}
         return cls(spec, Z, vals, G, [s.branch_id for s in states])
-
-    def to_states(self):
-        out = []
-        for r in range(self.m):
-            vals = {nm: complex(col[r]) for nm, col in self.vals.items()}
-            out.append(
-                BranchState(z=self.Z[r].copy(), values=vals, g=self.G[r].copy(), branch_id=self.branch_ids[r])
-            )
-        return out
 
     # -- one trial evaluation at target points -------------------------
     def _trial(self, Znext, domain):
@@ -643,13 +602,11 @@ def monodromy_profile(spec: ProblemSpec, domain: SectorDomain, state: BranchStat
     The loop is a diagnostic: domain membership is not enforced while
     rotating (the rotated window is implicit).
     """
-    orig_vals = {nm: complex(state.values[nm]) for nm in state.values}
-    orig_alpha = state_alpha(spec, state)
-    cur = state
+    tr = _Tracker.from_states(spec, [state])
+    orig = {nm: col.copy() for nm, col in tr.vals.items()}
     stage_orders = {}
     for turn in range(1, spec.degree + 1):
-        z0 = cur.z.copy()
-        tr = _Tracker.from_states(spec, [cur])
+        z0 = tr.Z[0].copy()
 
         def loop_path(t, z0=z0):
             return z0[None, :] * np.exp(2j * math.pi * t)[:, None]
@@ -658,12 +615,12 @@ def monodromy_profile(spec: ProblemSpec, domain: SectorDomain, state: BranchStat
         ok, _ = tr.advance(loop_path, [seg_len], domain=None)
         if not ok[0]:
             raise NonConvergence("monodromy loop continuation failed")
-        cur = tr.to_states()[0]
-        for nm, v0 in orig_vals.items():
-            if nm not in stage_orders and abs(complex(cur.values[nm]) - v0) <= tol * (1.0 + abs(v0)):
+        for nm, col in orig.items():
+            v0 = complex(col[0])
+            if nm not in stage_orders and abs(complex(tr.vals[nm][0]) - v0) <= tol * (1.0 + abs(v0)):
                 stage_orders[nm] = turn
-        if group_distance(spec.signature, state_alpha(spec, cur), orig_alpha) <= tol:
-            for nm in orig_vals:
+        if group_distance(spec.signature, tr.vals, orig)[0] <= tol:
+            for nm in orig:
                 stage_orders.setdefault(nm, turn)
             return {"e": turn, "stage_orders": stage_orders}
     raise NonConvergence("branch did not recur within the fiber degree")

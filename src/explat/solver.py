@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NonConvergence
-from .elliptic import EPoint, epoint_distance, wp_both
+from .elliptic import curve_distance, wp_both
 from .fiber import (
     ROOT_TOL,
     LeftDomain,
@@ -308,8 +308,7 @@ def _base_point(domain: SectorDomain) -> np.ndarray:
 
 def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
     """Group distance between exp_S(s) and alpha(s) per row."""
-    m = S.shape[0]
-    worst = np.zeros(m)
+    worst = np.zeros(S.shape[0])
     for k, (kind, curve) in enumerate(spec.signature.factors):
         if kind == "torus":
             w = vals[spec.signature.factor_vars(k)[0]]
@@ -319,10 +318,7 @@ def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
         else:
             xk, yk = spec.signature.factor_vars(k)
             val, dval, pole = wp_both(S[:, k], curve)
-            for r in range(m):
-                p = EPoint.identity() if pole[r] else EPoint.affine(val[r], dval[r])
-                q = EPoint.affine(vals[xk][r], vals[yk][r])
-                worst[r] = max(worst[r], epoint_distance(p, q))
+            worst = np.maximum(worst, curve_distance(val, dval, vals[xk], vals[yk], pole))
     return worst
 
 

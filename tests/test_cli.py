@@ -105,6 +105,40 @@ def test_verify_flags_corrupt_record(tmp_path, torus_run):
     assert "record 5" in r.stderr
 
 
+def _drop_s(payload):
+    del payload["records"][0]["s"]
+    return payload
+
+
+def _string_s(payload):
+    payload["records"][0]["s"] = "oops"
+    return payload
+
+
+def _long_lambda(payload):
+    payload["records"][0]["lambda"] += [0.0, 1.0]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "corrupt, field",
+    [
+        (lambda payload: [], "the report is not a JSON object"),
+        (_drop_s, "record 0: s is not a list of 2 numbers"),
+        (_string_s, "record 0: s is not a list of 2 numbers"),
+        (_long_lambda, "record 0: lambda is not a list of 2 numbers"),
+    ],
+)
+def test_verify_rejects_malformed_report(tmp_path, torus_run, corrupt, field):
+    # a report of the wrong shape is a parse error (2), not a failed check (1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(torus_run.read_text()))))
+    r = run_cli("verify", "--spec", TORUS_SPEC, "--report", bad)
+    assert r.returncode == 2, r.stderr
+    assert f"cannot read report: {field}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_exit_on_parse_error(tmp_path):
     broken = tmp_path / "broken.spec"
     broken.write_text("[group]\nfactors = torus\n")   # no equations

@@ -13,22 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from explat.core import NonConvergence
 from explat.elliptic import (
-    EPoint,
     EllipticCurveParams,
     Lattice,
-    PoleAtLatticePoint,
-    curve_residual,
+    curve_distance,
     eisenstein_invariants,
-    epoint_distance,
-    exp_E,
-    log_E,
-    log_E_near,
+    log_E_batch,
     reduce_mod_lattice,
-    wp,
     wp_both,
-    wp_prime,
 )
 
 RNG = np.random.default_rng(20260816)
@@ -243,9 +235,11 @@ def test_wp_parity(curves):
 def test_wp_laurent_expansion(curves):
     # wp(z) = z^-2 + (g2/20) z^2 + (g3/28) z^4 + O(z^6) near the pole
     curve = curves["skew"]
-    for z in (1e-3 + 0j, 7e-4 - 5e-4j):
-        lead = 1.0 / z ** 2 + curve.g2 / 20.0 * z ** 2 + curve.g3 / 28.0 * z ** 4
-        assert abs(wp(z, curve) - lead) < 1e-8
+    z = np.array([1e-3 + 0j, 7e-4 - 5e-4j])
+    lead = 1.0 / z ** 2 + curve.g2 / 20.0 * z ** 2 + curve.g3 / 28.0 * z ** 4
+    val, _, pole = wp_both(z, curve)
+    assert not pole.any()
+    assert np.max(np.abs(val - lead)) < 1e-8
 
 
 def test_wp_duplication(curves):
@@ -263,18 +257,10 @@ def test_wp_duplication(curves):
 def test_wp_two_torsion_value(curves):
     # wp'(w1/2) = 0 and, on the square lattice, wp(1/2) = sqrt(g2)/2 > 0
     curve = curves["square"]
-    e1 = wp(0.5 + 0j, curve)
-    assert abs(wp_prime(0.5 + 0j, curve)) < 1e-9 * (1 + abs(e1))
+    (e1,), (d1,), _ = wp_both(0.5 + 0j, curve)
+    assert abs(d1) < 1e-9 * (1 + abs(e1))
     assert abs(e1 - np.sqrt(curve.g2) / 2.0) < 1e-10 * abs(e1)
     assert abs(e1 - math.gamma(0.25) ** 4 / (8.0 * math.pi)) < 1e-9
-
-
-def test_wp_pole_raises(curves):
-    curve = curves["skew"]
-    with pytest.raises(PoleAtLatticePoint):
-        wp(curve.lattice.from_coords(2, -1) + 1e-12, curve)
-    with pytest.raises(PoleAtLatticePoint):
-        wp_prime(0j, curve)
 
 
 def test_degenerate_curve_rejected():
@@ -288,80 +274,123 @@ def test_degenerate_curve_rejected():
 
 
 def test_exp_lattice_point_is_identity(curves):
+    # wp_both flags lattice points, and points within the pole tolerance of
+    # one, as the identity of the curve
     curve = curves["skew"]
-    p = exp_E(curve.lattice.from_coords(3, 2), curve)
-    assert p.is_identity
-    assert curve_residual(p, curve) == 0.0
-
-
-def test_exp_satisfies_curve_equation(curves):
-    for curve in curves.values():
-        for z in _cell_points(curve.lattice, 50):
-            assert curve_residual(exp_E(z, curve), curve) < 1e-9
+    lat = curve.lattice
+    z = [lat.from_coords(3, 2), lat.from_coords(2, -1) + 1e-12, 0j, 0.31 + 0.27j]
+    _, _, pole = wp_both(z, curve)
+    assert pole.tolist() == [True, True, True, False]
 
 
 def test_log_exp_roundtrip(curves):
     for name in ("square", "skew"):
         curve = curves[name]
         zs = _cell_points(curve.lattice, 100)
-        for z in zs:
-            zc = reduce_mod_lattice(z, curve.lattice)[0]
-            back = log_E(exp_E(z, curve), curve)
-            assert abs(back - zc) < 1e-9 * abs(curve.lattice.omega1)
+        x, y, _ = wp_both(zs, curve)
+        back, ok = log_E_batch(curve, x, y)
+        assert ok.all()
+        zc = reduce_mod_lattice(zs, curve.lattice)[0]
+        assert np.max(np.abs(back - zc)) < 1e-9 * abs(curve.lattice.omega1)
 
 
 def test_log_two_torsion(curves):
     # y = 0 points invert cleanly even though wp' vanishes there
     curve = curves["square"]
-    for half in (0.5 + 0j, 0.5j, 0.5 + 0.5j):
-        p = exp_E(half, curve)
-        assert abs(p.y) < 1e-8
-        back = log_E(EPoint.affine(p.x, 0.0), curve)
-        assert abs(back - reduce_mod_lattice(half, curve.lattice)[0]) < 1e-8
-
-
-def test_log_identity_and_seed(curves):
-    curve = curves["skew"]
-    assert log_E(EPoint.identity(), curve) == 0j
-    z = 0.31 - 0.17j
-    p = exp_E(z, curve)
-    assert abs(log_E(p, curve, seed=z + 0.01) - z) < 1e-9
+    half = np.array([0.5 + 0j, 0.5j, 0.5 + 0.5j])
+    x, y, _ = wp_both(half, curve)
+    assert np.max(np.abs(y)) < 1e-8
+    back, ok = log_E_batch(curve, x, np.zeros(3))
+    assert ok.all()
+    assert np.max(np.abs(back - reduce_mod_lattice(half, curve.lattice)[0])) < 1e-8
 
 
 def test_log_near_anchor(curves):
     curve = curves["skew"]
     lat = curve.lattice
-    z = 0.23 + 0.11j
+    z = np.array([0.23 + 0.11j, 0.31 - 0.17j])
+    x, y, _ = wp_both(z, curve)
     shift = lat.from_coords(4, -3)
-    got = log_E_near(exp_E(z, curve), curve, anchor=z + shift + 0.05)
-    assert abs(got - (z + shift)) < 1e-9
-    # identity maps to the lattice point nearest the anchor
-    anchor = lat.from_coords(2, 5) + 0.2 + 0.1j
-    got = log_E_near(EPoint.identity(), curve, anchor)
-    assert abs(got - lat.from_coords(2, 5)) < 1e-12
+    got, ok = log_E_batch(curve, x, y, anchor=z + shift + 0.05)
+    assert ok.all()
+    assert np.max(np.abs(got - (z + shift))) < 1e-9
+    # a seed beside the cell representative returns that representative
+    got, ok = log_E_batch(curve, x, y, anchor=z + 0.01)
+    assert ok.all()
+    assert np.max(np.abs(got - z)) < 1e-9
 
 
 def test_log_rejects_point_off_curve(curves):
     curve = curves["square"]
-    with pytest.raises(NonConvergence):
-        log_E(EPoint.affine(1.0 + 2.0j, 0.5 - 0.3j), curve)
+    _, ok = log_E_batch(curve, 1.0 + 2.0j, 0.5 - 0.3j)
+    assert not ok[0]
 
 
 # ----------------------------------------------------------------------
 # point metric
 
 
+def _python_distance(px, py, qx, qy, p_identity):
+    """The curve metric in Python complex arithmetic, one pair of points."""
+    if p_identity:
+        if qy == 0:
+            return 1.0
+        return max(abs(qx / qy), abs(1.0 / qy))
+    scale = 1.0 + max(abs(px), abs(py), abs(qx), abs(qy))
+    d_aff = max(abs(px - qx), abs(py - qy)) / scale
+    if py != 0 and qy != 0:
+        d_pole = max(abs(px / py - qx / qy), abs(1.0 / py - 1.0 / qy))
+        return min(d_aff, d_pole)
+    return d_aff
+
+
 def test_epoint_distance_basic(curves):
-    p = EPoint.affine(1.0, 2.0)
-    q = EPoint.affine(1.0 + 1e-6, 2.0)
-    assert epoint_distance(p, p) == 0.0
-    assert epoint_distance(p, q) == epoint_distance(q, p)
-    assert 0 < epoint_distance(p, q) < 1e-5
+    p = (1.0, 2.0)
+    q = (1.0 + 1e-6, 2.0)
+    assert curve_distance(*p, *p)[0] == 0.0
+    assert curve_distance(*p, *q)[0] == curve_distance(*q, *p)[0]
+    assert 0 < curve_distance(*p, *q)[0] < 1e-5
 
 
 def test_epoint_distance_near_identity(curves):
     # points with huge |y| are close to the identity in the swapped chart
     curve = curves["square"]
-    p = exp_E(1e-4 + 0j, curve)
-    assert epoint_distance(p, EPoint.identity()) < 1e-3
-    assert epoint_distance(EPoint.affine(1.0, 2.0), EPoint.identity()) > 0.1
+    (x,), (y,), _ = wp_both(1e-4 + 0j, curve)
+    assert curve_distance(0j, 0j, x, y, p_identity=True)[0] < 1e-3
+    assert curve_distance(0j, 0j, 1.0, 2.0, p_identity=True)[0] > 0.1
+
+
+def test_curve_distance_matches_python_arithmetic():
+    # every row equals the scalar formula in Python complex arithmetic, bit
+    # for bit: moduli must round as abs() does and quotients as CPython
+    # divides, which np.abs and numpy's complex division do not
+    rng = np.random.default_rng(7)
+    m = 4000
+
+    def points(lo, hi):
+        mag = 10.0 ** rng.uniform(lo, hi, (2, m))
+        return (rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))) * mag
+
+    (px, py), (qx, qy) = points(-8, 8), points(-8, 8)
+    near = slice(0, m // 4)  # near the pole: |y| >= 1e6, x ~ y^(2/3)
+    t = (1.0 + 0.5j) * 10.0 ** rng.uniform(-4, -2, m // 4)
+    px[near], py[near] = t ** -2, -2.0 * t ** -3
+    qx[near], qy[near] = px[near] * (1 + 1e-9j), py[near] * (1 - 2e-9)
+    assert (np.abs(py[near]) >= 1e6).all()
+    close = slice(m // 4, m // 2)  # Q a small perturbation of P
+    qx[close] = px[close] + 1e-7 * qx[close] / np.abs(qx[close])
+    qy[close] = py[close] * (1 + 1e-8)
+    py[::17] = 0.0
+    qy[::13] = 0.0
+    ident = rng.random(m) < 0.2
+
+    got = curve_distance(px, py, qx, qy, ident)
+    want = [
+        _python_distance(complex(a), complex(b), complex(c), complex(d), bool(e))
+        for a, b, c, d, e in zip(px, py, qx, qy, ident)
+    ]
+    assert got.tolist() == want
+    assert curve_distance(px, py, qx, qy).tolist() == [
+        _python_distance(complex(a), complex(b), complex(c), complex(d), False)
+        for a, b, c, d in zip(px, py, qx, qy)
+    ]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from explat.elliptic import EllipticCurveParams, Lattice, curve_residual
+from explat.elliptic import EllipticCurveParams, Lattice, wp_both
 from explat.fiber import (
     ROOT_TOL,
     BranchState,
@@ -13,6 +13,7 @@ from explat.fiber import (
     LeftDomain,
     MPoly,
     NonTriangularSystem,
+    ProblemSpec,
     SectorDomain,
     _batched_fiber,
     _Tracker,
@@ -20,10 +21,9 @@ from explat.fiber import (
     build_problem,
     group_distance,
     monodromy_profile,
-    state_alpha,
     straight_path,
 )
-from explat.torus import torus_exp
+from explat.solver import _exp_residuals
 
 RNG = np.random.default_rng(20260816)
 
@@ -184,15 +184,28 @@ def test_fiber_count_is_constant(curve_pair_spec):
 def test_fiber_points_lie_on_curves(curve_pair_spec, square_curve):
     states = branch_base(curve_pair_spec, None, [19.0 + 2.0j, 23.0 - 1.5j])
     assert len(states) == 12
+    g2, g3 = square_curve.g2, square_curve.g3
     for s in states:
-        for pt in state_alpha(curve_pair_spec, s):
-            assert curve_residual(pt, square_curve) < 1e-10
+        for k in range(2):
+            x, y = (s.values[nm] for nm in curve_pair_spec.signature.factor_vars(k))
+            assert abs(y ** 2 - (4.0 * x ** 3 - g2 * x - g3)) / (1.0 + abs(x) ** 3) < 1e-10
 
 
 def test_fiber_degenerate_at_branch_locus(sqrt_spec):
     # w1^2 = z1 has a double root at z1 = 0
     with pytest.raises(DegenerateFiber, match="root gap guard fired in the w1 stage"):
         branch_base(sqrt_spec, None, [0.0])
+
+
+def test_branch_base_torus_coordinate_vanishes():
+    # w1 = z1 - 5 puts the fiber point at w1 = 0, outside the torus, at z1 = 5
+    sig = GroupSignature(factors=(("torus", None),))
+    av = sig.z_vars + sig.group_vars
+    eq = MPoly.from_dict(av, {term(av, w1=1): 1.0, term(av, z1=1): -1.0, term(av): 5.0})
+    spec = build_problem(sig, [eq])
+    assert len(branch_base(spec, None, [6.0])) == 1
+    with pytest.raises(DegenerateFiber, match="torus coordinate vanished"):
+        branch_base(spec, None, [5.0])
 
 
 def test_fiber_degenerate_leading_coefficient():
@@ -210,12 +223,26 @@ def test_fiber_degenerate_leading_coefficient():
 # branch bases and continuation
 
 
+def _values(states):
+    """Fiber values of branch states as one value dict over rows."""
+    return {nm: np.array([s.values[nm] for s in states]) for nm in states[0].values}
+
+
+def _states(tr):
+    """The rows of a tracker as branch states."""
+    return [
+        BranchState(z=tr.Z[r].copy(), values={nm: complex(col[r]) for nm, col in tr.vals.items()},
+                    g=tr.G[r].copy(), branch_id=tr.branch_ids[r])
+        for r in range(tr.m)
+    ]
+
+
 def _carry(spec, states, target, domain=None):
     """Continue states along straight segments to target; (ok, reason, states)."""
     tr = _Tracker.from_states(spec, states)
     target = np.broadcast_to(np.asarray(target, dtype=complex), tr.Z.shape)
     ok, reason = tr.advance(straight_path(tr.Z, target), np.max(np.abs(target - tr.Z), axis=1), domain=domain)
-    return ok, reason, tr.to_states()
+    return ok, reason, _states(tr)
 
 
 def _carry_one(spec, state, target):
@@ -228,9 +255,9 @@ def test_branch_base_ids_and_logs(curve_pair_spec):
     sig = curve_pair_spec.signature
     states = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
     assert [s.branch_id for s in states] == list(range(12))
-    for s in states:
-        d = group_distance(sig, sig.exp_point(s.g), state_alpha(curve_pair_spec, s))
-        assert d < 1e-9
+    # exp_S(g) lands on alpha for every branch
+    d = _exp_residuals(curve_pair_spec, np.stack([s.g for s in states]), _values(states))
+    assert np.max(d) < 1e-9
 
 
 def test_branch_base_respects_domain(identity_spec):
@@ -268,11 +295,10 @@ def test_continued_branches_exhaust_fiber(curve_pair_spec):
     z1 = np.array([24.0 + 5.0j, 21.0 + 0.5j])
     ok, _, moved = _carry(curve_pair_spec, branch_base(curve_pair_spec, None, z0), z1)
     assert ok.all()
-    target = [state_alpha(curve_pair_spec, s) for s in branch_base(curve_pair_spec, None, z1)]
-    used = [False] * len(target)
+    target = _values(branch_base(curve_pair_spec, None, z1))
+    used = np.zeros(curve_pair_spec.degree, dtype=bool)
     for s in moved:
-        al = state_alpha(curve_pair_spec, s)
-        dists = [np.inf if used[i] else group_distance(sig, al, t) for i, t in enumerate(target)]
+        dists = np.where(used, np.inf, group_distance(sig, s.values, target))
         i = int(np.argmin(dists))
         assert dists[i] < 1e-8
         used[i] = True
@@ -341,21 +367,34 @@ def test_half_turn_swaps_sqrt_branches(sqrt_spec):
 
     ok, _ = tr.advance(half_loop, [math.pi * abs(z0)])
     assert ok.all()
-    out = tr.to_states()[0]
     # w tracks sqrt(z), so a half turn of z rotates it by pi/2
-    assert abs(out.values["w1"] - 1j * states[0].values["w1"]) < 1e-9
+    assert abs(tr.vals["w1"][0] - 1j * states[0].values["w1"]) < 1e-9
 
 
 # ----------------------------------------------------------------------
 # group plumbing
 
 
+def _exp_values(sig, Z):
+    """exp_S at the rows of Z as a value dict: e^z on a torus, (wp, wp') on a curve."""
+    out = {}
+    for k, (kind, curve) in enumerate(sig.factors):
+        names = sig.factor_vars(k)
+        if kind == "torus":
+            out[names[0]] = np.exp(Z[:, k])
+        else:
+            out[names[0]], out[names[1]], _ = wp_both(Z[:, k], curve)
+    return out
+
+
 def test_group_distance_and_exp(square_curve):
     sig = GroupSignature(factors=(("torus", None), ("elliptic", square_curve)))
-    z = np.array([0.3 + 1.2j, 0.31 + 0.27j])
-    a = sig.exp_point(z)
-    b = sig.exp_point(z + np.array([2j * math.pi, square_curve.lattice.omega1]))
-    assert group_distance(sig, a, b) < 1e-9
-    c = sig.exp_point(z + np.array([0.1, 0.0]))
-    assert group_distance(sig, a, c) > 1e-3
-    assert abs(a[0] - torus_exp(z[0])) == 0.0
+    z = np.array([[0.3 + 1.2j, 0.31 + 0.27j]])
+    a = _exp_values(sig, z)
+    b = _exp_values(sig, z + np.array([2j * math.pi, square_curve.lattice.omega1]))
+    assert group_distance(sig, a, b)[0] < 1e-9
+    c = _exp_values(sig, z + np.array([0.1, 0.0]))
+    assert group_distance(sig, a, c)[0] > 1e-3
+    # the residual's exp_S is exactly e^z and (wp, wp')
+    spec = ProblemSpec(signature=sig, equations=(), stages=(), degree=1)
+    assert _exp_residuals(spec, z, a)[0] == 0.0
