@@ -226,6 +226,9 @@ def cmd_verify(args) -> int:
         return EXIT_PARSE
 
     rows = [("-", "digest", payload.get("spec_digest") == digest, "")]
+    if not records:
+        # solve never writes a report without records (it exits 4 instead)
+        rows.append(("-", "records", False, "report has no records"))
     _, rec_rows = verify_records(setup.problem, setup.domain, records, setup.tol)
     rows.extend(rec_rows)
 

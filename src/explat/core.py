@@ -1,13 +1,21 @@
 """Complex polynomial kernels and the shared iteration error.
 
 All-roots polynomial solving (simultaneous Aberth-Ehrlich iteration) on
-batches of same-degree polynomials, plus the rowwise residual check that
-accepts its roots.  The fiber solver and the continuation tracker build on
-these.
+batches of same-degree polynomials, Smale's point estimates (the Newton
+step and gamma, hence alpha) that certify a root from data at one point,
+and the rowwise residual check that accepts roots.  The fiber solver uses
+the all-roots solve; the continuation tracker certifies a Newton step from
+the previous root instead.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+# Smale's alpha_0: alpha(x) < ALPHA_0 puts x in the quadratic basin of a
+# unique root within 2*beta(x) (Blum-Cucker-Shub-Smale, Ch. 8, Thm. 2)
+ALPHA_0 = (13.0 - 3.0 * math.sqrt(17.0)) / 4.0
 
 
 class NonConvergence(RuntimeError):
@@ -69,3 +77,48 @@ def _poly_residual_ok(coeffs: np.ndarray, roots: np.ndarray, tol: float) -> np.n
     norm = np.max(np.abs(coeffs), axis=1)
     scale = np.maximum(1.0, norm[:, None] * np.maximum(1.0, np.abs(roots)) ** d)
     return np.all(np.abs(p) <= tol * scale, axis=1)
+
+
+def _smale(coeffs: np.ndarray, x: np.ndarray):
+    """Newton step p/p' and Smale's gamma of each row's polynomial at x.
+
+    coeffs is (m, d+1) ascending; x is (m, j).  One Taylor shift at x gives
+    b_k = p^(k)(x)/k!, so gamma = max_k |b_k/b_1|^(1/(k-1)) for k >= 2, and
+    alpha = |step| * gamma.  Where p'(x) = 0 the step and gamma are inf.
+    """
+    d = coeffs.shape[1] - 1
+    b = [coeffs[:, k, None] for k in range(d + 1)]
+    for i in range(d):
+        for k in range(d - 1, i - 1, -1):
+            b[k] = b[k] + x * b[k + 1]
+    flat = b[1] == 0
+    b1 = np.where(flat, 1.0, b[1])
+    step = np.where(flat, np.inf, b[0] / b1)
+    gamma = np.zeros(x.shape)
+    for k in range(2, d + 1):
+        gamma = np.maximum(gamma, np.abs(b[k] / b1) ** (1.0 / (k - 1)))
+    return step, np.where(flat, np.inf, gamma)
+
+
+def _newton(coeffs: np.ndarray, x: np.ndarray, tol: float, max_steps: int):
+    """Newton's method on each row's polynomial from x (m,), at most max_steps.
+
+    A row stops after a step below tol * (1 + |x|); the others keep going.
+    """
+    x = np.array(x, dtype=complex)
+    d = coeffs.shape[1] - 1
+    live = np.arange(x.shape[0])
+    for _ in range(max_steps):
+        if not live.size:
+            break
+        r = x[live]
+        c = coeffs[live]
+        p = c[:, d]
+        dp = np.zeros_like(r)
+        for k in range(d - 1, -1, -1):
+            dp = dp * r + p
+            p = p * r + c[:, k]
+        step = p / np.where(dp == 0, np.nan, dp)
+        x[live] = r - step
+        live = live[~(np.abs(step) <= tol * (1.0 + np.abs(r)))]
+    return x

@@ -3,8 +3,10 @@
 A fiber system relates parameters z1..zn to group coordinates (w_k for a
 torus factor, (x_k, y_k) for an elliptic factor; curve equations are
 appended implicitly).  Each equation must bind exactly one new unknown, so
-fibers are solved by a chain of univariate all-roots solves, and branches
-are continued by tracking one root per stage with gap guards.
+fibers are solved by a chain of univariate all-roots solves, certified
+distinct by Smale's alpha-test, and branches are continued by tracking one
+root per stage with Newton's method from the previous root, accepted only
+where the alpha-test certifies that start.
 
 The continuation engine (_Tracker) is batched: it advances many
 (parameter-path, branch) rows through the same stage structure at once,
@@ -19,14 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import NonConvergence, _aberth, _poly_residual_ok
+from .core import ALPHA_0, NonConvergence, _aberth, _newton, _poly_residual_ok, _smale
 from .elliptic import EllipticCurveParams, _gauss_newton_log, curve_distance, log_E_batch
 from .torus import torus_log_near
 
 ROOT_TOL = 1e-12       # stage root residual tolerance
 LEAD_TOL = 1e-10       # relative leading-coefficient degeneracy threshold
-CLUSTER_TOL = 1e-6     # relative root-gap threshold signalling a branch locus
-GAP_GUARD = 0.5        # accepted per-step root motion vs. min inter-root gap
+NEWTON_STEPS = 6       # Newton steps per tracked stage root, counting the certified first
 MIN_FRACTION = 1e-7    # adaptive parameter-step underflow
 ALPHA_TINY = 1e-13     # torus coordinate this small (relative) leaves the group
 
@@ -322,7 +323,7 @@ def _stage_coeffs(stage: Stage, known: dict, m: int):
     """One stage's coefficient rows (m, degree+1) at `known`, and the LEAD_TOL guard.
 
     For degree > 1 the rows failing the guard are replaced by the dummy monic
-    row x^d, which keeps a batched Aberth solve over all m rows well posed.
+    row x^d, which keeps batched root solves over all m rows well posed.
     """
     coeffs = np.stack(
         [np.broadcast_to(np.asarray(cp.eval(known), dtype=complex), (m,)) for cp in stage.coeff_polys],
@@ -344,8 +345,11 @@ def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
     idx, dropped): idx maps each output row to its row of Z, and dropped
     maps every row of Z that lost a branch to (stage unknown, guard) of its
     first failure, the guard being "leading coefficient", "root residual"
-    or "root gap".  Only the failing branches are dropped.  Root order
-    within a stage is np.sort_complex, so the row order is deterministic.
+    or "root gap".  The root gap guard is the alphaCertified distinct-roots
+    test (Hauenstein-Sottile 2012): every root has alpha < ALPHA_0, so a
+    true root lies within 2*beta of it, and those balls are pairwise
+    disjoint.  Only the failing branches are dropped.  Root order within a
+    stage is np.sort_complex, so the row order is deterministic.
     """
     rows = np.array(Z, dtype=complex)
     idx = np.arange(rows.shape[0])
@@ -365,10 +369,11 @@ def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
             roots, _ = _aberth(coeffs, ROOT_TOL)
             res_ok = _poly_residual_ok(coeffs, roots, tol)
             roots = np.sort_complex(roots)
-            dmat = np.abs(roots[:, :, None] - roots[:, None, :])
+            step, gamma = _smale(coeffs, roots)
+            beta = np.abs(step)
+            dmat = np.abs(roots[:, :, None] - roots[:, None, :]) - 2.0 * (beta[:, :, None] + beta[:, None, :])
             dmat[:, np.arange(d), np.arange(d)] = np.inf
-            scale = np.maximum(1.0, np.abs(roots).max(axis=1))
-            gap_ok = dmat.min(axis=(1, 2)) > CLUSTER_TOL * scale
+            gap_ok = np.all(beta * gamma < ALPHA_0, axis=1) & (dmat.min(axis=(1, 2)) > 0)
         good = lead_ok & res_ok & gap_ok
         for r in np.flatnonzero(~good):
             guard = "leading coefficient" if not lead_ok[r] else "root residual" if not res_ok[r] else "root gap"
@@ -454,8 +459,10 @@ def branch_base(spec: ProblemSpec, domain: SectorDomain, z0):
 
 
 def straight_path(Z0, Z1) -> Callable:
-    Z0 = np.asarray(Z0, dtype=complex)
-    Z1 = np.asarray(Z1, dtype=complex)
+    """The segment from Z0 to Z1, row by row; both ends are copied, so the
+    path stays put when a caller passes the tracker's own, moving, state."""
+    Z0 = np.array(Z0, dtype=complex)
+    Z1 = np.array(Z1, dtype=complex)
 
     def path(t):
         return Z0 + t[:, None] * (Z1 - Z0)
@@ -468,9 +475,12 @@ class _Tracker:
 
     State per row: parameter point Z[r], stage values, logarithm G[r].
     advance() walks every row along its own path with per-row adaptive
-    steps; guards (root gap, leading coefficient, log step, domain) reject
-    a substep and halve that row's step only.  Rows never read other rows,
-    so batching does not affect values.
+    steps.  Each stage root of degree > 1 is tracked by Newton's method from
+    the row's previous root, taken only where Smale's alpha-test at that
+    start certifies convergence to a unique nearby root.  Guards (alpha
+    test, root residual, leading coefficient, log step, domain) reject a
+    substep and halve that row's step only.  Rows never read other rows, so
+    batching does not affect values.
     """
 
     OK, FAIL_BRANCH, FAIL_DOMAIN = 0, 1, 2
@@ -510,17 +520,14 @@ class _Tracker:
             if stage.degree == 1:
                 chosen = -coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0)
             else:
-                roots, _ = _aberth(coeffs, ROOT_TOL)
-                res_ok = _poly_residual_ok(coeffs, roots, 1e-9)
-                dist = np.abs(roots - prev[:, None])
-                pick = np.argmin(dist, axis=1)
-                rows = np.arange(m)
-                chosen = roots[rows, pick]
-                others = np.abs(roots - chosen[:, None])
-                others[rows, pick] = np.inf  # gap to the nearest *other* root
-                gap = others.min(axis=1)
-                moved = np.abs(chosen - prev)
-                ok &= res_ok & (moved <= GAP_GUARD * gap)
+                step, gamma = _smale(coeffs, prev[:, None])
+                cert = ok & (np.abs(step[:, 0]) * gamma[:, 0] < ALPHA_0)
+                chosen = prev.copy()
+                start = prev[cert] - step[cert, 0]
+                chosen[cert] = _newton(coeffs[cert], start, ROOT_TOL, NEWTON_STEPS - 1)
+                finite = np.isfinite(chosen)
+                res_ok = _poly_residual_ok(coeffs, np.where(finite, chosen, 0.0)[:, None], 1e-9)
+                ok &= cert & finite & res_ok
             known[stage.unknown] = chosen
             cand[stage.unknown] = chosen
         Gnew = np.empty_like(self.G)

@@ -105,6 +105,20 @@ def test_verify_flags_corrupt_record(tmp_path, torus_run):
     assert "record 5" in r.stderr
 
 
+@pytest.mark.parametrize("strip", [lambda payload: payload.update(records=[]), lambda payload: payload.pop("records")],
+                         ids=["empty", "absent"])
+def test_verify_fails_report_without_records(tmp_path, torus_run, strip):
+    # a report stripped of every record must not verify
+    payload = json.loads(torus_run.read_text())
+    strip(payload)
+    bad = tmp_path / "bare.json"
+    bad.write_text(json.dumps(payload))
+    r = run_cli("verify", "--spec", TORUS_SPEC, "--report", bad)
+    assert r.returncode == 1, r.stderr
+    assert "records      FAIL   report has no records" in r.stdout
+    assert "first offender: record - records report has no records" in r.stderr
+
+
 def _drop_s(payload):
     del payload["records"][0]["s"]
     return payload

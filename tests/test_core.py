@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from explat.core import NonConvergence, _aberth, _poly_residual_ok
+from explat.core import ALPHA_0, NonConvergence, _aberth, _poly_residual_ok, _smale
 from explat.fiber import (
     ROOT_TOL,
     GroupSignature,
@@ -80,6 +80,17 @@ def test_poly_roots_triple_root_cluster():
     assert np.allclose(vals["w1"] ** 3, 8.0)
 
 
+def test_fiber_refuses_triple_root_away_from_zero():
+    # (w1 - 1)^3 = z1: at z1 = 0 Aberth returns three copies of w1 = 1 about
+    # 1e-5 apart, each passing the residual check; alpha = 1/3 at every copy,
+    # so the distinct-roots test refuses them
+    spec = _torus_spec({(0, 3): 1.0, (0, 2): -3.0, (0, 1): 3.0, (0, 0): -1.0, (1, 0): -1.0})
+    rows, vals, _, dropped = _batched_fiber(spec, np.array([[0j], [8.0 + 0j]]), ROOT_TOL)
+    assert dropped == {0: ("w1", "root gap")}
+    assert rows.shape[0] == 3
+    assert np.allclose((vals["w1"] - 1.0) ** 3, 8.0)
+
+
 def test_poly_roots_rejects_constant():
     # z1 * (w1^2 - 1) vanishes identically at z1 = 0: the stage polynomial
     # has no roots to solve for, and the leading-coefficient guard drops it
@@ -141,6 +152,67 @@ def test_continue_root_loop_off_discriminant_is_identity(sqrt_spec):
     w, ok, _ = _walk(sqrt_spec, 3.0, cmath.sqrt(3), [3.0 + 1j, 4.0 + 1j, 4.0, 3.0])
     assert ok
     assert abs(w - cmath.sqrt(3)) < 1e-10
+
+
+def _stage_tracker(spec, z0, w0):
+    """A tracker over rows (z0[r], w0[r]) of a one-stage torus spec."""
+    G = np.log(w0)[:, None]
+    return _Tracker(spec, z0[:, None], {"w1": w0}, G, range(len(z0)))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_tracker_step_matches_nearest_root(degree):
+    # random stage polynomials a(w) + z1 * b(w): wherever the alpha-test
+    # accepts a step, Newton lands on the root nearest the previous one
+    rng = np.random.default_rng(100 + degree)
+    a = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    b = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    a[-1], b[-1] = 1.0, 0.0
+    terms = {(0, k): a[k] for k in range(degree + 1)}
+    terms.update({(1, k): b[k] for k in range(degree)})
+    spec = _torus_spec(terms)
+    m = 400
+    z0 = rng.normal(size=m) + 1j * rng.normal(size=m)
+    coeffs0 = a[None, :] + z0[:, None] * b[None, :]
+    roots0, conv = _aberth(coeffs0, ROOT_TOL)
+    assert conv.all()
+    w0 = roots0[np.arange(m), rng.integers(degree, size=m)]
+    z1 = z0 + np.logspace(-4, 0, m) * np.exp(2j * math.pi * rng.random(m))
+    ok, _, cand, _ = _stage_tracker(spec, z0, w0)._trial(z1[:, None], None)
+    assert 0.2 * m < ok.sum() < m  # both verdicts occur
+    roots1, _ = _aberth(a[None, :] + z1[ok, None] * b[None, :], ROOT_TOL)
+    nearest = roots1[np.arange(ok.sum()), np.argmin(np.abs(roots1 - w0[ok, None]), axis=1)]
+    assert np.all(np.abs(cand["w1"][ok] - nearest) <= 1e-12 * np.maximum(1.0, np.abs(nearest)))
+
+
+def test_tracker_step_halves_towards_near_double_root(sqrt_spec):
+    # w1^2 = z1 from (1, 1) to z1 = 0.01, whose roots +-0.1 nearly coincide:
+    # at full length alpha(1) = 0.99/4 > ALPHA_0, at half length 0.495/4 passes
+    tr = _stage_tracker(sqrt_spec, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+    full, half = np.array([[0.01 + 0j]]), np.array([[0.505 + 0j]])
+    ok, reason, _, _ = tr._trial(full, None)
+    assert not ok[0] and reason[0] == _Tracker.FAIL_BRANCH
+    ok, _, cand, _ = tr._trial(half, None)
+    assert ok[0] and abs(cand["w1"][0] - math.sqrt(0.505)) < 1e-15
+    ok, _ = tr.advance(straight_path(tr.Z, full), [0.99])
+    assert ok[0] and abs(tr.vals["w1"][0] - 0.1) < 1e-15
+
+
+def test_alpha_tracks_motion_over_gap_for_quadratics():
+    # for p = (w - r1)(w - r2) and prev near r1, alpha(prev) = rho(1 + O(rho))
+    # with rho = |prev - r1| / |r1 - r2|, the ratio the old gap guard bounded
+    rng = np.random.default_rng(7)
+    m = 200
+    r1, r2 = (rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))) * 3.0
+    rho = np.logspace(-6, -0.5, m)
+    prev = r1 + rho * np.abs(r1 - r2) * np.exp(2j * math.pi * rng.random(m))
+    coeffs = np.stack([r1 * r2, -(r1 + r2), np.ones(m)], axis=1)
+    step, gamma = _smale(coeffs, prev[:, None])
+    alpha = np.abs(step[:, 0]) * gamma[:, 0]
+    assert np.all(alpha >= rho * (1 - rho) / (1 + 2 * rho) ** 2 * (1 - 1e-9))
+    assert np.all(alpha <= rho * (1 + rho) / (1 - 2 * rho) ** 2 * (1 + 1e-9))
+    # the alpha-test is stricter than the old moved <= 0.5 * gap
+    assert not np.any((alpha < ALPHA_0) & (rho > 0.5))
 
 
 def test_continue_root_through_branch_point_raises(sqrt_spec):

@@ -267,6 +267,18 @@ def test_branch_base_respects_domain(identity_spec):
         branch_base(identity_spec, dom, [10.0 * np.exp(2.5j)])
 
 
+def test_straight_path_copies_its_ends():
+    # callers pass the tracker's own state, which advance() overwrites
+    Z0 = np.array([[1.0 + 0j, 2.0j], [3.0 + 0j, -1.0 + 0j]])
+    Z1 = Z0 + 1.0
+    path = straight_path(Z0, Z1)
+    origin, end = Z0.copy(), Z1.copy()
+    Z0[:] = 7.0
+    Z1[:] = -7.0
+    assert np.array_equal(path(np.zeros(2)), origin)
+    assert np.array_equal(path(np.ones(2)), end)
+
+
 def test_continuation_roundtrip(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([25.0 - 1.0j, 27.0 + 3.0j])
