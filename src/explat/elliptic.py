@@ -334,33 +334,40 @@ def wp_both(z, curve: EllipticCurveParams):
 
 
 def _gauss_newton_log(curve, x, y, v0, iters=48):
-    """Damped Gauss-Newton for wp(v) = x, wp'(v) = y from seed v0 (arrays)."""
+    """Damped Gauss-Newton for wp(v) = x, wp'(v) = y from seed v0 (arrays).
+
+    Returns (v, ok, res), res the scaled residual at v.  Each row stops on
+    its own once its residual is below 1e-13 of its scale, and only the
+    rows still running are evaluated, so no row waits for another.  A row
+    that lands on a pole is shifted off it, and the other rows still step.
+    """
     tab = curve.tables()
     v = np.atleast_1d(np.asarray(v0, dtype=complex)).copy()
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     scale = 1.0 + np.abs(x) + np.abs(y)
     lim = 0.45 * tab.gap
-    for _ in range(iters):
-        val, dval, pole = wp_both(v, curve)
-        if pole.any():
-            v = np.where(pole, v + (0.13 + 0.077j) * tab.gap, v)
-            continue
-        r1 = val - x
-        r2 = dval - y
-        done = (np.abs(r1) <= 1e-13 * scale) & (np.abs(r2) <= 1e-13 * scale)
-        if done.all():
+    res = np.full(v.shape, np.inf)
+    live = np.arange(v.shape[0])
+    for it in range(iters + 1):  # the last pass only evaluates the last step
+        if not live.size:
             break
+        val, dval, pole = wp_both(v[live], curve)
+        r1 = val - x[live]
+        r2 = dval - y[live]
+        res[live] = np.where(pole, np.inf, np.maximum(np.abs(r1), np.abs(r2)) / scale[live])
+        if it == iters:
+            break
+        done = ~pole & (np.abs(r1) <= 1e-13 * scale[live]) & (np.abs(r2) <= 1e-13 * scale[live])
         ddval = 6.0 * val * val - curve.g2 / 2.0
         denom = np.abs(dval) ** 2 + np.abs(ddval) ** 2
         step = (np.conj(dval) * r1 + np.conj(ddval) * r2) / np.where(denom == 0, 1.0, denom)
         mag = np.abs(step)
         step = np.where(mag > lim, step * (lim / np.where(mag == 0, 1.0, mag)), step)
-        v = v - np.where(done, 0.0, step)
-    val, dval, pole = wp_both(v, curve)
-    res = np.maximum(np.abs(val - x), np.abs(dval - y)) / scale
-    ok = (~pole) & (res < LOG_ACCEPT_TOL)
-    return v, ok, res
+        step = np.where(pole, -(0.13 + 0.077j) * tab.gap, step)
+        live = live[~done]
+        v[live] -= step[~done]
+    return v, res < LOG_ACCEPT_TOL, res
 
 
 def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):

@@ -89,6 +89,14 @@ class MPoly:
                     out.add(name)
         return out
 
+    def diff(self, name: str) -> "MPoly":
+        """Partial derivative with respect to `name`."""
+        k = self.vars.index(name)
+        return MPoly.from_dict(
+            self.vars,
+            {exps[:k] + (exps[k] - 1,) + exps[k + 1 :]: exps[k] * c for exps, c in self.terms if exps[k]},
+        )
+
     def split_by(self, name: str):
         """Coefficient polynomials [c_0, ..., c_d] with self = sum c_e * name^e."""
         k = self.vars.index(name)
@@ -232,6 +240,7 @@ class Stage:
     residual: MPoly
     degree: int
     coeff_polys: tuple  # degree+1 MPolys over previously bound variables
+    partials: tuple  # (variable, dP/dvariable) for each variable the residual uses
 
 
 @dataclass(frozen=True)
@@ -303,7 +312,9 @@ def build_problem(sig: GroupSignature, equations) -> ProblemSpec:
         d = eq.degree_in(unknown)
         if d < 1:
             raise NonTriangularSystem(f"equation does not depend on {unknown}")
-        stages.append(Stage(unknown=unknown, residual=eq, degree=d, coeff_polys=tuple(eq.split_by(unknown))))
+        used = eq.used_vars()
+        stages.append(Stage(unknown=unknown, residual=eq, degree=d, coeff_polys=tuple(eq.split_by(unknown)),
+                            partials=tuple((v, eq.diff(v)) for v in all_vars if v in used)))
         bound.add(unknown)
         pending.remove(eq)
     missing = set(sig.group_vars) - bound
@@ -409,6 +420,44 @@ def fiber_logs(spec: ProblemSpec, vals: dict, anchor=None):
     return G, ok
 
 
+def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
+    """dG/dz at each row of Z on the branch whose stage values are vals.
+
+    Returns J of shape (m, n, n) with J[r, i, k] = dG_i/dz_k.  Each stage
+    residual P vanishes along the branch, so by implicit differentiation
+    its unknown u moves by du/dz = -(dP/dz + sum_v dP/dv * dv/dz) / (dP/du),
+    v running over the unknowns of earlier stages.  Then dG_k = dw/w on a
+    torus factor and dG_k = dx/y (the invariant differential) on an elliptic
+    one.  Rows where a denominator vanishes come out non-finite.
+    """
+    Z = np.asarray(Z, dtype=complex)
+    m, n = Z.shape
+    sig = spec.signature
+    known = {nm: Z[:, i] for i, nm in enumerate(sig.z_vars)}
+    known.update(vals)
+    eye = np.eye(n, dtype=complex)
+    dz = {nm: np.broadcast_to(eye[i], (m, n)) for i, nm in enumerate(sig.z_vars)}
+    J = np.empty((m, n, n), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for stage in spec.stages:
+            num = np.zeros((m, n), dtype=complex)
+            for name, dp in stage.partials:
+                c = np.broadcast_to(np.asarray(dp.eval(known), dtype=complex), (m,))
+                if name == stage.unknown:
+                    den = c
+                else:
+                    num += c[:, None] * dz[name]
+            dz[stage.unknown] = -num / den[:, None]
+        for k, (kind, _) in enumerate(sig.factors):
+            if kind == "torus":
+                (w,) = sig.factor_vars(k)
+                J[:, k] = dz[w] / known[w][:, None]
+            else:
+                xk, yk = sig.factor_vars(k)
+                J[:, k] = dz[xk] / known[yk][:, None]
+    return J
+
+
 # ----------------------------------------------------------------------
 # branch states
 
@@ -475,12 +524,14 @@ class _Tracker:
 
     State per row: parameter point Z[r], stage values, logarithm G[r].
     advance() walks every row along its own path with per-row adaptive
-    steps.  Each stage root of degree > 1 is tracked by Newton's method from
-    the row's previous root, taken only where Smale's alpha-test at that
-    start certifies convergence to a unique nearby root.  Guards (alpha
-    test, root residual, leading coefficient, log step, domain) reject a
-    substep and halve that row's step only.  Rows never read other rows, so
-    batching does not affect values.
+    steps, and each substep trials only the rows still on their way.  Each
+    stage root of degree > 1 is tracked by Newton's method from the row's
+    previous root, taken only where Smale's alpha-test at that start
+    certifies convergence to a unique nearby root.  The elliptic logarithm
+    is predicted from the invariant differential dv = dx/y and polished by
+    Gauss-Newton.  Guards (alpha test, root residual, leading coefficient,
+    log step, domain) reject a substep and halve that row's step only.  Rows
+    never read other rows, so batching does not affect values.
     """
 
     OK, FAIL_BRANCH, FAIL_DOMAIN = 0, 1, 2
@@ -502,9 +553,15 @@ class _Tracker:
         return cls(spec, Z, vals, G, [s.branch_id for s in states])
 
     # -- one trial evaluation at target points -------------------------
-    def _trial(self, Znext, domain):
+    def _trial(self, Znext, domain, rows=slice(None)):
+        """Trial step of the tracker rows `rows` to the points Znext (one per row).
+
+        Returns (ok, reason, cand, Gnew) for those rows; the state is not
+        changed.  The elliptic log starts from the trapezoid rule for the
+        invariant differential, g + 2 (x_new - x_prev) / (y_prev + y_new).
+        """
         spec = self.spec
-        m = self.m
+        m = Znext.shape[0]
         ok = np.ones(m, dtype=bool)
         reason = np.zeros(m, dtype=np.int8)
         if domain is not None:
@@ -516,7 +573,7 @@ class _Tracker:
         for stage in spec.stages:
             coeffs, lead_ok = _stage_coeffs(stage, known, m)
             ok &= lead_ok
-            prev = self.vals[stage.unknown]
+            prev = self.vals[stage.unknown][rows]
             if stage.degree == 1:
                 chosen = -coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0)
             else:
@@ -530,9 +587,9 @@ class _Tracker:
                 ok &= cert & finite & res_ok
             known[stage.unknown] = chosen
             cand[stage.unknown] = chosen
-        Gnew = np.empty_like(self.G)
+        Gnew = np.empty((m, spec.n), dtype=complex)
         for k, (kind, curve) in enumerate(spec.signature.factors):
-            prev_g = self.G[:, k]
+            prev_g = self.G[rows, k]
             if kind == "torus":
                 w = cand[spec.signature.factor_vars(k)[0]]
                 wsafe = np.where(np.abs(w) < 1e-300, 1.0, w)
@@ -540,7 +597,11 @@ class _Tracker:
                 gk = torus_log_near(wsafe, prev_g)
             else:
                 xk, yk = spec.signature.factor_vars(k)
-                gk, gok, _ = _gauss_newton_log(curve, cand[xk], cand[yk], prev_g, iters=40)
+                x, y = cand[xk], cand[yk]
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    seed = prev_g + 2.0 * (x - self.vals[xk][rows]) / (self.vals[yk][rows] + y)
+                seed = np.where(np.isfinite(seed), seed, prev_g)
+                gk, gok, _ = _gauss_newton_log(curve, x, y, seed, iters=40)
                 ok &= gok
             guard = 0.5 * spec.signature.gap(k)
             ok &= np.abs(gk - prev_g) <= guard
@@ -572,26 +633,25 @@ class _Tracker:
             if not live.any():
                 break
             t_next = np.where(live, np.minimum(1.0, t_cur + t_step), t_cur)
-            Znext = path(t_next)
-            ok, reason, cand, Gnew = self._trial(Znext, domain)
-            accept = live & ok
-            if accept.any():
-                self.Z[accept] = Znext[accept]
-                self.G[accept] = Gnew[accept]
+            rows = np.flatnonzero(live)
+            Znext = path(t_next)[rows]
+            ok, reason, cand, Gnew = self._trial(Znext, domain, rows)
+            accept = rows[ok]
+            if accept.size:
+                self.Z[accept] = Znext[ok]
+                self.G[accept] = Gnew[ok]
                 for nm in self.vals:
-                    self.vals[nm][accept] = cand[nm][accept]
+                    self.vals[nm][accept] = cand[nm][ok]
                 t_cur[accept] = t_next[accept]
                 t_step[accept] = np.minimum(t_step[accept] * 1.7, 1.0)
-            reject = live & ~ok
-            if reject.any():
-                hard = reject & (reason == self.FAIL_DOMAIN)
-                failed |= hard
-                fail_reason[hard] = self.FAIL_DOMAIN
-                soft = reject & ~hard
-                t_step[soft] *= 0.5
-                dead = soft & (t_step < MIN_FRACTION)
-                failed |= dead
-                fail_reason[dead] = self.FAIL_BRANCH
+            hard = rows[~ok & (reason == self.FAIL_DOMAIN)]
+            failed[hard] = True
+            fail_reason[hard] = self.FAIL_DOMAIN
+            soft = rows[~ok & (reason != self.FAIL_DOMAIN)]
+            t_step[soft] *= 0.5
+            dead = soft[t_step[soft] < MIN_FRACTION]
+            failed[dead] = True
+            fail_reason[dead] = self.FAIL_BRANCH
         stuck = active & ~(t_cur >= 1.0 - 1e-12) & ~failed
         failed |= stuck
         fail_reason[stuck] = self.FAIL_BRANCH

@@ -1,12 +1,13 @@
 """Lattice sweeps: solve z = lambda + G(z) across the period lattice.
 
 Pipeline: enumerate period-lattice points inside a sector domain, gate on a
-measured contraction bound for dG, drop points too close to the domain
-boundary (closer than the measured G bound), then continue every branch from
-one base point to each distinct chart point once (leg 1), fan those end
-states out to the lattice points sharing that chart point, continue each
-to its own lattice point (leg 2) and run the fixed-point iteration
-z <- lambda + G(z).
+contraction bound for dG sampled from its closed form (fiber.g_jacobian),
+drop points too close to the domain boundary (closer than the measured G
+bound), then continue every branch from one base point to each distinct
+chart point once (leg 1), fan those end states out to the lattice points
+sharing that chart point, continue each to its own lattice point (leg 2)
+and solve z = lambda + G(z) there by Newton's method,
+z <- z - (I - dG)^-1 (z - lambda - G(z)), each step a continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in fixed chunks of lattice points, so output is
 independent of --jobs.
@@ -31,6 +32,7 @@ from .fiber import (
     _Tracker,
     branch_base,
     fiber_logs,
+    g_jacobian,
     straight_path,
 )
 
@@ -185,10 +187,12 @@ def _sample_domain(domain: SectorDomain, radius_range, count: int, rng) -> np.nd
 
 def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range,
                         samples: int = 200, seed: int = 0) -> ContractionReport:
-    """Finite-difference bound for ||dG||_inf over sampled domain points.
+    """Sampled bound for ||dG||_inf over domain points, from the closed-form dG.
 
-    Samples cover all branches of the fiber (rows = samples x degree); the
-    same pass harvests the G-size statistics the margin model needs.
+    Samples cover all branches of the fiber (rows = samples x degree), and
+    the norm is the largest row sum of |dG| (g_jacobian) over them; the same
+    pass harvests the G-size statistics the margin model needs.  Rows whose
+    logarithm failed or whose dG is not finite are left out.
     """
     rng = np.random.default_rng(seed)
     Z = _sample_domain(domain, radius_range, samples, rng)
@@ -196,22 +200,8 @@ def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range,
     if rowsZ.shape[0] == 0:
         raise NonConvergence("no usable contraction samples")
     G, ok = fiber_logs(spec, vals)
-    rowsZ, G = rowsZ[ok], G[ok]
-    vals = {nm: col[ok] for nm, col in vals.items()}
-    m, n = rowsZ.shape
-    tr = _Tracker(spec, rowsZ, vals, G, list(range(m)))
-    J = np.zeros((m, n, n), dtype=complex)
-    valid = np.ones(m, dtype=bool)
-    for k in range(n):
-        h = 1e-5 * (1.0 + np.abs(rowsZ[:, k]))
-        Zp = rowsZ.copy()
-        Zp[:, k] += h
-        Zm = rowsZ.copy()
-        Zm[:, k] -= h
-        okp, _, _, Gp = tr._trial(Zp, None)
-        okm, _, _, Gm = tr._trial(Zm, None)
-        valid &= okp & okm
-        J[:, :, k] = (Gp - Gm) / (2.0 * h[:, None])
+    J = g_jacobian(spec, rowsZ, vals)
+    valid = ok & np.isfinite(J).all(axis=(1, 2))
     if not valid.any():
         raise NonConvergence("contraction sampling failed near branch loci")
     rowsZ, G, J = rowsZ[valid], G[valid], J[valid]
@@ -385,7 +375,10 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
 
     leg1 holds the chart points of the chunk (more are allowed).  Its end
     states are fanned out to the (lambda, branch) rows, continued along leg 2
-    from c * lambda_l to lambda, then iterated z <- lambda + G(z) to S(lambda).
+    from c * lambda_l to lambda, then moved to the fixed point S(lambda) of
+    z = lambda + G(z) by Newton steps, each one continuation along a straight
+    segment; a row whose dG is not finite or has ||dG||_inf >= 1 takes the
+    plain step z <- lambda + G(z) instead.
     A row whose chart point failed leg 1 is skipped with that failure.
     Returns (records, skipped) with deterministic in-chunk order
     (lambda-major, branch-minor).
@@ -417,16 +410,26 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
 
     g_lambda = tr.G.copy()
 
-    # fixed-point iteration z <- lambda + G(z), geometric by the gate
+    # Newton on z - lambda - G(z) = 0: z <- z - (I - dG)^-1 (z - lambda - G(z)),
+    # taken where dG is finite with ||dG||_inf < 1 (so I - dG is invertible);
+    # other rows take the plain contraction step z <- lambda + G(z)
     lam_scale = 1.0 + np.max(np.abs(LAM), axis=1)
     step_tol = np.maximum(1e-3 * tol, 40.0 * np.finfo(float).eps * lam_scale)
     converged = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
+    eye = np.eye(n)
     for it in range(1, max_iter + 1):
         stepping = alive & ~converged
         if not stepping.any():
             break
         target = LAM + tr.G
+        rows = np.flatnonzero(stepping)
+        J = g_jacobian(spec, tr.Z[rows], {nm: col[rows] for nm, col in tr.vals.items()})
+        newton = np.isfinite(J).all(axis=(1, 2)) & (np.abs(J).sum(axis=2).max(axis=1) < 1.0)
+        nr = rows[newton]
+        if nr.size:
+            F = tr.Z[nr] - target[nr]
+            target[nr] = tr.Z[nr] - np.linalg.solve(eye - J[newton], F[:, :, None])[:, :, 0]
         delta = np.max(np.abs(target - tr.Z), axis=1)
         # step first so the shipped iterate includes its own closing update
         ok, reason = tr.advance(straight_path(tr.Z, target), delta, domain=domain, active=stepping)

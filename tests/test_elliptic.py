@@ -16,6 +16,7 @@ import pytest
 from explat.elliptic import (
     EllipticCurveParams,
     Lattice,
+    _gauss_newton_log,
     curve_distance,
     eisenstein_invariants,
     log_E_batch,
@@ -318,6 +319,21 @@ def test_log_near_anchor(curves):
     got, ok = log_E_batch(curve, x, y, anchor=z + 0.01)
     assert ok.all()
     assert np.max(np.abs(got - z)) < 1e-9
+
+
+def test_log_rows_do_not_wait_on_a_pole_row(curves):
+    # a seed on a lattice point (a pole of wp) is shifted off it in the same
+    # pass in which the other rows step, so a row converges in as many
+    # iterations batched as alone
+    curve = curves["square"]
+    z0 = 0.31 + 0.27j
+    x, y, _ = wp_both([z0], curve)
+    alone, ok, _ = _gauss_newton_log(curve, x, y, [z0 + 0.1], iters=5)
+    assert ok[0]
+    both, ok, _ = _gauss_newton_log(curve, np.r_[x, x], np.r_[y, y], [z0 + 0.1, 1.0], iters=5)
+    assert ok[0] and both[0] == alone[0]
+    _, ok, _ = _gauss_newton_log(curve, np.r_[x, x], np.r_[y, y], [z0 + 0.1, 1.0])
+    assert ok.all()
 
 
 def test_log_rejects_point_off_curve(curves):

@@ -1,5 +1,6 @@
 """Tests for the triangular fiber machinery and branch continuation."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,16 @@ from explat.fiber import (
     _Tracker,
     branch_base,
     build_problem,
+    fiber_logs,
+    g_jacobian,
     group_distance,
     monodromy_profile,
     straight_path,
 )
-from explat.solver import _exp_residuals
+from explat.solver import _exp_residuals, _sample_domain
+from explat.specfile import parse_run
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 RNG = np.random.default_rng(20260816)
 
@@ -95,6 +101,60 @@ def test_mpoly_split_reconstructs():
     vals = {"z1": z, "w1": w}
     recon = sum(parts[e].eval(vals) * w**e for e in range(len(parts)))
     assert abs(recon - p.eval(vals)) < 1e-13
+
+
+def test_mpoly_diff_product_terms():
+    av = ("z1", "w1")
+    p = MPoly.from_dict(av, {(2, 1): 3.0, (1, 2): 1.0 + 1j, (0, 3): -2j, (0, 0): -4.0})
+    z, w = 0.3 + 0.9j, -1.1 + 0.2j
+    vals = {"z1": z, "w1": w}
+    assert abs(p.diff("z1").eval(vals) - (6.0 * z * w + (1.0 + 1j) * w**2)) < 1e-13
+    assert abs(p.diff("w1").eval(vals) - (3.0 * z**2 + 2.0 * (1.0 + 1j) * z * w - 6j * w**2)) < 1e-13
+    assert p.diff("w1").diff("w1").diff("w1").terms == (((0, 0), -12j),)
+    assert MPoly.from_dict(av, {(0, 2): 1.0}).diff("z1").terms == ()
+
+
+def test_g_jacobian_chains_through_stages():
+    # w1 = z1 + z2, then w2^2 = w1 * z2: G2 = (log w1 + log z2) / 2 reaches
+    # z1 only through the earlier stage's unknown w1
+    sig = GroupSignature(factors=(("torus", None), ("torus", None)))
+    av = sig.z_vars + sig.group_vars
+    eq1 = MPoly.from_dict(av, {term(av, w1=1): 1.0, term(av, z1=1): -1.0, term(av, z2=1): -1.0})
+    eq2 = MPoly.from_dict(av, {term(av, w2=2): 1.0, term(av, w1=1, z2=1): -1.0})
+    spec = build_problem(sig, [eq1, eq2])
+    Z = np.array([[3.0 + 1.0j, 2.0 - 0.5j], [-1.5 + 4.0j, 0.7 + 2.2j]])
+    _, vals, _, _ = _batched_fiber(spec, Z, ROOT_TOL)
+    J = g_jacobian(spec, np.repeat(Z, 2, axis=0), vals)
+    for r, (z1, z2) in enumerate(np.repeat(Z, 2, axis=0)):
+        w1 = z1 + z2
+        want = [[1.0 / w1, 1.0 / w1], [0.5 / w1, 0.5 / w1 + 0.5 / z2]]
+        assert np.max(np.abs(J[r] - want)) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["torus_identity", "sqrt_branch", "wp_example"])
+def test_g_jacobian_matches_central_differences(name):
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    spec = st.problem
+    Z = _sample_domain(st.domain, st.radius, 40, np.random.default_rng(7))
+    rowsZ, vals, _, _ = _batched_fiber(spec, Z, 1e-9)
+    G, ok = fiber_logs(spec, vals)
+    assert ok.all()
+    J = g_jacobian(spec, rowsZ, vals)
+    m, n = rowsZ.shape
+    tr = _Tracker(spec, rowsZ, vals, G, list(range(m)))
+    J_fd = np.zeros_like(J)
+    valid = np.ones(m, dtype=bool)
+    for k in range(n):
+        h = 1e-5 * (1.0 + np.abs(rowsZ[:, k]))
+        step = np.zeros((m, n), dtype=complex)
+        step[:, k] = h
+        okp, _, _, Gp = tr._trial(rowsZ + step, None)
+        okm, _, _, Gm = tr._trial(rowsZ - step, None)
+        valid &= okp & okm
+        J_fd[:, :, k] = (Gp - Gm) / (2.0 * h[:, None])
+    assert valid.sum() >= 0.9 * m
+    err = np.abs(J - J_fd)[valid]
+    assert np.all(err <= 1e-8 * (1.0 + np.abs(J[valid])))
 
 
 # ----------------------------------------------------------------------
@@ -327,6 +387,25 @@ def test_batched_tracker_matches_single_rows(curve_pair_spec):
         one = _carry_one(curve_pair_spec, s0, z1)
         assert max(abs(one.values[k] - sb.values[k]) for k in one.values) < 1e-10
         assert np.max(np.abs(one.g - sb.g)) < 1e-10
+
+
+def test_advance_trials_only_live_rows(identity_spec):
+    # a row that arrives on its first step is not trialled again while
+    # the other row is still on its way
+    s0 = branch_base(identity_spec, None, [10.0 + 1.0j])[0]
+    tr = _Tracker.from_states(identity_spec, [s0, s0])
+    target = np.array([[10.0 + 1.0j], [-30.0 + 40.0j]])
+    sizes = []
+    trial = tr._trial
+
+    def counted(Znext, domain, rows):
+        sizes.append(Znext.shape[0])
+        return trial(Znext, domain, rows)
+
+    tr._trial = counted
+    ok, _ = tr.advance(straight_path(tr.Z, target), np.max(np.abs(target - tr.Z), axis=1))
+    assert ok.all() and np.allclose(np.exp(tr.G), target, rtol=1e-12)
+    assert sizes[0] == 2 and len(sizes) > 1 and set(sizes[1:]) == {1}
 
 
 def test_continuation_detects_branch_point(sqrt_spec):
