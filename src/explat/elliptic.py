@@ -1,12 +1,15 @@
 """Elliptic-curve kernel: period lattices, Weierstrass functions, the
 batched logarithm of a curve in Weierstrass form, and the curve-point metric.
 
-wp evaluation scheme: reduce the argument to its minimal lattice
-representative, treat every lattice point within a fixed radius exactly
-(the poles the reduced argument can get close to), and absorb the rest of
-the defining series into an even power series whose coefficients come from
-the classical Laurent recursion.  That keeps the evaluation uniformly
-accurate over the cell without theta-function machinery.
+wp evaluation scheme: the trigonometric q-series (DLMF 23.8.1) over the
+Gauss-reduced basis (a, b).  With tau = b/a, Q = exp(2 pi i tau) and
+E2(tau) = 1 - 24 sum_{n >= 1} sigma_1(n) Q^n,
+
+    wp(z) = (pi/a)^2 [csc^2(pi z/a) - E2(tau)/3 + sum_{n != 0} csc^2(pi (z + n b)/a)],
+
+where the term n sums the row z + n b + Z a of the defining lattice sum in
+closed form.  Reduction makes |Q| <= exp(-pi sqrt(3)), so a handful of rows
+reaches double precision on every lattice, elongated ones included.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ import numpy as np
 
 POLE_REL_TOL = 1e-8        # dist(z, lattice) below this times |omega1| is a pole
 LOG_ACCEPT_TOL = 1e-10     # logarithm acceptance residual (relative)
-SERIES_TARGET = 1e-16      # wp tail series truncation target
 
 
 # ----------------------------------------------------------------------
@@ -66,12 +68,6 @@ class Lattice:
     def min_gap(self) -> float:
         """Length of the shortest nonzero lattice vector."""
         return abs(self._reduced[0])
-
-    @property
-    def covering_bound(self) -> float:
-        """Upper bound for the distance of any point to the lattice."""
-        a, b = self._reduced
-        return 0.5 * (abs(a) + abs(b))
 
     def coords(self, z):
         """Real basis coordinates (s, t) with z = s*omega1 + t*omega2."""
@@ -244,34 +240,20 @@ def curve_distance(px, py, qx, qy, p_identity=None):
 
 
 class _WpTables:
-    """Precomputed data for wp/wp' evaluation and logarithm seeding."""
+    """Per-curve data for the q-series of wp/wp' and the logarithm seed grid."""
 
     def __init__(self, curve: EllipticCurveParams):
-        lat = curve.lattice
-        a, b = lat.reduced_basis()
-        gap = abs(a)
-        cov = lat.covering_bound
-        r_near = max(6.0 * gap, 3.0 * cov + gap)
-        # enumerate nonzero lattice points with |w| <= r_near
-        det = abs(a.real * b.imag - a.imag * b.real)
-        mmax = int(math.ceil(r_near * abs(b) / det)) + 1
-        nmax = int(math.ceil(r_near * abs(a) / det)) + 1
-        ms, ns = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1))
-        pts = ms.ravel() * a + ns.ravel() * b
-        keep = (np.abs(pts) <= r_near) & (np.abs(pts) > 0)
-        self.near = pts[keep]
-        self.const = complex(np.sum(1.0 / self.near ** 2))
-        ratio = 1.05 * cov / r_near
-        jmax = max(6, min(80, int(math.ceil(math.log(SERIES_TARGET) / (2.0 * math.log(ratio)))) + 2))
-        c = _laurent_coeffs(curve.g2, curve.g3, jmax)
-        inv2 = 1.0 / self.near ** 2
-        power = inv2.copy()
-        tail = np.zeros(jmax + 1, dtype=complex)
-        for j in range(1, jmax + 1):
-            power = power * inv2
-            tail[j] = c[j] - (2 * j + 1) * np.sum(power)
-        self.tail = tail  # tail[j] multiplies z^(2j)
-        self.gap = gap
+        a, b = curve.lattice.reduced_basis()
+        q = cmath.exp(2j * math.pi * b / a)
+        # on the reduced cell a row n != 0 adds at most about 4|Q|^(|n| - 1/2)
+        # relative to (pi/a)^2; keep the rows down to 1e-17
+        rows = max(1, math.ceil(math.log(0.25e-17) / math.log(abs(q)) - 0.5))
+        n = np.arange(1, rows + 1)
+        self.q_powers = np.r_[q ** -n[::-1], q ** n]  # Q^n, n = -rows..-1, 1..rows
+        self.cell = Lattice(a, b)
+        self.k = math.pi / a
+        self.e2_third = (1.0 - 24.0 * _lambert_sigma(q, 1)) / 3.0
+        self.gap = abs(a)
         self.curve = curve
         self._grid = None
 
@@ -287,45 +269,27 @@ class _WpTables:
         return self._grid
 
 
-def _laurent_coeffs(g2: complex, g3: complex, jmax: int) -> np.ndarray:
-    """Coefficients c_j of wp(z) = z^-2 + sum c_j z^(2j), classical recursion."""
-    c = np.zeros(jmax + 1, dtype=complex)
-    if jmax >= 1:
-        c[1] = g2 / 20.0
-    if jmax >= 2:
-        c[2] = g3 / 28.0
-    for k in range(3, jmax + 1):
-        acc = 0j
-        for m in range(1, k - 1):
-            acc += c[m] * c[k - 1 - m]
-        c[k] = 3.0 * acc / ((2 * k + 3) * (k - 2))
-    return c
-
-
 def wp_both(z, curve: EllipticCurveParams):
     """Vectorized wp and wp' with a pole mask; no pole error is raised here.
 
     Returns (wp, wp', pole_mask) over the flattened input; callers
-    that promise pole-free input can ignore the mask.
+    that promise pole-free input can ignore the mask.  With theta = k z,
+    k = pi/a, the q-series row n = 0 is csc^2(theta); a row n != 0 is
+    f(x) = -4x/(1-x)^2 at x = exp(2i theta) Q^n and adds 2ik g(x),
+    g(x) = -4x(1+x)/(1-x)^3, to wp'.
     """
     tab = curve.tables()
-    lat = curve.lattice
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zr = z - lat.nearest_point(z)
+    zr, _ = reduce_mod_lattice(z, tab.cell)
     pole = np.abs(zr) < curve.pole_tol
     zs = np.where(pole, 0.5 * tab.gap, zr)  # safe placeholder at poles
-    w = zs[:, None] - tab.near[None, :]
-    inv2 = 1.0 / (w * w)
-    val = np.sum(inv2, axis=1) - tab.const + 1.0 / (zs * zs)
-    dval = -2.0 * np.sum(inv2 / w, axis=1) - 2.0 / (zs ** 3)
-    u = zs * zs
-    acc = np.zeros_like(zs)
-    dacc = np.zeros_like(zs)
-    for j in range(len(tab.tail) - 1, 0, -1):
-        acc = acc * u + tab.tail[j]
-        dacc = dacc * u + j * tab.tail[j]
-    val = val + acc * u
-    dval = dval + 2.0 * zs * dacc
+    theta = tab.k * zs
+    sin, cos = np.sin(theta), np.cos(theta)
+    x = np.exp(2j * theta)[:, None] * tab.q_powers
+    d = 1.0 - x
+    f = x / (d * d)
+    val = tab.k ** 2 * (1.0 / (sin * sin) - tab.e2_third - 4.0 * f.sum(axis=1))
+    dval = tab.k ** 3 * (-2.0 * cos / (sin * sin * sin) - 8j * (f * (1.0 + x) / d).sum(axis=1))
     return val, dval, pole
 
 

@@ -610,33 +610,28 @@ def _asymptotic_report(spec: ProblemSpec, domain: SectorDomain, records) -> dict
     GAMMA_POINTS largest records of each branch; the decay prediction is
     gamma for elliptic coordinates and G(lambda) for torus coordinates.
     """
-    kinds = [kind for kind, _ in spec.signature.factors]
-    by_branch: dict = {}
-    for rec in records:
-        by_branch.setdefault(rec.branch_id, []).append(rec)
+    kinds = np.array([kind for kind, _ in spec.signature.factors])
+    lam = np.array([r.lam for r in records])
+    offset = np.array([r.s for r in records]) - lam
+    size = np.max(np.abs(lam), axis=1)
+    bids, branch = np.unique([r.branch_id for r in records], return_inverse=True)
 
     gamma: dict = {}
-    for bid, recs in sorted(by_branch.items()):
-        recs = sorted(recs, key=lambda r: float(np.max(np.abs(r.lam))))
-        top = recs[-GAMMA_POINTS:]
-        gamma[bid] = np.mean([r.s - r.lam for r in top], axis=0)
+    for j, bid in enumerate(bids.tolist()):
+        rows = np.flatnonzero(branch == j)
+        top = rows[np.argsort(size[rows], kind="stable")[-GAMMA_POINTS:]]
+        gamma[bid] = np.mean(offset[top], axis=0)
 
     log_c = None
-    if "torus" in kinds:
-        tor = [i for i, k in enumerate(kinds) if k == "torus"]
-        best = 0.0
-        for rec in records:
-            size = max(1.0, math.log(float(np.max(np.abs(rec.lam)))))
-            best = max(best, max(abs(rec.s[i] - rec.lam[i]) for i in tor) / size)
-        log_c = best
+    tor = kinds == "torus"
+    if tor.any():
+        # hypot rounds as abs() of a complex does; np.abs does not
+        growth = np.max(np.hypot(offset.real[:, tor], offset.imag[:, tor]), axis=1)
+        log_c = max(0.0, float(np.max(growth / np.maximum(1.0, [math.log(v) for v in size.tolist()]))))
 
-    decay = []
-    for rec in records:
-        pred = np.array(
-            [gamma[rec.branch_id][i] if kinds[i] == "elliptic" else rec.g_lambda[i] for i in range(spec.n)]
-        )
-        dev = float(np.max(np.abs(rec.s - rec.lam - pred)))
-        decay.append((float(np.max(np.abs(rec.lam))), dev))
+    gammas = np.array(list(gamma.values()))
+    pred = np.where(kinds == "elliptic", gammas[branch], np.array([r.g_lambda for r in records]))
+    decay = list(zip(size.tolist(), np.max(np.abs(offset - pred), axis=1).tolist()))
     return {"gamma": gamma, "log_growth_constant": log_c, "decay": decay}
 
 

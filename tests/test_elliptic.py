@@ -264,6 +264,100 @@ def test_wp_two_torsion_value(curves):
     assert abs(e1 - math.gamma(0.25) ** 4 / (8.0 * math.pi)) < 1e-9
 
 
+# elongated lattices: the cell's covering radius exceeds the shortest period
+ELONGATED = {
+    "tau=0.3+3i": Lattice(1.0, 0.3 + 3j),
+    "tau=0.1+5i": Lattice(1.0, 0.1 + 5j),
+    "(2-i, 1+6i)": Lattice(2 - 1j, 1 + 6j),  # reduces to tau = 0.2+2.6i
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELONGATED))
+def test_wp_on_elongated_lattices(name):
+    # a Laurent tail about 0 cancels catastrophically on these cells: with
+    # the former lattice-sum kernel the ODE residual read 1e-8 at
+    # tau = 0.3+3i and 1e+2 to 1e+3 at tau = 0.1+5i, where the logarithm
+    # failed on about a quarter of the rows
+    curve = EllipticCurveParams.from_lattice(ELONGATED[name])
+    lat = curve.lattice
+    z = _cell_points(lat, 300)
+    val, dval, pole = wp_both(z, curve)
+    assert not pole.any()
+    res = dval ** 2 - (4.0 * val ** 3 - curve.g2 * val - curve.g3)
+    assert np.max(np.abs(res) / (1.0 + np.abs(val) ** 3)) < 1e-9
+    for period in (lat.omega1, lat.omega2, 3 * lat.omega1 - 2 * lat.omega2):
+        v1, d1, _ = wp_both(z + period, curve)
+        assert np.max(np.abs(v1 - val) / (1.0 + np.abs(val))) < 1e-10
+        assert np.max(np.abs(d1 - dval) / (1.0 + np.abs(dval))) < 1e-10
+    vm, dm, _ = wp_both(-z, curve)
+    assert np.max(np.abs(vm - val) / (1.0 + np.abs(val))) < 1e-11
+    assert np.max(np.abs(dm + dval) / (1.0 + np.abs(dval))) < 1e-11
+    back, ok = log_E_batch(curve, val, dval)
+    assert ok.all()
+    zc = reduce_mod_lattice(z, lat)[0]
+    assert np.max(np.abs(back - zc)) < 1e-9 * abs(lat.omega1)
+
+
+def _lattice_sum_wp(z, curve):
+    """The former wp kernel, kept as an oracle: the nonzero lattice points
+    within r = max(6 gap, 3 cov + gap) summed exactly, the rest of the
+    defining series as an even power series from the Laurent recursion,
+    the argument reduced to its nearest lattice point.  Accurate where the
+    cell's covering radius cov stays below the shortest period gap."""
+    lat = curve.lattice
+    a, b = lat.reduced_basis()
+    gap, cov = abs(a), 0.5 * (abs(a) + abs(b))
+    r_near = max(6.0 * gap, 3.0 * cov + gap)
+    det = abs(a.real * b.imag - a.imag * b.real)
+    mmax = int(math.ceil(r_near * abs(b) / det)) + 1
+    nmax = int(math.ceil(r_near * abs(a) / det)) + 1
+    ms, ns = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1))
+    pts = ms.ravel() * a + ns.ravel() * b
+    near = pts[(np.abs(pts) <= r_near) & (np.abs(pts) > 0)]
+    ratio = 1.05 * cov / r_near
+    jmax = max(6, min(80, int(math.ceil(math.log(1e-16) / (2.0 * math.log(ratio)))) + 2))
+    c = np.zeros(jmax + 1, dtype=complex)  # wp = z^-2 + sum c_j z^(2j)
+    c[1], c[2] = curve.g2 / 20.0, curve.g3 / 28.0
+    for k in range(3, jmax + 1):
+        c[k] = 3.0 * sum(c[m] * c[k - 1 - m] for m in range(1, k - 1)) / ((2 * k + 3) * (k - 2))
+    tail = np.array([0j] + [c[j] - (2 * j + 1) * np.sum(near ** (-2 * j - 2)) for j in range(1, jmax + 1)])
+
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    zr = z - lat.nearest_point(z)
+    pole = np.abs(zr) < curve.pole_tol
+    zs = np.where(pole, 0.5 * gap, zr)
+    w = zs[:, None] - near[None, :]
+    inv2 = 1.0 / (w * w)
+    val = np.sum(inv2, axis=1) - np.sum(1.0 / near ** 2) + 1.0 / (zs * zs)
+    dval = -2.0 * np.sum(inv2 / w, axis=1) - 2.0 / zs ** 3
+    u = zs * zs
+    acc, dacc = np.zeros_like(zs), np.zeros_like(zs)
+    for j in range(jmax, 0, -1):
+        acc = acc * u + tail[j]
+        dacc = dacc * u + j * tail[j]
+    return val + acc * u, dval + 2.0 * zs * dacc, pole
+
+
+def test_wp_matches_lattice_sum_oracle(curves):
+    # errors relative to 1 + |wp|, as above: wp and wp' have zeros in the cell
+    for curve in curves.values():
+        lat = curve.lattice
+        cell = _cell_points(lat, 300)
+        z = np.r_[cell, 1e-3 * np.exp(2j * np.pi * RNG.random(20)), cell[:50] + lat.from_coords(7, -5)]
+        val, dval, pole = wp_both(z, curve)
+        oval, odval, opole = _lattice_sum_wp(z, curve)
+        assert not pole.any() and not opole.any()
+        assert np.max(np.abs(val - oval) / (1.0 + np.abs(oval))) < 1e-13
+        assert np.max(np.abs(dval - odval) / (1.0 + np.abs(odval))) < 1e-13
+
+        points = lat.from_coords(np.array([0, 1, -2, 3]), np.array([0, 2, 1, -4]))
+        turn = np.exp(2j * np.pi * RNG.random(points.size))
+        z = np.r_[points, points + 0.5 * curve.pole_tol * turn, points + 2.0 * curve.pole_tol * turn]
+        _, _, pole = wp_both(z, curve)
+        _, _, opole = _lattice_sum_wp(z, curve)
+        assert pole.tolist() == opole.tolist() == [True] * 8 + [False] * 4
+
+
 def test_degenerate_curve_rejected():
     # g2^3 = 27 g3^2 is a cusp/node, not an elliptic curve
     with pytest.raises(ValueError):

@@ -14,9 +14,12 @@ from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _ba
 from explat.solver import (
     CHUNK_LAMBDAS,
     ContractionGateFailed,
+    GAMMA_POINTS,
     LatticeProduct,
     MarginModel,
+    SolutionRecord,
     ZeroOnBoundary,
+    _asymptotic_report,
     _base_point,
     count_zeros_window,
     enumerate_lattice,
@@ -421,6 +424,48 @@ def test_mini_sweep_residuals():
     _, res = wp_mini()
     assert max(rec.residual for rec in res.records) < 1e-10
     assert max(rec.f_residual for rec in res.records) < 1e-10
+
+
+def _asymptotics_per_record(kinds, records):
+    """The asymptotic tables one record at a time, in Python arithmetic."""
+    by_branch: dict = {}
+    for rec in records:
+        by_branch.setdefault(rec.branch_id, []).append(rec)
+    size = lambda r: float(np.max(np.abs(r.lam)))
+    gamma = {
+        bid: np.mean([r.s - r.lam for r in sorted(recs, key=size)[-GAMMA_POINTS:]], axis=0)
+        for bid, recs in sorted(by_branch.items())
+    }
+    tor = [i for i, k in enumerate(kinds) if k == "torus"]
+    log_c = None
+    if tor:
+        log_c = max(0.0, max(max(abs(r.s[i] - r.lam[i]) for i in tor) / max(1.0, math.log(size(r))) for r in records))
+    decay = []
+    for r in records:
+        pred = np.array([gamma[r.branch_id][i] if k == "elliptic" else r.g_lambda[i] for i, k in enumerate(kinds)])
+        decay.append((size(r), float(np.max(np.abs(r.s - r.lam - pred)))))
+    return gamma, log_c, decay
+
+
+@pytest.mark.parametrize("kinds", [("torus",), ("elliptic", "elliptic"), ("torus", "elliptic", "torus")])
+def test_asymptotic_report_matches_per_record_arithmetic(kinds):
+    # the report carries these tables, so the whole-array evaluation must
+    # round as the per-record one, bit for bit; records repeat lambda
+    # (size ties) and mix branches
+    rng = np.random.default_rng(11)
+    n, records = len(kinds), []
+    for j in range(600):
+        lam = records[j - 5].lam if j % 5 == 4 else (rng.integers(-40, 40, n) + 1j * rng.integers(-40, 40, n)) * 1.3
+        s = lam + (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-8, 1, n)
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        records.append(SolutionRecord(lam, s, int(rng.integers(0, 7)), 0.0, 0.0, 3, g))
+    spec = SimpleNamespace(signature=SimpleNamespace(factors=tuple((k, None) for k in kinds)))
+    got = _asymptotic_report(spec, None, records)
+    gamma, log_c, decay = _asymptotics_per_record(kinds, records)
+    assert list(got["gamma"]) == list(gamma)
+    assert all(got["gamma"][b].tobytes() == gamma[b].tobytes() for b in gamma)
+    assert got["log_growth_constant"] == log_c
+    assert got["decay"] == decay
 
 
 # ----------------------------------------------------------------------
