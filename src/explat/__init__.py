@@ -22,8 +22,6 @@ from .fiber import (
 )
 from .solver import (
     ContractionGateFailed,
-    LatticeProduct,
-    MarginModel,
     SolutionRecord,
     SweepResult,
     ZeroOnBoundary,
@@ -44,9 +42,7 @@ __all__ = [
     "DegenerateFiber",
     "EllipticCurveParams",
     "Lattice",
-    "LatticeProduct",
     "LeftDomain",
-    "MarginModel",
     "NonConvergence",
     "NonTriangularSystem",
     "ParseError",

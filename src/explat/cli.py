@@ -56,24 +56,35 @@ def _load_run(path: str):
     return setup, report_mod.spec_digest(data)
 
 
-def _radius_arg(text: str):
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError("radius is written MIN:MAX")
+def _finite_arg(text: str) -> float:
     try:
-        return float(lo), float(hi)
+        v = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad radius {text!r}") from None
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
+def _positive_arg(text: str) -> float:
+    v = _finite_arg(text)
+    if not v > 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return v
+
+
+def _radius_arg(text: str):
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError("radius is written MIN:MAX")
+    return tuple(_finite_arg(p) for p in parts)
 
 
 def _box_arg(text: str):
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("box is written RE0:RE1:IM0:IM1")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad box {text!r}") from None
+    return tuple(_finite_arg(p) for p in parts)
 
 
 def _echo_invariants(sig):
@@ -319,10 +330,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="enumerate lattice points and solve exp_S(z) = alpha(z)")
     p.add_argument("--spec", required=True)
     p.add_argument("--radius", type=_radius_arg, default=None, help="override MIN:MAX")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--theta", type=_finite_arg, default=None)
+    p.add_argument("--eta", type=_finite_arg, default=None)
+    p.add_argument("--epsilon", type=_positive_arg, default=None)
+    p.add_argument("--tol", type=_positive_arg, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--jobs", type=int, default=1)

@@ -153,10 +153,6 @@ class GroupSignature:
         kind, curve = self.factors[k]
         return 2.0 * math.pi if kind == "torus" else curve.lattice.min_gap
 
-    @property
-    def min_gap(self) -> float:
-        return min(self.gap(k) for k in range(self.n))
-
 
 def group_distance(sig: GroupSignature, a: dict, b: dict):
     """Rowwise max over factors of the per-factor scaled distance between

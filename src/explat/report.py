@@ -138,23 +138,3 @@ def emit_csv(payload: dict) -> str:
         w.writerow(row)
     return buf.getvalue()
 
-
-def csv_records(text: str) -> list:
-    """CSV text -> record dicts shaped like the JSON ones."""
-    rows = list(csv.reader(io.StringIO(text)))
-    header, body = rows[0], rows[1:]
-    n = sum(1 for h in header if h.startswith("lambda")) // 2
-    out = []
-    for row in body:
-        vals = [float(v) for v in row[: 4 * n]]
-        out.append(
-            {
-                "lambda": vals[: 2 * n],
-                "s": vals[2 * n :],
-                "branch_id": int(row[4 * n]),
-                "residual": float(row[4 * n + 1]),
-                "f_residual": float(row[4 * n + 2]),
-                "iterations": int(row[4 * n + 3]),
-            }
-        )
-    return out

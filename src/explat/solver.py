@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,78 +54,49 @@ class ContractionGateFailed(RuntimeError):
 # period lattice of exp_S
 
 
-@dataclass(frozen=True)
-class LatticeProduct:
-    """Per-coordinate period lattices: 2*pi*i*Z for torus, Lambda_k elliptic."""
+def _disc_points(sig, k: int, center: complex, radius: float) -> np.ndarray:
+    """Period-lattice points of factor k with |p - center| < radius (0 included).
 
-    factors: tuple  # ("torus", None) | ("elliptic", Lattice)
-
-    @classmethod
-    def from_signature(cls, sig) -> "LatticeProduct":
-        out = []
-        for kind, curve in sig.factors:
-            out.append(("torus", None) if kind == "torus" else ("elliptic", curve.lattice))
-        return cls(factors=tuple(out))
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    def annulus_points(self, k: int, rmin: float, rmax: float) -> np.ndarray:
-        """Nonzero lattice points of factor k with rmin < |p| <= rmax."""
-        kind, lat = self.factors[k]
-        if kind == "torus":
-            hi = math.floor(rmax / (2.0 * math.pi))
-            ks = [j for j in range(-hi, hi + 1) if j != 0 and rmin < 2.0 * math.pi * abs(j)]
-            return 2j * math.pi * np.array(sorted(ks), dtype=float)
-        a, b = lat.reduced_basis()
-        det = abs(lat._det)
-        mmax = int(math.ceil(rmax * abs(b) / det)) + 1
-        nmax = int(math.ceil(rmax * abs(a) / det)) + 1
-        ms, ns = np.meshgrid(np.arange(-mmax, mmax + 1), np.arange(-nmax, nmax + 1))
-        pts = ms.ravel() * a + ns.ravel() * b
-        r = np.abs(pts)
-        return pts[(r > rmin) & (r <= rmax)]
-
-    def disc_points(self, k: int, center: complex, radius: float) -> np.ndarray:
-        """Lattice points of factor k with |p - center| < radius (0 included)."""
-        kind, lat = self.factors[k]
-        if kind == "torus":
-            if abs(center.real) >= radius:
-                return np.empty(0, complex)
-            half = math.sqrt(radius * radius - center.real * center.real)
-            lo = int(math.ceil((center.imag - half) / (2.0 * math.pi)))
-            hi = int(math.floor((center.imag + half) / (2.0 * math.pi)))
-            pts = 2j * math.pi * np.arange(lo, hi + 1)
-            return pts[np.abs(pts - center) < radius]
-        a, b = lat.reduced_basis()
-        det = a.real * b.imag - a.imag * b.real
-        cm = (b.imag * center.real - b.real * center.imag) / det
-        cn = (-a.imag * center.real + a.real * center.imag) / det
-        mpad = int(math.ceil(radius * abs(b) / abs(det))) + 1
-        npad = int(math.ceil(radius * abs(a) / abs(det))) + 1
-        ms, ns = np.meshgrid(
-            np.arange(math.floor(cm) - mpad, math.floor(cm) + mpad + 1),
-            np.arange(math.floor(cn) - npad, math.floor(cn) + npad + 1),
-        )
-        pts = ms.ravel() * a + ns.ravel() * b
+    The period lattice is 2*pi*i*Z on a torus factor and the curve's lattice
+    on an elliptic one.
+    """
+    kind, curve = sig.factors[k]
+    if kind == "torus":
+        if abs(center.real) >= radius:
+            return np.empty(0, complex)
+        half = math.sqrt(radius * radius - center.real * center.real)
+        lo = int(math.ceil((center.imag - half) / (2.0 * math.pi)))
+        hi = int(math.floor((center.imag + half) / (2.0 * math.pi)))
+        pts = 2j * math.pi * np.arange(lo, hi + 1)
         return pts[np.abs(pts - center) < radius]
+    a, b = curve.lattice.reduced_basis()
+    det = a.real * b.imag - a.imag * b.real
+    cm = (b.imag * center.real - b.real * center.imag) / det
+    cn = (-a.imag * center.real + a.real * center.imag) / det
+    mpad = int(math.ceil(radius * abs(b) / abs(det))) + 1
+    npad = int(math.ceil(radius * abs(a) / abs(det))) + 1
+    ms, ns = np.meshgrid(
+        np.arange(math.floor(cm) - mpad, math.floor(cm) + mpad + 1),
+        np.arange(math.floor(cn) - npad, math.floor(cn) + npad + 1),
+    )
+    pts = ms.ravel() * a + ns.ravel() * b
+    return pts[np.abs(pts - center) < radius]
 
 
-def enumerate_lattice(lattice: LatticeProduct, domain: SectorDomain, radius_range) -> np.ndarray:
-    """All product-lattice points in the domain with rmin < |lambda_l| <= rmax.
+def enumerate_lattice(sig, domain: SectorDomain, radius_range) -> np.ndarray:
+    """All period-lattice points of the signature in the domain with rmin < |lambda_l| <= rmax.
 
-    Deterministic order: ascending |lambda_l|, then lexicographic on
-    (re, im) of each coordinate.
+    The chart coordinate lambda_l runs over the annulus of its factor's
+    lattice; each other coordinate i over the disc |lambda_i - c_i lambda_l|
+    < epsilon |lambda_l|.  Deterministic order: ascending |lambda_l|, then
+    lexicographic on (re, im) of each coordinate.
     """
     rmin, rmax = float(radius_range[0]), float(radius_range[1])
-    n = lattice.n
+    n = sig.n
     ell = domain.chart
-    charts = lattice.annulus_points(ell, rmin, rmax)
-    if charts.size == 0:
-        return np.empty((0, n), dtype=complex)
-    a = domain.window_arg(charts)
-    charts = charts[(a > domain.theta) & (a < domain.eta) & (np.abs(charts) > 1.0 / domain.epsilon)]
+    charts = _disc_points(sig, ell, 0, rmax + sig.gap(ell))
+    r, a = np.abs(charts), domain.window_arg(charts)
+    charts = charts[(r > rmin) & (r <= rmax) & (r > 1.0 / domain.epsilon) & (a > domain.theta) & (a < domain.eta)]
     blocks = []
     for zl in charts:
         cols = []
@@ -133,7 +104,7 @@ def enumerate_lattice(lattice: LatticeProduct, domain: SectorDomain, radius_rang
             if i == ell:
                 cols.append(np.array([zl], dtype=complex))
             else:
-                cols.append(lattice.disc_points(i, domain.c[i] * zl, domain.epsilon * abs(zl)))
+                cols.append(_disc_points(sig, i, domain.c[i] * zl, domain.epsilon * abs(zl)))
         if any(c.size == 0 for c in cols):
             continue
         grids = np.meshgrid(*cols, indexing="ij")
@@ -156,14 +127,47 @@ def enumerate_lattice(lattice: LatticeProduct, domain: SectorDomain, radius_rang
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Sampled bound for ||dG||_inf plus harvested G-size statistics."""
+    """Sampled bound for ||dG||_inf, and the margin model built from G's size.
+
+    The margin model bounds |G| per coordinate to keep iterates inside the
+    domain.  Elliptic coordinates get a constant bound (G is bounded); torus
+    coordinates get the measured log-growth shape rho*max(1, log|lambda_i|)
+    plus the measured imaginary-part bound, so small lattice points are not
+    penalized by the growth at the far end of the annulus.
+    """
 
     norm: float
+    kinds: tuple             # per coordinate: "torus" or "elliptic"
     g_abs_max: np.ndarray    # per coordinate: max |g_i|
     g_re_ratio: np.ndarray   # per coordinate: max |Re g_i| / max(1, log|z_i|)
     g_im_max: np.ndarray     # per coordinate: max |Im g_i|
     samples: int
-    radius_range: tuple
+
+    def bound(self, i: int, lam_i: complex) -> float:
+        if self.kinds[i] == "elliptic":
+            return float(self.g_abs_max[i])
+        r = abs(lam_i)
+        return float(self.g_re_ratio[i] * max(1.0, math.log(r) if r > 1.0 else 1.0) + self.g_im_max[i])
+
+    def admits(self, lam, domain: SectorDomain):
+        """(True, None) if lam sits deeper than the G bound from every wall."""
+        ell = domain.chart
+        zl = complex(lam[ell])
+        bl = self.bound(ell, zl)
+        if abs(zl) - bl <= 1.0 / domain.epsilon:
+            return False, "radial-margin"
+        a = float(domain.window_arg(zl))
+        for edge in (a - domain.theta, domain.eta - a):
+            if edge <= 0.5 * math.pi and abs(zl) * math.sin(max(edge, 0.0)) <= bl:
+                return False, "arg-margin"
+        for i in range(len(lam)):
+            if i == ell:
+                continue
+            bi = self.bound(i, complex(lam[i]))
+            mi = (bi + (abs(domain.c[i]) + domain.epsilon) * bl) / (abs(zl) - bl)
+            if abs(complex(lam[i]) / zl - domain.c[i]) >= domain.epsilon - mi:
+                return False, "ratio-margin"
+        return True, None
 
 
 def _sample_domain(domain: SectorDomain, radius_range, count: int, rng) -> np.ndarray:
@@ -191,8 +195,9 @@ def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range,
 
     Samples cover all branches of the fiber (rows = samples x degree), and
     the norm is the largest row sum of |dG| (g_jacobian) over them; the same
-    pass harvests the G-size statistics the margin model needs.  Rows whose
-    logarithm failed or whose dG is not finite are left out.
+    pass harvests the G-size statistics behind the report's margin model
+    (bound, admits).  Rows whose logarithm failed or whose dG is not finite
+    are left out.
     """
     rng = np.random.default_rng(seed)
     Z = _sample_domain(domain, radius_range, samples, rng)
@@ -209,67 +214,12 @@ def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range,
     logz = np.maximum(1.0, np.log(np.maximum(np.abs(rowsZ), 1e-300)))
     return ContractionReport(
         norm=norm,
+        kinds=tuple(kind for kind, _ in spec.signature.factors),
         g_abs_max=np.abs(G).max(axis=0),
         g_re_ratio=(np.abs(G.real) / logz).max(axis=0),
         g_im_max=np.abs(G.imag).max(axis=0),
         samples=int(valid.sum()),
-        radius_range=(float(radius_range[0]), float(radius_range[1])),
     )
-
-
-# ----------------------------------------------------------------------
-# boundary-strip margins
-
-
-@dataclass(frozen=True)
-class MarginModel:
-    """Per-coordinate bounds on |G| used to keep iterates inside the domain.
-
-    Elliptic coordinates get a constant bound (G is bounded); torus
-    coordinates get the measured log-growth shape rho*max(1, log|lambda_i|)
-    plus the measured imaginary-part bound, so small lattice points are not
-    penalized by the growth at the far end of the annulus.
-    """
-
-    kinds: tuple
-    abs_max: np.ndarray
-    re_ratio: np.ndarray
-    im_max: np.ndarray
-
-    @classmethod
-    def from_contraction(cls, sig, report: ContractionReport) -> "MarginModel":
-        return cls(
-            kinds=tuple(kind for kind, _ in sig.factors),
-            abs_max=np.array(report.g_abs_max, dtype=float),
-            re_ratio=np.array(report.g_re_ratio, dtype=float),
-            im_max=np.array(report.g_im_max, dtype=float),
-        )
-
-    def bound(self, i: int, lam_i: complex) -> float:
-        if self.kinds[i] == "elliptic":
-            return float(self.abs_max[i])
-        r = abs(lam_i)
-        return float(self.re_ratio[i] * max(1.0, math.log(r) if r > 1.0 else 1.0) + self.im_max[i])
-
-    def admits(self, lam, domain: SectorDomain):
-        """(True, None) if lam sits deeper than the G bound from every wall."""
-        ell = domain.chart
-        zl = complex(lam[ell])
-        bl = self.bound(ell, zl)
-        if abs(zl) - bl <= 1.0 / domain.epsilon:
-            return False, "radial-margin"
-        a = float(domain.window_arg(zl))
-        for edge in (a - domain.theta, domain.eta - a):
-            if edge <= 0.5 * math.pi and abs(zl) * math.sin(max(edge, 0.0)) <= bl:
-                return False, "arg-margin"
-        for i in range(len(lam)):
-            if i == ell:
-                continue
-            bi = self.bound(i, complex(lam[i]))
-            mi = (bi + (abs(domain.c[i]) + domain.epsilon) * bl) / (abs(zl) - bl)
-            if abs(complex(lam[i]) / zl - domain.c[i]) >= domain.epsilon - mi:
-                return False, "ratio-margin"
-        return True, None
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +237,6 @@ class SolutionRecord:
     f_residual: float
     iterations: int
     g_lambda: np.ndarray  # G at z = lambda, kept for asymptotic tables
-    gamma_estimate: np.ndarray | None = None  # per-branch limit, abelian coords
 
 
 def _base_point(domain: SectorDomain) -> np.ndarray:
@@ -329,18 +278,10 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts)
     a chart coordinate share its leg-1 rows.
     """
     charts = np.unique(np.asarray(charts, dtype=complex))
-    d = len(base_states)
-    m = charts.size * d
     cvec = np.array(domain.c, dtype=complex)
+    tr = _Tracker.from_states(spec, list(base_states) * charts.size)
 
-    Z0 = np.repeat(base_states[0].z[None, :], m, axis=0)
-    names = [st.unknown for st in spec.stages]
-    vals = {nm: np.tile(np.array([s.values[nm] for s in base_states]), charts.size) for nm in names}
-    G0 = np.tile(np.stack([s.g for s in base_states]), (charts.size, 1))
-    ids = list(np.tile(np.array([s.branch_id for s in base_states]), charts.size))
-    tr = _Tracker(spec, Z0, vals, G0, ids)
-
-    lam_l = np.repeat(charts, d)
+    lam_l = np.repeat(charts, len(base_states))
     base_r = BASE_RADIUS_FACTOR / domain.epsilon
     mid = 0.5 * (domain.theta + domain.eta)
     L0 = complex(math.log(base_r), mid)
@@ -505,26 +446,13 @@ class SweepResult:
     records: list
     skipped: list          # (lambda, branch_id or None, reason)
     contraction: ContractionReport
-    margins: MarginModel
     degree: int
     enumerated: int
     asymptotics: dict
 
 
-def _record_sort_key(domain: SectorDomain):
-    ell = domain.chart
-
-    def key(rec: SolutionRecord):
-        parts = [abs(rec.lam[ell])]
-        for v in rec.lam:
-            parts.extend((v.real, v.imag))
-        parts.append(rec.branch_id)
-        return tuple(parts)
-
-    return key
-
-
-def _skip_sort_key(lam, bid, chart):
+def _sort_key(lam, bid, chart):
+    """Canonical order: |lambda_l|, (re, im) of each coordinate, branch (None first)."""
     parts = [abs(lam[chart])]
     for v in lam:
         parts.extend((v.real, v.imag))
@@ -536,10 +464,10 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
           max_iter: int = 60, jobs: int = 1, contraction_samples: int = 200,
           contraction_seed: int = 0) -> SweepResult:
     """Enumerate, gate, and solve; returns records in canonical order."""
-    lams = enumerate_lattice(LatticeProduct.from_signature(spec.signature), domain, radius_range)
+    lams = enumerate_lattice(spec.signature, domain, radius_range)
     if lams.shape[0] == 0:
         return SweepResult(
-            records=[], skipped=[], contraction=None, margins=None,
+            records=[], skipped=[], contraction=None,
             degree=spec.degree, enumerated=0, asymptotics={},
         )
     report = measure_contraction(spec, domain, radius_range, contraction_samples, contraction_seed)
@@ -547,11 +475,10 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
         raise ContractionGateFailed(
             f"measured ||dG|| = {report.norm:.6g} >= {GATE_LIMIT}; shrink epsilon or move outward"
         )
-    margins = MarginModel.from_contraction(spec.signature, report)
 
     kept, skipped = [], []
     for lam in lams:
-        ok, why = margins.admits(lam, domain)
+        ok, why = report.admits(lam, domain)
         if ok:
             kept.append(lam)
         else:
@@ -583,20 +510,13 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
             records.extend(recs)
             skipped.extend(skips)
 
-    records.sort(key=_record_sort_key(domain))
-    skipped.sort(key=lambda t: _skip_sort_key(t[0], t[1], domain.chart))
+    records.sort(key=lambda r: _sort_key(r.lam, r.branch_id, domain.chart))
+    skipped.sort(key=lambda t: _sort_key(t[0], t[1], domain.chart))
     asym = _asymptotic_report(spec, domain, records) if records else {}
-    if asym:
-        ab = [i for i, (kind, _) in enumerate(spec.signature.factors) if kind == "elliptic"]
-        if ab:
-            records = [
-                replace(r, gamma_estimate=asym["gamma"][r.branch_id][ab]) for r in records
-            ]
     return SweepResult(
         records=records,
         skipped=skipped,
         contraction=report,
-        margins=margins,
         degree=spec.degree,
         enumerated=int(lams.shape[0]),
         asymptotics=asym,

@@ -62,14 +62,17 @@ class RunSetup:
 
 
 def parse_complex(tok: str, line: int) -> complex:
-    """`a+bi` literal (also bare reals and bare imaginaries)."""
+    """Finite `a+bi` literal (also bare reals and bare imaginaries)."""
     s = tok.strip()
     if not s or not re.match(_COMPLEX_RE, s) or "inf" in s.lower() or "nan" in s.lower():
         raise ParseError(f"bad complex literal {tok!r}", line)
     try:
-        return complex(s.replace(" ", "").replace("i", "j"))
+        v = complex(s.replace(" ", "").replace("i", "j"))
     except ValueError:
         raise ParseError(f"bad complex literal {tok!r}", line) from None
+    if not cmath.isfinite(v):
+        raise ParseError(f"complex literal {tok!r} overflows", line)
+    return v
 
 
 def _parse_real(tok: str, line: int) -> float:
@@ -335,10 +338,12 @@ def parse_run(text: str) -> RunSetup:
     tol = 1e-10
     if "tol" in kv:
         tol = _parse_real(kv["tol"][1], kv["tol"][0])
+        if not tol > 0:
+            raise ValidationError(f"line {kv['tol'][0]}: tol must be positive")
     max_iter = 60
     if "max_iter" in kv:
         lineno, val = kv["max_iter"]
-        if not val.isdigit():
+        if not val.isdigit() or int(val) < 1:
             raise ParseError("max_iter must be a positive integer", lineno)
         max_iter = int(val)
     try:

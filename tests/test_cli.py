@@ -1,6 +1,8 @@
 """End-to-end runs of the command line: exit codes, files, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-from explat.report import csv_records
 
 ROOT = Path(__file__).resolve().parent.parent
 TORUS_SPEC = ROOT / "examples" / "torus_identity.spec"
@@ -29,6 +29,27 @@ def run_cli(*args):
         text=True,
         env=CLI_ENV,
     )
+
+
+def csv_records(text: str) -> list:
+    """CSV text -> record dicts shaped like the JSON ones."""
+    rows = list(csv.reader(io.StringIO(text)))
+    header, body = rows[0], rows[1:]
+    n = sum(1 for h in header if h.startswith("lambda")) // 2
+    out = []
+    for row in body:
+        vals = [float(v) for v in row[: 4 * n]]
+        out.append(
+            {
+                "lambda": vals[: 2 * n],
+                "s": vals[2 * n :],
+                "branch_id": int(row[4 * n]),
+                "residual": float(row[4 * n + 1]),
+                "f_residual": float(row[4 * n + 2]),
+                "iterations": int(row[4 * n + 3]),
+            }
+        )
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +218,37 @@ def test_exit_on_empty_annulus():
     assert run_cli("solve", "--spec", TORUS_SPEC, "--radius", "100:50").returncode == 4
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("epsilon = 0.49", "epsilon = 1e309"),
+        ("radius = 2.6:250", "radius = 2.6:1e999"),
+        ("radius = 2.6:250", "radius = 2.6:250\ntol = -1"),
+        ("radius = 2.6:250", "radius = 2.6:250\nmax_iter = 0"),
+    ],
+    ids=["epsilon-overflow", "radius-overflow", "negative-tol", "zero-max-iter"],
+)
+def test_exit_on_invalid_spec_value(tmp_path, old, new):
+    # an overflowing literal or an unusable run parameter is an input error, not a crash or an empty run
+    spec = tmp_path / "bad.spec"
+    spec.write_text(TORUS_SPEC.read_text().replace(old, new))
+    r = run_cli("solve", "--spec", spec)
+    assert r.returncode == 2, r.stderr
+    assert "spec error" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--radius", "1:inf"), ("--radius", "nan:50"), ("--epsilon", "inf"), ("--epsilon", "0"),
+     ("--tol", "0"), ("--tol", "nan"), ("--tol", "-1e-10"), ("--theta", "-inf")],
+)
+def test_exit_on_invalid_flag_value(flag, value):
+    # FLAG=VALUE, so argparse takes a leading minus as part of the value
+    r = run_cli("solve", "--spec", TORUS_SPEC, f"{flag}={value}")
+    assert r.returncode == 2, r.stderr
+    assert f"argument {flag}: expected a" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_exit_on_violated_record_invariants(monkeypatch, capsys):
     # a record above tol is never written, and the exit code says so
     # instead of claiming that no lattice point converged
@@ -210,7 +262,7 @@ def test_exit_on_violated_record_invariants(monkeypatch, capsys):
         f_residual=0.0, iterations=1, g_lambda=np.zeros(1, dtype=complex),
     )
     result = SweepResult(
-        records=[bad], skipped=[], contraction=None, margins=None, degree=1, enumerated=1, asymptotics={},
+        records=[bad], skipped=[], contraction=None, degree=1, enumerated=1, asymptotics={},
     )
     monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: result)
     assert cli.main(["solve", "--spec", str(TORUS_SPEC)]) == 5

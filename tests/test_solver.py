@@ -15,8 +15,6 @@ from explat.solver import (
     CHUNK_LAMBDAS,
     ContractionGateFailed,
     GAMMA_POINTS,
-    LatticeProduct,
-    MarginModel,
     SolutionRecord,
     ZeroOnBoundary,
     _asymptotic_report,
@@ -108,14 +106,14 @@ def test_lattice_product_gaps():
     sig = GroupSignature(factors=(("torus", None), ("elliptic", curve)))
     assert sig.gap(0) == pytest.approx(2 * math.pi)
     assert sig.gap(1) == pytest.approx(1.0)     # [DERIVED] shortest vector of Z+iZ
-    assert sig.min_gap == pytest.approx(1.0)
+    assert min(sig.gap(k) for k in range(sig.n)) == pytest.approx(1.0)
 
 
 def test_torus_annulus_matches_integer_count():
     # [DERIVED] 2*pi*i*k with 10 < 2*pi*|k| <= 100 gives |k| in 2..15: 14 each sign
-    lat = LatticeProduct(factors=(("torus", None),))
+    sig = GroupSignature(factors=(("torus", None),))
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.49, theta=-math.pi, eta=math.pi - 0.2)
-    pts = enumerate_lattice(lat, dom, (10.0, 100.0))
+    pts = enumerate_lattice(sig, dom, (10.0, 100.0))
     assert len(pts) == 28
     got = sorted((p[0].real, p[0].imag) for p in pts)
     brute = sorted(
@@ -127,9 +125,9 @@ def test_torus_annulus_matches_integer_count():
 
 
 def test_elliptic_annulus_matches_double_loop():
-    lat = LatticeProduct(factors=(("elliptic", Lattice(1.0, 1j)),))
+    sig = GroupSignature(factors=(("elliptic", EllipticCurveParams.from_lattice(Lattice(1.0, 1j))),))
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.6, theta=0.1, eta=1.2)
-    pts = enumerate_lattice(lat, dom, (3.0, 12.0))
+    pts = enumerate_lattice(sig, dom, (3.0, 12.0))
     brute = []
     for m in range(-15, 16):
         for n in range(-15, 16):
@@ -143,9 +141,51 @@ def test_elliptic_annulus_matches_double_loop():
 
 
 def test_enumeration_order_is_by_chart_modulus():
-    lat = LatticeProduct(factors=(("torus", None),))
+    sig = GroupSignature(factors=(("torus", None),))
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.49, theta=0.15, eta=2.33)
-    pts = enumerate_lattice(lat, dom, (2.6, 100.0))
+    pts = enumerate_lattice(sig, dom, (2.6, 100.0))
+    radii = [abs(p[0]) for p in pts]
+    assert radii == sorted(radii)
+
+
+def test_annulus_is_open_inside_closed_outside():
+    # radius (4*pi, 10*pi]: |2*pi*i*k| = 4*pi is out, 10*pi is in
+    sig = GroupSignature(factors=(("torus", None),))
+    dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.49, theta=-math.pi, eta=math.pi - 0.2)
+    pts = enumerate_lattice(sig, dom, (4 * math.pi, 10 * math.pi))
+    ks = sorted(round(p[0].imag / (2 * math.pi)) for p in pts)
+    assert ks == [-5, -4, -3, 3, 4, 5]
+
+    # Z+iZ in (3, 5]: 5 and 3+4i sit on the outer circle and are in, 3 on the inner one is out
+    sig = GroupSignature(factors=(("elliptic", EllipticCurveParams.from_lattice(Lattice(1.0, 1j))),))
+    dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.6, theta=-0.1, eta=1.2)
+    got = sorted((p[0].real, p[0].imag) for p in enumerate_lattice(sig, dom, (3.0, 5.0)))
+    assert got == [(2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (4, 0), (4, 1), (4, 2), (4, 3), (5, 0)]
+
+
+def test_mixed_signature_matches_brute_force():
+    # torus chart x elliptic coordinate: every (2*pi*i*k, m + n*tau) in the domain, and nothing else
+    tau = 0.3 + 1.1j
+    sig = GroupSignature(factors=(("torus", None), ("elliptic", EllipticCurveParams.from_lattice(Lattice(1.0, tau)))))
+    dom = SectorDomain(c=(1.0, 0.5 - 0.2j), chart=0, epsilon=0.3, theta=0.2, eta=2.5)
+    pts = enumerate_lattice(sig, dom, (10.0, 40.0))
+    brute = []
+    for k in range(-10, 11):
+        zl = 2j * math.pi * k
+        if not 10.0 < abs(zl) <= 40.0:
+            continue
+        a = dom.window_arg(np.array([zl]))[0]
+        if not (dom.theta < a < dom.eta and abs(zl) > 1.0 / dom.epsilon):
+            continue
+        for m in range(-60, 61):
+            for n in range(-60, 61):
+                z2 = m + n * tau
+                if abs(z2 / zl - dom.c[1]) < dom.epsilon:
+                    brute.append((round(zl.imag, 9), round(z2.real, 9), round(z2.imag, 9)))
+    got = [(round(p[0].imag, 9), round(p[1].real, 9), round(p[1].imag, 9)) for p in pts]
+    assert len(got) == 910
+    assert sorted(got) == sorted(brute)
+    assert all(p[0].real == 0.0 for p in pts)
     radii = [abs(p[0]) for p in pts]
     assert radii == sorted(radii)
 
@@ -176,12 +216,11 @@ def test_contraction_decreases_for_curve_product_too():
 def test_margin_model_reasons():
     st = torus_setup()
     rep = measure_contraction(st.problem, st.domain, (2.6, 250.0))
-    mm = MarginModel.from_contraction(st.problem.signature, rep)
-    ok, why = mm.admits(np.array([2j * math.pi]), st.domain)
+    ok, why = rep.admits(np.array([2j * math.pi]), st.domain)
     assert ok and why is None
-    ok, why = mm.admits(np.array([0.2j]), st.domain)
+    ok, why = rep.admits(np.array([0.2j]), st.domain)
     assert not ok and why == "radial-margin"
-    ok, why = mm.admits(np.array([50.0 * np.exp(1j * (st.domain.theta + 0.001))]), st.domain)
+    ok, why = rep.admits(np.array([50.0 * np.exp(1j * (st.domain.theta + 0.001))]), st.domain)
     assert not ok and why == "arg-margin"
 
 
@@ -189,11 +228,10 @@ def test_margin_model_ratio_wall():
     st = wp_setup()
     dom, _ = wp_mini()
     rep = measure_contraction(st.problem, dom, (8.2, 8.7))
-    mm = MarginModel.from_contraction(st.problem.signature, rep)
     lam1 = 8.45 * np.exp(1j * 0.245)
-    ok, why = mm.admits(np.array([lam1, lam1 * 1.5999]), dom)
+    ok, why = rep.admits(np.array([lam1, lam1 * 1.5999]), dom)
     assert not ok and why == "ratio-margin"
-    ok, why = mm.admits(np.array([lam1, lam1]), dom)
+    ok, why = rep.admits(np.array([lam1, lam1]), dom)
     assert ok
 
 
@@ -243,27 +281,25 @@ def test_observed_log_stays_under_measured_bound():
     st = torus_setup()
     res = torus_sweep()
     rep = measure_contraction(st.problem, st.domain, st.radius)
-    mm = MarginModel.from_contraction(st.problem.signature, rep)
     for rec in res.records:
         g = np.asarray(rec.s) - np.asarray(rec.lam)
-        for i, kind in enumerate(mm.kinds):
+        for i, kind in enumerate(rep.kinds):
             if kind == "torus":
                 L = max(1.0, math.log(abs(rec.s[i])))
-                assert abs(g[i].real) <= mm.re_ratio[i] * L + 0.05
-                assert abs(g[i].imag) <= mm.im_max[i] + 0.05
+                assert abs(g[i].real) <= rep.g_re_ratio[i] * L + 0.05
+                assert abs(g[i].imag) <= rep.g_im_max[i] + 0.05
             else:
-                assert abs(g[i]) <= mm.abs_max[i] + 0.05
+                assert abs(g[i]) <= rep.g_abs_max[i] + 0.05
 
 
 def test_observed_log_bound_on_curve_product():
     st = wp_setup()
     dom, res = wp_mini()
     rep = measure_contraction(st.problem, dom, (8.2, 8.7))
-    mm = MarginModel.from_contraction(st.problem.signature, rep)
     for rec in res.records:
         g = np.asarray(rec.s) - np.asarray(rec.lam)
         for i in range(2):
-            assert abs(g[i]) <= mm.abs_max[i] + 0.05
+            assert abs(g[i]) <= rep.g_abs_max[i] + 0.05
 
 
 def test_exp_and_forward_residuals():

@@ -132,6 +132,13 @@ def test_parse_complex_forms():
         parse_complex("inf", 1)
 
 
+@pytest.mark.parametrize("text", ["1e309", "-2e308", "1+1e999i"])
+def test_parse_complex_rejects_overflow(text):
+    # the text holds no "inf", but the value does
+    with pytest.raises(ParseError, match="overflows"):
+        parse_complex(text, 1)
+
+
 # ----------------------------------------------------------------------
 # rejections
 
@@ -282,6 +289,23 @@ def test_bad_solver_values():
         parse_run(TORUS_SRC.format(eq="w1 = z1").replace("2.33", "0.10"))
     with pytest.raises(ValidationError, match="chart"):
         parse_run(TORUS_SRC.format(eq="w1 = z1").replace("chart = 1", "chart = 3"))
+
+
+@pytest.mark.parametrize(
+    "old, new, error, match",
+    [
+        ("epsilon = 0.49", "epsilon = 1e309", ValidationError, "overflows"),
+        ("2.6:250", "29.5:1e999", ParseError, "overflows"),
+        ("2.6:250", "2.6:250\ntol = 0", ValidationError, "tol must be positive"),
+        ("2.6:250", "2.6:250\ntol = -1", ValidationError, "tol must be positive"),
+        ("2.6:250", "2.6:250\nmax_iter = 0", ParseError, "positive integer"),
+    ],
+)
+def test_run_parameters_are_finite_and_usable(old, new, error, match):
+    with pytest.raises(error, match=match):
+        parse_run(TORUS_SRC.format(eq="w1 = z1").replace(old, new))
+    smallest = parse_run(TORUS_SRC.format(eq="w1 = z1").replace("2.6:250", "2.6:250\ntol = 1e-300\nmax_iter = 1"))
+    assert (smallest.tol, smallest.max_iter) == (1e-300, 1)
 
 
 def test_non_triangular_system():
