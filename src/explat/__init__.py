@@ -22,6 +22,7 @@ from .fiber import (
 )
 from .solver import (
     ContractionGateFailed,
+    LatticeTooLarge,
     SolutionRecord,
     SweepResult,
     ZeroOnBoundary,
@@ -42,6 +43,7 @@ __all__ = [
     "DegenerateFiber",
     "EllipticCurveParams",
     "Lattice",
+    "LatticeTooLarge",
     "LeftDomain",
     "NonConvergence",
     "NonTriangularSystem",

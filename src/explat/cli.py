@@ -22,6 +22,7 @@ from .elliptic import EllipticCurveParams, Lattice
 from .fiber import DegenerateFiber, SectorDomain, branch_base, monodromy_profile
 from .solver import (
     ContractionGateFailed,
+    LatticeTooLarge,
     ZeroOnBoundary,
     _base_point,
     count_zeros_window,
@@ -70,6 +71,16 @@ def _positive_arg(text: str) -> float:
     v = _finite_arg(text)
     if not v > 0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return v
+
+
+def _jobs_arg(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        v = 0
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return v
 
 
@@ -140,6 +151,9 @@ def cmd_solve(args) -> int:
             setup.problem, domain, radius, tol=tol,
             max_iter=setup.max_iter, jobs=args.jobs,
         )
+    except LatticeTooLarge as exc:
+        _err(f"input error: {exc}")
+        return EXIT_PARSE
     except (ContractionGateFailed, DegenerateFiber) as exc:
         _err(f"degenerate geometry: {exc}")
         return EXIT_GEOMETRY
@@ -336,7 +350,7 @@ def main(argv=None) -> int:
     p.add_argument("--tol", type=_positive_arg, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_arg, default=1)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="re-check a solve report from scratch")

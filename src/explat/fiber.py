@@ -10,8 +10,15 @@ where the alpha-test certifies that start.
 
 The continuation engine (_Tracker) is batched: it advances many
 (parameter-path, branch) rows through the same stage structure at once,
-which is what makes lattice sweeps cheap.  Row arithmetic never depends on
-other rows, so results are independent of how work is batched.
+which is what makes lattice sweeps cheap.  Each row sizes its own substeps
+from two rates per unit of parameter motion, the alpha of its previous
+root and its log motion over the lattice gap, measured by its last
+accepted substep (in closed form before its first): a substep aims for
+alpha ALPHA_STEP and a quarter gap of log motion, grows at most 2x, and
+keeps its chord sag within SAG_STEP of that motion, after Beltran-Leykin,
+"Certified numerical homotopy tracking" (Exp. Math. 21, 2012).  Row
+arithmetic never depends on other rows, so results are independent of how
+work is batched.
 """
 from __future__ import annotations
 
@@ -29,6 +36,12 @@ ROOT_TOL = 1e-12       # stage root residual tolerance
 LEAD_TOL = 1e-10       # relative leading-coefficient degeneracy threshold
 NEWTON_STEPS = 6       # Newton steps per tracked stage root, counting the certified first
 MIN_FRACTION = 1e-7    # adaptive parameter-step underflow
+DONE = 1.0 - 1e-12     # path parameter at which a row has arrived
+ALPHA_STEP = 0.1       # alpha a substep aims for, below ALPHA_0 = 0.157
+LOG_STEP = 0.25        # log motion a substep aims for, in gaps; the guard allows 0.5
+SAG_STEP = 0.5         # chord sag allowed, in units of the motion the rates allow
+SECANT_MIN = 1e-8      # relative motion below which a substep's rates are rounding
+VELOCITY_DT = 1e-6     # parameter difference that measures a path's |dz/dt|
 ALPHA_TINY = 1e-13     # torus coordinate this small (relative) leaves the group
 
 
@@ -416,15 +429,17 @@ def fiber_logs(spec: ProblemSpec, vals: dict, anchor=None):
     return G, ok
 
 
-def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
-    """dG/dz at each row of Z on the branch whose stage values are vals.
+def _derivatives(spec: ProblemSpec, Z, vals: dict):
+    """Stage values, du/dz of every stage unknown, and dG/dz at each row of Z.
 
-    Returns J of shape (m, n, n) with J[r, i, k] = dG_i/dz_k.  Each stage
-    residual P vanishes along the branch, so by implicit differentiation
-    its unknown u moves by du/dz = -(dP/dz + sum_v dP/dv * dv/dz) / (dP/du),
-    v running over the unknowns of earlier stages.  Then dG_k = dw/w on a
-    torus factor and dG_k = dx/y (the invariant differential) on an elliptic
-    one.  Rows where a denominator vanishes come out non-finite.
+    Returns (known, dz, J): known maps every z variable and stage unknown
+    to its row values, dz maps each stage unknown u to du/dz of shape (m, n),
+    and J (m, n, n) holds J[r, i, k] = dG_i/dz_k.  Each stage residual P
+    vanishes along the branch, so by implicit differentiation its unknown
+    moves by du/dz = -(dP/dz + sum_v dP/dv * dv/dz) / (dP/du), v running
+    over the unknowns of earlier stages.  Then dG_k = dw/w on a torus factor
+    and dG_k = dx/y (the invariant differential) on an elliptic one.  Rows
+    where a denominator vanishes come out non-finite.
     """
     Z = np.asarray(Z, dtype=complex)
     m, n = Z.shape
@@ -451,7 +466,17 @@ def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
             else:
                 xk, yk = sig.factor_vars(k)
                 J[:, k] = dz[xk] / known[yk][:, None]
-    return J
+    return known, dz, J
+
+
+def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
+    """dG/dz at each row of Z on the branch whose stage values are vals.
+
+    Returns J of shape (m, n, n) with J[r, i, k] = dG_i/dz_k, from the
+    implicit-differentiation recurrence of _derivatives; rows where a
+    denominator vanishes come out non-finite.
+    """
+    return _derivatives(spec, Z, vals)[2]
 
 
 # ----------------------------------------------------------------------
@@ -518,27 +543,43 @@ def straight_path(Z0, Z1) -> Callable:
 class _Tracker:
     """Batched branch continuation over m rows sharing one stage plan.
 
-    State per row: parameter point Z[r], stage values, logarithm G[r].
-    advance() walks every row along its own path with per-row adaptive
-    steps, and each substep trials only the rows still on their way.  Each
-    stage root of degree > 1 is tracked by Newton's method from the row's
-    previous root, taken only where Smale's alpha-test at that start
-    certifies convergence to a unique nearby root.  The elliptic logarithm
-    is predicted from the invariant differential dv = dx/y and polished by
-    Gauss-Newton.  Guards (alpha test, root residual, leading coefficient,
-    log step, domain) reject a substep and halve that row's step only.  Rows
-    never read other rows, so batching does not affect values.
+    State per row: parameter point Z[r], stage values, logarithm G[r], and
+    two rates per unit of parameter motion |dZ|_inf:
+    - alpha_rate: Smale's alpha of the previous stage roots at the new
+      point, the largest over the stages of degree > 1;
+    - log_rate: max_k |dG_k| / gap_k.
+    A row that has never stepped gets them in closed form at its point
+    (_start_rates); each accepted substep then sets them from its own alpha
+    and log motion over its |dZ| (_measure).  Copies of rows keep their
+    rates, so leg 2 starts from leg 1's last step.
+
+    advance() walks every row along its own path with steps sized from
+    those rates (_step), and each substep trials only the rows still on
+    their way.  Each stage root of degree > 1 is tracked by Newton's method
+    from the row's previous root, taken only where Smale's alpha-test at
+    that start certifies convergence to a unique nearby root.  The elliptic
+    logarithm is predicted from the invariant differential dv = dx/y and
+    polished by Gauss-Newton.  Guards (alpha test, root residual, leading
+    coefficient, log step, domain) reject a substep and halve that row's
+    step only.  Rows never read other rows, so batching does not affect
+    values.
     """
 
     OK, FAIL_BRANCH, FAIL_DOMAIN = 0, 1, 2
 
-    def __init__(self, spec: ProblemSpec, Z, vals, G, branch_ids):
+    def __init__(self, spec: ProblemSpec, Z, vals, G, branch_ids, rates=None):
+        """rates = (alpha_rate, log_rate) of rows copied from another tracker;
+        None computes them in closed form at Z."""
         self.spec = spec
         self.Z = np.array(Z, dtype=complex)
         self.vals = {k: np.array(v, dtype=complex) for k, v in vals.items()}
         self.G = np.array(G, dtype=complex)
         self.branch_ids = list(branch_ids)
         self.m = self.Z.shape[0]
+        self.gaps = np.array([spec.signature.gap(k) for k in range(spec.n)])
+        if rates is None:
+            rates = self._start_rates()
+        self.alpha_rate, self.log_rate = (np.array(r, dtype=float) for r in rates)
 
     @classmethod
     def from_states(cls, spec: ProblemSpec, states):
@@ -548,13 +589,35 @@ class _Tracker:
         vals = {nm: np.array([s.values[nm] for s in states]) for nm in names}
         return cls(spec, Z, vals, G, [s.branch_id for s in states])
 
+    def _start_rates(self):
+        """(alpha_rate, log_rate) in closed form at each row's point.
+
+        A parameter move dZ moves a stage root by about du/dz . dZ, so the
+        alpha of the old root at the new point is about gamma * |du/dz|_1 *
+        |dZ|_inf; the logarithm moves by dG/dz . dZ.  Non-finite rates (a
+        denominator vanished) come out inf, which no step can satisfy.
+        """
+        known, dz, J = _derivatives(self.spec, self.Z, self.vals)
+        alpha_rate = np.zeros(self.m)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_rate = np.max(np.abs(J).sum(axis=2) / self.gaps, axis=1)
+            for stage in self.spec.stages:
+                if stage.degree > 1:
+                    coeffs, _ = _stage_coeffs(stage, known, self.m)
+                    _, gamma = _smale(coeffs, known[stage.unknown][:, None])
+                    alpha_rate = np.maximum(alpha_rate, gamma[:, 0] * np.abs(dz[stage.unknown]).sum(axis=1))
+        return tuple(np.where(np.isfinite(r), r, np.inf) for r in (alpha_rate, log_rate))
+
     # -- one trial evaluation at target points -------------------------
     def _trial(self, Znext, domain, rows=slice(None)):
         """Trial step of the tracker rows `rows` to the points Znext (one per row).
 
         Returns (ok, reason, cand, Gnew) for those rows; the state is not
-        changed.  The elliptic log starts from the trapezoid rule for the
-        invariant differential, g + 2 (x_new - x_prev) / (y_prev + y_new).
+        changed.  cand maps each stage unknown to its new values, and
+        "alpha" to the alpha that the alpha-test judged, the largest over
+        the stages of degree > 1 (0 where there are none).  The elliptic
+        log starts from the trapezoid rule for the invariant differential,
+        g + 2 (x_new - x_prev) / (y_prev + y_new).
         """
         spec = self.spec
         m = Znext.shape[0]
@@ -565,7 +628,7 @@ class _Tracker:
             reason[~inside] = self.FAIL_DOMAIN
             ok &= inside
         known = {nm: Znext[:, i] for i, nm in enumerate(spec.signature.z_vars)}
-        cand = {}
+        cand = {"alpha": np.zeros(m)}
         for stage in spec.stages:
             coeffs, lead_ok = _stage_coeffs(stage, known, m)
             ok &= lead_ok
@@ -574,7 +637,9 @@ class _Tracker:
                 chosen = -coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0)
             else:
                 step, gamma = _smale(coeffs, prev[:, None])
-                cert = ok & (np.abs(step[:, 0]) * gamma[:, 0] < ALPHA_0)
+                alpha = np.abs(step[:, 0]) * gamma[:, 0]
+                cert = ok & (alpha < ALPHA_0)
+                cand["alpha"] = np.maximum(cand["alpha"], alpha)
                 chosen = prev.copy()
                 start = prev[cert] - step[cert, 0]
                 chosen[cert] = _newton(coeffs[cert], start, ROOT_TOL, NEWTON_STEPS - 1)
@@ -599,59 +664,111 @@ class _Tracker:
                 seed = np.where(np.isfinite(seed), seed, prev_g)
                 gk, gok, _ = _gauss_newton_log(curve, x, y, seed, iters=40)
                 ok &= gok
-            guard = 0.5 * spec.signature.gap(k)
-            ok &= np.abs(gk - prev_g) <= guard
+            ok &= np.abs(gk - prev_g) <= 0.5 * self.gaps[k]
             Gnew[:, k] = gk
         reason[(reason == 0) & ~ok] = self.FAIL_BRANCH
         return ok, reason, cand, Gnew
 
+    # -- step sizing ------------------------------------------------------
+    def _step(self, path: Callable, t, limit, rows):
+        """Substep of the rows `rows` from t along path: (dt, t_next, Znext).
+
+        dt is at most limit, the remaining 1 - t, and the motion bound
+        1 / (rate * |dz/dt|_inf), where rate = max(alpha_rate / ALPHA_STEP,
+        log_rate / LOG_STEP) and the path's velocity comes from a difference
+        over VELOCITY_DT.  Then, while the chord sag
+        |path(t + dt/2) - (Z + path(t + dt))/2|_inf exceeds SAG_STEP / rate,
+        dt shrinks by the sag's quadratic model, so a step cannot cut across
+        a curved path (the leg-1 log-spiral, a monodromy circle) that the
+        trial sees only at its ends.  On an exponential path that model
+        shrinks more than needed; the 2x limit regrows the step.
+        """
+        Z0 = self.Z[rows]
+        t0 = t[rows]
+        tt = t.copy()
+        tt[rows] = np.minimum(t0 + VELOCITY_DT, 1.0)
+        speed = np.max(np.abs(path(tt)[rows] - Z0), axis=1) / (tt[rows] - t0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = np.maximum(self.alpha_rate[rows] / ALPHA_STEP, self.log_rate[rows] / LOG_STEP)
+            dt = np.minimum(np.minimum(limit[rows], 1.0 - t0), 1.0 / (rate * speed))
+        dt = np.where(rate < np.inf, dt, 0.0)
+        while True:
+            t_next = np.where(t0 + dt >= DONE, 1.0, t0 + dt)
+            tt[rows] = t_next
+            Znext = path(tt)[rows]
+            tt[rows] = t0 + 0.5 * dt
+            sag = np.max(np.abs(path(tt)[rows] - 0.5 * (Z0 + Znext)), axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shrink = rate * sag > SAG_STEP
+            shrink &= dt >= MIN_FRACTION
+            if not shrink.any():
+                return dt, t_next, Znext
+            dt[shrink] *= 0.99 * np.sqrt(SAG_STEP / (rate[shrink] * sag[shrink]))
+
     # -- adaptive advance along per-row paths ---------------------------
-    def advance(self, path: Callable, seg_len, domain=None, active=None, max_iter=600):
+    def advance(self, path: Callable, domain=None, active=None, max_iter=600):
         """Move rows from t=0 to t=1 along path; returns (ok, reason).
 
-        Rows where `active` is False are left untouched (ok False, reason 0).
+        Each substep's dt is the smallest of: the motion and chord-sag
+        bounds of _step, twice the row's last accepted dt, and the remaining
+        1 - t.  A rejected substep halves the dt it tried; a row whose dt
+        falls below MIN_FRACTION fails.  Rows where `active` is False are
+        left untouched (ok False, reason 0).
         """
         m = self.m
-        seg_len = np.broadcast_to(np.asarray(seg_len, dtype=float), (m,)).copy()
         if active is None:
             active = np.ones(m, dtype=bool)
         else:
             active = np.asarray(active, dtype=bool).copy()
-        # per-step parameter motion capped by the coarsest log-step guard
-        cap = 0.8 * min(0.5 * self.spec.signature.gap(k) for k in range(self.spec.n))
         t_cur = np.zeros(m)
-        t_step = np.where(seg_len > 0, np.minimum(1.0, cap / np.maximum(seg_len, 1e-300)), 1.0)
+        limit = np.full(m, np.inf)  # twice the last accepted dt, half the last rejected one
         failed = np.zeros(m, dtype=bool)
         fail_reason = np.zeros(m, dtype=np.int8)
         for _ in range(max_iter):
-            done = t_cur >= 1.0 - 1e-12
-            live = active & ~done & ~failed
+            live = active & (t_cur < DONE) & ~failed
             if not live.any():
                 break
-            t_next = np.where(live, np.minimum(1.0, t_cur + t_step), t_cur)
             rows = np.flatnonzero(live)
-            Znext = path(t_next)[rows]
+            dt, t_next, Znext = self._step(path, t_cur, limit, rows)
+            under = (dt < MIN_FRACTION) & (t_next < 1.0)
+            failed[rows[under]] = True
+            fail_reason[rows[under]] = self.FAIL_BRANCH
+            rows, dt, t_next, Znext = rows[~under], dt[~under], t_next[~under], Znext[~under]
+            if not rows.size:
+                continue
             ok, reason, cand, Gnew = self._trial(Znext, domain, rows)
             accept = rows[ok]
             if accept.size:
+                self._measure(accept, Znext[ok], Gnew[ok], cand["alpha"][ok])
                 self.Z[accept] = Znext[ok]
                 self.G[accept] = Gnew[ok]
                 for nm in self.vals:
                     self.vals[nm][accept] = cand[nm][ok]
-                t_cur[accept] = t_next[accept]
-                t_step[accept] = np.minimum(t_step[accept] * 1.7, 1.0)
-            hard = rows[~ok & (reason == self.FAIL_DOMAIN)]
-            failed[hard] = True
-            fail_reason[hard] = self.FAIL_DOMAIN
-            soft = rows[~ok & (reason != self.FAIL_DOMAIN)]
-            t_step[soft] *= 0.5
-            dead = soft[t_step[soft] < MIN_FRACTION]
-            failed[dead] = True
-            fail_reason[dead] = self.FAIL_BRANCH
-        stuck = active & ~(t_cur >= 1.0 - 1e-12) & ~failed
+                t_cur[accept] = t_next[ok]
+                limit[accept] = 2.0 * dt[ok]
+            hard = ~ok & (reason == self.FAIL_DOMAIN)
+            failed[rows[hard]] = True
+            fail_reason[rows[hard]] = self.FAIL_DOMAIN
+            soft = ~ok & ~hard
+            limit[rows[soft]] = 0.5 * dt[soft]
+        stuck = active & (t_cur < DONE) & ~failed
         failed |= stuck
         fail_reason[stuck] = self.FAIL_BRANCH
-        return active & ~failed & (t_cur >= 1.0 - 1e-12), fail_reason
+        return active & ~failed & (t_cur >= DONE), fail_reason
+
+    def _measure(self, rows, Znext, Gnew, alpha):
+        """Set the rates of accepted `rows` from their substep to Znext.
+
+        Substeps with |dZ|_inf <= SECANT_MIN * (1 + |Z|_inf) leave the rates
+        alone: their alpha and log motion are mostly rounding.
+        """
+        Z = self.Z[rows]
+        dz = np.max(np.abs(Znext - Z), axis=1)
+        moved = dz > SECANT_MIN * (1.0 + np.max(np.abs(Z), axis=1))
+        r = rows[moved]
+        dz = dz[moved]
+        self.alpha_rate[r] = alpha[moved] / dz
+        self.log_rate[r] = np.max(np.abs(Gnew[moved] - self.G[r]) / self.gaps, axis=1) / dz
 
 
 # ----------------------------------------------------------------------
@@ -674,8 +791,7 @@ def monodromy_profile(spec: ProblemSpec, domain: SectorDomain, state: BranchStat
         def loop_path(t, z0=z0):
             return z0[None, :] * np.exp(2j * math.pi * t)[:, None]
 
-        seg_len = 2.0 * math.pi * float(np.max(np.abs(z0)))
-        ok, _ = tr.advance(loop_path, [seg_len], domain=None)
+        ok, _ = tr.advance(loop_path, domain=None)
         if not ok[0]:
             raise NonConvergence("monodromy loop continuation failed")
         for nm, col in orig.items():

@@ -40,6 +40,11 @@ CHUNK_LAMBDAS = 24     # lattice points per work chunk, fixed for determinism
 GATE_LIMIT = 0.5       # contraction bound required before sweeping
 GAMMA_POINTS = 5       # records per branch used for the gamma estimate
 BASE_RADIUS_FACTOR = 1.25  # base point sits at this multiple of 1/epsilon
+# Lattice candidates (16 B per coordinate) an enumeration may allocate.  Its
+# peak memory is about 2.4x this.  A two-coordinate sweep keeps about 8 KB of
+# records per lattice point, so the points admitted at the limit would need
+# some 45 GB of records; examples/wp_example.spec allocates 1.3e5 B.
+MAX_LATTICE_BYTES = 2**28
 
 
 class ZeroOnBoundary(RuntimeError):
@@ -50,8 +55,45 @@ class ContractionGateFailed(RuntimeError):
     """Measured ||dG|| reached 1/2; the sweep refuses to run."""
 
 
+class LatticeTooLarge(ValueError):
+    """The radius range would allocate more than MAX_LATTICE_BYTES of lattice candidates."""
+
+
 # ----------------------------------------------------------------------
 # period lattice of exp_S
+
+
+def _disc_ranges(sig, k: int, center, radius):
+    """Coefficient ranges [lo, hi] that _disc_points scans for factor k, as floats.
+
+    One range on a torus factor (multiples of 2*pi*i), one per vector of
+    the reduced basis on an elliptic one.  Works elementwise on arrays of
+    centers and radii; a huge radius gives infinite bounds, not an error.
+    """
+    kind, curve = sig.factors[k]
+    center = np.asarray(center, dtype=complex)
+    radius = np.asarray(radius, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "torus":
+            half = np.sqrt(np.maximum(radius * radius - center.real * center.real, 0.0))
+            return [(np.ceil((center.imag - half) / (2.0 * math.pi)),
+                     np.floor((center.imag + half) / (2.0 * math.pi)))]
+        a, b = curve.lattice.reduced_basis()
+        det = a.real * b.imag - a.imag * b.real
+        cm = np.floor((b.imag * center.real - b.real * center.imag) / det)
+        cn = np.floor((-a.imag * center.real + a.real * center.imag) / det)
+        mpad = np.ceil(radius * abs(b) / abs(det)) + 1.0
+        npad = np.ceil(radius * abs(a) / abs(det)) + 1.0
+        return [(cm - mpad, cm + mpad), (cn - npad, cn + npad)]
+
+
+def _disc_size(sig, k: int, center, radius):
+    """Number of candidate points _disc_points allocates, elementwise, as floats (inf if huge)."""
+    size = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in _disc_ranges(sig, k, center, radius):
+            size = size * np.maximum(hi - lo + 1.0, 0.0)
+    return size
 
 
 def _disc_points(sig, k: int, center: complex, radius: float) -> np.ndarray:
@@ -61,26 +103,24 @@ def _disc_points(sig, k: int, center: complex, radius: float) -> np.ndarray:
     on an elliptic one.
     """
     kind, curve = sig.factors[k]
+    axes = [np.arange(int(lo), int(hi) + 1) for lo, hi in _disc_ranges(sig, k, center, radius)]
     if kind == "torus":
-        if abs(center.real) >= radius:
-            return np.empty(0, complex)
-        half = math.sqrt(radius * radius - center.real * center.real)
-        lo = int(math.ceil((center.imag - half) / (2.0 * math.pi)))
-        hi = int(math.floor((center.imag + half) / (2.0 * math.pi)))
-        pts = 2j * math.pi * np.arange(lo, hi + 1)
-        return pts[np.abs(pts - center) < radius]
-    a, b = curve.lattice.reduced_basis()
-    det = a.real * b.imag - a.imag * b.real
-    cm = (b.imag * center.real - b.real * center.imag) / det
-    cn = (-a.imag * center.real + a.real * center.imag) / det
-    mpad = int(math.ceil(radius * abs(b) / abs(det))) + 1
-    npad = int(math.ceil(radius * abs(a) / abs(det))) + 1
-    ms, ns = np.meshgrid(
-        np.arange(math.floor(cm) - mpad, math.floor(cm) + mpad + 1),
-        np.arange(math.floor(cn) - npad, math.floor(cn) + npad + 1),
-    )
-    pts = ms.ravel() * a + ns.ravel() * b
+        pts = 2j * math.pi * axes[0]
+    else:
+        a, b = curve.lattice.reduced_basis()
+        ms, ns = np.meshgrid(*axes)
+        pts = ms.ravel() * a + ns.ravel() * b
     return pts[np.abs(pts - center) < radius]
+
+
+def _refuse_above(size: float, rmin: float, rmax: float) -> None:
+    """Raise LatticeTooLarge unless size candidate coordinates fit MAX_LATTICE_BYTES."""
+    nbytes = 16.0 * size
+    if not nbytes <= MAX_LATTICE_BYTES:
+        raise LatticeTooLarge(
+            f"radius {rmin:g}:{rmax:g} needs about {nbytes:.3g} bytes of lattice candidates, "
+            f"more than the {MAX_LATTICE_BYTES} an enumeration may allocate"
+        )
 
 
 def enumerate_lattice(sig, domain: SectorDomain, radius_range) -> np.ndarray:
@@ -89,14 +129,24 @@ def enumerate_lattice(sig, domain: SectorDomain, radius_range) -> np.ndarray:
     The chart coordinate lambda_l runs over the annulus of its factor's
     lattice; each other coordinate i over the disc |lambda_i - c_i lambda_l|
     < epsilon |lambda_l|.  Deterministic order: ascending |lambda_l|, then
-    lexicographic on (re, im) of each coordinate.
+    lexicographic on (re, im) of each coordinate.  Raises LatticeTooLarge
+    when the candidates exceed MAX_LATTICE_BYTES: the chart disc's before it
+    is allocated, and the per-chart discs' (counted exactly from the chart
+    points kept) before any of them is.
     """
     rmin, rmax = float(radius_range[0]), float(radius_range[1])
     n = sig.n
     ell = domain.chart
+    chart_size = _disc_size(sig, ell, 0, rmax + sig.gap(ell))
+    _refuse_above(chart_size, rmin, rmax)
     charts = _disc_points(sig, ell, 0, rmax + sig.gap(ell))
     r, a = np.abs(charts), domain.window_arg(charts)
     charts = charts[(r > rmin) & (r <= rmax) & (r > 1.0 / domain.epsilon) & (a > domain.theta) & (a < domain.eta)]
+    per_chart = np.ones(charts.size)
+    for i in range(n):
+        if i != ell:
+            per_chart = per_chart * _disc_size(sig, i, domain.c[i] * charts, domain.epsilon * np.abs(charts))
+    _refuse_above(chart_size + n * float(np.sum(per_chart)), rmin, rmax)
     blocks = []
     for zl in charts:
         cols = []
@@ -290,8 +340,7 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts)
     def leg1(t):
         return cvec[None, :] * np.exp((1.0 - t) * L0 + t * L1)[:, None]
 
-    seg1 = np.abs(L1 - L0) * np.maximum(base_r, np.abs(lam_l))
-    alive, reason = tr.advance(leg1, seg1, domain=domain)
+    alive, reason = tr.advance(leg1, domain=domain)
     return _Leg1(charts, tr, alive, reason)
 
 
@@ -299,14 +348,15 @@ def _fan_out(leg1: _Leg1, lam_l: np.ndarray, d: int):
     """Leg-1 rows for (lam_l[k], branch), lambda-major, branch-minor.
 
     Rows are looked up by exact chart value (a missing one raises KeyError).
-    Returns a fresh (tracker, alive, reason) holding copies of those rows.
+    Returns a fresh (tracker, alive, reason) holding copies of those rows,
+    step rates included, so leg 2 sizes its first step from leg 1's last.
     """
     pos = {c: i for i, c in enumerate(leg1.charts.tolist())}
     u = np.array([pos[c] for c in np.asarray(lam_l).tolist()], dtype=int)
     rows = (u[:, None] * d + np.arange(d)[None, :]).ravel()
     tr = leg1.tracker
     out = _Tracker(tr.spec, tr.Z[rows], {nm: col[rows] for nm, col in tr.vals.items()}, tr.G[rows],
-                   [tr.branch_ids[r] for r in rows])
+                   [tr.branch_ids[r] for r in rows], (tr.alpha_rate[rows], tr.log_rate[rows]))
     return out, leg1.alive[rows], leg1.reason[rows]
 
 
@@ -344,8 +394,7 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
             U = (1.0 - t[:, None]) * cvec[None, :] + t[:, None] * U1
             return U * lam_l[:, None]
 
-        seg2 = np.max(np.abs(LAM - cvec[None, :] * lam_l[:, None]), axis=1)
-        ok2, reason2 = tr.advance(leg2, seg2, domain=domain, active=alive)
+        ok2, reason2 = tr.advance(leg2, domain=domain, active=alive)
         fail_reason = np.where(alive & ~ok2, reason2, fail_reason)
         alive &= ok2
 
@@ -373,7 +422,7 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
             target[nr] = tr.Z[nr] - np.linalg.solve(eye - J[newton], F[:, :, None])[:, :, 0]
         delta = np.max(np.abs(target - tr.Z), axis=1)
         # step first so the shipped iterate includes its own closing update
-        ok, reason = tr.advance(straight_path(tr.Z, target), delta, domain=domain, active=stepping)
+        ok, reason = tr.advance(straight_path(tr.Z, target), domain=domain, active=stepping)
         fail_reason = np.where(stepping & ~ok, reason, fail_reason)
         alive &= ~(stepping & ~ok)
         newly = alive & stepping & (delta <= step_tol)

@@ -249,6 +249,20 @@ def test_exit_on_invalid_flag_value(flag, value):
     assert f"argument {flag}: expected a" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_exit_on_huge_radius():
+    # a lattice too large to enumerate is an input error, not an overflow traceback
+    r = run_cli("solve", "--spec", TORUS_SPEC, "--radius", "1:1e300")
+    assert r.returncode == 2, r.stderr
+    assert "radius" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("value", ["-4", "0", "two", "1.5"])
+def test_exit_on_invalid_jobs(value):
+    r = run_cli("solve", "--spec", TORUS_SPEC, f"--jobs={value}")
+    assert r.returncode == 2, r.stderr
+    assert "argument --jobs: expected an integer >= 1" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_exit_on_violated_record_invariants(monkeypatch, capsys):
     # a record above tol is never written, and the exit code says so
     # instead of claiming that no lattice point converged

@@ -121,7 +121,7 @@ def _walk(spec, z0, w0, corners):
     tr = _Tracker.from_states(spec, [start])
     for corner in corners:
         target = np.array([[complex(corner)]])
-        ok, reason = tr.advance(straight_path(tr.Z, target), [float(np.max(np.abs(target - tr.Z)))])
+        ok, reason = tr.advance(straight_path(tr.Z, target))
         if not ok[0]:
             return complex(tr.vals["w1"][0]), False, int(reason[0])
     return complex(tr.vals["w1"][0]), True, _Tracker.OK
@@ -195,7 +195,7 @@ def test_tracker_step_halves_towards_near_double_root(sqrt_spec):
     assert not ok[0] and reason[0] == _Tracker.FAIL_BRANCH
     ok, _, cand, _ = tr._trial(half, None)
     assert ok[0] and abs(cand["w1"][0] - math.sqrt(0.505)) < 1e-15
-    ok, _ = tr.advance(straight_path(tr.Z, full), [0.99])
+    ok, _ = tr.advance(straight_path(tr.Z, full))
     assert ok[0] and abs(tr.vals["w1"][0] - 0.1) < 1e-15
 
 

@@ -1,4 +1,5 @@
 """Tests for the triangular fiber machinery and branch continuation."""
+import cmath
 import math
 from pathlib import Path
 
@@ -7,7 +8,9 @@ import pytest
 
 from explat.elliptic import EllipticCurveParams, Lattice, wp_both
 from explat.fiber import (
+    LOG_STEP,
     ROOT_TOL,
+    SAG_STEP,
     BranchState,
     DegenerateFiber,
     GroupSignature,
@@ -26,7 +29,7 @@ from explat.fiber import (
     monodromy_profile,
     straight_path,
 )
-from explat.solver import _exp_residuals, _sample_domain
+from explat.solver import _exp_residuals, _sample_domain, sweep
 from explat.specfile import parse_run
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -301,7 +304,7 @@ def _carry(spec, states, target, domain=None):
     """Continue states along straight segments to target; (ok, reason, states)."""
     tr = _Tracker.from_states(spec, states)
     target = np.broadcast_to(np.asarray(target, dtype=complex), tr.Z.shape)
-    ok, reason = tr.advance(straight_path(tr.Z, target), np.max(np.abs(target - tr.Z), axis=1), domain=domain)
+    ok, reason = tr.advance(straight_path(tr.Z, target), domain=domain)
     return ok, reason, _states(tr)
 
 
@@ -403,9 +406,79 @@ def test_advance_trials_only_live_rows(identity_spec):
         return trial(Znext, domain, rows)
 
     tr._trial = counted
-    ok, _ = tr.advance(straight_path(tr.Z, target), np.max(np.abs(target - tr.Z), axis=1))
+    ok, _ = tr.advance(straight_path(tr.Z, target))
     assert ok.all() and np.allclose(np.exp(tr.G), target, rtol=1e-12)
     assert sizes[0] == 2 and len(sizes) > 1 and set(sizes[1:]) == {1}
+
+
+@pytest.mark.parametrize("p", [0.3 + 1e-3j, 0.3 - 1e-3j, -0.7 - 1e-5j, 1e-6j])
+def test_segment_near_branch_point_keeps_its_branch(p):
+    # w1^2 = z1 - p from z1 = -2 to 2 passes within |Im p| of the branch
+    # point p; along it arg(z1 - p) stays inside (-pi, pi), so the principal
+    # root continues each branch, and a step may fail but not swap branches
+    sig = GroupSignature(factors=(("torus", None),))
+    av = sig.z_vars + sig.group_vars
+    spec = build_problem(sig, [MPoly.from_dict(av, {term(av, w1=2): 1.0, term(av, z1=1): -1.0, term(av): p})])
+    states = branch_base(spec, None, [-2.0 + 0j])
+    ok, _, ends = _carry(spec, states, [2.0 + 0j])
+    for start, end, arrived in zip(states, ends, ok):
+        sign = start.values["w1"] / cmath.sqrt(-2.0 - p)
+        assert abs(abs(sign) - 1.0) < 1e-12 and abs(sign.imag) < 1e-12
+        if arrived:
+            assert abs(end.values["w1"] - sign.real * cmath.sqrt(2.0 - p)) < 1e-9
+
+
+def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
+    # rates that allow a long motion: the log-spiral's chord sag, not the
+    # motion bound, sets the step, and the row still arrives on its arc
+    s0 = branch_base(identity_spec, None, [1.0 + 0j])[0]
+    tr = _Tracker.from_states(identity_spec, [s0])
+    tr.log_rate[:] = 1e-3
+
+    def spiral(t):
+        return np.exp(t * (10.0 + 2.0j))[:, None]
+
+    dt, _, Znext = tr._step(spiral, np.zeros(1), np.full(1, np.inf), np.arange(1))
+    sag = abs(spiral(0.5 * dt)[0, 0] - 0.5 * (1.0 + Znext[0, 0]))
+    rate = tr.log_rate[0] / LOG_STEP
+    assert 0 < dt[0] < 0.5 and rate * sag <= SAG_STEP
+    ok, _ = tr.advance(spiral)
+    assert ok[0] and abs(tr.G[0, 0] - (10.0 + 2.0j)) < 1e-12
+
+
+def _sweep_trials(monkeypatch, name, epsilon=None):
+    """(trial rows, rejected trial rows) of the sweep of examples/<name>.spec."""
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    dom = st.domain
+    if epsilon is not None:
+        dom = SectorDomain(c=dom.c, chart=dom.chart, epsilon=epsilon, theta=dom.theta, eta=dom.eta)
+    counts = [0, 0]
+    trial = _Tracker._trial
+
+    def counted(self, Znext, domain, rows=slice(None)):
+        out = trial(self, Znext, domain, rows)
+        counts[0] += Znext.shape[0]
+        counts[1] += int(np.count_nonzero(~out[0]))
+        return out
+
+    monkeypatch.setattr(_Tracker, "_trial", counted)
+    res = sweep(st.problem, dom, st.radius, tol=st.tol, max_iter=st.max_iter)
+    assert res.records
+    return counts
+
+
+def test_sweep_trial_rows_on_curve_product(monkeypatch):
+    # steps sized from each row's measured alpha and log motion take 2124
+    # trial rows here; a fixed step cap took 3564
+    rows, _ = _sweep_trials(monkeypatch, "wp_example", epsilon=0.15)
+    assert rows <= 2600
+
+
+def test_sweep_rejects_few_trials_on_sqrt_branch(monkeypatch):
+    # steps sized from the rates are rejected rarely; a step that grows
+    # x1.7 and halves on reject oscillates and lost 424 of 1852 trial rows
+    rows, rejected = _sweep_trials(monkeypatch, "sqrt_branch")
+    assert rejected <= 0.1 * rows
 
 
 def test_continuation_detects_branch_point(sqrt_spec):
@@ -456,7 +529,7 @@ def test_half_turn_swaps_sqrt_branches(sqrt_spec):
     def half_loop(t):
         return np.full((t.shape[0], 1), z0) * np.exp(1j * math.pi * t)[:, None]
 
-    ok, _ = tr.advance(half_loop, [math.pi * abs(z0)])
+    ok, _ = tr.advance(half_loop)
     assert ok.all()
     # w tracks sqrt(z), so a half turn of z rotates it by pi/2
     assert abs(tr.vals["w1"][0] - 1j * states[0].values["w1"]) < 1e-9

@@ -15,6 +15,7 @@ from explat.solver import (
     CHUNK_LAMBDAS,
     ContractionGateFailed,
     GAMMA_POINTS,
+    LatticeTooLarge,
     SolutionRecord,
     ZeroOnBoundary,
     _asymptotic_report,
@@ -188,6 +189,58 @@ def test_mixed_signature_matches_brute_force():
     assert all(p[0].real == 0.0 for p in pts)
     radii = [abs(p[0]) for p in pts]
     assert radii == sorted(radii)
+
+
+@pytest.mark.parametrize("setup, radius", [(torus_setup, (1.0, 1e300)), (torus_setup, (1.0, 1e15)),
+                                           (wp_setup, (1.0, 1e300)), (wp_setup, (1e300, 1.5e300)),
+                                           (wp_setup, (1.0, 1e15)), (wp_setup, (29.5, 1e4))],
+                         ids=["torus-1e300", "torus-1e15", "curves-1e300", "curves-far-annulus",
+                              "curves-1e15", "curves-1e4"])
+def test_enumeration_refuses_huge_radius(monkeypatch, setup, radius):
+    # the chart disc is sized before anything is allocated: no disc is enumerated
+    import explat.solver as solver_mod
+
+    def no_disc(*args):
+        raise AssertionError("a lattice disc was enumerated")
+
+    monkeypatch.setattr(solver_mod, "_disc_points", no_disc)
+    st = setup()
+    with pytest.raises(LatticeTooLarge, match="radius"):
+        enumerate_lattice(st.problem.signature, st.domain, radius)
+
+
+def test_enumeration_refuses_thin_window_along_lattice_ray(monkeypatch):
+    # a window of 2e-6 around arg 0 still holds every real chart point of Z+iZ
+    # up to 500, and their discs hold about 5e7 points: refused after the chart
+    # disc, before any other disc is enumerated
+    import explat.solver as solver_mod
+
+    disc_points = solver_mod._disc_points
+
+    def chart_disc_only(sig, k, center, radius):
+        assert k == 0 and center == 0, "a disc other than the chart disc was enumerated"
+        return disc_points(sig, k, center, radius)
+
+    monkeypatch.setattr(solver_mod, "_disc_points", chart_disc_only)
+    dom = SectorDomain(c=(1.0, 1.0), chart=0, epsilon=0.6, theta=-1e-6, eta=1e-6)
+    with pytest.raises(LatticeTooLarge, match="radius 1:500"):
+        enumerate_lattice(wp_setup().problem.signature, dom, (1.0, 500.0))
+
+
+def test_disc_size_counts_the_scanned_grid():
+    # _disc_size is what _refuse_above is given, so it must bound every disc
+    import explat.solver as solver_mod
+
+    for setup in (torus_setup, wp_setup):
+        sig = setup().problem.signature
+        for k in range(sig.n):
+            for center in (0, 3.7 - 2.2j, -40 + 0.5j):
+                for radius in (0.5, 6.3, 25.0):
+                    got = solver_mod._disc_points(sig, k, center, radius)
+                    size = float(solver_mod._disc_size(sig, k, center, radius))
+                    assert got.size <= size <= 4 * got.size + 40
+    sizes = solver_mod._disc_size(wp_setup().problem.signature, 0, np.array([0, 1j]), np.array([1e300, np.inf]))
+    assert np.all(np.isinf(sizes))
 
 
 # ----------------------------------------------------------------------
