@@ -277,6 +277,13 @@ def wp_both(z, curve: EllipticCurveParams):
     k = pi/a, the q-series row n = 0 is csc^2(theta); a row n != 0 is
     f(x) = -4x/(1-x)^2 at x = exp(2i theta) Q^n and adds 2ik g(x),
     g(x) = -4x(1+x)/(1-x)^3, to wp'.
+
+    Each row's value is the same bits whatever the batch size.  numpy
+    reuses a temporary operand of 256 KiB or more in place, and for a
+    commutative product it then swaps the operands, which changes how a
+    complex product rounds.  So every product here whose second operand
+    would be a temporary is given named operands (xp1, series, dseries);
+    the products by 4.0 and 8j are exact in either order.
     """
     tab = curve.tables()
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -287,10 +294,11 @@ def wp_both(z, curve: EllipticCurveParams):
     sin, cos = np.sin(theta), np.cos(theta)
     x = np.exp(2j * theta)[:, None] * tab.q_powers
     d = 1.0 - x
+    xp1 = 1.0 + x
     f = x / (d * d)
-    val = tab.k ** 2 * (1.0 / (sin * sin) - tab.e2_third - 4.0 * f.sum(axis=1))
-    dval = tab.k ** 3 * (-2.0 * cos / (sin * sin * sin) - 8j * (f * (1.0 + x) / d).sum(axis=1))
-    return val, dval, pole
+    series = 1.0 / (sin * sin) - tab.e2_third - 4.0 * f.sum(axis=1)
+    dseries = -2.0 * cos / (sin * sin * sin) - 8j * (f * xp1 / d).sum(axis=1)
+    return tab.k ** 2 * series, tab.k ** 3 * dseries, pole
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,15 @@ root and its log motion over the lattice gap, measured by its last
 accepted substep (in closed form before its first): a substep aims for
 alpha ALPHA_STEP and a quarter gap of log motion, grows at most 2x, and
 keeps its chord sag within SAG_STEP of that motion, after Beltran-Leykin,
-"Certified numerical homotopy tracking" (Exp. Math. 21, 2012).  Row
-arithmetic never depends on other rows, so results are independent of how
-work is batched.
+"Certified numerical homotopy tracking" (Exp. Math. 21, 2012).
+
+Row arithmetic never reads other rows, and numpy's elementwise arithmetic
+gives a row the same bits in a batch of any size, with one pitfall: numpy
+reuses a temporary operand of 256 KiB or more in place, and for a
+commutative product it swaps the operands to do so, which changes how a
+complex product rounds.  Kernels therefore name such operands (see
+elliptic.wp_both), and then a row's result does not depend on how work is
+batched; tests pin this for wp_both and for sweeps at several chunk sizes.
 """
 from __future__ import annotations
 
@@ -40,6 +46,7 @@ DONE = 1.0 - 1e-12     # path parameter at which a row has arrived
 ALPHA_STEP = 0.1       # alpha a substep aims for, below ALPHA_0 = 0.157
 LOG_STEP = 0.25        # log motion a substep aims for, in gaps; the guard allows 0.5
 SAG_STEP = 0.5         # chord sag allowed, in units of the motion the rates allow
+SAG_BISECT = 0.05      # a sag-bound step is bisected to within this fraction of the longest
 SECANT_MIN = 1e-8      # relative motion below which a substep's rates are rounding
 VELOCITY_DT = 1e-6     # parameter difference that measures a path's |dz/dt|
 ALPHA_TINY = 1e-13     # torus coordinate this small (relative) leaves the group
@@ -561,8 +568,9 @@ class _Tracker:
     logarithm is predicted from the invariant differential dv = dx/y and
     polished by Gauss-Newton.  Guards (alpha test, root residual, leading
     coefficient, log step, domain) reject a substep and halve that row's
-    step only.  Rows never read other rows, so batching does not affect
-    values.
+    step only.  Rows never read other rows, and a row's values are the same
+    bits in a tracker of any size as long as the kernels it calls avoid
+    numpy's temporary elision (see the module docstring).
     """
 
     OK, FAIL_BRANCH, FAIL_DOMAIN = 0, 1, 2
@@ -676,12 +684,14 @@ class _Tracker:
         dt is at most limit, the remaining 1 - t, and the motion bound
         1 / (rate * |dz/dt|_inf), where rate = max(alpha_rate / ALPHA_STEP,
         log_rate / LOG_STEP) and the path's velocity comes from a difference
-        over VELOCITY_DT.  Then, while the chord sag
-        |path(t + dt/2) - (Z + path(t + dt))/2|_inf exceeds SAG_STEP / rate,
-        dt shrinks by the sag's quadratic model, so a step cannot cut across
-        a curved path (the leg-1 log-spiral, a monodromy circle) that the
-        trial sees only at its ends.  On an exponential path that model
-        shrinks more than needed; the 2x limit regrows the step.
+        over VELOCITY_DT.  The chord sag |path(t + dt/2) - (Z + path(t + dt))/2|_inf
+        must then stay within SAG_STEP / rate, so a step cannot cut across a
+        curved path (the leg-1 log-spiral, a monodromy circle) that the trial
+        sees only at its ends.  A row whose dt sags too far shrinks it by the
+        sag's quadratic model until one fits, then bisects between the
+        longest dt that fits and the shortest that does not, until they are
+        within SAG_BISECT of each other; it takes the longest that fits.
+        A row whose dt falls below MIN_FRACTION stops there (advance fails it).
         """
         Z0 = self.Z[rows]
         t0 = t[rows]
@@ -692,18 +702,27 @@ class _Tracker:
             rate = np.maximum(self.alpha_rate[rows] / ALPHA_STEP, self.log_rate[rows] / LOG_STEP)
             dt = np.minimum(np.minimum(limit[rows], 1.0 - t0), 1.0 / (rate * speed))
         dt = np.where(rate < np.inf, dt, 0.0)
+        lo = np.zeros_like(dt)          # longest dt known to fit
+        hi = np.full_like(dt, np.inf)   # shortest dt known to sag too far
+        t_next, Znext = np.empty_like(t0), np.empty_like(Z0)
+        todo = np.ones(dt.shape, dtype=bool)
         while True:
-            t_next = np.where(t0 + dt >= DONE, 1.0, t0 + dt)
-            tt[rows] = t_next
-            Znext = path(tt)[rows]
+            t_try = np.where(t0 + dt >= DONE, 1.0, t0 + dt)
+            tt[rows] = t_try
+            Z_try = path(tt)[rows]
             tt[rows] = t0 + 0.5 * dt
-            sag = np.max(np.abs(path(tt)[rows] - 0.5 * (Z0 + Znext)), axis=1)
+            sag = np.max(np.abs(path(tt)[rows] - 0.5 * (Z0 + Z_try)), axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                shrink = rate * sag > SAG_STEP
-            shrink &= dt >= MIN_FRACTION
-            if not shrink.any():
-                return dt, t_next, Znext
-            dt[shrink] *= 0.99 * np.sqrt(SAG_STEP / (rate[shrink] * sag[shrink]))
+                fits = ~(rate * sag > SAG_STEP) | (dt < MIN_FRACTION)
+            take = todo & fits
+            lo[take], t_next[take], Znext[take] = dt[take], t_try[take], Z_try[take]
+            hi[todo & ~fits] = dt[todo & ~fits]
+            todo &= ~(fits & ((hi == np.inf) | (lo >= (1.0 - SAG_BISECT) * hi)))
+            if not todo.any():
+                return lo, t_next, Znext
+            with np.errstate(divide="ignore", invalid="ignore"):
+                model = dt * 0.99 * np.sqrt(SAG_STEP / (rate * sag))
+            dt = np.where(todo, np.where(lo > 0.0, 0.5 * (lo + hi), model), dt)
 
     # -- adaptive advance along per-row paths ---------------------------
     def advance(self, path: Callable, domain=None, active=None, max_iter=600):

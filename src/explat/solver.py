@@ -9,8 +9,9 @@ sharing that chart point, continue each to its own lattice point (leg 2)
 and solve z = lambda + G(z) there by Newton's method,
 z <- z - (I - dG)^-1 (z - lambda - G(z)), each step a continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
-point are batched in fixed chunks of lattice points, so output is
-independent of --jobs.
+point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
+CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
+alone, never by --jobs, so the report is the same bytes at any --jobs.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .fiber import (
     straight_path,
 )
 
-CHUNK_LAMBDAS = 24     # lattice points per work chunk, fixed for determinism
+CHUNK_ROWS = 4096      # (lambda, branch) rows per work chunk, fixed for determinism
 GATE_LIMIT = 0.5       # contraction bound required before sweeping
 GAMMA_POINTS = 5       # records per branch used for the gamma estimate
 BASE_RADIUS_FACTOR = 1.25  # base point sits at this multiple of 1/epsilon
@@ -540,7 +541,8 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
         kept_arr = np.stack(kept)
         ell = domain.chart
         leg1 = _continue_leg1(spec, domain, states, kept_arr[:, ell])
-        chunks = [kept_arr[i : i + CHUNK_LAMBDAS] for i in range(0, len(kept), CHUNK_LAMBDAS)]
+        per_chunk = max(1, CHUNK_ROWS // len(states))
+        chunks = [kept_arr[i : i + per_chunk] for i in range(0, len(kept), per_chunk)]
         # each chunk carries the leg-1 rows of just the chart points it holds
         legs = []
         for ch in chunks:

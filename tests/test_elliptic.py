@@ -338,6 +338,22 @@ def _lattice_sum_wp(z, curve):
     return val + acc * u, dval + 2.0 * zs * dacc, pole
 
 
+@pytest.mark.parametrize("lattice", [SQUARE, SKEW], ids=["square", "skew"])
+def test_wp_both_does_not_depend_on_batch_size(lattice):
+    # numpy reuses a temporary of 256 KiB or more in place and may swap a
+    # product's operands to do it: 1366 rows of the square lattice's
+    # (rows, 12) series, 16384 rows of a 1-D array.  A row's value must not
+    # follow which side of those sizes its batch falls on.
+    curve = EllipticCurveParams.from_lattice(lattice)
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-2.0, 2.0, 30000) + 1j * rng.uniform(-2.0, 2.0, 30000)
+    full = wp_both(z, curve)
+    for n in (1, 100, 1365, 1366, 5000, 16383):
+        part = wp_both(z[:n], curve)
+        for a, b in zip(full, part):
+            assert a[:n].tobytes() == b.tobytes(), n
+
+
 def test_wp_matches_lattice_sum_oracle(curves):
     # errors relative to 1 + |wp|, as above: wp and wp' have zeros in the cell
     for curve in curves.values():

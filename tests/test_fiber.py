@@ -430,7 +430,9 @@ def test_segment_near_branch_point_keeps_its_branch(p):
 
 def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
     # rates that allow a long motion: the log-spiral's chord sag, not the
-    # motion bound, sets the step, and the row still arrives on its arc
+    # motion bound, sets the step, and the row still arrives on its arc.
+    # The longest dt within the sag bound is 0.562; the sag's quadratic
+    # model alone, fitted at dt = 1, cut it to 0.106
     s0 = branch_base(identity_spec, None, [1.0 + 0j])[0]
     tr = _Tracker.from_states(identity_spec, [s0])
     tr.log_rate[:] = 1e-3
@@ -441,28 +443,29 @@ def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
     dt, _, Znext = tr._step(spiral, np.zeros(1), np.full(1, np.inf), np.arange(1))
     sag = abs(spiral(0.5 * dt)[0, 0] - 0.5 * (1.0 + Znext[0, 0]))
     rate = tr.log_rate[0] / LOG_STEP
-    assert 0 < dt[0] < 0.5 and rate * sag <= SAG_STEP
+    assert 0.4 < dt[0] < 1.0 and rate * sag <= SAG_STEP
     ok, _ = tr.advance(spiral)
     assert ok[0] and abs(tr.G[0, 0] - (10.0 + 2.0j)) < 1e-12
 
 
-def _sweep_trials(monkeypatch, name, epsilon=None):
-    """(trial rows, rejected trial rows) of the sweep of examples/<name>.spec."""
+def _sweep_trials(monkeypatch, name, epsilon=None, radius=None):
+    """(trial calls, trial rows, rejected trial rows) of the sweep of examples/<name>.spec."""
     st = parse_run((EXAMPLES / f"{name}.spec").read_text())
     dom = st.domain
     if epsilon is not None:
         dom = SectorDomain(c=dom.c, chart=dom.chart, epsilon=epsilon, theta=dom.theta, eta=dom.eta)
-    counts = [0, 0]
+    counts = [0, 0, 0]
     trial = _Tracker._trial
 
     def counted(self, Znext, domain, rows=slice(None)):
         out = trial(self, Znext, domain, rows)
-        counts[0] += Znext.shape[0]
-        counts[1] += int(np.count_nonzero(~out[0]))
+        counts[0] += 1
+        counts[1] += Znext.shape[0]
+        counts[2] += int(np.count_nonzero(~out[0]))
         return out
 
     monkeypatch.setattr(_Tracker, "_trial", counted)
-    res = sweep(st.problem, dom, st.radius, tol=st.tol, max_iter=st.max_iter)
+    res = sweep(st.problem, dom, radius or st.radius, tol=st.tol, max_iter=st.max_iter)
     assert res.records
     return counts
 
@@ -470,15 +473,24 @@ def _sweep_trials(monkeypatch, name, epsilon=None):
 def test_sweep_trial_rows_on_curve_product(monkeypatch):
     # steps sized from each row's measured alpha and log motion take 2124
     # trial rows here; a fixed step cap took 3564
-    rows, _ = _sweep_trials(monkeypatch, "wp_example", epsilon=0.15)
+    _, rows, _ = _sweep_trials(monkeypatch, "wp_example", epsilon=0.15)
     assert rows <= 2600
 
 
 def test_sweep_rejects_few_trials_on_sqrt_branch(monkeypatch):
     # steps sized from the rates are rejected rarely; a step that grows
     # x1.7 and halves on reject oscillates and lost 424 of 1852 trial rows
-    rows, rejected = _sweep_trials(monkeypatch, "sqrt_branch")
+    _, rows, rejected = _sweep_trials(monkeypatch, "sqrt_branch")
     assert rejected <= 0.1 * rows
+
+
+def test_sweep_trials_whole_chunks_on_wide_sqrt_branch(monkeypatch):
+    # the 795 lambda x 2 branches of radius 2.6:5000 fill one chunk, so
+    # leg 2 and the fixed point trial them together; chunks of 24 lambda
+    # took 131 calls for the same rows
+    calls, rows, _ = _sweep_trials(monkeypatch, "sqrt_branch", radius=(2.6, 5000.0))
+    assert calls <= 40
+    assert rows == 40445
 
 
 def test_continuation_detects_branch_point(sqrt_spec):

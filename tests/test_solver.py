@@ -8,11 +8,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from explat import solver
 from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
 from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _batched_fiber, branch_base
 from explat.solver import (
-    CHUNK_LAMBDAS,
     ContractionGateFailed,
     GAMMA_POINTS,
     LatticeTooLarge,
@@ -92,10 +92,17 @@ def torus_sweep():
 
 
 # narrow sector holding the single chart point 8+2i of Z+iZ in radius (8.2, 8.7)
+MINI_DOMAIN = SectorDomain(c=(1.0, 1.0), chart=0, epsilon=0.6, theta=0.145, eta=0.345)
+
+
+def mini_sweep(jobs=1):
+    return sweep(wp_setup().problem, MINI_DOMAIN, (8.2, 8.7), tol=1e-10, max_iter=60, jobs=jobs)
+
+
 @lru_cache(maxsize=None)
 def wp_mini():
-    dom = SectorDomain(c=(1.0, 1.0), chart=0, epsilon=0.6, theta=0.145, eta=0.345)
-    return dom, sweep(wp_setup().problem, dom, (8.2, 8.7), tol=1e-10, max_iter=60)
+    """The mini sweep at the default CHUNK_ROWS; tests that patch CHUNK_ROWS call mini_sweep."""
+    return MINI_DOMAIN, mini_sweep()
 
 
 # ----------------------------------------------------------------------
@@ -364,7 +371,7 @@ def test_exp_and_forward_residuals():
         assert abs(cmath.exp(s) - s) / (1 + abs(s)) < 1e-10
 
 
-def test_single_point_solve_matches_sweep():
+def test_single_point_solve_matches_sweep(monkeypatch):
     st = torus_setup()
     res = torus_sweep()
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
@@ -373,27 +380,31 @@ def test_single_point_solve_matches_sweep():
     (match,) = [r for r in res.records if abs(r.lam[0] - lam[0]) < 1e-9]
     assert abs(rec.s[0] - match.s[0]) < 1e-10
 
-    # curve product: 37 lambda share the chart point 8+2i, split over two
-    # chunks that both fan out the same leg-1 rows; each chunk's first and
-    # last lambda on every branch must match a solve that runs its own leg 1
+    # curve product: 37 lambda share the chart point 8+2i; chunks of 288
+    # rows (24 lambda of 12 branches) split them over two chunks that both
+    # fan out the same leg-1 rows; each chunk's first and last lambda on
+    # every branch must match a solve that runs its own leg 1
     st = wp_setup()
-    dom, res = wp_mini()
+    monkeypatch.setattr(solver, "CHUNK_ROWS", 288)
+    dom, res = MINI_DOMAIN, mini_sweep()
     base = branch_base(st.problem, dom, _base_point(dom))
+    per_chunk = solver.CHUNK_ROWS // len(base)
     lams = list({tuple(r.lam): r.lam for r in res.records}.values())
-    assert len(lams) == 37 and CHUNK_LAMBDAS < 37 <= 2 * CHUNK_LAMBDAS
+    assert len(lams) == 37 and per_chunk < 37 <= 2 * per_chunk
     by_key = {(tuple(r.lam), r.branch_id): r for r in res.records}
-    for k in (0, CHUNK_LAMBDAS - 1, CHUNK_LAMBDAS, len(lams) - 1):
+    for k in (0, per_chunk - 1, per_chunk, len(lams) - 1):
         for b, state in enumerate(base):
             rec = solve_at_lattice_point(st.problem, dom, state, lams[k])
             match = by_key[(tuple(lams[k]), b)]
             assert np.max(np.abs(rec.s - match.s)) <= 1e-12
 
 
-def test_jobs_do_not_move_shared_chart_rows():
-    # the leg-1 rows of the one chart point 8+2i go to both worker chunks
-    st = wp_setup()
-    dom, res1 = wp_mini()
-    res2 = sweep(st.problem, dom, (8.2, 8.7), tol=1e-10, max_iter=60, jobs=2)
+def test_jobs_do_not_move_shared_chart_rows(monkeypatch):
+    # chunks of 288 rows split the 37 lambda in two, so jobs=2 starts the
+    # pool, and the leg-1 rows of the one chart point 8+2i go to both chunks
+    monkeypatch.setattr(solver, "CHUNK_ROWS", 288)
+    res1 = mini_sweep()
+    res2 = mini_sweep(jobs=2)
 
     def rows(res):
         return [(r.lam.tolist(), r.branch_id, r.s.tolist(), r.residual) for r in res.records]
@@ -404,6 +415,30 @@ def test_jobs_do_not_move_shared_chart_rows():
     assert len(res1.records) == 444
     assert rows(res2) == rows(res1)
     assert skips(res2) == skips(res1)
+
+
+def _sweep_bits(res):
+    """Records, skips and asymptotics of a sweep, floats as their bytes."""
+    def b(x):
+        return np.asarray(x, dtype=complex).tobytes()
+
+    recs = [(b(r.lam), b(r.s), r.branch_id, b(r.residual), b(r.f_residual), r.iterations, b(r.g_lambda))
+            for r in res.records]
+    skips = [(b(lam), bid, why) for lam, bid, why in res.skipped]
+    asym = res.asymptotics
+    return (recs, skips, {k: b(v) for k, v in asym["gamma"].items()},
+            asym["log_growth_constant"], b(asym["decay"]))
+
+
+@pytest.mark.parametrize("chunk_rows", [12, 288])
+def test_chunk_budget_does_not_move_sweep(monkeypatch, chunk_rows):
+    # one lambda per chunk, two chunks, and one chunk at the default budget
+    # give the same bits: no row's arithmetic depends on its batch
+    _, want = wp_mini()
+    monkeypatch.setattr(solver, "CHUNK_ROWS", chunk_rows)
+    got = mini_sweep()
+    assert len(got.records) == 444
+    assert _sweep_bits(got) == _sweep_bits(want)
 
 
 def test_single_point_solve_raises_off_domain():
