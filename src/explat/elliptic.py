@@ -21,6 +21,7 @@ import numpy as np
 
 POLE_REL_TOL = 1e-8        # dist(z, lattice) below this times |omega1| is a pole
 LOG_ACCEPT_TOL = 1e-10     # logarithm acceptance residual (relative)
+SEED_ROWS = 256            # rows whose seeds are ranked at once; bounds the (rows, 576) distance temporaries
 
 
 # ----------------------------------------------------------------------
@@ -258,14 +259,14 @@ class _WpTables:
         self._grid = None
 
     def grid(self):
-        """Cached logarithm seed grid over the fundamental cell with wp values."""
+        """Cached logarithm seed grid over the fundamental cell, with its wp and wp' values."""
         if self._grid is None:
             lat = self.curve.lattice
             k = (np.arange(24) + 0.5) / 24.0 - 0.5
             s, t = np.meshgrid(k, k)
             z = s.ravel() * lat.omega1 + t.ravel() * lat.omega2
-            wp, _, _ = wp_both(z, self.curve)
-            self._grid = (z, wp)
+            wp, dwp, _ = wp_both(z, self.curve)
+            self._grid = (z, wp, dwp)
         return self._grid
 
 
@@ -347,16 +348,29 @@ def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
 
     Each row runs Gauss-Newton from its seeds in turn until one converges:
     the anchor when one is given, the 4 points of a 24x24 grid over the cell
-    whose wp is nearest x, the near-pole asymptotics +-1/sqrt(x), and, only
-    for rows that still fail, the rest of the grid.  Returns (v, ok): v is
+    nearest (x, y), by |wp - x| / (1 + |x|) + |wp' - y| / (1 + |y|), the
+    near-pole asymptotics +-1/sqrt(x), and, only for rows that still fail,
+    the rest of the grid in the same order.  Returns (v, ok): v is
     reduced to the fundamental cell, or with an anchor (one per row, or one
     for all) is the lattice translate nearest it; v is 0 where ok is False.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     m = x.shape[0]
-    grid_z, grid_wp = curve.tables().grid()
-    order = np.argsort(np.abs(grid_wp[None, :] - x[:, None]), axis=1)[:, :4]
+    grid_z, grid_wp, grid_dwp = curve.tables().grid()
+
+    def seed_distance(r):
+        # wp is even, so wp alone ranks -v as near as v; wp' tells them apart
+        return (np.abs(grid_wp - x[r, None]) / (1.0 + np.abs(x[r, None]))
+                + np.abs(grid_dwp - y[r, None]) / (1.0 + np.abs(y[r, None])))
+
+    order = np.empty((m, 4), dtype=np.intp)
+    for lo in range(0, m, SEED_ROWS):
+        rows = slice(lo, lo + SEED_ROWS)
+        dist = seed_distance(rows)
+        near = np.argpartition(dist, 4, axis=1)[:, :4]
+        nearest_first = np.argsort(np.take_along_axis(dist, near, axis=1), axis=1)
+        order[rows] = np.take_along_axis(near, nearest_first, axis=1)
     root = 1.0 / np.sqrt(np.where(x == 0, 1.0, x))
     if anchor is not None:
         anchor = np.broadcast_to(np.asarray(anchor, dtype=complex), (m,))
@@ -373,7 +387,7 @@ def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
         v[sub[okt]] = vt[okt]
         done[sub] = okt
     for r in np.flatnonzero(~done):
-        far = np.argsort(np.abs(grid_wp - x[r]))[4:]
+        far = np.argsort(seed_distance(r))[4:]
         vt, okt, _ = _gauss_newton_log(curve, np.full(far.size, x[r]), np.full(far.size, y[r]), grid_z[far])
         if okt.any():
             v[r] = vt[np.argmax(okt)]

@@ -597,6 +597,13 @@ class _Tracker:
         vals = {nm: np.array([s.values[nm] for s in states]) for nm in names}
         return cls(spec, Z, vals, G, [s.branch_id for s in states])
 
+    def take(self, rows) -> "_Tracker":
+        """A new tracker holding copies of `rows` (indices, repeats allowed),
+        step rates included, so a later advance sizes its first step from
+        these rows' last."""
+        return _Tracker(self.spec, self.Z[rows], {nm: col[rows] for nm, col in self.vals.items()}, self.G[rows],
+                        [self.branch_ids[r] for r in rows], (self.alpha_rate[rows], self.log_rate[rows]))
+
     def _start_rates(self):
         """(alpha_rate, log_rate) in closed form at each row's point.
 

@@ -1,12 +1,15 @@
 """Lattice sweeps: solve z = lambda + G(z) across the period lattice.
 
-Pipeline: enumerate period-lattice points inside a sector domain, gate on a
-contraction bound for dG sampled from its closed form (fiber.g_jacobian),
-drop points too close to the domain boundary (closer than the measured G
-bound), then continue every branch from one base point to each distinct
-chart point once (leg 1), fan those end states out to the lattice points
-sharing that chart point, continue each to its own lattice point (leg 2)
-and solve z = lambda + G(z) there by Newton's method,
+Pipeline: enumerate period-lattice points inside a sector domain (one
+coordinate at a time over all chart points, no loop per chart point), gate
+on a contraction bound for dG sampled from its closed form
+(fiber.g_jacobian), drop points too close to the domain boundary (closer
+than the measured G bound), then continue every branch from one base point
+to each distinct chart point once (leg 1, a tree: out along the base ray to
+hubs at the base radius times powers of HUB_RATIO, then a short twig from
+the nearest hub to each chart point), fan those end states out to the
+lattice points sharing that chart point, continue each to its own lattice
+point (leg 2) and solve z = lambda + G(z) there by Newton's method,
 z <- z - (I - dG)^-1 (z - lambda - G(z)), each step a continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
@@ -16,7 +19,6 @@ alone, never by --jobs, so the report is the same bytes at any --jobs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,10 +43,13 @@ CHUNK_ROWS = 4096      # (lambda, branch) rows per work chunk, fixed for determi
 GATE_LIMIT = 0.5       # contraction bound required before sweeping
 GAMMA_POINTS = 5       # records per branch used for the gamma estimate
 BASE_RADIUS_FACTOR = 1.25  # base point sits at this multiple of 1/epsilon
+HUB_RATIO = 2.0        # leg-1 hubs sit at the base radius times its powers
 # Lattice candidates (16 B per coordinate) an enumeration may allocate.  Its
-# peak memory is about 2.4x this.  A two-coordinate sweep keeps about 8 KB of
-# records per lattice point, so the points admitted at the limit would need
-# some 45 GB of records; examples/wp_example.spec allocates 1.3e5 B.
+# peak memory is about 2.7x this: 25 MB for the 9.4 MB of candidates of
+# examples/wp_example.spec at radius 5:60.  A two-coordinate sweep keeps
+# about 8 KB of records per lattice point, so the points admitted at the
+# limit would need some 45 GB of records; examples/wp_example.spec
+# allocates 1.3e5 B.
 MAX_LATTICE_BYTES = 2**28
 
 
@@ -97,21 +102,33 @@ def _disc_size(sig, k: int, center, radius):
     return size
 
 
-def _disc_points(sig, k: int, center: complex, radius: float) -> np.ndarray:
-    """Period-lattice points of factor k with |p - center| < radius (0 included).
+def _disc_points(sig, k: int, center, radius):
+    """Period-lattice points of factor k in the discs |p - center[j]| < radius[j] (0 included).
 
     The period lattice is 2*pi*i*Z on a torus factor and the curve's lattice
-    on an elliptic one.
+    on an elliptic one.  center and radius are arrays, one entry per disc
+    (or scalars, for one disc).  Returns (points, disc): disc[q] is the
+    index j of the disc that holds points[q], discs in order.  Each disc's
+    grid of _disc_ranges is laid out by np.repeat over its size, so no
+    Python loop runs per disc.
     """
     kind, curve = sig.factors[k]
-    axes = [np.arange(int(lo), int(hi) + 1) for lo, hi in _disc_ranges(sig, k, center, radius)]
+    center = np.atleast_1d(np.asarray(center, dtype=complex))
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), center.shape)
+    ranges = _disc_ranges(sig, k, center, radius)
+    counts = [np.maximum(hi - lo + 1.0, 0.0).astype(np.int64) for lo, hi in ranges]
+    size = np.prod(counts, axis=0)
+    disc = np.repeat(np.arange(center.size), size)
+    pos = np.arange(disc.size) - np.repeat(np.cumsum(size) - size, size)  # place within its disc's grid
+    lo = [first[disc] for first, _ in ranges]
     if kind == "torus":
-        pts = 2j * math.pi * axes[0]
+        pts = 2j * math.pi * (lo[0] + pos)
     else:
         a, b = curve.lattice.reduced_basis()
-        ms, ns = np.meshgrid(*axes)
-        pts = ms.ravel() * a + ns.ravel() * b
-    return pts[np.abs(pts - center) < radius]
+        mlen = counts[0][disc]
+        pts = (lo[0] + pos % mlen) * a + (lo[1] + pos // mlen) * b
+    keep = np.abs(pts - center[disc]) < radius[disc]
+    return pts[keep], disc[keep]
 
 
 def _refuse_above(size: float, rmin: float, rmax: float) -> None:
@@ -140,32 +157,25 @@ def enumerate_lattice(sig, domain: SectorDomain, radius_range) -> np.ndarray:
     ell = domain.chart
     chart_size = _disc_size(sig, ell, 0, rmax + sig.gap(ell))
     _refuse_above(chart_size, rmin, rmax)
-    charts = _disc_points(sig, ell, 0, rmax + sig.gap(ell))
+    charts, _ = _disc_points(sig, ell, 0, rmax + sig.gap(ell))
     r, a = np.abs(charts), domain.window_arg(charts)
     charts = charts[(r > rmin) & (r <= rmax) & (r > 1.0 / domain.epsilon) & (a > domain.theta) & (a < domain.eta)]
+    radius = domain.epsilon * np.hypot(charts.real, charts.imag)  # rounds as abs() does; np.abs does not
+    others = [i for i in range(n) if i != ell]
     per_chart = np.ones(charts.size)
-    for i in range(n):
-        if i != ell:
-            per_chart = per_chart * _disc_size(sig, i, domain.c[i] * charts, domain.epsilon * np.abs(charts))
+    for i in others:
+        per_chart = per_chart * _disc_size(sig, i, domain.c[i] * charts, radius)
     _refuse_above(chart_size + n * float(np.sum(per_chart)), rmin, rmax)
-    blocks = []
-    for zl in charts:
-        cols = []
-        for i in range(n):
-            if i == ell:
-                cols.append(np.array([zl], dtype=complex))
-            else:
-                cols.append(_disc_points(sig, i, domain.c[i] * zl, domain.epsilon * abs(zl)))
-        if any(c.size == 0 for c in cols):
-            continue
-        grids = np.meshgrid(*cols, indexing="ij")
-        block = np.stack([g.ravel() for g in grids], axis=1)
-        block = block[domain.contains_batch(block)]
-        if block.size:
-            blocks.append(block)
-    if not blocks:
-        return np.empty((0, n), dtype=complex)
-    pts = np.concatenate(blocks, axis=0)
+    # one coordinate at a time over every partial point: owner is its chart point
+    owner = np.arange(charts.size)
+    cols = {}
+    for i in others:
+        vals, part = _disc_points(sig, i, domain.c[i] * charts[owner], radius[owner])
+        cols = {k: col[part] for k, col in cols.items()}
+        cols[i], owner = vals, owner[part]
+    cols[ell] = charts[owner]
+    pts = np.stack([cols[i] for i in range(n)], axis=1)
+    pts = pts[domain.contains_batch(pts)]
     keys = sum(([pts[:, i].imag, pts[:, i].real] for i in reversed(range(n))), [])
     keys.append(np.abs(pts[:, ell]))
     order = np.lexsort(keys)
@@ -321,28 +331,56 @@ class _Leg1(NamedTuple):
     reason: np.ndarray
 
 
-def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts) -> _Leg1:
-    """Continue every branch once from the base point to each distinct chart point.
+def _rows_of(owners: np.ndarray, d: int) -> np.ndarray:
+    """Tracker rows (owner, branch), owner-major, of owners holding d rows each."""
+    return (owners[:, None] * d + np.arange(d)[None, :]).ravel()
 
-    Leg 1 runs along the log-spiral c * exp((1-t) log(base) + t log(lambda_l)),
-    which depends on lambda only through lambda_l, so lattice points sharing
-    a chart coordinate share its leg-1 rows.
-    """
-    charts = np.unique(np.asarray(charts, dtype=complex))
-    cvec = np.array(domain.c, dtype=complex)
-    tr = _Tracker.from_states(spec, list(base_states) * charts.size)
 
-    lam_l = np.repeat(charts, len(base_states))
-    base_r = BASE_RADIUS_FACTOR / domain.epsilon
-    mid = 0.5 * (domain.theta + domain.eta)
-    L0 = complex(math.log(base_r), mid)
-    L1 = np.log(np.abs(lam_l)) + 1j * domain.window_arg(lam_l)
+def _leg1_path(cvec, L_from, L_to):
+    """The leg-1 path c * exp((1-t) L_from + t L_to), row by row; it is named
+    leg1, the name the phase's advance calls are known by."""
 
     def leg1(t):
-        return cvec[None, :] * np.exp((1.0 - t) * L0 + t * L1)[:, None]
+        return cvec[None, :] * np.exp((1.0 - t) * L_from + t * L_to)[:, None]
 
-    alive, reason = tr.advance(leg1, domain=domain)
-    return _Leg1(charts, tr, alive, reason)
+    return leg1
+
+
+def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts) -> _Leg1:
+    """Continue every branch once from the base point to each distinct chart point, as a tree.
+
+    Paths are straight in L = log r + i arg(z_l), mapped by z = c * exp(L).
+    Hubs: every branch runs from the base point out along the base ray to
+    the hubs at radii base_r * HUB_RATIO^j that some chart point is nearest
+    to.  Twigs: each chart point's rows start from copies of its nearest
+    hub's (nearest in L; all hubs share one arg, so nearest in log r), step
+    rates included, and run on to c * lambda_l.  So leg 1 costs the hubs'
+    log(radius) once plus one short twig per chart point, not a log(radius)
+    spiral per chart point.  Continuation does not depend on the path
+    inside the simply connected sector domain (Bates-Hauenstein-Sommese-
+    Wampler, Numerically Solving Polynomial Systems with Bertini, 2013,
+    Ch. 2), so the tree gives the branches the labels a direct spiral
+    would.  A chart point whose hub failed gets the hub's reason.  Each
+    row's path depends only on its own chart point, so its bits do not
+    depend on which other chart points the sweep holds.
+    """
+    charts = np.unique(np.asarray(charts, dtype=complex))
+    d = len(base_states)
+    cvec = np.array(domain.c, dtype=complex)
+    log_base = math.log(BASE_RADIUS_FACTOR / domain.epsilon)
+    L0 = complex(log_base, 0.5 * (domain.theta + domain.eta))
+    L1 = np.log(np.abs(charts)) + 1j * domain.window_arg(charts)
+    j = np.maximum(np.rint((L1.real - log_base) / math.log(HUB_RATIO)), 0.0)
+    hubs, nearest = np.unique(j, return_inverse=True)
+
+    hub = _Tracker.from_states(spec, list(base_states) * hubs.size)
+    L_hub = np.repeat(L0 + hubs * math.log(HUB_RATIO), d)
+    hub_ok, hub_reason = hub.advance(_leg1_path(cvec, L0, L_hub), domain=domain)
+
+    rows = _rows_of(nearest, d)
+    tr = hub.take(rows)
+    alive, reason = tr.advance(_leg1_path(cvec, L_hub[rows], np.repeat(L1, d)), domain=domain, active=hub_ok[rows])
+    return _Leg1(charts, tr, alive, np.where(hub_ok[rows], reason, hub_reason[rows]))
 
 
 def _fan_out(leg1: _Leg1, lam_l: np.ndarray, d: int):
@@ -353,12 +391,8 @@ def _fan_out(leg1: _Leg1, lam_l: np.ndarray, d: int):
     step rates included, so leg 2 sizes its first step from leg 1's last.
     """
     pos = {c: i for i, c in enumerate(leg1.charts.tolist())}
-    u = np.array([pos[c] for c in np.asarray(lam_l).tolist()], dtype=int)
-    rows = (u[:, None] * d + np.arange(d)[None, :]).ravel()
-    tr = leg1.tracker
-    out = _Tracker(tr.spec, tr.Z[rows], {nm: col[rows] for nm, col in tr.vals.items()}, tr.G[rows],
-                   [tr.branch_ids[r] for r in rows], (tr.alpha_rate[rows], tr.log_rate[rows]))
-    return out, leg1.alive[rows], leg1.reason[rows]
+    rows = _rows_of(np.array([pos[c] for c in np.asarray(lam_l).tolist()], dtype=int), d)
+    return leg1.tracker.take(rows), leg1.alive[rows], leg1.reason[rows]
 
 
 def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk: np.ndarray,
@@ -549,6 +583,9 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
             charts = np.unique(ch[:, ell])
             legs.append(_Leg1(charts, *_fan_out(leg1, charts, len(states))))
         if jobs > 1 and len(chunks) > 1:
+            # imported here: it loads multiprocessing, which no other run needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
                 futs = [
                     pool.submit(_solve_chunk, spec, domain, states, ch, lg, tol, max_iter)

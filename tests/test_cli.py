@@ -198,6 +198,19 @@ def test_problem_files_parse_without_sympy():
     assert r.stdout.strip() == "3"
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool's module pulls in multiprocessing and subprocess; only a sweep
+    # of more than one chunk at --jobs > 1 imports it
+    code = (
+        "import sys\n"
+        "import explat.cli\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 def test_exit_on_degenerate_geometry(tmp_path):
     # w = z^3 has dG = 3/z, above 1/2 on the inner shell: gate refuses the run
     cubic = tmp_path / "cubic.spec"

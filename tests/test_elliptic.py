@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from explat import elliptic
 from explat.elliptic import (
     EllipticCurveParams,
     Lattice,
@@ -394,13 +395,27 @@ def test_exp_lattice_point_is_identity(curves):
     assert pole.tolist() == [True, True, True, False]
 
 
-def test_log_exp_roundtrip(curves):
+def test_log_exp_roundtrip(curves, monkeypatch):
+    # the grid seeds are ranked by wp and wp' together, so the first seed
+    # lies on the sheet of v, not of -v (wp is even), and almost every row
+    # converges from it; ranked by wp alone, 13 rows of the square lattice's
+    # 100 needed a second seed
+    passes = []
+    gauss_newton = elliptic._gauss_newton_log
+
+    def counted(curve, x, y, v0, iters=48):
+        passes.append(len(x))
+        return gauss_newton(curve, x, y, v0, iters)
+
+    monkeypatch.setattr(elliptic, "_gauss_newton_log", counted)
     for name in ("square", "skew"):
         curve = curves[name]
         zs = _cell_points(curve.lattice, 100)
         x, y, _ = wp_both(zs, curve)
+        passes.clear()
         back, ok = log_E_batch(curve, x, y)
         assert ok.all()
+        assert passes[0] == 100 and passes[1:2] <= [1], (name, passes)
         zc = reduce_mod_lattice(zs, curve.lattice)[0]
         assert np.max(np.abs(back - zc)) < 1e-9 * abs(curve.lattice.omega1)
 

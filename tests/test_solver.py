@@ -3,6 +3,7 @@
 import cmath
 import math
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from explat import solver
 from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
-from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _batched_fiber, branch_base
+from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _batched_fiber, _Tracker, branch_base
 from explat.solver import (
     ContractionGateFailed,
     GAMMA_POINTS,
@@ -20,6 +21,7 @@ from explat.solver import (
     ZeroOnBoundary,
     _asymptotic_report,
     _base_point,
+    _continue_leg1,
     count_zeros_window,
     enumerate_lattice,
     measure_contraction,
@@ -28,6 +30,8 @@ from explat.solver import (
     verify_records,
 )
 from explat.specfile import parse_run
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 TORUS_SRC = """
 [group]
@@ -198,6 +202,62 @@ def test_mixed_signature_matches_brute_force():
     assert radii == sorted(radii)
 
 
+def _enumerate_per_chart(sig, domain, radius_range):
+    """enumerate_lattice as one loop over chart points, each disc built on its own."""
+    rmin, rmax = map(float, radius_range)
+    n, ell = sig.n, domain.chart
+
+    def disc(k, center, radius):
+        axes = [np.arange(int(lo), int(hi) + 1) for lo, hi in solver._disc_ranges(sig, k, center, radius)]
+        if sig.factors[k][0] == "torus":
+            pts = 2j * math.pi * axes[0]
+        else:
+            a, b = sig.factors[k][1].lattice.reduced_basis()
+            ms, ns = np.meshgrid(*axes)
+            pts = ms.ravel() * a + ns.ravel() * b
+        return pts[np.abs(pts - center) < radius]
+
+    charts = disc(ell, 0, rmax + sig.gap(ell))
+    r, a = np.abs(charts), domain.window_arg(charts)
+    charts = charts[(r > rmin) & (r <= rmax) & (r > 1.0 / domain.epsilon) & (a > domain.theta) & (a < domain.eta)]
+    blocks = [np.empty((0, n), dtype=complex)]
+    for zl in charts:
+        cols = [np.array([zl]) if i == ell else disc(i, domain.c[i] * zl, domain.epsilon * abs(zl)) for i in range(n)]
+        block = np.stack([g.ravel() for g in np.meshgrid(*cols, indexing="ij")], axis=1)
+        blocks.append(block[domain.contains_batch(block)])
+    pts = np.concatenate(blocks)
+    keys = sum(([pts[:, i].imag, pts[:, i].real] for i in reversed(range(n))), [])
+    keys.append(np.abs(pts[:, ell]))
+    return pts[np.lexsort(keys)]
+
+
+def _three_coordinate_case():
+    curve = EllipticCurveParams.from_lattice(Lattice(1.0, 0.3 + 1.1j))
+    sig = GroupSignature(factors=(("torus", None), ("elliptic", curve), ("torus", None)))
+    dom = SectorDomain(c=(1.0, 0.5 - 0.2j, 0.8 + 0.1j), chart=0, epsilon=0.3, theta=0.2, eta=2.5)
+    return sig, dom, (10.0, 60.0)
+
+
+def _example_case(name, radius=None):
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    return st.problem.signature, st.domain, radius or st.radius
+
+
+@pytest.mark.parametrize("case, count", [
+    (lambda: _example_case("torus_identity"), 39),
+    (lambda: _example_case("sqrt_branch", (2.6, 5000.0)), 795),
+    # with the disc radius epsilon * np.abs(lambda_l) instead of abs(), one more point gets in
+    (lambda: _example_case("wp_example", (5.0, 60.0)), 193560),
+    (_three_coordinate_case, 11083),
+], ids=["torus_identity", "sqrt-2.6:5000", "wp_example-5:60", "torus-elliptic-torus"])
+def test_enumeration_matches_per_chart_loop(case, count):
+    sig, dom, radius = case()
+    got = enumerate_lattice(sig, dom, radius)
+    want = _enumerate_per_chart(sig, dom, radius)
+    assert got.shape == (count, sig.n)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("setup, radius", [(torus_setup, (1.0, 1e300)), (torus_setup, (1.0, 1e15)),
                                            (wp_setup, (1.0, 1e300)), (wp_setup, (1e300, 1.5e300)),
                                            (wp_setup, (1.0, 1e15)), (wp_setup, (29.5, 1e4))],
@@ -243,7 +303,7 @@ def test_disc_size_counts_the_scanned_grid():
         for k in range(sig.n):
             for center in (0, 3.7 - 2.2j, -40 + 0.5j):
                 for radius in (0.5, 6.3, 25.0):
-                    got = solver_mod._disc_points(sig, k, center, radius)
+                    got, _ = solver_mod._disc_points(sig, k, center, radius)
                     size = float(solver_mod._disc_size(sig, k, center, radius))
                     assert got.size <= size <= 4 * got.size + 40
     sizes = solver_mod._disc_size(wp_setup().problem.signature, 0, np.array([0, 1j]), np.array([1e300, np.inf]))
@@ -397,6 +457,55 @@ def test_single_point_solve_matches_sweep(monkeypatch):
             rec = solve_at_lattice_point(st.problem, dom, state, lams[k])
             match = by_key[(tuple(lams[k]), b)]
             assert np.max(np.abs(rec.s - match.s)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, radius", [("sqrt_branch", (2.6, 5000.0)), ("wp_example", None)])
+def test_leg1_tree_keeps_the_branch_labels(name, radius):
+    # leg 1 runs out to hubs on the base ray, then on to each chart point;
+    # a branch locus in the log box between the base ray and a chart point
+    # would relabel that chart point's branches against a direct spiral
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    spec, dom = st.problem, st.domain
+    charts = np.unique(enumerate_lattice(spec.signature, dom, radius or st.radius)[:, dom.chart])
+    states = branch_base(spec, dom, _base_point(dom))
+    tree = _continue_leg1(spec, dom, states, charts)
+
+    direct = _Tracker.from_states(spec, list(states) * charts.size)
+    L0 = complex(math.log(solver.BASE_RADIUS_FACTOR / dom.epsilon), 0.5 * (dom.theta + dom.eta))
+    L1 = np.repeat(np.log(np.abs(charts)) + 1j * dom.window_arg(charts), len(states))
+    cvec = np.array(dom.c, dtype=complex)
+    ok, _ = direct.advance(lambda t: cvec[None, :] * np.exp((1.0 - t) * L0 + t * L1)[:, None], domain=dom)
+
+    assert ok.all() and tree.alive.all()
+    assert tree.tracker.branch_ids == direct.branch_ids
+    assert np.array_equal(tree.tracker.Z, direct.Z)
+    for got, want in [(tree.tracker.G, direct.G)] + [(tree.tracker.vals[nm], direct.vals[nm]) for nm in direct.vals]:
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_leg1_failed_hub_skips_its_chart_points(monkeypatch):
+    # the hubs' advance comes first; a hub that fails there passes its
+    # reason to every chart point whose twig would start from it
+    st = torus_setup()
+    advance = _Tracker.advance
+    names = []
+
+    def last_hub_leaves_domain(self, path, domain=None, active=None, max_iter=600):
+        ok, reason = advance(self, path, domain=domain, active=active, max_iter=max_iter)
+        if not names:
+            ok[-1], reason[-1] = False, _Tracker.FAIL_DOMAIN
+        names.append(path.__name__)
+        return ok, reason
+
+    monkeypatch.setattr(_Tracker, "advance", last_hub_leaves_domain)
+    res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    assert names[:2] == ["leg1", "leg1"] and "leg1" not in names[2:]
+    lams = [r.lam[0] for r in res.records] + [lam[0] for lam, _, _ in res.skipped]
+    hub = np.rint(np.log2(np.abs(lams) * st.domain.epsilon / solver.BASE_RADIUS_FACTOR))
+    far = {complex(v) for v, j in zip(lams, hub) if j == hub.max()}
+    assert len(lams) == 39 and 0 < len(far) < 39
+    assert {complex(lam[0]) for lam, _, _ in res.skipped} == far
+    assert {why for _, _, why in res.skipped} == {"left-domain"}
 
 
 def test_jobs_do_not_move_shared_chart_rows(monkeypatch):
