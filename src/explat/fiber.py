@@ -46,7 +46,6 @@ DONE = 1.0 - 1e-12     # path parameter at which a row has arrived
 ALPHA_STEP = 0.1       # alpha a substep aims for, below ALPHA_0 = 0.157
 LOG_STEP = 0.25        # log motion a substep aims for, in gaps; the guard allows 0.5
 SAG_STEP = 0.5         # chord sag allowed, in units of the motion the rates allow
-SAG_BISECT = 0.05      # a sag-bound step is bisected to within this fraction of the longest
 SECANT_MIN = 1e-8      # relative motion below which a substep's rates are rounding
 VELOCITY_DT = 1e-6     # parameter difference that measures a path's |dz/dt|
 ALPHA_TINY = 1e-13     # torus coordinate this small (relative) leaves the group
@@ -694,11 +693,9 @@ class _Tracker:
         over VELOCITY_DT.  The chord sag |path(t + dt/2) - (Z + path(t + dt))/2|_inf
         must then stay within SAG_STEP / rate, so a step cannot cut across a
         curved path (the leg-1 log-spiral, a monodromy circle) that the trial
-        sees only at its ends.  A row whose dt sags too far shrinks it by the
-        sag's quadratic model until one fits, then bisects between the
-        longest dt that fits and the shortest that does not, until they are
-        within SAG_BISECT of each other; it takes the longest that fits.
-        A row whose dt falls below MIN_FRACTION stops there (advance fails it).
+        sees only at its ends; a row whose dt sags too far halves it until
+        it fits.  A row whose dt falls below MIN_FRACTION stops there
+        (advance fails it).
         """
         Z0 = self.Z[rows]
         t0 = t[rows]
@@ -709,8 +706,6 @@ class _Tracker:
             rate = np.maximum(self.alpha_rate[rows] / ALPHA_STEP, self.log_rate[rows] / LOG_STEP)
             dt = np.minimum(np.minimum(limit[rows], 1.0 - t0), 1.0 / (rate * speed))
         dt = np.where(rate < np.inf, dt, 0.0)
-        lo = np.zeros_like(dt)          # longest dt known to fit
-        hi = np.full_like(dt, np.inf)   # shortest dt known to sag too far
         t_next, Znext = np.empty_like(t0), np.empty_like(Z0)
         todo = np.ones(dt.shape, dtype=bool)
         while True:
@@ -719,17 +714,14 @@ class _Tracker:
             Z_try = path(tt)[rows]
             tt[rows] = t0 + 0.5 * dt
             sag = np.max(np.abs(path(tt)[rows] - 0.5 * (Z0 + Z_try)), axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(invalid="ignore"):
                 fits = ~(rate * sag > SAG_STEP) | (dt < MIN_FRACTION)
             take = todo & fits
-            lo[take], t_next[take], Znext[take] = dt[take], t_try[take], Z_try[take]
-            hi[todo & ~fits] = dt[todo & ~fits]
-            todo &= ~(fits & ((hi == np.inf) | (lo >= (1.0 - SAG_BISECT) * hi)))
+            t_next[take], Znext[take] = t_try[take], Z_try[take]
+            todo &= ~fits
             if not todo.any():
-                return lo, t_next, Znext
-            with np.errstate(divide="ignore", invalid="ignore"):
-                model = dt * 0.99 * np.sqrt(SAG_STEP / (rate * sag))
-            dt = np.where(todo, np.where(lo > 0.0, 0.5 * (lo + hi), model), dt)
+                return dt, t_next, Znext
+            dt = np.where(todo, 0.5 * dt, dt)
 
     # -- adaptive advance along per-row paths ---------------------------
     def advance(self, path: Callable, domain=None, active=None, max_iter=600):

@@ -7,14 +7,16 @@ on a contraction bound for dG sampled from its closed form
 than the measured G bound), then continue every branch from one base point
 to each distinct chart point once (leg 1, a tree: out along the base ray to
 hubs at the base radius times powers of HUB_RATIO, then a short twig from
-the nearest hub to each chart point), fan those end states out to the
-lattice points sharing that chart point, continue each to its own lattice
-point (leg 2) and solve z = lambda + G(z) there by Newton's method,
+the nearest hub to each chart point), hand each lattice point copies of its
+chart point's end states by index, continue each to its own lattice point
+(leg 2) and solve z = lambda + G(z) there by Newton's method,
 z <- z - (I - dG)^-1 (z - lambda - G(z)), each step a continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
 CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
 alone, never by --jobs, so the report is the same bytes at any --jobs.
+Rows stay arrays throughout: the margin gate and the chunks give each row
+a code into REASONS, and one np.lexsort puts them in the canonical order.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NonConvergence
-from .elliptic import curve_distance, wp_both
+from .elliptic import _cdiv, curve_distance, wp_both
 from .fiber import (
     ROOT_TOL,
     LeftDomain,
@@ -51,6 +53,10 @@ HUB_RATIO = 2.0        # leg-1 hubs sit at the base radius times its powers
 # limit would need some 45 GB of records; examples/wp_example.spec
 # allocates 1.3e5 B.
 MAX_LATTICE_BYTES = 2**28
+# Why a lambda (margin reasons) or a (lambda, branch) row is skipped, indexed
+# by the codes admits and _solve_chunk give; code 0 is a kept row.
+REASONS = (None, "radial-margin", "arg-margin", "ratio-margin",
+           "no-convergence", "left-domain", "branch-point", "residual-above-tol")
 
 
 class ZeroOnBoundary(RuntimeError):
@@ -204,31 +210,37 @@ class ContractionReport:
     g_im_max: np.ndarray     # per coordinate: max |Im g_i|
     samples: int
 
-    def bound(self, i: int, lam_i: complex) -> float:
-        if self.kinds[i] == "elliptic":
-            return float(self.g_abs_max[i])
-        r = abs(lam_i)
-        return float(self.g_re_ratio[i] * max(1.0, math.log(r) if r > 1.0 else 1.0) + self.g_im_max[i])
+    def bound(self, lams: np.ndarray) -> np.ndarray:
+        """Bound on |G_i| at each entry of the (k, n) array lams."""
+        r = np.hypot(lams.real, lams.imag)
+        logs = np.array([math.log(v) if v > 1.0 else 1.0 for v in r.ravel().tolist()]).reshape(r.shape)
+        torus = self.g_re_ratio * np.maximum(1.0, logs) + self.g_im_max
+        return np.where(np.array(self.kinds) == "elliptic", self.g_abs_max, torus)
 
-    def admits(self, lam, domain: SectorDomain):
-        """(True, None) if lam sits deeper than the G bound from every wall."""
+    def admits(self, lams: np.ndarray, domain: SectorDomain) -> np.ndarray:
+        """Per row of lams (k, n): 0 if it sits deeper than the G bound from
+        every wall, else the code in REASONS of the first wall it is too near
+        (radial, then arg, then ratio).  Moduli, quotients, logs and sines
+        round as Python's scalar arithmetic does."""
         ell = domain.chart
-        zl = complex(lam[ell])
-        bl = self.bound(ell, zl)
-        if abs(zl) - bl <= 1.0 / domain.epsilon:
-            return False, "radial-margin"
-        a = float(domain.window_arg(zl))
+        b = self.bound(lams)
+        zl, bl = lams[:, ell], b[:, ell]
+        r = np.hypot(zl.real, zl.imag)
+        radial = r - bl <= 1.0 / domain.epsilon
+        a = domain.window_arg(zl)
+        arg = np.zeros(r.shape, dtype=bool)
         for edge in (a - domain.theta, domain.eta - a):
-            if edge <= 0.5 * math.pi and abs(zl) * math.sin(max(edge, 0.0)) <= bl:
-                return False, "arg-margin"
-        for i in range(len(lam)):
-            if i == ell:
-                continue
-            bi = self.bound(i, complex(lam[i]))
-            mi = (bi + (abs(domain.c[i]) + domain.epsilon) * bl) / (abs(zl) - bl)
-            if abs(complex(lam[i]) / zl - domain.c[i]) >= domain.epsilon - mi:
-                return False, "ratio-margin"
-        return True, None
+            sin = np.array([math.sin(v) for v in np.maximum(edge, 0.0).tolist()])
+            arg |= (edge <= 0.5 * math.pi) & (r * sin <= bl)
+        ratio = np.zeros(r.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(lams.shape[1]):
+                if i != ell:
+                    mi = (b[:, i] + (abs(domain.c[i]) + domain.epsilon) * bl) / (r - bl)
+                    off = _cdiv(lams[:, i], zl) - domain.c[i]
+                    ratio |= np.hypot(off.real, off.imag) >= domain.epsilon - mi
+        walls = [REASONS.index(w) for w in ("radial-margin", "arg-margin", "ratio-margin")]
+        return np.select([radial, arg, ratio], walls, 0)
 
 
 def _sample_domain(domain: SectorDomain, radius_range, count: int, rng) -> np.ndarray:
@@ -323,12 +335,43 @@ def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
 
 
 class _Leg1(NamedTuple):
-    """Leg-1 end states: one tracker row per (chart point, branch), chart-major."""
+    """Leg-1 end states: one tracker row per (distinct chart point, branch),
+    chart-major; owner[k] is the distinct chart point of the k-th lambda_l
+    handed to _continue_leg1."""
 
-    charts: np.ndarray  # distinct chart coordinates lambda_l
     tracker: _Tracker
     alive: np.ndarray
     reason: np.ndarray
+    owner: np.ndarray
+
+    def start(self, lo: int, hi: int, d: int):
+        """(tracker, alive, reason) of the (lambda, branch) rows of lambdas
+        lo..hi-1, lambda-major: fresh copies, step rates included, so leg 2
+        sizes its first step from leg 1's last."""
+        rows = _rows_of(self.owner[lo:hi], d)
+        return self.tracker.take(rows), self.alive[rows], self.reason[rows]
+
+
+class _Rows(NamedTuple):
+    """(lambda, branch) rows as columns; code indexes REASONS (0: solved)."""
+
+    lam: np.ndarray          # (m, n)
+    branch: np.ndarray
+    code: np.ndarray
+    s: np.ndarray            # (m, n)
+    residual: np.ndarray
+    f_residual: np.ndarray
+    iterations: np.ndarray
+    g_lambda: np.ndarray     # (m, n): G at z = lambda, kept for asymptotic tables
+
+
+def _records(rows: _Rows, idx: np.ndarray) -> list:
+    """SolutionRecords of the rows idx, in that order."""
+    return [
+        SolutionRecord(*fields)
+        for fields in zip(rows.lam[idx], rows.s[idx], rows.branch[idx].tolist(), rows.residual[idx].tolist(),
+                          rows.f_residual[idx].tolist(), rows.iterations[idx].tolist(), rows.g_lambda[idx])
+    ]
 
 
 def _rows_of(owners: np.ndarray, d: int) -> np.ndarray:
@@ -346,9 +389,13 @@ def _leg1_path(cvec, L_from, L_to):
     return leg1
 
 
-def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts) -> _Leg1:
+def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, lam_l) -> _Leg1:
     """Continue every branch once from the base point to each distinct chart point, as a tree.
 
+    lam_l holds the chart coordinate of every lambda to be solved, repeats
+    allowed; the distinct ones are continued once each, and the returned
+    owner index (np.unique's inverse) maps each lambda to its chart point's
+    rows, which _Leg1.start copies out chunk by chunk.
     Paths are straight in L = log r + i arg(z_l), mapped by z = c * exp(L).
     Hubs: every branch runs from the base point out along the base ray to
     the hubs at radii base_r * HUB_RATIO^j that some chart point is nearest
@@ -364,7 +411,7 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts)
     row's path depends only on its own chart point, so its bits do not
     depend on which other chart points the sweep holds.
     """
-    charts = np.unique(np.asarray(charts, dtype=complex))
+    charts, owner = np.unique(np.asarray(lam_l, dtype=complex), return_inverse=True)
     d = len(base_states)
     cvec = np.array(domain.c, dtype=complex)
     log_base = math.log(BASE_RADIUS_FACTOR / domain.epsilon)
@@ -380,46 +427,35 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, charts)
     rows = _rows_of(nearest, d)
     tr = hub.take(rows)
     alive, reason = tr.advance(_leg1_path(cvec, L_hub[rows], np.repeat(L1, d)), domain=domain, active=hub_ok[rows])
-    return _Leg1(charts, tr, alive, np.where(hub_ok[rows], reason, hub_reason[rows]))
-
-
-def _fan_out(leg1: _Leg1, lam_l: np.ndarray, d: int):
-    """Leg-1 rows for (lam_l[k], branch), lambda-major, branch-minor.
-
-    Rows are looked up by exact chart value (a missing one raises KeyError).
-    Returns a fresh (tracker, alive, reason) holding copies of those rows,
-    step rates included, so leg 2 sizes its first step from leg 1's last.
-    """
-    pos = {c: i for i, c in enumerate(leg1.charts.tolist())}
-    rows = _rows_of(np.array([pos[c] for c in np.asarray(lam_l).tolist()], dtype=int), d)
-    return leg1.tracker.take(rows), leg1.alive[rows], leg1.reason[rows]
+    return _Leg1(tr, alive, np.where(hub_ok[rows], reason, hub_reason[rows]), owner)
 
 
 def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk: np.ndarray,
-                 leg1: _Leg1, tol: float, max_iter: int):
+                 start, tol: float, max_iter: int) -> _Rows:
     """Solve every branch at each lambda of the chunk from its leg-1 end state.
 
-    leg1 holds the chart points of the chunk (more are allowed).  Its end
-    states are fanned out to the (lambda, branch) rows, continued along leg 2
-    from c * lambda_l to lambda, then moved to the fixed point S(lambda) of
-    z = lambda + G(z) by Newton steps, each one continuation along a straight
-    segment; a row whose dG is not finite or has ||dG||_inf >= 1 takes the
-    plain step z <- lambda + G(z) instead.
-    A row whose chart point failed leg 1 is skipped with that failure.
-    Returns (records, skipped) with deterministic in-chunk order
-    (lambda-major, branch-minor).
+    start = (tracker, alive, reason) holds the chunk's (lambda, branch) rows
+    at the end of leg 1, lambda-major (_Leg1.start); the chunk owns and
+    moves them.  Each is continued along leg 2 from c * lambda_l to lambda,
+    then moved to the fixed point S(lambda) of z = lambda + G(z) by Newton
+    steps, each one continuation along a straight segment; a row whose dG
+    is not finite or has ||dG||_inf >= 1 takes the plain step
+    z <- lambda + G(z) instead.
+    Returns the rows as columns (lambda-major, branch-minor), each with its
+    code into REASONS, the first that holds of: no-convergence; a
+    continuation left the domain (left-domain), including leg 1's; another
+    continuation failure (branch-point); the fixed point lies outside the
+    domain (left-domain); its residual is >= tol (residual-above-tol).
     """
     d = len(base_states)
-    K = lam_chunk.shape[0]
     n = lam_chunk.shape[1]
-    m = K * d
     ell = domain.chart
     cvec = np.array(domain.c, dtype=complex)
 
     LAM = np.repeat(lam_chunk, d, axis=0)
+    m = LAM.shape[0]
     lam_l = LAM[:, ell]
-    tr, alive, reason = _fan_out(leg1, lam_chunk[:, ell], d)
-    ids = tr.branch_ids
+    tr, alive, reason = start
     fail_reason = np.where(alive, 0, reason)
 
     if n > 1:
@@ -467,44 +503,14 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
     alive &= converged
 
     S = tr.Z
-    inside = domain.contains_batch(S)
     res = np.full(m, np.inf)
     if alive.any():
         res[alive] = _exp_residuals(spec, S[alive], {nm: col[alive] for nm, col in tr.vals.items()})
     f_res = np.max(np.abs(S - tr.G - LAM), axis=1)
-
-    records, skipped = [], []
-    for r in range(m):
-        li = r // d
-        lam = lam_chunk[li]
-        bid = int(ids[r])
-        if not alive[r]:
-            if no_conv[r]:
-                why = "no-convergence"
-            elif fail_reason[r] == _Tracker.FAIL_DOMAIN:
-                why = "left-domain"
-            else:
-                why = "branch-point"
-            skipped.append((lam.copy(), bid, why))
-            continue
-        if not inside[r]:
-            skipped.append((lam.copy(), bid, "left-domain"))
-            continue
-        if res[r] >= tol:
-            skipped.append((lam.copy(), bid, "residual-above-tol"))
-            continue
-        records.append(
-            SolutionRecord(
-                lam=lam.copy(),
-                s=S[r].copy(),
-                branch_id=bid,
-                residual=float(res[r]),
-                f_residual=float(f_res[r]),
-                iterations=int(iterations[r]),
-                g_lambda=g_lambda[r].copy(),
-            )
-        )
-    return records, skipped
+    cases = [no_conv, ~alive & (fail_reason == _Tracker.FAIL_DOMAIN), ~alive, ~domain.contains_batch(S), res >= tol]
+    why = ("no-convergence", "left-domain", "branch-point", "left-domain", "residual-above-tol")
+    code = np.select(cases, [REASONS.index(w) for w in why], 0)
+    return _Rows(LAM, np.array(tr.branch_ids, dtype=int), code, S, res, f_res, iterations, g_lambda)
 
 
 def solve_at_lattice_point(spec: ProblemSpec, domain: SectorDomain, branch, lam,
@@ -512,10 +518,10 @@ def solve_at_lattice_point(spec: ProblemSpec, domain: SectorDomain, branch, lam,
     """Solve one lattice point on one branch; raises instead of skipping."""
     lam = np.asarray(lam, dtype=complex)
     leg1 = _continue_leg1(spec, domain, [branch], lam[domain.chart : domain.chart + 1])
-    records, skipped = _solve_chunk(spec, domain, [branch], lam[None, :], leg1, tol, max_iter)
-    if records:
-        return records[0]
-    why = skipped[0][2]
+    rows = _solve_chunk(spec, domain, [branch], lam[None, :], leg1.start(0, 1, 1), tol, max_iter)
+    why = REASONS[rows.code[0]]
+    if why is None:
+        return _records(rows, np.arange(1))[0]
     if why == "left-domain":
         raise LeftDomain(f"iterate exited the sector domain at lambda = {lam}")
     raise NonConvergence(f"lattice point failed: {why}")
@@ -535,19 +541,16 @@ class SweepResult:
     asymptotics: dict
 
 
-def _sort_key(lam, bid, chart):
-    """Canonical order: |lambda_l|, (re, im) of each coordinate, branch (None first)."""
-    parts = [abs(lam[chart])]
-    for v in lam:
-        parts.extend((v.real, v.imag))
-    parts.append(-1 if bid is None else bid)
-    return tuple(parts)
-
-
 def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e-10,
           max_iter: int = 60, jobs: int = 1, contraction_samples: int = 200,
           contraction_seed: int = 0) -> SweepResult:
-    """Enumerate, gate, and solve; returns records in canonical order."""
+    """Enumerate, gate, and solve; returns records and skips in canonical order.
+
+    The lambdas the margin model turns away and the chunks' (lambda, branch)
+    rows are put in one canonical order by one np.lexsort: |lambda_l| (as
+    abs() rounds it), then (re, im) of each coordinate, then the branch, a
+    turned-away lambda counting as branch -1 (and its row coming first).
+    """
     lams = enumerate_lattice(spec.signature, domain, radius_range)
     if lams.shape[0] == 0:
         return SweepResult(
@@ -560,46 +563,42 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
             f"measured ||dG|| = {report.norm:.6g} >= {GATE_LIMIT}; shrink epsilon or move outward"
         )
 
-    kept, skipped = [], []
-    for lam in lams:
-        ok, why = report.admits(lam, domain)
-        if ok:
-            kept.append(lam)
-        else:
-            skipped.append((np.array(lam), None, why))
+    code = report.admits(lams, domain)
+    turned, kept = lams[code != 0], lams[code == 0]
+    k = turned.shape[0]
+    # turned-away lambdas as rows; their s, residuals and g are never read
+    parts = [_Rows(turned, np.full(k, -1), code[code != 0], turned, np.zeros(k), np.zeros(k),
+                   np.zeros(k, dtype=int), turned)]
+    if kept.shape[0]:
+        states = branch_base(spec, domain, _base_point(domain))
+        d = len(states)
+        leg1 = _continue_leg1(spec, domain, states, kept[:, domain.chart])
+        per_chunk = max(1, CHUNK_ROWS // d)
+        firsts = range(0, kept.shape[0], per_chunk)
 
-    records = []
-    if kept:
-        base = _base_point(domain)
-        states = branch_base(spec, domain, base)
-        kept_arr = np.stack(kept)
-        ell = domain.chart
-        leg1 = _continue_leg1(spec, domain, states, kept_arr[:, ell])
-        per_chunk = max(1, CHUNK_ROWS // len(states))
-        chunks = [kept_arr[i : i + per_chunk] for i in range(0, len(kept), per_chunk)]
-        # each chunk carries the leg-1 rows of just the chart points it holds
-        legs = []
-        for ch in chunks:
-            charts = np.unique(ch[:, ell])
-            legs.append(_Leg1(charts, *_fan_out(leg1, charts, len(states))))
-        if jobs > 1 and len(chunks) > 1:
+        def chunk(i):
+            return spec, domain, states, kept[i : i + per_chunk], leg1.start(i, i + per_chunk, d), tol, max_iter
+
+        if jobs > 1 and len(firsts) > 1:
             # imported here: it loads multiprocessing, which no other run needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-                futs = [
-                    pool.submit(_solve_chunk, spec, domain, states, ch, lg, tol, max_iter)
-                    for ch, lg in zip(chunks, legs)
-                ]
-                parts = [f.result() for f in futs]
+            with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
+                futs = [pool.submit(_solve_chunk, *chunk(i)) for i in firsts]
+                parts += [f.result() for f in futs]
         else:
-            parts = [_solve_chunk(spec, domain, states, ch, lg, tol, max_iter) for ch, lg in zip(chunks, legs)]
-        for recs, skips in parts:
-            records.extend(recs)
-            skipped.extend(skips)
+            parts += [_solve_chunk(*chunk(i)) for i in firsts]
 
-    records.sort(key=lambda r: _sort_key(r.lam, r.branch_id, domain.chart))
-    skipped.sort(key=lambda t: _sort_key(t[0], t[1], domain.chart))
+    rows = _Rows(*map(np.concatenate, zip(*parts)))
+    lam_l = rows.lam[:, domain.chart]
+    keys = [rows.branch]
+    for i in reversed(range(lams.shape[1])):
+        keys += [rows.lam[:, i].imag, rows.lam[:, i].real]
+    order = np.lexsort(keys + [np.hypot(lam_l.real, lam_l.imag)])
+    solved, skips = order[rows.code[order] == 0], order[rows.code[order] != 0]
+    records = _records(rows, solved)
+    skipped = [(lam, None if b < 0 else b, REASONS[c])
+               for lam, b, c in zip(rows.lam[skips], rows.branch[skips].tolist(), rows.code[skips].tolist())]
     asym = _asymptotic_report(spec, domain, records) if records else {}
     return SweepResult(
         records=records,
@@ -701,46 +700,47 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     Rows are (index, check-name, ok, detail).  Residuals are recomputed by
     re-solving the fibers at all s in one batch (no branch state reused).
     """
-    rows = []
-    all_ok = True
+    N = len(records)
     slack = 50.0  # fresh fiber roots carry their own tolerance
-    S = np.array([rec.s for rec in records], dtype=complex).reshape(len(records), spec.n)
-    LAM = np.array([rec.lam for rec in records], dtype=complex).reshape(len(records), spec.n)
+    S = np.array([rec.s for rec in records], dtype=complex).reshape(N, spec.n)
+    LAM = np.array([rec.lam for rec in records], dtype=complex).reshape(N, spec.n)
     rowsS, vals, owner, dropped = _batched_fiber(spec, S, ROOT_TOL)
     dist = _exp_residuals(spec, rowsS, vals)
     # an intact record owns spec.degree consecutive rows; its alpha is the nearest one
-    kept = [i for i in range(len(records)) if i not in dropped]
-    first = np.searchsorted(owner, kept)
-    pick = first + np.array([np.argmin(dist[f : f + spec.degree]) for f in first], dtype=int)
+    intact = np.ones(N, dtype=bool)
+    intact[list(dropped)] = False
+    kept = np.flatnonzero(intact)
+    fiber = np.flatnonzero(intact[owner]).reshape(-1, spec.degree)
+    pick = fiber[np.arange(kept.size), np.argmin(dist[fiber], axis=1)]
     # f-residual: g from the matched alpha, branch anchored at s - lambda
     G, g_ok = fiber_logs(spec, {nm: col[pick] for nm, col in vals.items()}, anchor=S[kept] - LAM[kept])
-    f_res = np.where(g_ok, np.max(np.abs(S[kept] - LAM[kept] - G), axis=1), np.inf)
-    checked = {i: (float(r), float(f)) for i, r, f in zip(kept, dist[pick], f_res)}
-    for idx, rec in enumerate(records):
+    got = np.full((N, 2), np.nan)
+    got[kept, 0] = dist[pick]
+    got[kept, 1] = np.where(g_ok, np.max(np.abs(S[kept] - LAM[kept] - G), axis=1), np.inf)
+    claimed = np.array([[float(rec.residual), float(rec.f_residual)] for rec in records]).reshape(N, 2)
+    ok = (got < slack * np.fmax(tol, claimed + tol)).tolist()
+    in_domain = domain.contains_batch(S).tolist()
+    rows = []
+    for idx, ((res, f_r), (ok_res, ok_f)) in enumerate(zip(got.tolist(), ok)):
         if idx in dropped:  # degenerate fiber at a claimed solution
             unknown, guard = dropped[idx]
             rows.append((idx, "fiber", False, f"{guard} guard fired in the {unknown} stage"))
-            all_ok = False
-            continue
-        res, f_r = checked[idx]
-        ok_res = res < slack * max(tol, float(rec.residual) + tol)
-        rows.append((idx, "residual", ok_res, f"{res:.3e}"))
-        ok_f = f_r < slack * max(tol, float(rec.f_residual) + tol)
-        rows.append((idx, "f_residual", ok_f, f"{f_r:.3e}"))
-        ok_dom = domain.contains(S[idx])
-        rows.append((idx, "in-domain", ok_dom, ""))
-        all_ok &= ok_res and ok_f and ok_dom
-    # pairwise distinctness per lattice point
-    by_lam: dict = {}
-    for idx, rec in enumerate(records):
-        key = tuple(np.round(np.asarray(rec.lam, dtype=complex), 9).view(float).tolist())
-        by_lam.setdefault(key, []).append(idx)
-    for key, idxs in sorted(by_lam.items()):
-        ok_d = True
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                d = float(np.max(np.abs(np.asarray(records[idxs[a]].s) - np.asarray(records[idxs[b]].s))))
-                ok_d &= d > 1e-6
-        rows.append((idxs[0], "distinct", ok_d, f"{len(idxs)} records"))
-        all_ok &= ok_d
-    return all_ok, rows
+        else:
+            rows += [(idx, "residual", ok_res, f"{res:.3e}"), (idx, "f_residual", ok_f, f"{f_r:.3e}"),
+                     (idx, "in-domain", in_domain[idx], "")]
+    # pairwise distinctness per lattice point (lambda rounded to 9 places):
+    # sorted by lambda, two records k apart in one group are compared at offset k
+    key = np.round(LAM, 9).view(float)
+    order = np.lexsort(key.T[::-1])
+    new = np.ones(N, dtype=bool)
+    new[1:] = (key[order[1:]] != key[order[:-1]]).any(axis=1)
+    group = np.cumsum(new) - 1
+    sizes = np.bincount(group)
+    distinct = np.ones(sizes.size, dtype=bool)
+    S = S[order]
+    for k in range(1, sizes.max(initial=0)):
+        near = ~(np.max(np.abs(S[k:] - S[:-k]), axis=1) > 1e-6)
+        distinct[group[k:][near & (group[k:] == group[:-k])]] = False
+    rows += [(idx, "distinct", ok_d, f"{size} records")
+             for idx, ok_d, size in zip(order[new].tolist(), distinct.tolist(), sizes.tolist())]
+    return all(ok for _, _, ok, _ in rows), rows

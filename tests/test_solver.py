@@ -16,6 +16,7 @@ from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _ba
 from explat.solver import (
     ContractionGateFailed,
     GAMMA_POINTS,
+    REASONS,
     LatticeTooLarge,
     SolutionRecord,
     ZeroOnBoundary,
@@ -336,12 +337,11 @@ def test_contraction_decreases_for_curve_product_too():
 def test_margin_model_reasons():
     st = torus_setup()
     rep = measure_contraction(st.problem, st.domain, (2.6, 250.0))
-    ok, why = rep.admits(np.array([2j * math.pi]), st.domain)
+    lams = np.array([[2j * math.pi], [0.2j], [50.0 * np.exp(1j * (st.domain.theta + 0.001))]])
+    (ok, why), (ok2, why2), (ok3, why3) = [(c == 0, REASONS[c]) for c in rep.admits(lams, st.domain)]
     assert ok and why is None
-    ok, why = rep.admits(np.array([0.2j]), st.domain)
-    assert not ok and why == "radial-margin"
-    ok, why = rep.admits(np.array([50.0 * np.exp(1j * (st.domain.theta + 0.001))]), st.domain)
-    assert not ok and why == "arg-margin"
+    assert not ok2 and why2 == "radial-margin"
+    assert not ok3 and why3 == "arg-margin"
 
 
 def test_margin_model_ratio_wall():
@@ -349,10 +349,131 @@ def test_margin_model_ratio_wall():
     dom, _ = wp_mini()
     rep = measure_contraction(st.problem, dom, (8.2, 8.7))
     lam1 = 8.45 * np.exp(1j * 0.245)
-    ok, why = rep.admits(np.array([lam1, lam1 * 1.5999]), dom)
-    assert not ok and why == "ratio-margin"
-    ok, why = rep.admits(np.array([lam1, lam1]), dom)
-    assert ok
+    code = rep.admits(np.array([[lam1, lam1 * 1.5999], [lam1, lam1]]), dom)
+    assert code[0] != 0 and REASONS[code[0]] == "ratio-margin"
+    assert code[1] == 0
+
+
+# reference for the batched margin model and canonical order: the scalar
+# model and sort key, one lambda at a time in Python arithmetic
+
+
+def _oracle_bound(rep, i, lam_i):
+    if rep.kinds[i] == "elliptic":
+        return float(rep.g_abs_max[i])
+    r = abs(lam_i)
+    return float(rep.g_re_ratio[i] * max(1.0, math.log(r) if r > 1.0 else 1.0) + rep.g_im_max[i])
+
+
+def _oracle_admits(rep, lam, domain):
+    ell = domain.chart
+    zl = complex(lam[ell])
+    bl = _oracle_bound(rep, ell, zl)
+    if abs(zl) - bl <= 1.0 / domain.epsilon:
+        return "radial-margin"
+    a = float(domain.window_arg(zl))
+    for edge in (a - domain.theta, domain.eta - a):
+        if edge <= 0.5 * math.pi and abs(zl) * math.sin(max(edge, 0.0)) <= bl:
+            return "arg-margin"
+    for i in range(len(lam)):
+        if i == ell:
+            continue
+        bi = _oracle_bound(rep, i, complex(lam[i]))
+        mi = (bi + (abs(domain.c[i]) + domain.epsilon) * bl) / (abs(zl) - bl)
+        if abs(complex(lam[i]) / zl - domain.c[i]) >= domain.epsilon - mi:
+            return "ratio-margin"
+    return None
+
+
+def _oracle_sort_key(lam, bid, chart):
+    parts = [abs(lam[chart])]
+    for v in lam:
+        parts.extend((v.real, v.imag))
+    parts.append(-1 if bid is None else bid)
+    return tuple(parts)
+
+
+def _wall_points(rep, domain, ray, x_in, x_out):
+    """lambda = ray(x) at the floats on both sides of where the oracle's
+    reason changes between x_in and x_out, a few steps further each way,
+    and 40 points spread between them."""
+    lo, hi = x_in, x_out
+    assert _oracle_admits(rep, ray(lo), domain) != _oracle_admits(rep, ray(hi), domain)
+    while np.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _oracle_admits(rep, ray(mid), domain) == _oracle_admits(rep, ray(lo), domain):
+            lo = mid
+        else:
+            hi = mid
+    xs = [lo, hi]
+    for _ in range(3):
+        xs += [np.nextafter(xs[-2], x_in), np.nextafter(xs[-1], x_out)]
+    xs += np.linspace(x_in, x_out, 40).tolist()
+    return np.array([ray(x) for x in xs])
+
+
+@lru_cache(maxsize=None)
+def _wall_cases():
+    """(report, domain, walls): each wall a (ray, x_in, x_out) crossing one margin."""
+    st = torus_setup()
+    td = st.domain
+    mid = 0.5 * (td.theta + td.eta)
+    torus = (measure_contraction(st.problem, td, (2.6, 250.0)), td, [
+        (lambda r: np.array([r * np.exp(1j * mid)]), 200.0, 0.5),
+        (lambda x: np.array([50.0 * np.exp(1j * (td.theta + x))]), mid - td.theta, 1e-9),
+        (lambda x: np.array([50.0 * np.exp(1j * (td.eta - x))]), td.eta - mid, 1e-9),
+    ])
+    # two torus coordinates: the log-growth bound on both sides of the ratio wall
+    dd = SectorDomain(c=(1.0, 0.6 - 0.3j), chart=0, epsilon=0.4, theta=0.1, eta=2.0)
+    rep = solver.ContractionReport(norm=0.1, kinds=("torus", "torus"), g_abs_max=np.array([3.0, 2.5]),
+                                   g_re_ratio=np.array([0.3, 0.7]), g_im_max=np.array([1.6, 0.9]), samples=1)
+    z = 80.0 * np.exp(1.05j)
+    ray = lambda r: np.array([r * np.exp(1.05j), dd.c[1] * r * np.exp(1.05j)])
+    two_tori = (rep, dd, [
+        (ray, 300.0, 10.0),     # ratio wall, then the radial wall behind it
+        (ray, 10.0, 1.0),
+        (lambda x: np.array([z * np.exp(-1j * x), dd.c[1] * z * np.exp(-1j * x)]), 0.0, 0.95),
+        (lambda x: np.array([z, z * (dd.c[1] + x * np.exp(0.7j))]), 0.0, 0.4),
+    ])
+    # the curve product on a window wide enough that the arg wall hides no other
+    cd = SectorDomain(c=(1.0, 1.0), chart=0, epsilon=0.6, theta=0.04, eta=1.5)
+    w = 40.0 * np.exp(0.245j)
+    radial = lambda r: np.array([r * np.exp(0.77j)] * 2)
+    curves = (measure_contraction(wp_setup().problem, cd, (8.2, 40.0)), cd, [
+        (radial, 40.0, 2.8),
+        (radial, 2.8, 1.0),
+        (lambda x: np.array([40.0 * np.exp(1j * (cd.theta + x))] * 2), 0.5, 0.0),
+        (lambda x: np.array([40.0 * np.exp(1j * (cd.eta - x))] * 2), 0.5, 0.0),
+        (lambda x: np.array([w, w * (1.0 + x * np.exp(2.0j))]), 0.0, 0.6),
+    ])
+    return {"torus": torus, "two-tori": two_tori, "curve-product": curves}
+
+
+@pytest.mark.parametrize("case", ["torus", "two-tori", "curve-product"])
+def test_admits_matches_the_scalar_margin_model_at_each_wall(case):
+    # the batched margin model rounds as the scalar one: on the floats either
+    # side of every wall it gives the same reason, row by row
+    rep, dom, walls = _wall_cases()[case]
+    for ray, x_in, x_out in walls:
+        lams = _wall_points(rep, dom, ray, x_in, x_out)
+        got = [REASONS[c] for c in rep.admits(lams, dom)]
+        assert got == [_oracle_admits(rep, lam, dom) for lam in lams]
+        assert got[0] != got[1]
+
+
+@pytest.mark.parametrize("name", ["torus_identity", "sqrt_branch", "wp_example"])
+def test_sweep_order_is_the_scalar_key_order(name):
+    # one lexsort puts records and skips in the order the scalar key sorts them
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    ell = st.domain.chart
+    recs = sorted(res.records, key=lambda r: _oracle_sort_key(r.lam, r.branch_id, ell))
+    skips = sorted(res.skipped, key=lambda t: _oracle_sort_key(t[0], t[1], ell))
+    assert [id(r) for r in recs] == [id(r) for r in res.records]
+    assert [id(t) for t in skips] == [id(t) for t in res.skipped]
+    assert len(res.records) > 0 and (name != "wp_example" or len(res.skipped) == 156)
 
 
 def test_contraction_gate_blocks_sweep():
@@ -539,14 +660,23 @@ def _sweep_bits(res):
             asym["log_growth_constant"], b(asym["decay"]))
 
 
-@pytest.mark.parametrize("chunk_rows", [12, 288])
-def test_chunk_budget_does_not_move_sweep(monkeypatch, chunk_rows):
+def sqrt_sweep():
+    st = parse_run((EXAMPLES / "sqrt_branch.spec").read_text())
+    return sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+
+
+@pytest.mark.parametrize("run, chunk_rows, count", [(mini_sweep, 12, 444), (mini_sweep, 288, 444), (sqrt_sweep, 12, 78)],
+                         ids=["12", "288", "sqrt_branch-12"])
+def test_chunk_budget_does_not_move_sweep(monkeypatch, run, chunk_rows, count):
     # one lambda per chunk, two chunks, and one chunk at the default budget
-    # give the same bits: no row's arithmetic depends on its batch
-    _, want = wp_mini()
+    # give the same bits: no row's arithmetic depends on its batch.  Every
+    # lambda of the mini sweep has the chart point 8+2i; sqrt_branch's six
+    # lambdas per chunk have six chart points of their own, so each chunk
+    # takes other leg-1 rows
+    want = wp_mini()[1] if run is mini_sweep else run()
     monkeypatch.setattr(solver, "CHUNK_ROWS", chunk_rows)
-    got = mini_sweep()
-    assert len(got.records) == 444
+    got = run()
+    assert len(got.records) == count
     assert _sweep_bits(got) == _sweep_bits(want)
 
 
