@@ -11,7 +11,6 @@ from .elliptic import (
     wp_both,
 )
 from .fiber import (
-    BranchState,
     DegenerateFiber,
     LeftDomain,
     NonTriangularSystem,
@@ -38,7 +37,6 @@ from .torus import torus_log, torus_log_near
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchState",
     "ContractionGateFailed",
     "DegenerateFiber",
     "EllipticCurveParams",

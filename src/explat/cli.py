@@ -321,19 +321,17 @@ def cmd_monodromy(args) -> int:
         theta=dom.theta, eta=dom.theta + width,
     )
     try:
-        states = branch_base(setup.problem, domain, _base_point(domain))
+        base = branch_base(setup.problem, domain, _base_point(domain))
     except DegenerateFiber as exc:
         _err(f"degenerate geometry: {exc}")
         return EXIT_GEOMETRY
     print(f"{'branch':>6} {'e':>3}  stage orders")
-    for state in states:
-        try:
-            prof = monodromy_profile(setup.problem, domain, state)
-        except NonConvergence as exc:
-            _err(f"branch {state.branch_id}: {exc}")
+    for bid, prof in zip(base.branch_ids.tolist(), monodromy_profile(setup.problem, base)):
+        if "error" in prof:
+            _err(f"branch {bid}: {prof['error']}")
             return EXIT_GEOMETRY
         orders = ", ".join(f"{k}:{v}" for k, v in prof["stage_orders"].items())
-        print(f"{state.branch_id:>6} {prof['e']:>3}  {orders}")
+        print(f"{bid:>6} {prof['e']:>3}  {orders}")
     return EXIT_OK
 
 

@@ -10,13 +10,17 @@ where the alpha-test certifies that start.
 
 The continuation engine (_Tracker) is batched: it advances many
 (parameter-path, branch) rows through the same stage structure at once,
-which is what makes lattice sweeps cheap.  Each row sizes its own substeps
-from two rates per unit of parameter motion, the alpha of its previous
-root and its log motion over the lattice gap, measured by its last
-accepted substep (in closed form before its first): a substep aims for
-alpha ALPHA_STEP and a quarter gap of log motion, grows at most 2x, and
-keeps its chord sag within SAG_STEP of that motion, after Beltran-Leykin,
-"Certified numerical homotopy tracking" (Exp. Math. 21, 2012).
+which is what makes lattice sweeps cheap.  It is the only form branch rows
+take: branch_base returns the base fiber as one, and each row carries its
+point, fiber values, logarithm, step rates and failure reason, so a row
+that fails keeps the guard that fired and later advances pass it by.
+Each row sizes its own substeps from two rates per unit of parameter
+motion, the alpha of its previous root and its log motion over the
+lattice gap, measured by its last accepted substep (in closed form before
+its first): a substep aims for alpha ALPHA_STEP and a quarter gap of log
+motion, grows at most 2x, and keeps its chord sag within SAG_STEP of that
+motion, after Beltran-Leykin, "Certified numerical homotopy tracking"
+(Exp. Math. 21, 2012).
 
 Row arithmetic never reads other rows, and numpy's elementwise arithmetic
 gives a row the same bits in a batch of any size, with one pitfall: numpy
@@ -486,25 +490,17 @@ def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# branch states
+# the base fiber
 
 
-@dataclass(frozen=True)
-class BranchState:
-    """A parameter point, its fiber values, and the tracked logarithm."""
+def branch_base(spec: ProblemSpec, domain: SectorDomain, z0) -> "_Tracker":
+    """A tracker with one row per fiber point at z0, ids 0..degree-1 by
+    lexicographic alpha order.
 
-    z: np.ndarray
-    values: dict
-    g: np.ndarray
-    branch_id: int
-
-
-def branch_base(spec: ProblemSpec, domain: SectorDomain, z0):
-    """One BranchState per fiber point at z0, ids by lexicographic alpha order.
-
-    g starts as the anchor-0 torus branch / fundamental-cell elliptic
-    logarithm of each alpha coordinate.  A degenerate fiber raises
-    DegenerateFiber naming the guard and the stage that fired.
+    G starts as the anchor-0 torus branch / fundamental-cell elliptic
+    logarithm of each alpha coordinate, and the step rates come in closed
+    form (_start_rates).  A degenerate fiber raises DegenerateFiber naming
+    the guard and the stage that fired.
     """
     z0 = np.asarray(z0, dtype=complex)
     if domain is not None and not domain.contains(z0):
@@ -524,10 +520,32 @@ def branch_base(spec: ProblemSpec, domain: SectorDomain, z0):
         raise NonConvergence("base-point logarithm did not converge")
     # lexicographic in (re, im) of the group variables; stable on ties
     order = np.lexsort([part(vals[nm]) for nm in reversed(sig.group_vars) for part in (np.imag, np.real)])
-    return [
-        BranchState(z=z0.copy(), values={nm: complex(col[i]) for nm, col in vals.items()}, g=G[i], branch_id=bid)
-        for bid, i in enumerate(order)
-    ]
+    Z = np.repeat(z0[None, :], order.size, axis=0)
+    vals = {nm: col[order] for nm, col in vals.items()}
+    return _Tracker(spec, Z, vals, G[order], np.arange(order.size), _start_rates(spec, Z, vals),
+                    np.zeros(order.size, dtype=np.int8))
+
+
+def _start_rates(spec: ProblemSpec, Z, vals: dict):
+    """(alpha_rate, log_rate) of _Tracker in closed form at each row of Z.
+
+    A parameter move dZ moves a stage root by about du/dz . dZ, so the
+    alpha of the old root at the new point is about gamma * |du/dz|_1 *
+    |dZ|_inf; the logarithm moves by dG/dz . dZ.  Non-finite rates (a
+    denominator vanished) come out inf, which no step can satisfy.
+    """
+    known, dz, J = _derivatives(spec, Z, vals)
+    m = Z.shape[0]
+    gaps = np.array([spec.signature.gap(k) for k in range(spec.n)])
+    alpha_rate = np.zeros(m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_rate = np.max(np.abs(J).sum(axis=2) / gaps, axis=1)
+        for stage in spec.stages:
+            if stage.degree > 1:
+                coeffs, _ = _stage_coeffs(stage, known, m)
+                _, gamma = _smale(coeffs, known[stage.unknown][:, None])
+                alpha_rate = np.maximum(alpha_rate, gamma[:, 0] * np.abs(dz[stage.unknown]).sum(axis=1))
+    return tuple(np.where(np.isfinite(r), r, np.inf) for r in (alpha_rate, log_rate))
 
 
 # ----------------------------------------------------------------------
@@ -549,17 +567,20 @@ def straight_path(Z0, Z1) -> Callable:
 class _Tracker:
     """Batched branch continuation over m rows sharing one stage plan.
 
-    State per row: parameter point Z[r], stage values, logarithm G[r], and
+    This is the one representation of branch rows.  State per row:
+    parameter point Z[r], stage values, logarithm G[r], branch id, failure
+    reason (0 while the row is alive, else FAIL_BRANCH or FAIL_DOMAIN), and
     two rates per unit of parameter motion |dZ|_inf:
     - alpha_rate: Smale's alpha of the previous stage roots at the new
       point, the largest over the stages of degree > 1;
     - log_rate: max_k |dG_k| / gap_k.
-    A row that has never stepped gets them in closed form at its point
-    (_start_rates); each accepted substep then sets them from its own alpha
-    and log motion over its |dZ| (_measure).  Copies of rows keep their
-    rates, so leg 2 starts from leg 1's last step.
+    branch_base builds the rows of a base fiber with the rates in closed
+    form (_start_rates); each accepted substep then sets them from its own
+    alpha and log motion over its |dZ| (_measure).  take() copies rows with
+    their rates and reasons, so leg 2 starts from leg 1's last step and a
+    row that failed stays failed.
 
-    advance() walks every row along its own path with steps sized from
+    advance() walks every live row along its own path with steps sized from
     those rates (_step), and each substep trials only the rows still on
     their way.  Each stage root of degree > 1 is tracked by Newton's method
     from the row's previous root, taken only where Smale's alpha-test at
@@ -574,53 +595,24 @@ class _Tracker:
 
     OK, FAIL_BRANCH, FAIL_DOMAIN = 0, 1, 2
 
-    def __init__(self, spec: ProblemSpec, Z, vals, G, branch_ids, rates=None):
-        """rates = (alpha_rate, log_rate) of rows copied from another tracker;
-        None computes them in closed form at Z."""
+    def __init__(self, spec: ProblemSpec, Z, vals, G, branch_ids, rates, reason):
+        """rates = (alpha_rate, log_rate) per row; reason per row, 0 alive."""
         self.spec = spec
         self.Z = np.array(Z, dtype=complex)
         self.vals = {k: np.array(v, dtype=complex) for k, v in vals.items()}
         self.G = np.array(G, dtype=complex)
-        self.branch_ids = list(branch_ids)
+        self.branch_ids = np.array(branch_ids, dtype=int)
         self.m = self.Z.shape[0]
         self.gaps = np.array([spec.signature.gap(k) for k in range(spec.n)])
-        if rates is None:
-            rates = self._start_rates()
         self.alpha_rate, self.log_rate = (np.array(r, dtype=float) for r in rates)
-
-    @classmethod
-    def from_states(cls, spec: ProblemSpec, states):
-        Z = np.stack([s.z for s in states])
-        G = np.stack([s.g for s in states])
-        names = [st.unknown for st in spec.stages]
-        vals = {nm: np.array([s.values[nm] for s in states]) for nm in names}
-        return cls(spec, Z, vals, G, [s.branch_id for s in states])
+        self.reason = np.array(reason, dtype=np.int8)
 
     def take(self, rows) -> "_Tracker":
         """A new tracker holding copies of `rows` (indices, repeats allowed),
-        step rates included, so a later advance sizes its first step from
-        these rows' last."""
+        step rates and reasons included, so a later advance sizes its first
+        step from these rows' last and skips the rows that failed."""
         return _Tracker(self.spec, self.Z[rows], {nm: col[rows] for nm, col in self.vals.items()}, self.G[rows],
-                        [self.branch_ids[r] for r in rows], (self.alpha_rate[rows], self.log_rate[rows]))
-
-    def _start_rates(self):
-        """(alpha_rate, log_rate) in closed form at each row's point.
-
-        A parameter move dZ moves a stage root by about du/dz . dZ, so the
-        alpha of the old root at the new point is about gamma * |du/dz|_1 *
-        |dZ|_inf; the logarithm moves by dG/dz . dZ.  Non-finite rates (a
-        denominator vanished) come out inf, which no step can satisfy.
-        """
-        known, dz, J = _derivatives(self.spec, self.Z, self.vals)
-        alpha_rate = np.zeros(self.m)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_rate = np.max(np.abs(J).sum(axis=2) / self.gaps, axis=1)
-            for stage in self.spec.stages:
-                if stage.degree > 1:
-                    coeffs, _ = _stage_coeffs(stage, known, self.m)
-                    _, gamma = _smale(coeffs, known[stage.unknown][:, None])
-                    alpha_rate = np.maximum(alpha_rate, gamma[:, 0] * np.abs(dz[stage.unknown]).sum(axis=1))
-        return tuple(np.where(np.isfinite(r), r, np.inf) for r in (alpha_rate, log_rate))
+                        self.branch_ids[rows], (self.alpha_rate[rows], self.log_rate[rows]), self.reason[rows])
 
     # -- one trial evaluation at target points -------------------------
     def _trial(self, Znext, domain, rows=slice(None)):
@@ -725,32 +717,30 @@ class _Tracker:
 
     # -- adaptive advance along per-row paths ---------------------------
     def advance(self, path: Callable, domain=None, active=None, max_iter=600):
-        """Move rows from t=0 to t=1 along path; returns (ok, reason).
+        """Move the live rows from t=0 to t=1 along path.
 
         Each substep's dt is the smallest of: the motion and chord-sag
         bounds of _step, twice the row's last accepted dt, and the remaining
-        1 - t.  A rejected substep halves the dt it tried; a row whose dt
-        falls below MIN_FRACTION fails.  Rows where `active` is False are
-        left untouched (ok False, reason 0).
+        1 - t.  A rejected substep halves the dt it tried.  A row fails,
+        and stays where it failed with its guard in self.reason, when its
+        dt falls below MIN_FRACTION, when a trial leaves the domain, or
+        when max_iter substeps do not bring it to t=1.  Rows that failed
+        before, and rows where `active` is False, are left untouched.
         """
         m = self.m
-        if active is None:
-            active = np.ones(m, dtype=bool)
-        else:
-            active = np.asarray(active, dtype=bool).copy()
+        todo = self.reason == self.OK
+        if active is not None:
+            todo &= active
         t_cur = np.zeros(m)
         limit = np.full(m, np.inf)  # twice the last accepted dt, half the last rejected one
-        failed = np.zeros(m, dtype=bool)
-        fail_reason = np.zeros(m, dtype=np.int8)
         for _ in range(max_iter):
-            live = active & (t_cur < DONE) & ~failed
+            live = todo & (t_cur < DONE) & (self.reason == self.OK)
             if not live.any():
                 break
             rows = np.flatnonzero(live)
             dt, t_next, Znext = self._step(path, t_cur, limit, rows)
             under = (dt < MIN_FRACTION) & (t_next < 1.0)
-            failed[rows[under]] = True
-            fail_reason[rows[under]] = self.FAIL_BRANCH
+            self.reason[rows[under]] = self.FAIL_BRANCH
             rows, dt, t_next, Znext = rows[~under], dt[~under], t_next[~under], Znext[~under]
             if not rows.size:
                 continue
@@ -765,14 +755,10 @@ class _Tracker:
                 t_cur[accept] = t_next[ok]
                 limit[accept] = 2.0 * dt[ok]
             hard = ~ok & (reason == self.FAIL_DOMAIN)
-            failed[rows[hard]] = True
-            fail_reason[rows[hard]] = self.FAIL_DOMAIN
+            self.reason[rows[hard]] = self.FAIL_DOMAIN
             soft = ~ok & ~hard
             limit[rows[soft]] = 0.5 * dt[soft]
-        stuck = active & (t_cur < DONE) & ~failed
-        failed |= stuck
-        fail_reason[stuck] = self.FAIL_BRANCH
-        return active & ~failed & (t_cur >= DONE), fail_reason
+        self.reason[todo & (t_cur < DONE) & (self.reason == self.OK)] = self.FAIL_BRANCH
 
     def _measure(self, rows, Znext, Gnew, alpha):
         """Set the rates of accepted `rows` from their substep to Znext.
@@ -793,32 +779,43 @@ class _Tracker:
 # monodromy
 
 
-def monodromy_profile(spec: ProblemSpec, domain: SectorDomain, state: BranchState, tol: float = 1e-8):
-    """Turn the whole parameter vector around 0 until alpha recurs.
+def monodromy_profile(spec: ProblemSpec, base: _Tracker, tol: float = 1e-8) -> list:
+    """Turn every row's parameter vector around 0 until its alpha recurs.
 
-    Returns {"e": turns, "stage_orders": {unknown: first-return turn}}.
-    The loop is a diagnostic: domain membership is not enforced while
-    rotating (the rotated window is implicit).
+    Returns one profile per row of base: {"e": turns, "stage_orders":
+    {unknown: first-return turn}}, or {"error": why} for a row whose loop
+    failed or that did not recur within the fiber degree.  base is not
+    moved.  The loop is a diagnostic: domain membership is not enforced
+    while rotating (the rotated window is implicit).
     """
-    tr = _Tracker.from_states(spec, [state])
+    tr = base.take(np.arange(base.m))
     orig = {nm: col.copy() for nm, col in tr.vals.items()}
-    stage_orders = {}
+    orders = [{} for _ in range(tr.m)]
+    e = np.zeros(tr.m, dtype=int)
     for turn in range(1, spec.degree + 1):
-        z0 = tr.Z[0].copy()
+        turning = (e == 0) & (tr.reason == tr.OK)
+        if not turning.any():
+            break
+        z0 = tr.Z.copy()
 
         def loop_path(t, z0=z0):
-            return z0[None, :] * np.exp(2j * math.pi * t)[:, None]
+            return z0 * np.exp(2j * math.pi * t)[:, None]
 
-        ok, _ = tr.advance(loop_path, domain=None)
-        if not ok[0]:
-            raise NonConvergence("monodromy loop continuation failed")
+        tr.advance(loop_path, active=turning)
+        turned = turning & (tr.reason == tr.OK)
         for nm, col in orig.items():
-            v0 = complex(col[0])
-            if nm not in stage_orders and abs(complex(tr.vals[nm][0]) - v0) <= tol * (1.0 + abs(v0)):
-                stage_orders[nm] = turn
-        if group_distance(spec.signature, tr.vals, orig)[0] <= tol:
+            moved = tr.vals[nm] - col
+            back = np.hypot(moved.real, moved.imag) <= tol * (1.0 + np.hypot(col.real, col.imag))
+            for r in np.flatnonzero(turned & back):
+                orders[r].setdefault(nm, turn)
+        recurred = turned & (group_distance(spec.signature, tr.vals, orig) <= tol)
+        for r in np.flatnonzero(recurred):
             for nm in orig:
-                stage_orders.setdefault(nm, turn)
-            return {"e": turn, "stage_orders": stage_orders}
-    raise NonConvergence("branch did not recur within the fiber degree")
-
+                orders[r].setdefault(nm, turn)
+        e[recurred] = turn
+    return [
+        {"e": int(e[r]), "stage_orders": orders[r]} if e[r]
+        else {"error": "monodromy loop continuation failed"} if tr.reason[r]
+        else {"error": "branch did not recur within the fiber degree"}
+        for r in range(tr.m)
+    ]

@@ -8,15 +8,17 @@ than the measured G bound), then continue every branch from one base point
 to each distinct chart point once (leg 1, a tree: out along the base ray to
 hubs at the base radius times powers of HUB_RATIO, then a short twig from
 the nearest hub to each chart point), hand each lattice point copies of its
-chart point's end states by index, continue each to its own lattice point
+chart point's end rows by index, continue each to its own lattice point
 (leg 2) and solve z = lambda + G(z) there by Newton's method,
 z <- z - (I - dG)^-1 (z - lambda - G(z)), each step a continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
 CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
 alone, never by --jobs, so the report is the same bytes at any --jobs.
-Rows stay arrays throughout: the margin gate and the chunks give each row
-a code into REASONS, and one np.lexsort puts them in the canonical order.
+Rows stay arrays throughout: branch rows live only in fiber._Tracker,
+which holds each row's failure reason from the base fiber to the fixed
+point, the margin gate and the chunks give each row a code into REASONS,
+and one np.lexsort puts them in the canonical order.
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ GATE_LIMIT = 0.5       # contraction bound required before sweeping
 GAMMA_POINTS = 5       # records per branch used for the gamma estimate
 BASE_RADIUS_FACTOR = 1.25  # base point sits at this multiple of 1/epsilon
 HUB_RATIO = 2.0        # leg-1 hubs sit at the base radius times its powers
+CONTRACTION_SAMPLES = 200  # domain points measure_contraction samples
+CONTRACTION_SEED = 0   # their seed; it moves the bound, and with it the margin skips
 # Lattice candidates (16 B per coordinate) an enumeration may allocate.  Its
 # peak memory is about 2.7x this: 25 MB for the 9.4 MB of candidates of
 # examples/wp_example.spec at radius 5:60.  A two-coordinate sweep keeps
@@ -262,18 +266,18 @@ def _sample_domain(domain: SectorDomain, radius_range, count: int, rng) -> np.nd
     return Z
 
 
-def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range,
-                        samples: int = 200, seed: int = 0) -> ContractionReport:
+def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range) -> ContractionReport:
     """Sampled bound for ||dG||_inf over domain points, from the closed-form dG.
 
-    Samples cover all branches of the fiber (rows = samples x degree), and
+    CONTRACTION_SAMPLES points, drawn with CONTRACTION_SEED, cover all
+    branches of the fiber (rows = samples x degree), and
     the norm is the largest row sum of |dG| (g_jacobian) over them; the same
     pass harvests the G-size statistics behind the report's margin model
     (bound, admits).  Rows whose logarithm failed or whose dG is not finite
     are left out.
     """
-    rng = np.random.default_rng(seed)
-    Z = _sample_domain(domain, radius_range, samples, rng)
+    rng = np.random.default_rng(CONTRACTION_SEED)
+    Z = _sample_domain(domain, radius_range, CONTRACTION_SAMPLES, rng)
     rowsZ, vals, _, _ = _batched_fiber(spec, Z, 1e-9)
     if rowsZ.shape[0] == 0:
         raise NonConvergence("no usable contraction samples")
@@ -335,21 +339,18 @@ def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
 
 
 class _Leg1(NamedTuple):
-    """Leg-1 end states: one tracker row per (distinct chart point, branch),
+    """Leg-1 end rows: one tracker row per (distinct chart point, branch),
     chart-major; owner[k] is the distinct chart point of the k-th lambda_l
     handed to _continue_leg1."""
 
     tracker: _Tracker
-    alive: np.ndarray
-    reason: np.ndarray
     owner: np.ndarray
 
-    def start(self, lo: int, hi: int, d: int):
-        """(tracker, alive, reason) of the (lambda, branch) rows of lambdas
-        lo..hi-1, lambda-major: fresh copies, step rates included, so leg 2
-        sizes its first step from leg 1's last."""
-        rows = _rows_of(self.owner[lo:hi], d)
-        return self.tracker.take(rows), self.alive[rows], self.reason[rows]
+    def start(self, lo: int, hi: int, d: int) -> _Tracker:
+        """The (lambda, branch) rows of lambdas lo..hi-1, lambda-major: fresh
+        copies, step rates and reasons included, so leg 2 sizes its first
+        step from leg 1's last and skips the rows leg 1 failed."""
+        return self.tracker.take(_rows_of(self.owner[lo:hi], d))
 
 
 class _Rows(NamedTuple):
@@ -389,7 +390,7 @@ def _leg1_path(cvec, L_from, L_to):
     return leg1
 
 
-def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, lam_l) -> _Leg1:
+def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_l) -> _Leg1:
     """Continue every branch once from the base point to each distinct chart point, as a tree.
 
     lam_l holds the chart coordinate of every lambda to be solved, repeats
@@ -407,12 +408,13 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, lam_l) 
     inside the simply connected sector domain (Bates-Hauenstein-Sommese-
     Wampler, Numerically Solving Polynomial Systems with Bertini, 2013,
     Ch. 2), so the tree gives the branches the labels a direct spiral
-    would.  A chart point whose hub failed gets the hub's reason.  Each
-    row's path depends only on its own chart point, so its bits do not
-    depend on which other chart points the sweep holds.
+    would.  A twig copies its hub's failure reason, so the twigs of a
+    failed hub are skipped.  Each row's path depends only on its own chart
+    point, so its bits do not depend on which other chart points the sweep
+    holds.
     """
     charts, owner = np.unique(np.asarray(lam_l, dtype=complex), return_inverse=True)
-    d = len(base_states)
+    d = base.m
     cvec = np.array(domain.c, dtype=complex)
     log_base = math.log(BASE_RADIUS_FACTOR / domain.epsilon)
     L0 = complex(log_base, 0.5 * (domain.theta + domain.eta))
@@ -420,43 +422,41 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base_states, lam_l) 
     j = np.maximum(np.rint((L1.real - log_base) / math.log(HUB_RATIO)), 0.0)
     hubs, nearest = np.unique(j, return_inverse=True)
 
-    hub = _Tracker.from_states(spec, list(base_states) * hubs.size)
+    hub = base.take(np.tile(np.arange(d), hubs.size))
     L_hub = np.repeat(L0 + hubs * math.log(HUB_RATIO), d)
-    hub_ok, hub_reason = hub.advance(_leg1_path(cvec, L0, L_hub), domain=domain)
+    hub.advance(_leg1_path(cvec, L0, L_hub), domain=domain)
 
     rows = _rows_of(nearest, d)
     tr = hub.take(rows)
-    alive, reason = tr.advance(_leg1_path(cvec, L_hub[rows], np.repeat(L1, d)), domain=domain, active=hub_ok[rows])
-    return _Leg1(tr, alive, np.where(hub_ok[rows], reason, hub_reason[rows]), owner)
+    tr.advance(_leg1_path(cvec, L_hub[rows], np.repeat(L1, d)), domain=domain)
+    return _Leg1(tr, owner)
 
 
-def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk: np.ndarray,
-                 start, tol: float, max_iter: int) -> _Rows:
+def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray, tr: _Tracker,
+                 tol: float, max_iter: int) -> _Rows:
     """Solve every branch at each lambda of the chunk from its leg-1 end state.
 
-    start = (tracker, alive, reason) holds the chunk's (lambda, branch) rows
-    at the end of leg 1, lambda-major (_Leg1.start); the chunk owns and
-    moves them.  Each is continued along leg 2 from c * lambda_l to lambda,
-    then moved to the fixed point S(lambda) of z = lambda + G(z) by Newton
-    steps, each one continuation along a straight segment; a row whose dG
-    is not finite or has ||dG||_inf >= 1 takes the plain step
-    z <- lambda + G(z) instead.
+    tr holds the chunk's (lambda, branch) rows at the end of leg 1,
+    lambda-major (_Leg1.start), the same number for each lambda; the chunk
+    owns and moves them.  Each is continued along leg 2 from c * lambda_l
+    to lambda, then moved to the fixed point S(lambda) of z = lambda + G(z)
+    by Newton steps, each one continuation along a straight segment; a row
+    whose dG is not finite or has ||dG||_inf >= 1 takes the plain step
+    z <- lambda + G(z) instead.  A row that fails a continuation, leg 1's
+    included, keeps its guard in tr.reason and is not moved again.
     Returns the rows as columns (lambda-major, branch-minor), each with its
     code into REASONS, the first that holds of: no-convergence; a
-    continuation left the domain (left-domain), including leg 1's; another
-    continuation failure (branch-point); the fixed point lies outside the
-    domain (left-domain); its residual is >= tol (residual-above-tol).
+    continuation left the domain (left-domain); another continuation
+    failure (branch-point); the fixed point lies outside the domain
+    (left-domain); its residual is >= tol (residual-above-tol).
     """
-    d = len(base_states)
     n = lam_chunk.shape[1]
     ell = domain.chart
     cvec = np.array(domain.c, dtype=complex)
 
-    LAM = np.repeat(lam_chunk, d, axis=0)
+    LAM = np.repeat(lam_chunk, tr.m // lam_chunk.shape[0], axis=0)
     m = LAM.shape[0]
     lam_l = LAM[:, ell]
-    tr, alive, reason = start
-    fail_reason = np.where(alive, 0, reason)
 
     if n > 1:
         U1 = LAM / lam_l[:, None]
@@ -465,9 +465,7 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
             U = (1.0 - t[:, None]) * cvec[None, :] + t[:, None] * U1
             return U * lam_l[:, None]
 
-        ok2, reason2 = tr.advance(leg2, domain=domain, active=alive)
-        fail_reason = np.where(alive & ~ok2, reason2, fail_reason)
-        alive &= ok2
+        tr.advance(leg2, domain=domain)
 
     g_lambda = tr.G.copy()
 
@@ -480,7 +478,7 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
     iterations = np.zeros(m, dtype=int)
     eye = np.eye(n)
     for it in range(1, max_iter + 1):
-        stepping = alive & ~converged
+        stepping = (tr.reason == _Tracker.OK) & ~converged
         if not stepping.any():
             break
         target = LAM + tr.G
@@ -493,32 +491,30 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, base_states, lam_chunk
             target[nr] = tr.Z[nr] - np.linalg.solve(eye - J[newton], F[:, :, None])[:, :, 0]
         delta = np.max(np.abs(target - tr.Z), axis=1)
         # step first so the shipped iterate includes its own closing update
-        ok, reason = tr.advance(straight_path(tr.Z, target), domain=domain, active=stepping)
-        fail_reason = np.where(stepping & ~ok, reason, fail_reason)
-        alive &= ~(stepping & ~ok)
-        newly = alive & stepping & (delta <= step_tol)
+        tr.advance(straight_path(tr.Z, target), domain=domain, active=stepping)
+        newly = stepping & (tr.reason == _Tracker.OK) & (delta <= step_tol)
         converged |= newly
         iterations[newly] = it
-    no_conv = alive & ~converged
-    alive &= converged
 
     S = tr.Z
     res = np.full(m, np.inf)
-    if alive.any():
-        res[alive] = _exp_residuals(spec, S[alive], {nm: col[alive] for nm, col in tr.vals.items()})
+    if converged.any():
+        res[converged] = _exp_residuals(spec, S[converged], {nm: col[converged] for nm, col in tr.vals.items()})
     f_res = np.max(np.abs(S - tr.G - LAM), axis=1)
-    cases = [no_conv, ~alive & (fail_reason == _Tracker.FAIL_DOMAIN), ~alive, ~domain.contains_batch(S), res >= tol]
+    failed = tr.reason != _Tracker.OK
+    cases = [~failed & ~converged, tr.reason == _Tracker.FAIL_DOMAIN, failed, ~domain.contains_batch(S), res >= tol]
     why = ("no-convergence", "left-domain", "branch-point", "left-domain", "residual-above-tol")
     code = np.select(cases, [REASONS.index(w) for w in why], 0)
-    return _Rows(LAM, np.array(tr.branch_ids, dtype=int), code, S, res, f_res, iterations, g_lambda)
+    return _Rows(LAM, tr.branch_ids, code, S, res, f_res, iterations, g_lambda)
 
 
-def solve_at_lattice_point(spec: ProblemSpec, domain: SectorDomain, branch, lam,
+def solve_at_lattice_point(spec: ProblemSpec, domain: SectorDomain, branch: _Tracker, lam,
                            tol: float = 1e-10, max_iter: int = 60) -> SolutionRecord:
-    """Solve one lattice point on one branch; raises instead of skipping."""
+    """Solve one lattice point on one branch, a one-row tracker at the base
+    point (a row of branch_base, taken); raises instead of skipping."""
     lam = np.asarray(lam, dtype=complex)
-    leg1 = _continue_leg1(spec, domain, [branch], lam[domain.chart : domain.chart + 1])
-    rows = _solve_chunk(spec, domain, [branch], lam[None, :], leg1.start(0, 1, 1), tol, max_iter)
+    leg1 = _continue_leg1(spec, domain, branch, lam[domain.chart : domain.chart + 1])
+    rows = _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, 1), tol, max_iter)
     why = REASONS[rows.code[0]]
     if why is None:
         return _records(rows, np.arange(1))[0]
@@ -542,8 +538,7 @@ class SweepResult:
 
 
 def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e-10,
-          max_iter: int = 60, jobs: int = 1, contraction_samples: int = 200,
-          contraction_seed: int = 0) -> SweepResult:
+          max_iter: int = 60, jobs: int = 1) -> SweepResult:
     """Enumerate, gate, and solve; returns records and skips in canonical order.
 
     The lambdas the margin model turns away and the chunks' (lambda, branch)
@@ -557,7 +552,7 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
             records=[], skipped=[], contraction=None,
             degree=spec.degree, enumerated=0, asymptotics={},
         )
-    report = measure_contraction(spec, domain, radius_range, contraction_samples, contraction_seed)
+    report = measure_contraction(spec, domain, radius_range)
     if report.norm >= GATE_LIMIT:
         raise ContractionGateFailed(
             f"measured ||dG|| = {report.norm:.6g} >= {GATE_LIMIT}; shrink epsilon or move outward"
@@ -570,14 +565,14 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
     parts = [_Rows(turned, np.full(k, -1), code[code != 0], turned, np.zeros(k), np.zeros(k),
                    np.zeros(k, dtype=int), turned)]
     if kept.shape[0]:
-        states = branch_base(spec, domain, _base_point(domain))
-        d = len(states)
-        leg1 = _continue_leg1(spec, domain, states, kept[:, domain.chart])
+        base = branch_base(spec, domain, _base_point(domain))
+        d = base.m
+        leg1 = _continue_leg1(spec, domain, base, kept[:, domain.chart])
         per_chunk = max(1, CHUNK_ROWS // d)
         firsts = range(0, kept.shape[0], per_chunk)
 
         def chunk(i):
-            return spec, domain, states, kept[i : i + per_chunk], leg1.start(i, i + per_chunk, d), tol, max_iter
+            return spec, domain, kept[i : i + per_chunk], leg1.start(i, i + per_chunk, d), tol, max_iter
 
         if jobs > 1 and len(firsts) > 1:
             # imported here: it loads multiprocessing, which no other run needs
@@ -599,7 +594,7 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
     records = _records(rows, solved)
     skipped = [(lam, None if b < 0 else b, REASONS[c])
                for lam, b, c in zip(rows.lam[skips], rows.branch[skips].tolist(), rows.code[skips].tolist())]
-    asym = _asymptotic_report(spec, domain, records) if records else {}
+    asym = _asymptotic_report(spec, rows, solved) if records else {}
     return SweepResult(
         records=records,
         skipped=skipped,
@@ -610,23 +605,24 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
     )
 
 
-def _asymptotic_report(spec: ProblemSpec, domain: SectorDomain, records) -> dict:
-    """Per-branch gamma for abelian coordinates, torus log-growth fit, decay table.
+def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
+    """Per-branch gamma for abelian coordinates, torus log-growth fit, decay
+    table, over the solved rows idx of rows (the records, in their order).
 
     Sizes are measured by max|lambda_i|; gamma averages S - lambda over the
     GAMMA_POINTS largest records of each branch; the decay prediction is
     gamma for elliptic coordinates and G(lambda) for torus coordinates.
     """
     kinds = np.array([kind for kind, _ in spec.signature.factors])
-    lam = np.array([r.lam for r in records])
-    offset = np.array([r.s for r in records]) - lam
+    lam = rows.lam[idx]
+    offset = rows.s[idx] - lam
     size = np.max(np.abs(lam), axis=1)
-    bids, branch = np.unique([r.branch_id for r in records], return_inverse=True)
+    bids, branch = np.unique(rows.branch[idx], return_inverse=True)
 
     gamma: dict = {}
     for j, bid in enumerate(bids.tolist()):
-        rows = np.flatnonzero(branch == j)
-        top = rows[np.argsort(size[rows], kind="stable")[-GAMMA_POINTS:]]
+        on = np.flatnonzero(branch == j)
+        top = on[np.argsort(size[on], kind="stable")[-GAMMA_POINTS:]]
         gamma[bid] = np.mean(offset[top], axis=0)
 
     log_c = None
@@ -637,7 +633,7 @@ def _asymptotic_report(spec: ProblemSpec, domain: SectorDomain, records) -> dict
         log_c = max(0.0, float(np.max(growth / np.maximum(1.0, [math.log(v) for v in size.tolist()]))))
 
     gammas = np.array(list(gamma.values()))
-    pred = np.where(kinds == "elliptic", gammas[branch], np.array([r.g_lambda for r in records]))
+    pred = np.where(kinds == "elliptic", gammas[branch], rows.g_lambda[idx])
     decay = list(zip(size.tolist(), np.max(np.abs(offset - pred), axis=1).tolist()))
     return {"gamma": gamma, "log_growth_constant": log_c, "decay": decay}
 

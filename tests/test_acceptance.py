@@ -274,12 +274,12 @@ def test_criterion_6_contraction_gate():
     t0 = time.monotonic()
     st = torus_setup()
     stw = wp_run_setup()
-    n_tor = measure_contraction(st.problem, st.domain, st.radius, samples=200)
+    n_tor = measure_contraction(st.problem, st.domain, st.radius)
     n_tor2 = measure_contraction(st.problem, st.domain,
-                                 (2 * st.radius[0], st.radius[1]), samples=200)
-    n_wp = measure_contraction(stw.problem, stw.domain, stw.radius, samples=200)
+                                 (2 * st.radius[0], st.radius[1]))
+    n_wp = measure_contraction(stw.problem, stw.domain, stw.radius)
     n_wp2 = measure_contraction(stw.problem, stw.domain,
-                                (2 * stw.radius[0], 2 * stw.radius[1]), samples=200)
+                                (2 * stw.radius[0], 2 * stw.radius[1]))
     elapsed = time.monotonic() - t0
     ok = (
         n_tor.norm < 0.5
@@ -300,26 +300,17 @@ def _wide(domain):
                         theta=domain.theta, eta=domain.theta + span)
 
 
+def _profiles(st):
+    """Monodromy profiles of every branch at the base point of st's widened domain."""
+    dom = _wide(st.domain)
+    return monodromy_profile(st.problem, branch_base(st.problem, dom, _base_point(dom)))
+
+
 def test_criterion_7_monodromy_orders():
     t0 = time.monotonic()
-    sq = parse_run(SQRT_SPEC.read_text())
-    dom = _wide(sq.domain)
-    es_sqrt = [
-        monodromy_profile(sq.problem, dom, state)["e"]
-        for state in branch_base(sq.problem, dom, _base_point(dom))
-    ]
-    ident = torus_setup()
-    domi = _wide(ident.domain)
-    es_ident = [
-        monodromy_profile(ident.problem, domi, state)["e"]
-        for state in branch_base(ident.problem, domi, _base_point(domi))
-    ]
-    wp_st = wp_run_setup()
-    domw = _wide(wp_st.domain)
-    orders_x1 = [
-        monodromy_profile(wp_st.problem, domw, state)["stage_orders"]["x1"]
-        for state in branch_base(wp_st.problem, domw, _base_point(domw))
-    ]
+    es_sqrt = [prof["e"] for prof in _profiles(parse_run(SQRT_SPEC.read_text()))]
+    es_ident = [prof["e"] for prof in _profiles(torus_setup())]
+    orders_x1 = [prof["stage_orders"]["x1"] for prof in _profiles(wp_run_setup())]
     elapsed = time.monotonic() - t0
     ok = es_sqrt == [2, 2] and es_ident == [1] and set(orders_x1) == {2}
     report(7, ok, f"sqrt e={es_sqrt}, identity e={es_ident}, "

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from explat import cli
+from explat.fiber import _Tracker
+
 ROOT = Path(__file__).resolve().parent.parent
 TORUS_SPEC = ROOT / "examples" / "torus_identity.spec"
 SQRT_SPEC = ROOT / "examples" / "sqrt_branch.spec"
@@ -20,6 +23,19 @@ CLI_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
 }
+
+# explat monodromy's tables on the examples, byte for byte: the stage orders
+# are listed in the turn they first return, stages of one turn in stage order
+SQRT_TABLE = (
+    "branch   e  stage orders\n"
+    "     0   2  w1:2\n"
+    "     1   2  w1:2\n"
+)
+TORUS_TABLE = (
+    "branch   e  stage orders\n"
+    "     0   1  w1:1\n"
+)
+WP_TABLE = "branch   e  stage orders\n" + "".join(f"{b:>6}   4  y2:1, x2:1, x1:2, y1:4\n" for b in range(12))
 
 
 def run_cli(*args):
@@ -318,6 +334,7 @@ def test_monodromy_square_root_cover():
     assert r.returncode == 0, r.stderr
     body = [ln.split() for ln in r.stdout.strip().splitlines()[1:]]
     assert [int(row[1]) for row in body] == [2, 2]
+    assert r.stdout == SQRT_TABLE
 
 
 def test_monodromy_identity_is_trivial():
@@ -325,6 +342,7 @@ def test_monodromy_identity_is_trivial():
     assert r.returncode == 0, r.stderr
     body = [ln.split() for ln in r.stdout.strip().splitlines()[1:]]
     assert [int(row[1]) for row in body] == [1]
+    assert r.stdout == TORUS_TABLE
 
 
 def test_monodromy_curve_product_stage_orders():
@@ -333,3 +351,21 @@ def test_monodromy_curve_product_stage_orders():
     lines = r.stdout.strip().splitlines()[1:]
     assert len(lines) == 12
     assert all("x1:2" in ln for ln in lines)
+    assert r.stdout == WP_TABLE
+
+
+def test_monodromy_failing_branch_stops_the_table(monkeypatch, capsys):
+    # every branch turns at once; when branch 5's loop fails, the table
+    # keeps the rows before it, stderr names it, and the exit is 3
+    advance = _Tracker.advance
+
+    def fail_branch_5(self, path, domain=None, active=None, max_iter=600):
+        advance(self, path, domain=domain, active=active, max_iter=max_iter)
+        if path.__name__ == "loop_path":
+            self.reason[self.branch_ids == 5] = _Tracker.FAIL_BRANCH
+
+    monkeypatch.setattr(_Tracker, "advance", fail_branch_5)
+    assert cli.main(["monodromy", "--spec", str(WP_SPEC)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "".join(WP_TABLE.splitlines(keepends=True)[:6])
+    assert err == "branch 5: monodromy loop continuation failed\n"

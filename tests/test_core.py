@@ -15,6 +15,7 @@ from explat.fiber import (
     MPoly,
     SectorDomain,
     _batched_fiber,
+    _start_rates,
     _Tracker,
     branch_base,
     build_problem,
@@ -116,14 +117,13 @@ def _walk(spec, z0, w0, corners):
 
     Returns (w1, ok, reason) after the last segment or the first failure.
     """
-    states = branch_base(spec, None, [z0])
-    start = min(states, key=lambda s: abs(s.values["w1"] - w0))
-    tr = _Tracker.from_states(spec, [start])
+    base = branch_base(spec, None, [z0])
+    tr = base.take([int(np.argmin(np.abs(base.vals["w1"] - w0)))])
     for corner in corners:
         target = np.array([[complex(corner)]])
-        ok, reason = tr.advance(straight_path(tr.Z, target))
-        if not ok[0]:
-            return complex(tr.vals["w1"][0]), False, int(reason[0])
+        tr.advance(straight_path(tr.Z, target))
+        if tr.reason[0] != _Tracker.OK:
+            return complex(tr.vals["w1"][0]), False, int(tr.reason[0])
     return complex(tr.vals["w1"][0]), True, _Tracker.OK
 
 
@@ -157,8 +157,8 @@ def test_continue_root_loop_off_discriminant_is_identity(sqrt_spec):
 
 def _stage_tracker(spec, z0, w0):
     """A tracker over rows (z0[r], w0[r]) of a one-stage torus spec."""
-    G = np.log(w0)[:, None]
-    return _Tracker(spec, z0[:, None], {"w1": w0}, G, range(len(z0)))
+    Z, vals, m = z0[:, None], {"w1": w0}, len(z0)
+    return _Tracker(spec, Z, vals, np.log(w0)[:, None], np.arange(m), _start_rates(spec, Z, vals), np.zeros(m))
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -195,8 +195,8 @@ def test_tracker_step_halves_towards_near_double_root(sqrt_spec):
     assert not ok[0] and reason[0] == _Tracker.FAIL_BRANCH
     ok, _, cand, _ = tr._trial(half, None)
     assert ok[0] and abs(cand["w1"][0] - math.sqrt(0.505)) < 1e-15
-    ok, _ = tr.advance(straight_path(tr.Z, full))
-    assert ok[0] and abs(tr.vals["w1"][0] - 0.1) < 1e-15
+    tr.advance(straight_path(tr.Z, full))
+    assert tr.reason[0] == _Tracker.OK and abs(tr.vals["w1"][0] - 0.1) < 1e-15
 
 
 def test_alpha_tracks_motion_over_gap_for_quadratics():
@@ -232,7 +232,7 @@ def test_continue_root_through_branch_point_raises(sqrt_spec):
 def identity_setup():
     spec = _torus_spec({(0, 1): 1.0, (1, 0): -1.0})
     domain = SectorDomain(c=(1.0,), chart=0, epsilon=0.49, theta=0.15, eta=2.33)
-    return spec, domain, branch_base(spec, domain, _base_point(domain))[0]
+    return spec, domain, branch_base(spec, domain, _base_point(domain))
 
 
 def test_fixed_point_iteration_count_bound(identity_setup):
@@ -272,8 +272,8 @@ def test_fixed_point_bad_jacobian_rows_take_plain_steps(identity_setup, monkeypa
     # take Newton steps, and every row reaches the same fixed point
     spec, domain, base = identity_setup
     lams = 2j * math.pi * np.arange(3.0, 9.0)[:, None]
-    leg1 = _continue_leg1(spec, domain, [base], lams[:, 0])
-    want = _solve_chunk(spec, domain, [base], lams, leg1.start(0, 6, 1), 1e-10, 60)
+    leg1 = _continue_leg1(spec, domain, base, lams[:, 0])
+    want = _solve_chunk(spec, domain, lams, leg1.start(0, 6, 1), 1e-10, 60)
     jacobian = solver.g_jacobian
 
     def bad_rows(spec, Z, vals):
@@ -283,7 +283,7 @@ def test_fixed_point_bad_jacobian_rows_take_plain_steps(identity_setup, monkeypa
         return J
 
     monkeypatch.setattr(solver, "g_jacobian", bad_rows)
-    got = _solve_chunk(spec, domain, [base], lams, leg1.start(0, 6, 1), 1e-10, 60)
+    got = _solve_chunk(spec, domain, lams, leg1.start(0, 6, 1), 1e-10, 60)
     assert not got.code.any() and not want.code.any() and got.code.size == want.code.size == 6
     assert np.max(np.abs(got.s - want.s)) < 1e-12
     assert got.iterations.max() > want.iterations.max()

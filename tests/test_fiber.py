@@ -11,7 +11,6 @@ from explat.fiber import (
     LOG_STEP,
     ROOT_TOL,
     SAG_STEP,
-    BranchState,
     DegenerateFiber,
     GroupSignature,
     LeftDomain,
@@ -20,6 +19,7 @@ from explat.fiber import (
     ProblemSpec,
     SectorDomain,
     _batched_fiber,
+    _start_rates,
     _Tracker,
     branch_base,
     build_problem,
@@ -144,7 +144,7 @@ def test_g_jacobian_matches_central_differences(name):
     assert ok.all()
     J = g_jacobian(spec, rowsZ, vals)
     m, n = rowsZ.shape
-    tr = _Tracker(spec, rowsZ, vals, G, list(range(m)))
+    tr = _Tracker(spec, rowsZ, vals, G, np.arange(m), _start_rates(spec, rowsZ, vals), np.zeros(m))
     J_fd = np.zeros_like(J)
     valid = np.ones(m, dtype=bool)
     for k in range(n):
@@ -245,13 +245,12 @@ def test_fiber_count_is_constant(curve_pair_spec):
 
 
 def test_fiber_points_lie_on_curves(curve_pair_spec, square_curve):
-    states = branch_base(curve_pair_spec, None, [19.0 + 2.0j, 23.0 - 1.5j])
-    assert len(states) == 12
+    base = branch_base(curve_pair_spec, None, [19.0 + 2.0j, 23.0 - 1.5j])
+    assert base.m == 12
     g2, g3 = square_curve.g2, square_curve.g3
-    for s in states:
-        for k in range(2):
-            x, y = (s.values[nm] for nm in curve_pair_spec.signature.factor_vars(k))
-            assert abs(y ** 2 - (4.0 * x ** 3 - g2 * x - g3)) / (1.0 + abs(x) ** 3) < 1e-10
+    for k in range(2):
+        x, y = (base.vals[nm] for nm in curve_pair_spec.signature.factor_vars(k))
+        assert np.all(np.abs(y ** 2 - (4.0 * x ** 3 - g2 * x - g3)) / (1.0 + np.abs(x) ** 3) < 1e-10)
 
 
 def test_fiber_degenerate_at_branch_locus(sqrt_spec):
@@ -266,7 +265,7 @@ def test_branch_base_torus_coordinate_vanishes():
     av = sig.z_vars + sig.group_vars
     eq = MPoly.from_dict(av, {term(av, w1=1): 1.0, term(av, z1=1): -1.0, term(av): 5.0})
     spec = build_problem(sig, [eq])
-    assert len(branch_base(spec, None, [6.0])) == 1
+    assert branch_base(spec, None, [6.0]).m == 1
     with pytest.raises(DegenerateFiber, match="torus coordinate vanished"):
         branch_base(spec, None, [5.0])
 
@@ -277,7 +276,7 @@ def test_fiber_degenerate_leading_coefficient():
     av = sig.z_vars + sig.group_vars
     eq = MPoly.from_dict(av, {term(av, z1=1, w1=2): 1.0, term(av): -1.0})
     spec = build_problem(sig, [eq])
-    assert len(branch_base(spec, None, [2.0 + 1.0j])) == 2
+    assert branch_base(spec, None, [2.0 + 1.0j]).m == 2
     with pytest.raises(DegenerateFiber, match="leading coefficient guard fired in the w1 stage"):
         branch_base(spec, None, [0.0])
 
@@ -286,41 +285,44 @@ def test_fiber_degenerate_leading_coefficient():
 # branch bases and continuation
 
 
-def _values(states):
-    """Fiber values of branch states as one value dict over rows."""
-    return {nm: np.array([s.values[nm] for s in states]) for nm in states[0].values}
+def _carry(start, target, domain=None):
+    """A copy of the tracker start, continued along straight segments to target."""
+    tr = start.take(np.arange(start.m))
+    tr.advance(straight_path(tr.Z, np.broadcast_to(np.asarray(target, dtype=complex), tr.Z.shape)), domain=domain)
+    return tr
 
 
-def _states(tr):
-    """The rows of a tracker as branch states."""
-    return [
-        BranchState(z=tr.Z[r].copy(), values={nm: complex(col[r]) for nm, col in tr.vals.items()},
-                    g=tr.G[r].copy(), branch_id=tr.branch_ids[r])
-        for r in range(tr.m)
-    ]
-
-
-def _carry(spec, states, target, domain=None):
-    """Continue states along straight segments to target; (ok, reason, states)."""
-    tr = _Tracker.from_states(spec, states)
-    target = np.broadcast_to(np.asarray(target, dtype=complex), tr.Z.shape)
-    ok, reason = tr.advance(straight_path(tr.Z, target), domain=domain)
-    return ok, reason, _states(tr)
-
-
-def _carry_one(spec, state, target):
-    ok, _, (out,) = _carry(spec, [state], target)
-    assert ok[0]
+def _carry_one(row, target):
+    out = _carry(row, target)
+    assert out.reason[0] == _Tracker.OK
     return out
 
 
 def test_branch_base_ids_and_logs(curve_pair_spec):
-    sig = curve_pair_spec.signature
-    states = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
-    assert [s.branch_id for s in states] == list(range(12))
+    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    assert base.branch_ids.tolist() == list(range(12))
+    assert not base.reason.any()
     # exp_S(g) lands on alpha for every branch
-    d = _exp_residuals(curve_pair_spec, np.stack([s.g for s in states]), _values(states))
+    d = _exp_residuals(curve_pair_spec, base.G, base.vals)
     assert np.max(d) < 1e-9
+
+
+def test_branch_base_rates_are_closed_form_at_z0(curve_pair_spec, sqrt_spec):
+    # every row sits at z0 with the closed-form rates of its own branch, so
+    # the rates follow the rows into branch order
+    z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
+    base = branch_base(curve_pair_spec, None, z0)
+    assert np.array_equal(base.Z, np.repeat(z0[None, :], 12, axis=0))
+    for r in range(base.m):
+        one = base.take([r])
+        alpha, log = _start_rates(curve_pair_spec, one.Z, one.vals)
+        assert (alpha[0], log[0]) == (base.alpha_rate[r], base.log_rate[r])
+    # w1^2 = z1: gamma = 1/(2|w|) and dw/dz = 1/(2w), so alpha_rate = 1/(4|z|);
+    # dG/dz = 1/(2z) over the gap 2*pi
+    z = 9.0 + 1.0j
+    base = branch_base(sqrt_spec, None, [z])
+    assert np.allclose(base.alpha_rate, 1.0 / (4.0 * abs(z)), rtol=1e-12, atol=0.0)
+    assert np.allclose(base.log_rate, 1.0 / (2.0 * abs(z) * 2.0 * math.pi), rtol=1e-12, atol=0.0)
 
 
 def test_branch_base_respects_domain(identity_spec):
@@ -345,10 +347,10 @@ def test_straight_path_copies_its_ends():
 def test_continuation_roundtrip(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([25.0 - 1.0j, 27.0 + 3.0j])
-    s0 = branch_base(curve_pair_spec, None, z0)[3]
-    s2 = _carry_one(curve_pair_spec, _carry_one(curve_pair_spec, s0, z1), z0)
-    assert max(abs(s2.values[k] - s0.values[k]) for k in s0.values) < 1e-9
-    assert np.max(np.abs(s2.g - s0.g)) < 1e-9
+    s0 = branch_base(curve_pair_spec, None, z0).take([3])
+    s2 = _carry_one(_carry_one(s0, z1), z0)
+    assert max(abs(s2.vals[k][0] - s0.vals[k][0]) for k in s0.vals) < 1e-9
+    assert np.max(np.abs(s2.G - s0.G)) < 1e-9
 
 
 def test_continuation_path_independent(curve_pair_spec):
@@ -356,11 +358,11 @@ def test_continuation_path_independent(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([26.0 + 4.0j, 24.0 - 2.0j])
     mid = 0.5 * (z0 + z1)
-    s0 = branch_base(curve_pair_spec, None, z0)[7]
-    direct = _carry_one(curve_pair_spec, s0, z1)
-    via = _carry_one(curve_pair_spec, _carry_one(curve_pair_spec, s0, mid), z1)
-    assert max(abs(direct.values[k] - via.values[k]) for k in direct.values) < 1e-9
-    assert np.max(np.abs(direct.g - via.g)) < 1e-9
+    s0 = branch_base(curve_pair_spec, None, z0).take([7])
+    direct = _carry_one(s0, z1)
+    via = _carry_one(_carry_one(s0, mid), z1)
+    assert max(abs(direct.vals[k][0] - via.vals[k][0]) for k in direct.vals) < 1e-9
+    assert np.max(np.abs(direct.G - via.G)) < 1e-9
 
 
 def test_continued_branches_exhaust_fiber(curve_pair_spec):
@@ -368,12 +370,12 @@ def test_continued_branches_exhaust_fiber(curve_pair_spec):
     sig = curve_pair_spec.signature
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([24.0 + 5.0j, 21.0 + 0.5j])
-    ok, _, moved = _carry(curve_pair_spec, branch_base(curve_pair_spec, None, z0), z1)
-    assert ok.all()
-    target = _values(branch_base(curve_pair_spec, None, z1))
+    moved = _carry(branch_base(curve_pair_spec, None, z0), z1)
+    assert not moved.reason.any()
+    target = branch_base(curve_pair_spec, None, z1).vals
     used = np.zeros(curve_pair_spec.degree, dtype=bool)
-    for s in moved:
-        dists = np.where(used, np.inf, group_distance(sig, s.values, target))
+    for r in range(moved.m):
+        dists = np.where(used, np.inf, group_distance(sig, {nm: col[r] for nm, col in moved.vals.items()}, target))
         i = int(np.argmin(dists))
         assert dists[i] < 1e-8
         used[i] = True
@@ -383,20 +385,19 @@ def test_continued_branches_exhaust_fiber(curve_pair_spec):
 def test_batched_tracker_matches_single_rows(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([23.0 + 3.0j, 25.0 + 2.0j])
-    states = branch_base(curve_pair_spec, None, z0)
-    ok, _, batched = _carry(curve_pair_spec, states, z1)
-    assert ok.all()
-    for s0, sb in zip(states, batched):
-        one = _carry_one(curve_pair_spec, s0, z1)
-        assert max(abs(one.values[k] - sb.values[k]) for k in one.values) < 1e-10
-        assert np.max(np.abs(one.g - sb.g)) < 1e-10
+    base = branch_base(curve_pair_spec, None, z0)
+    batched = _carry(base, z1)
+    assert not batched.reason.any()
+    for r in range(base.m):
+        one = _carry_one(base.take([r]), z1)
+        assert max(abs(one.vals[k][0] - batched.vals[k][r]) for k in one.vals) < 1e-10
+        assert np.max(np.abs(one.G[0] - batched.G[r])) < 1e-10
 
 
 def test_advance_trials_only_live_rows(identity_spec):
     # a row that arrives on its first step is not trialled again while
     # the other row is still on its way
-    s0 = branch_base(identity_spec, None, [10.0 + 1.0j])[0]
-    tr = _Tracker.from_states(identity_spec, [s0, s0])
+    tr = branch_base(identity_spec, None, [10.0 + 1.0j]).take([0, 0])
     target = np.array([[10.0 + 1.0j], [-30.0 + 40.0j]])
     sizes = []
     trial = tr._trial
@@ -406,8 +407,8 @@ def test_advance_trials_only_live_rows(identity_spec):
         return trial(Znext, domain, rows)
 
     tr._trial = counted
-    ok, _ = tr.advance(straight_path(tr.Z, target))
-    assert ok.all() and np.allclose(np.exp(tr.G), target, rtol=1e-12)
+    tr.advance(straight_path(tr.Z, target))
+    assert not tr.reason.any() and np.allclose(np.exp(tr.G), target, rtol=1e-12)
     assert sizes[0] == 2 and len(sizes) > 1 and set(sizes[1:]) == {1}
 
 
@@ -419,13 +420,13 @@ def test_segment_near_branch_point_keeps_its_branch(p):
     sig = GroupSignature(factors=(("torus", None),))
     av = sig.z_vars + sig.group_vars
     spec = build_problem(sig, [MPoly.from_dict(av, {term(av, w1=2): 1.0, term(av, z1=1): -1.0, term(av): p})])
-    states = branch_base(spec, None, [-2.0 + 0j])
-    ok, _, ends = _carry(spec, states, [2.0 + 0j])
-    for start, end, arrived in zip(states, ends, ok):
-        sign = start.values["w1"] / cmath.sqrt(-2.0 - p)
+    base = branch_base(spec, None, [-2.0 + 0j])
+    ends = _carry(base, [2.0 + 0j])
+    for r in range(base.m):
+        sign = complex(base.vals["w1"][r]) / cmath.sqrt(-2.0 - p)
         assert abs(abs(sign) - 1.0) < 1e-12 and abs(sign.imag) < 1e-12
-        if arrived:
-            assert abs(end.values["w1"] - sign.real * cmath.sqrt(2.0 - p)) < 1e-9
+        if ends.reason[r] == _Tracker.OK:
+            assert abs(ends.vals["w1"][r] - sign.real * cmath.sqrt(2.0 - p)) < 1e-9
 
 
 def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
@@ -433,8 +434,7 @@ def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
     # motion bound, sets the step, and the row still arrives on its arc.
     # The longest dt within the sag bound is 0.562; the sag's quadratic
     # model alone, fitted at dt = 1, cut it to 0.106
-    s0 = branch_base(identity_spec, None, [1.0 + 0j])[0]
-    tr = _Tracker.from_states(identity_spec, [s0])
+    tr = branch_base(identity_spec, None, [1.0 + 0j])
     tr.log_rate[:] = 1e-3
 
     def spiral(t):
@@ -444,8 +444,8 @@ def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
     sag = abs(spiral(0.5 * dt)[0, 0] - 0.5 * (1.0 + Znext[0, 0]))
     rate = tr.log_rate[0] / LOG_STEP
     assert 0.4 < dt[0] < 1.0 and rate * sag <= SAG_STEP
-    ok, _ = tr.advance(spiral)
-    assert ok[0] and abs(tr.G[0, 0] - (10.0 + 2.0j)) < 1e-12
+    tr.advance(spiral)
+    assert tr.reason[0] == _Tracker.OK and abs(tr.G[0, 0] - (10.0 + 2.0j)) < 1e-12
 
 
 def _sweep_trials(monkeypatch, name, epsilon=None, radius=None):
@@ -497,16 +497,45 @@ def test_sweep_trials_whole_chunks_on_wide_sqrt_branch(monkeypatch):
 
 def test_continuation_detects_branch_point(sqrt_spec):
     # the segment 1 -> -1 passes through the double root at the origin
-    s0 = branch_base(sqrt_spec, None, [1.0 + 0.0j])[1]
-    ok, reason, _ = _carry(sqrt_spec, [s0], [-1.0 + 0.0j])
-    assert not ok[0] and reason[0] == _Tracker.FAIL_BRANCH
+    s0 = branch_base(sqrt_spec, None, [1.0 + 0.0j]).take([1])
+    assert _carry(s0, [-1.0 + 0.0j]).reason[0] == _Tracker.FAIL_BRANCH
 
 
 def test_continuation_respects_domain(identity_spec):
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=0.1, eta=1.5)
-    s0 = branch_base(identity_spec, dom, [10.0 * np.exp(0.5j)])[0]
-    ok, reason, _ = _carry(identity_spec, [s0], [10.0 * np.exp(2.2j)], domain=dom)
-    assert not ok[0] and reason[0] == _Tracker.FAIL_DOMAIN
+    s0 = branch_base(identity_spec, dom, [10.0 * np.exp(0.5j)])
+    assert _carry(s0, [10.0 * np.exp(2.2j)], domain=dom).reason[0] == _Tracker.FAIL_DOMAIN
+
+
+@pytest.mark.parametrize("guard", [_Tracker.FAIL_BRANCH, _Tracker.FAIL_DOMAIN], ids=["branch", "domain"])
+def test_failed_row_keeps_its_guard_and_is_skipped(identity_spec, sqrt_spec, guard):
+    # a row that fails in one advance is not trialled by the next, even
+    # along a path it could take, stays where it failed with its guard, and
+    # take copies the guard with the row
+    if guard == _Tracker.FAIL_BRANCH:  # through the branch point of w1^2 = z1
+        spec, dom, z0, bad, good = sqrt_spec, None, 1.0, -1.0, 2.0
+    else:  # out of the sector
+        spec = identity_spec
+        dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=0.1, eta=1.5)
+        z0, bad, good = (10.0 * np.exp(1j * a) for a in (0.5, 2.2, 0.9))
+    tr = branch_base(spec, dom, [z0]).take([0, 0])
+    tr.advance(straight_path(tr.Z, np.array([[bad], [good]])), domain=dom)
+    assert tr.reason.tolist() == [guard, _Tracker.OK]
+    stopped = (tr.Z[0].copy(), tr.G[0].copy(), {nm: col[0] for nm, col in tr.vals.items()})
+    trialled = []
+    trial = tr._trial
+
+    def counted(Znext, domain, rows):
+        trialled.extend(rows.tolist())
+        return trial(Znext, domain, rows)
+
+    tr._trial = counted
+    tr.advance(straight_path(tr.Z, np.full((2, 1), z0)))
+    assert trialled and set(trialled) == {1}
+    assert tr.reason.tolist() == [guard, _Tracker.OK] and abs(tr.Z[1, 0] - z0) < 1e-12
+    assert np.array_equal(tr.Z[0], stopped[0]) and np.array_equal(tr.G[0], stopped[1])
+    assert all(tr.vals[nm][0] == v for nm, v in stopped[2].items())
+    assert tr.take([1, 0, 0]).reason.tolist() == [_Tracker.OK, guard, guard]
 
 
 # ----------------------------------------------------------------------
@@ -514,21 +543,20 @@ def test_continuation_respects_domain(identity_spec):
 
 
 def test_monodromy_sqrt_is_two(sqrt_spec):
-    s0 = branch_base(sqrt_spec, None, [9.0 + 1.0j])[0]
-    assert monodromy_profile(sqrt_spec, None, s0)["e"] == 2
+    base = branch_base(sqrt_spec, None, [9.0 + 1.0j])
+    assert [prof["e"] for prof in monodromy_profile(sqrt_spec, base)] == [2, 2]
 
 
 def test_monodromy_identity_is_one(identity_spec):
-    s0 = branch_base(identity_spec, None, [5.0 + 2.0j])[0]
-    prof = monodromy_profile(identity_spec, None, s0)
+    (prof,) = monodromy_profile(identity_spec, branch_base(identity_spec, None, [5.0 + 2.0j]))
     assert prof["e"] == 1
     assert prof["stage_orders"] == {"w1": 1}
 
 
 def test_monodromy_stage_orders(curve_pair_spec):
     # the x1 stage solves x1^2 = z2, so its order under a full turn is 2
-    s0 = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])[0]
-    prof = monodromy_profile(curve_pair_spec, None, s0)
+    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    prof = monodromy_profile(curve_pair_spec, base)[0]
     assert prof["stage_orders"]["x1"] == 2
     assert prof["stage_orders"]["y2"] == 1
     assert 1 <= prof["e"] <= curve_pair_spec.degree
@@ -537,16 +565,16 @@ def test_monodromy_stage_orders(curve_pair_spec):
 def test_half_turn_swaps_sqrt_branches(sqrt_spec):
     # transporting along a half turn exchanges the two square roots
     z0 = 9.0 + 0.0j
-    states = branch_base(sqrt_spec, None, [z0])
-    tr = _Tracker.from_states(sqrt_spec, [states[0]])
+    base = branch_base(sqrt_spec, None, [z0])
+    tr = base.take([0])
 
     def half_loop(t):
         return np.full((t.shape[0], 1), z0) * np.exp(1j * math.pi * t)[:, None]
 
-    ok, _ = tr.advance(half_loop)
-    assert ok.all()
+    tr.advance(half_loop)
+    assert tr.reason[0] == _Tracker.OK
     # w tracks sqrt(z), so a half turn of z rotates it by pi/2
-    assert abs(tr.vals["w1"][0] - 1j * states[0].values["w1"]) < 1e-9
+    assert abs(tr.vals["w1"][0] - 1j * base.vals["w1"][0]) < 1e-9
 
 
 # ----------------------------------------------------------------------

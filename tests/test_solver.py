@@ -17,6 +17,7 @@ from explat.solver import (
     ContractionGateFailed,
     GAMMA_POINTS,
     REASONS,
+    _Rows,
     LatticeTooLarge,
     SolutionRecord,
     ZeroOnBoundary,
@@ -557,7 +558,7 @@ def test_single_point_solve_matches_sweep(monkeypatch):
     res = torus_sweep()
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
     lam = np.array([2j * math.pi * 7])
-    rec = solve_at_lattice_point(st.problem, st.domain, base[0], lam)
+    rec = solve_at_lattice_point(st.problem, st.domain, base.take([0]), lam)
     (match,) = [r for r in res.records if abs(r.lam[0] - lam[0]) < 1e-9]
     assert abs(rec.s[0] - match.s[0]) < 1e-10
 
@@ -569,13 +570,13 @@ def test_single_point_solve_matches_sweep(monkeypatch):
     monkeypatch.setattr(solver, "CHUNK_ROWS", 288)
     dom, res = MINI_DOMAIN, mini_sweep()
     base = branch_base(st.problem, dom, _base_point(dom))
-    per_chunk = solver.CHUNK_ROWS // len(base)
+    per_chunk = solver.CHUNK_ROWS // base.m
     lams = list({tuple(r.lam): r.lam for r in res.records}.values())
     assert len(lams) == 37 and per_chunk < 37 <= 2 * per_chunk
     by_key = {(tuple(r.lam), r.branch_id): r for r in res.records}
     for k in (0, per_chunk - 1, per_chunk, len(lams) - 1):
-        for b, state in enumerate(base):
-            rec = solve_at_lattice_point(st.problem, dom, state, lams[k])
+        for b in range(base.m):
+            rec = solve_at_lattice_point(st.problem, dom, base.take([b]), lams[k])
             match = by_key[(tuple(lams[k]), b)]
             assert np.max(np.abs(rec.s - match.s)) <= 1e-12
 
@@ -588,17 +589,17 @@ def test_leg1_tree_keeps_the_branch_labels(name, radius):
     st = parse_run((EXAMPLES / f"{name}.spec").read_text())
     spec, dom = st.problem, st.domain
     charts = np.unique(enumerate_lattice(spec.signature, dom, radius or st.radius)[:, dom.chart])
-    states = branch_base(spec, dom, _base_point(dom))
-    tree = _continue_leg1(spec, dom, states, charts)
+    base = branch_base(spec, dom, _base_point(dom))
+    tree = _continue_leg1(spec, dom, base, charts)
 
-    direct = _Tracker.from_states(spec, list(states) * charts.size)
+    direct = base.take(np.tile(np.arange(base.m), charts.size))
     L0 = complex(math.log(solver.BASE_RADIUS_FACTOR / dom.epsilon), 0.5 * (dom.theta + dom.eta))
-    L1 = np.repeat(np.log(np.abs(charts)) + 1j * dom.window_arg(charts), len(states))
+    L1 = np.repeat(np.log(np.abs(charts)) + 1j * dom.window_arg(charts), base.m)
     cvec = np.array(dom.c, dtype=complex)
-    ok, _ = direct.advance(lambda t: cvec[None, :] * np.exp((1.0 - t) * L0 + t * L1)[:, None], domain=dom)
+    direct.advance(lambda t: cvec[None, :] * np.exp((1.0 - t) * L0 + t * L1)[:, None], domain=dom)
 
-    assert ok.all() and tree.alive.all()
-    assert tree.tracker.branch_ids == direct.branch_ids
+    assert not direct.reason.any() and not tree.tracker.reason.any()
+    assert np.array_equal(tree.tracker.branch_ids, direct.branch_ids)
     assert np.array_equal(tree.tracker.Z, direct.Z)
     for got, want in [(tree.tracker.G, direct.G)] + [(tree.tracker.vals[nm], direct.vals[nm]) for nm in direct.vals]:
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -612,11 +613,10 @@ def test_leg1_failed_hub_skips_its_chart_points(monkeypatch):
     names = []
 
     def last_hub_leaves_domain(self, path, domain=None, active=None, max_iter=600):
-        ok, reason = advance(self, path, domain=domain, active=active, max_iter=max_iter)
+        advance(self, path, domain=domain, active=active, max_iter=max_iter)
         if not names:
-            ok[-1], reason[-1] = False, _Tracker.FAIL_DOMAIN
+            self.reason[-1] = _Tracker.FAIL_DOMAIN
         names.append(path.__name__)
-        return ok, reason
 
     monkeypatch.setattr(_Tracker, "advance", last_hub_leaves_domain)
     res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
@@ -684,7 +684,7 @@ def test_single_point_solve_raises_off_domain():
     st = torus_setup()
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
     with pytest.raises((LeftDomain, NonConvergence)):
-        solve_at_lattice_point(st.problem, st.domain, base[0], np.array([0.2j]))
+        solve_at_lattice_point(st.problem, st.domain, base.take([0]), np.array([0.2j]))
 
 
 def test_verify_flags_record_on_branch_locus():
@@ -692,7 +692,7 @@ def test_verify_flags_record_on_branch_locus():
     # row naming the guard, while a solved record next to it still passes
     st = parse_run(TORUS_SRC.replace("w1 = z1", "w1^2 = z1"))
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
-    good = solve_at_lattice_point(st.problem, st.domain, base[0], np.array([10j * math.pi]))
+    good = solve_at_lattice_point(st.problem, st.domain, base.take([0]), np.array([10j * math.pi]))
     locus = SimpleNamespace(lam=good.lam, s=np.zeros(1, dtype=complex), residual=0.0, f_residual=0.0)
     all_ok, rows = verify_records(st.problem, st.domain, [good, locus], st.tol)
     assert not all_ok
@@ -755,7 +755,7 @@ def test_gamma_matches_ray_anchor_set():
     dom, res = wp_mini()
     gam = res.asymptotics["gamma"]
     zf = 8.46 * np.exp(1j * 0.245) * np.ones(2, dtype=complex)
-    states = branch_base(st.problem, dom, zf)
+    base = branch_base(st.problem, dom, zf)
 
     def lat_dist(u, v):
         m = 0.0
@@ -767,8 +767,8 @@ def test_gamma_matches_ray_anchor_set():
     used = set()
     for b in sorted(gam):
         d, j = min(
-            (lat_dist(np.asarray(gam[b]), st_.g), j)
-            for j, st_ in enumerate(states)
+            (lat_dist(np.asarray(gam[b]), base.G[j]), j)
+            for j in range(base.m)
             if j not in used
         )
         used.add(j)
@@ -823,7 +823,12 @@ def test_asymptotic_report_matches_per_record_arithmetic(kinds):
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
         records.append(SolutionRecord(lam, s, int(rng.integers(0, 7)), 0.0, 0.0, 3, g))
     spec = SimpleNamespace(signature=SimpleNamespace(factors=tuple((k, None) for k in kinds)))
-    got = _asymptotic_report(spec, None, records)
+    def col(field):
+        return np.array([getattr(r, field) for r in records])
+
+    # the report reads the lambda, branch, s and g columns of the solved rows
+    rows = _Rows(col("lam"), col("branch_id"), None, col("s"), None, None, None, col("g_lambda"))
+    got = _asymptotic_report(spec, rows, np.arange(len(records)))
     gamma, log_c, decay = _asymptotics_per_record(kinds, records)
     assert list(got["gamma"]) == list(gamma)
     assert all(got["gamma"][b].tobytes() == gamma[b].tobytes() for b in gamma)
