@@ -4,8 +4,8 @@ All-roots polynomial solving (simultaneous Aberth-Ehrlich iteration) on
 batches of same-degree polynomials, Smale's point estimates (the Newton
 step and gamma, hence alpha) that certify a root from data at one point,
 and the rowwise residual check that accepts roots.  The fiber solver uses
-the all-roots solve; the continuation tracker certifies a Newton step from
-the previous root instead.
+the all-roots solve; the continuation tracker and the record verifier run
+Newton's method from one point where the alpha-test certifies it.
 """
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ import numpy as np
 # Smale's alpha_0: alpha(x) < ALPHA_0 puts x in the quadratic basin of a
 # unique root within 2*beta(x) (Blum-Cucker-Shub-Smale, Ch. 8, Thm. 2)
 ALPHA_0 = (13.0 - 3.0 * math.sqrt(17.0)) / 4.0
+ROOT_TOL = 1e-12       # stage root residual tolerance
+NEWTON_STEPS = 6       # Newton steps per certified stage root, counting the first
 
 
 class NonConvergence(RuntimeError):
@@ -100,17 +102,18 @@ def _smale(coeffs: np.ndarray, x: np.ndarray):
     return step, np.where(flat, np.inf, gamma)
 
 
-def _newton(coeffs: np.ndarray, x: np.ndarray, tol: float, max_steps: int):
-    """Newton's method on each row's polynomial from x (m,), at most max_steps.
-
-    A row stops after a step below tol * (1 + |x|); the others keep going.
-    """
+def _certified_newton(coeffs: np.ndarray, x: np.ndarray, ok: np.ndarray):
+    """Newton's method from x (m,) on the rows where ok and Smale's alpha-test at x certify it:
+    at most NEWTON_STEPS steps, the first the test's, until a step is below ROOT_TOL * (1 + |x|).
+    Returns (root, alpha, cert); root is x where cert is False."""
+    first, gamma = _smale(coeffs, x[:, None])
+    alpha = np.abs(first[:, 0]) * gamma[:, 0]
+    cert = ok & (alpha < ALPHA_0)
     x = np.array(x, dtype=complex)
+    x[cert] -= first[cert, 0]
     d = coeffs.shape[1] - 1
-    live = np.arange(x.shape[0])
-    for _ in range(max_steps):
-        if not live.size:
-            break
+    live = np.flatnonzero(cert)
+    for _ in range(NEWTON_STEPS - 1):
         r = x[live]
         c = coeffs[live]
         p = c[:, d]
@@ -120,5 +123,5 @@ def _newton(coeffs: np.ndarray, x: np.ndarray, tol: float, max_steps: int):
             p = p * r + c[:, k]
         step = p / np.where(dp == 0, np.nan, dp)
         x[live] = r - step
-        live = live[~(np.abs(step) <= tol * (1.0 + np.abs(r)))]
-    return x
+        live = live[~(np.abs(step) <= ROOT_TOL * (1.0 + np.abs(r)))]
+    return x, alpha, cert

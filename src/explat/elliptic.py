@@ -347,12 +347,13 @@ def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
     """Group logarithms of the affine points (x[r], y[r]), batched.
 
     Each row runs Gauss-Newton from its seeds in turn until one converges:
-    the anchor when one is given, the 4 points of a 24x24 grid over the cell
-    nearest (x, y), by |wp - x| / (1 + |x|) + |wp' - y| / (1 + |y|), the
-    near-pole asymptotics +-1/sqrt(x), and, only for rows that still fail,
-    the rest of the grid in the same order.  Returns (v, ok): v is
-    reduced to the fundamental cell, or with an anchor (one per row, or one
-    for all) is the lattice translate nearest it; v is 0 where ok is False.
+    the anchor when one is given, then, for the rows it leaves unsettled,
+    the 4 points of a 24x24 grid over the cell nearest (x, y), by
+    |wp - x| / (1 + |x|) + |wp' - y| / (1 + |y|), the near-pole asymptotics
+    +-1/sqrt(x), and, only for rows that still fail, the rest of the grid in
+    the same order.  Returns (v, ok): v is reduced to the fundamental cell,
+    or with an anchor (one per row, or one for all) is the lattice translate
+    nearest it; v is 0 where ok is False.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
@@ -364,26 +365,25 @@ def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
         return (np.abs(grid_wp - x[r, None]) / (1.0 + np.abs(x[r, None]))
                 + np.abs(grid_dwp - y[r, None]) / (1.0 + np.abs(y[r, None])))
 
-    order = np.empty((m, 4), dtype=np.intp)
-    for lo in range(0, m, SEED_ROWS):
-        rows = slice(lo, lo + SEED_ROWS)
-        dist = seed_distance(rows)
-        near = np.argpartition(dist, 4, axis=1)[:, :4]
-        nearest_first = np.argsort(np.take_along_axis(dist, near, axis=1), axis=1)
-        order[rows] = np.take_along_axis(near, nearest_first, axis=1)
-    root = 1.0 / np.sqrt(np.where(x == 0, 1.0, x))
-    if anchor is not None:
-        anchor = np.broadcast_to(np.asarray(anchor, dtype=complex), (m,))
-    seed_sets = [] if anchor is None else [anchor]
-    seed_sets += [grid_z[order[:, j]] for j in range(order.shape[1])] + [root, -root]
     v = np.zeros(m, dtype=complex)
     done = np.zeros(m, dtype=bool)
-    for seed in seed_sets:
-        todo = ~done
+    if anchor is not None:
+        anchor = np.broadcast_to(np.asarray(anchor, dtype=complex), (m,))
+        v, done, _ = _gauss_newton_log(curve, x, y, anchor)
+    rest = np.flatnonzero(~done)
+    order = np.empty((rest.size, 4), dtype=np.intp)
+    for lo in range(0, rest.size, SEED_ROWS):
+        dist = seed_distance(rest[lo : lo + SEED_ROWS])
+        near = np.argpartition(dist, 4, axis=1)[:, :4]
+        nearest_first = np.argsort(np.take_along_axis(dist, near, axis=1), axis=1)
+        order[lo : lo + SEED_ROWS] = np.take_along_axis(near, nearest_first, axis=1)
+    root = 1.0 / np.sqrt(np.where(x[rest] == 0, 1.0, x[rest]))
+    for seed in [grid_z[order[:, j]] for j in range(order.shape[1])] + [root, -root]:
+        todo = ~done[rest]
         if not todo.any():
             break
-        vt, okt, _ = _gauss_newton_log(curve, x[todo], y[todo], seed[todo])
-        sub = np.flatnonzero(todo)
+        sub = rest[todo]
+        vt, okt, _ = _gauss_newton_log(curve, x[sub], y[sub], seed[todo])
         v[sub[okt]] = vt[okt]
         done[sub] = okt
     for r in np.flatnonzero(~done):

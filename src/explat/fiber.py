@@ -38,13 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ALPHA_0, NonConvergence, _aberth, _newton, _poly_residual_ok, _smale
+from .core import ALPHA_0, ROOT_TOL, NonConvergence, _aberth, _certified_newton, _poly_residual_ok, _smale
 from .elliptic import EllipticCurveParams, _gauss_newton_log, curve_distance, log_E_batch
 from .torus import torus_log_near
 
-ROOT_TOL = 1e-12       # stage root residual tolerance
 LEAD_TOL = 1e-10       # relative leading-coefficient degeneracy threshold
-NEWTON_STEPS = 6       # Newton steps per tracked stage root, counting the certified first
 MIN_FRACTION = 1e-7    # adaptive parameter-step underflow
 DONE = 1.0 - 1e-12     # path parameter at which a row has arrived
 ALPHA_STEP = 0.1       # alpha a substep aims for, below ALPHA_0 = 0.157
@@ -177,9 +175,9 @@ class GroupSignature:
         return 2.0 * math.pi if kind == "torus" else curve.lattice.min_gap
 
 
-def group_distance(sig: GroupSignature, a: dict, b: dict):
-    """Rowwise max over factors of the per-factor scaled distance between
-    the group points whose coordinates a and b map by group variable."""
+def group_distance(sig: GroupSignature, a: dict, b: dict, a_identity=None):
+    """Rowwise max over factors of the per-factor scaled distance between the group points whose
+    coordinates a and b map by group variable; a is the identity of factor k where a_identity[:, k]."""
     worst = 0.0
     for k, (kind, _) in enumerate(sig.factors):
         if kind == "torus":
@@ -187,7 +185,7 @@ def group_distance(sig: GroupSignature, a: dict, b: dict):
             d = np.abs(a[w] - b[w]) / (1.0 + np.maximum(np.abs(a[w]), np.abs(b[w])))
         else:
             xk, yk = sig.factor_vars(k)
-            d = curve_distance(a[xk], a[yk], b[xk], b[yk])
+            d = curve_distance(a[xk], a[yk], b[xk], b[yk], None if a_identity is None else a_identity[:, k])
         worst = np.maximum(worst, d)
     return worst
 
@@ -370,8 +368,8 @@ def _stage_coeffs(stage: Stage, known: dict, m: int):
 def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
     """Solve the full fiber over each row of Z, expanding rows branch-wise.
 
-    tol is the root-residual tolerance: ROOT_TOL for base points and
-    verification, 1e-9 for contraction sampling.  Returns (rowsZ, vals,
+    tol is the root-residual tolerance: ROOT_TOL for base points,
+    1e-9 for contraction sampling.  Returns (rowsZ, vals,
     idx, dropped): idx maps each output row to its row of Z, and dropped
     maps every row of Z that lost a branch to (stage unknown, guard) of its
     first failure, the guard being "leading coefficient", "root residual"
@@ -642,13 +640,8 @@ class _Tracker:
             if stage.degree == 1:
                 chosen = -coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0)
             else:
-                step, gamma = _smale(coeffs, prev[:, None])
-                alpha = np.abs(step[:, 0]) * gamma[:, 0]
-                cert = ok & (alpha < ALPHA_0)
+                chosen, alpha, cert = _certified_newton(coeffs, prev, ok)
                 cand["alpha"] = np.maximum(cand["alpha"], alpha)
-                chosen = prev.copy()
-                start = prev[cert] - step[cert, 0]
-                chosen[cert] = _newton(coeffs[cert], start, ROOT_TOL, NEWTON_STEPS - 1)
                 finite = np.isfinite(chosen)
                 res_ok = _poly_residual_ok(coeffs, np.where(finite, chosen, 0.0)[:, None], 1e-9)
                 ok &= cert & finite & res_ok

@@ -28,18 +28,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonConvergence
-from .elliptic import _cdiv, curve_distance, wp_both
+from .core import NonConvergence, _certified_newton
+from .elliptic import _cdiv, wp_both
 from .fiber import (
-    ROOT_TOL,
     LeftDomain,
     ProblemSpec,
     SectorDomain,
     _batched_fiber,
+    _stage_coeffs,
     _Tracker,
     branch_base,
     fiber_logs,
     g_jacobian,
+    group_distance,
     straight_path,
 )
 
@@ -322,20 +323,22 @@ def _base_point(domain: SectorDomain) -> np.ndarray:
     return np.array(domain.c, dtype=complex) * (r * np.exp(1j * mid))
 
 
+def _exp_S(spec: ProblemSpec, S: np.ndarray):
+    """exp_S at each row of S by group variable, and the (m, n) mask where it is an elliptic identity."""
+    out, identity = {}, np.zeros(S.shape, dtype=bool)
+    for k, (kind, curve) in enumerate(spec.signature.factors):
+        names = spec.signature.factor_vars(k)
+        if kind == "torus":
+            out[names[0]] = np.exp(S[:, k])
+        else:
+            out[names[0]], out[names[1]], identity[:, k] = wp_both(S[:, k], curve)
+    return out, identity
+
+
 def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
     """Group distance between exp_S(s) and alpha(s) per row."""
-    worst = np.zeros(S.shape[0])
-    for k, (kind, curve) in enumerate(spec.signature.factors):
-        if kind == "torus":
-            w = vals[spec.signature.factor_vars(k)[0]]
-            e = np.exp(S[:, k])
-            d = np.abs(e - w) / (1.0 + np.maximum(np.abs(e), np.abs(w)))
-            worst = np.maximum(worst, d)
-        else:
-            xk, yk = spec.signature.factor_vars(k)
-            val, dval, pole = wp_both(S[:, k], curve)
-            worst = np.maximum(worst, curve_distance(val, dval, vals[xk], vals[yk], pole))
-    return worst
+    e, identity = _exp_S(spec, S)
+    return group_distance(spec.signature, e, vals, identity)
 
 
 class _Leg1(NamedTuple):
@@ -693,34 +696,38 @@ def count_zeros_window(h, box, min_mod: float = 1e-8, base_step: float = 0.25,
 def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float):
     """Re-check every record from scratch; returns (all_ok, row list).
 
-    Rows are (index, check-name, ok, detail).  Residuals are recomputed by
-    re-solving the fibers at all s in one batch (no branch state reused).
+    Rows are (index, check-name, ok, detail); no branch state is reused.
+    Each stage at z = s is certified by Smale's alpha-test at the exp_S(s)
+    coordinate of its unknown, or the record gets a fiber FAIL row naming
+    the guard, as it does at the identity of an elliptic factor.  residual
+    is the distance from exp_S(s) to the certified fiber point, f_residual
+    |s - lambda - G| with its log G seeded at s - lambda.
     """
     N = len(records)
-    slack = 50.0  # fresh fiber roots carry their own tolerance
+    slack = 50.0  # recomputed roots carry their own tolerance
     S = np.array([rec.s for rec in records], dtype=complex).reshape(N, spec.n)
     LAM = np.array([rec.lam for rec in records], dtype=complex).reshape(N, spec.n)
-    rowsS, vals, owner, dropped = _batched_fiber(spec, S, ROOT_TOL)
-    dist = _exp_residuals(spec, rowsS, vals)
-    # an intact record owns spec.degree consecutive rows; its alpha is the nearest one
-    intact = np.ones(N, dtype=bool)
-    intact[list(dropped)] = False
-    kept = np.flatnonzero(intact)
-    fiber = np.flatnonzero(intact[owner]).reshape(-1, spec.degree)
-    pick = fiber[np.arange(kept.size), np.argmin(dist[fiber], axis=1)]
-    # f-residual: g from the matched alpha, branch anchored at s - lambda
-    G, g_ok = fiber_logs(spec, {nm: col[pick] for nm, col in vals.items()}, anchor=S[kept] - LAM[kept])
+    start, identity = _exp_S(spec, S)
+    fiber = ~identity.any(axis=1)
+    why = dict.fromkeys(np.flatnonzero(~fiber).tolist(), "exp_S(s) is the identity of an elliptic factor")
+    vals = {nm: S[:, i] for i, nm in enumerate(spec.signature.z_vars)}
+    for stage in spec.stages:
+        coeffs, lead_ok = _stage_coeffs(stage, vals, N)
+        vals[stage.unknown], _, cert = _certified_newton(coeffs, start[stage.unknown], fiber & lead_ok)
+        for r in np.flatnonzero(fiber & ~cert).tolist():
+            why[r] = f"{'alpha test' if lead_ok[r] else 'leading coefficient'} guard fired in the {stage.unknown} stage"
+        fiber &= cert
+    G, g_ok = fiber_logs(spec, {nm: col[fiber] for nm, col in vals.items()}, anchor=S[fiber] - LAM[fiber])
     got = np.full((N, 2), np.nan)
-    got[kept, 0] = dist[pick]
-    got[kept, 1] = np.where(g_ok, np.max(np.abs(S[kept] - LAM[kept] - G), axis=1), np.inf)
+    got[fiber, 0] = group_distance(spec.signature, start, vals)[fiber]
+    got[fiber, 1] = np.where(g_ok, np.max(np.abs(S[fiber] - LAM[fiber] - G), axis=1), np.inf)
     claimed = np.array([[float(rec.residual), float(rec.f_residual)] for rec in records]).reshape(N, 2)
     ok = (got < slack * np.fmax(tol, claimed + tol)).tolist()
     in_domain = domain.contains_batch(S).tolist()
     rows = []
     for idx, ((res, f_r), (ok_res, ok_f)) in enumerate(zip(got.tolist(), ok)):
-        if idx in dropped:  # degenerate fiber at a claimed solution
-            unknown, guard = dropped[idx]
-            rows.append((idx, "fiber", False, f"{guard} guard fired in the {unknown} stage"))
+        if idx in why:  # no certified fiber point at a claimed solution
+            rows.append((idx, "fiber", False, why[idx]))
         else:
             rows += [(idx, "residual", ok_res, f"{res:.3e}"), (idx, "f_residual", ok_f, f"{f_r:.3e}"),
                      (idx, "in-domain", in_domain[idx], "")]

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,24 @@ def _long_lambda(payload):
     return payload
 
 
+# non-finite numbers, which the report writer refuses: NaN read as a claimed
+# residual would pass (fmax(tol, nan) is tol), as would an infinite one, and
+# a NaN s would be blamed on a fiber guard
+def _nan_residual(payload):
+    payload["records"][3]["residual"] = math.nan
+    return payload
+
+
+def _inf_f_residual(payload):
+    payload["records"][4]["f_residual"] = math.inf
+    return payload
+
+
+def _nan_s(payload):
+    payload["records"][6]["s"][0] = math.nan
+    return payload
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -178,6 +197,9 @@ def _long_lambda(payload):
         (_drop_s, "record 0: s is not a list of 2 numbers"),
         (_string_s, "record 0: s is not a list of 2 numbers"),
         (_long_lambda, "record 0: lambda is not a list of 2 numbers"),
+        (_nan_residual, "record 3: residual is not a finite number"),
+        (_inf_f_residual, "record 4: f_residual is not a finite number"),
+        (_nan_s, "record 6: s is not a list of 2 numbers"),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, torus_run, corrupt, field):

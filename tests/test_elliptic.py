@@ -446,6 +446,36 @@ def test_log_near_anchor(curves):
     assert np.max(np.abs(got - z)) < 1e-9
 
 
+def test_log_tries_the_anchor_before_the_grid(curves, monkeypatch):
+    # the anchor runs over every row first: a row it settles is Gauss-Newton
+    # from the anchor, moved to the lattice translate nearest the anchor;
+    # only the row it leaves (its anchor a half period, where Gauss-Newton
+    # stalls) goes on to the grid seeds, and still finds its log there
+    curve = curves["skew"]
+    lat = curve.lattice
+    z = np.array([0.23 + 0.11j, 0.31 - 0.17j, 0.23 + 0.11j])
+    x, y, _ = wp_both(z, curve)
+    shift = lat.from_coords(4, -3)
+    anchor = np.r_[z[:2] + shift + 0.05, shift + 0.5 * lat.omega1]
+    passes = []
+    gauss_newton = elliptic._gauss_newton_log
+
+    def counted(curve, x, y, v0, iters=48):
+        passes.append(len(x))
+        return gauss_newton(curve, x, y, v0, iters)
+
+    monkeypatch.setattr(elliptic, "_gauss_newton_log", counted)
+    got, ok = log_E_batch(curve, x, y, anchor=anchor)
+    assert ok.all() and passes[:2] == [3, 1]
+    v, settled, _ = gauss_newton(curve, x, y, anchor)
+    assert settled.tolist() == [True, True, False]
+    rep = reduce_mod_lattice(v[:2], lat)[0]
+    assert got[:2].tolist() == (rep + lat.nearest_point(anchor[:2] - rep)).tolist()
+    m, n = lat.coords(got[2] - z[2])
+    assert max(abs(m - round(m)), abs(n - round(n))) < 1e-9
+    assert abs(got[2] - anchor[2]) < abs(lat.omega1) + abs(lat.omega2)
+
+
 def test_log_rows_do_not_wait_on_a_pole_row(curves):
     # a seed on a lattice point (a pole of wp) is shifted off it in the same
     # pass in which the other rows step, so a row converges in as many

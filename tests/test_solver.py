@@ -700,8 +700,55 @@ def test_verify_flags_record_on_branch_locus():
         (0, "residual", True), (0, "f_residual", True), (0, "in-domain", True),
         (1, "fiber", False), (0, "distinct", True),
     ]
-    assert rows[3][3] == "root gap guard fired in the w1 stage"
+    assert rows[3][3] == "alpha test guard fired in the w1 stage"
     assert verify_records(st.problem, st.domain, [], st.tol) == (True, [])
+
+
+def _moved(rec, k, to):
+    """rec with s[k] replaced by to."""
+    s = rec.s.copy()
+    s[k] = to
+    return SimpleNamespace(lam=rec.lam, s=s, residual=rec.residual, f_residual=rec.f_residual)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (wp_setup(), *wp_mini()),
+    lambda: (parse_run((EXAMPLES / "sqrt_branch.spec").read_text()), None, sqrt_sweep()),
+], ids=["wp_mini", "sqrt_branch"])
+def test_verify_flags_record_moved_off_its_solution(case):
+    # exp_S(s) of a record whose s moved by 1e-3 still certifies a fiber
+    # point, but that point lies 1e-3 away, and its log no longer returns s
+    st, domain, res = case()
+    domain = domain or st.domain
+    good = res.records[len(res.records) // 2]
+    _, rows = verify_records(st.problem, domain, [good, _moved(good, 0, good.s[0] + 1e-3)], st.tol)
+    assert [(i, name, ok) for i, name, ok, _ in rows if name in ("residual", "f_residual")] == [
+        (0, "residual", True), (0, "f_residual", True), (1, "residual", False), (1, "f_residual", False),
+    ]
+
+
+def test_verify_flags_record_at_a_period():
+    # s1 on a lattice point of curve 1: exp_S(s) is the identity there,
+    # which has no affine coordinates to start the alpha test from
+    domain, res = wp_mini()
+    st = wp_setup()
+    good = res.records[0]
+    all_ok, rows = verify_records(st.problem, domain, [_moved(good, 0, 8 + 2j), good], st.tol)
+    assert not all_ok
+    assert rows[0] == (0, "fiber", False, "exp_S(s) is the identity of an elliptic factor")
+    assert all(ok for i, _, ok, _ in rows if i == 1)
+
+
+def test_verify_recomputes_the_sweep_residuals():
+    # the fiber point certified at exp_S(s) is the one the sweep tracked:
+    # every residual verify recomputes is the sweep's own within 1e-14
+    domain, res = wp_mini()
+    st = wp_setup()
+    all_ok, rows = verify_records(st.problem, domain, res.records, st.tol)
+    assert all_ok
+    got = [float(detail) for _, name, _, detail in rows if name == "residual"]
+    assert len(got) == len(res.records) == 444
+    assert max(abs(a - rec.residual) for a, rec in zip(got, res.records)) < 1e-14
 
 
 def test_empty_annulus_returns_empty_result():
