@@ -9,6 +9,7 @@ All diagnostics and timings go to stderr; reports go to --out or stdout.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -201,39 +202,56 @@ def _alpha_of_z(problem):
     return lambda z: -c0.eval({"z1": z}) / lead
 
 
-def _numbers(v, size: int) -> bool:
-    """v is a list of `size` finite JSON numbers."""
-    return isinstance(v, list) and len(v) == size and all(type(x) in (int, float) and math.isfinite(x) for x in v)
+def _finite_array(col: list, size: int = 0):
+    """col as one float array: (N, size) when each entry is a list of `size`
+    finite JSON numbers, (N,) when each is one; else None."""
+    values = col
+    if size:
+        if not all(map(isinstance, col, itertools.repeat(list))) or set(map(len, col)) - {size}:
+            return None
+        values = itertools.chain.from_iterable(col)
+    if set(map(type, values)) - {int, float}:
+        return None
+    try:
+        arr = np.array(col, dtype=float).reshape(len(col), *((size,) if size else ()))
+    except OverflowError:  # an int past the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
 def _report_contents(payload, n: int):
-    """(records, decay table) of a parsed report; ValueError names the bad field."""
+    """(records, decay table) of a parsed report; ValueError names the bad field.
+
+    The fields are checked a column at a time; only a report that fails
+    is walked record by record, to name the first bad record and field.
+    """
     if not isinstance(payload, dict):
         raise ValueError("the report is not a JSON object")
     records = payload.get("records", [])
     if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
         raise ValueError("records is not a list of objects")
-    for i, rec in enumerate(records):
-        for key in ("lambda", "s"):
-            if not _numbers(rec.get(key), 2 * n):
-                raise ValueError(f"record {i}: {key} is not a list of {2 * n} numbers")
-        for key in ("residual", "f_residual"):
-            if not _numbers([rec.get(key)], 1):
-                raise ValueError(f"record {i}: {key} is not a finite number")
-        if type(rec.get("branch_id")) is not int:
-            raise ValueError(f"record {i}: branch_id is not an integer")
+    cols = {key: [rec.get(key) for rec in records] for key in ("lambda", "s", "residual", "f_residual", "branch_id")}
+    lam, s = _finite_array(cols["lambda"], 2 * n), _finite_array(cols["s"], 2 * n)
+    numbers_ok = _finite_array(cols["residual"]) is not None and _finite_array(cols["f_residual"]) is not None
+    if lam is None or s is None or not numbers_ok or set(map(type, cols["branch_id"])) - {int}:
+        for i, rec in enumerate(records):
+            for key in ("lambda", "s"):
+                if _finite_array([rec.get(key)], 2 * n) is None:
+                    raise ValueError(f"record {i}: {key} is not a list of {2 * n} numbers")
+            for key in ("residual", "f_residual"):
+                if _finite_array([rec.get(key)]) is None:
+                    raise ValueError(f"record {i}: {key} is not a finite number")
+            if type(rec.get("branch_id")) is not int:
+                raise ValueError(f"record {i}: branch_id is not an integer")
     asym = payload.get("asymptotics", {})
     decay = asym.get("decay", []) if isinstance(asym, dict) else None
-    if not (isinstance(decay, list) and all(_numbers(pair, 2) for pair in decay)):
+    if not (isinstance(decay, list) and _finite_array(decay, 2) is not None):
         raise ValueError("asymptotics.decay is not a list of number pairs")
+    lam = lam[:, 0::2] + 1j * lam[:, 1::2]
+    s = s[:, 0::2] + 1j * s[:, 1::2]
     records = [
-        SimpleNamespace(
-            lam=np.array(rec["lambda"][0::2]) + 1j * np.array(rec["lambda"][1::2]),
-            s=np.array(rec["s"][0::2]) + 1j * np.array(rec["s"][1::2]),
-            residual=rec["residual"],
-            f_residual=rec["f_residual"],
-        )
-        for rec in records
+        SimpleNamespace(lam=lam_r, s=s_r, residual=res, f_residual=f_res)
+        for lam_r, s_r, res, f_res in zip(lam, s, cols["residual"], cols["f_residual"])
     ]
     return records, decay
 

@@ -8,20 +8,27 @@ E2(tau) = 1 - 24 sum_{n >= 1} sigma_1(n) Q^n,
     wp(z) = (pi/a)^2 [csc^2(pi z/a) - E2(tau)/3 + sum_{n != 0} csc^2(pi (z + n b)/a)],
 
 where the term n sums the row z + n b + Z a of the defining lattice sum in
-closed form.  Reduction makes |Q| <= exp(-pi sqrt(3)), so a handful of rows
-reaches double precision on every lattice, elongated ones included.
+closed form.  The rows n = +-1 stay closed form; the rows |n| >= 2 fold into
+power series in X = exp(2 pi i z/a) and 1/X with Lambert-sum coefficients.
+Reduction makes |Q| <= exp(-pi sqrt(3)), so a handful of terms reaches
+double precision on every lattice, elongated ones included.
+
+The logarithm seeds Gauss-Newton with wp^-1(x) = R_F(x - e1, x - e2, x - e3)
+(DLMF 19.25(vi)), R_F by Carlson's duplication (B. C. Carlson, "Numerical
+computation of real or complex elliptic integrals", Numer. Algorithms 10, 1995).
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 POLE_REL_TOL = 1e-8        # dist(z, lattice) below this times |omega1| is a pole
 LOG_ACCEPT_TOL = 1e-10     # logarithm acceptance residual (relative)
-SEED_ROWS = 256            # rows whose seeds are ranked at once; bounds the (rows, 576) distance temporaries
+RF_SPREAD = 3e-16 ** (-1.0 / 6.0)  # Carlson's (3r)^(-1/6) for a relative error r = 1e-16
 
 
 # ----------------------------------------------------------------------
@@ -241,33 +248,36 @@ def curve_distance(px, py, qx, qy, p_identity=None):
 
 
 class _WpTables:
-    """Per-curve data for the q-series of wp/wp' and the logarithm seed grid."""
+    """Per-curve data of the wp/wp' q-series and of the logarithm's closed form.
+
+    tail[j-1] holds the Lambert coefficients j Q^2j / (1 - Q^j) (wp) and
+    j^2 Q^2j / (1 - Q^j) (wp') of the rows |n| >= 2, shaped to broadcast over
+    (X, 1/X).  |X| <= |Q|^(-1/2) on the reduced cell, so term j adds at most
+    about 8 j^2 |Q|^(3j/2) relative to (pi/a)^2; the terms run down to 1e-17.
+    """
 
     def __init__(self, curve: EllipticCurveParams):
         a, b = curve.lattice.reduced_basis()
         q = cmath.exp(2j * math.pi * b / a)
-        # on the reduced cell a row n != 0 adds at most about 4|Q|^(|n| - 1/2)
-        # relative to (pi/a)^2; keep the rows down to 1e-17
-        rows = max(1, math.ceil(math.log(0.25e-17) / math.log(abs(q)) - 0.5))
-        n = np.arange(1, rows + 1)
-        self.q_powers = np.r_[q ** -n[::-1], q ** n]  # Q^n, n = -rows..-1, 1..rows
+        terms = 1
+        while 8.0 * terms ** 2 * abs(q) ** (1.5 * terms) >= 1e-17:
+            terms += 1
+        j = np.arange(1, terms + 1)
+        qj = q ** j
+        lambert = j * qj * qj / (1.0 - qj)
+        self.tail = np.stack([lambert, j * lambert], axis=1)[:, :, None, None]
+        self.q = q
         self.cell = Lattice(a, b)
         self.k = math.pi / a
         self.e2_third = (1.0 - 24.0 * _lambert_sigma(q, 1)) / 3.0
         self.gap = abs(a)
         self.curve = curve
-        self._grid = None
 
-    def grid(self):
-        """Cached logarithm seed grid over the fundamental cell, with its wp and wp' values."""
-        if self._grid is None:
-            lat = self.curve.lattice
-            k = (np.arange(24) + 0.5) / 24.0 - 0.5
-            s, t = np.meshgrid(k, k)
-            z = s.ravel() * lat.omega1 + t.ravel() * lat.omega2
-            wp, dwp, _ = wp_both(z, self.curve)
-            self._grid = (z, wp, dwp)
-        return self._grid
+    @cached_property
+    def roots(self):
+        """wp at the half-periods a/2, b/2, (a+b)/2: the roots of 4x^3 - g2 x - g3."""
+        a, b = self.cell.omega1, self.cell.omega2
+        return wp_both(np.array([0.5 * a, 0.5 * b, 0.5 * (a + b)]), self.curve)[0]
 
 
 def wp_both(z, curve: EllipticCurveParams):
@@ -276,15 +286,19 @@ def wp_both(z, curve: EllipticCurveParams):
     Returns (wp, wp', pole_mask) over the flattened input; callers
     that promise pole-free input can ignore the mask.  With theta = k z,
     k = pi/a, the q-series row n = 0 is csc^2(theta); a row n != 0 is
-    f(x) = -4x/(1-x)^2 at x = exp(2i theta) Q^n and adds 2ik g(x),
-    g(x) = -4x(1+x)/(1-x)^3, to wp'.
+    -4 f(x), f(x) = x/(1-x)^2, at x = X Q^n, X = exp(2i theta), and adds
+    -8ik g(x), g(x) = x(1+x)/(1-x)^3, to wp'.  As f(x) = f(1/x) and
+    g(x) = -g(1/x), the rows n >= 1 and n <= -1 are those at x = u Q^|n|,
+    u = X and 1/X, g negated for 1/X.  The row |n| = 1 takes one reciprocal,
+    r = 1/(1 - uQ), f = uQ r^2, g = f (1 + uQ) r; the rest are Horner series.
 
     Each row's value is the same bits whatever the batch size.  numpy
     reuses a temporary operand of 256 KiB or more in place, and for a
     commutative product it then swaps the operands, which changes how a
-    complex product rounds.  So every product here whose second operand
-    would be a temporary is given named operands (xp1, series, dseries);
-    the products by 4.0 and 8j are exact in either order.
+    complex product rounds (a temporary first operand is reused in place
+    without a swap, which rounds alike).  So every product here whose second
+    operand would be a temporary is given named operands; the products by
+    4.0 and 8j are exact in either order.
     """
     tab = curve.tables()
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -293,12 +307,23 @@ def wp_both(z, curve: EllipticCurveParams):
     zs = np.where(pole, 0.5 * tab.gap, zr)  # safe placeholder at poles
     theta = tab.k * zs
     sin, cos = np.sin(theta), np.cos(theta)
-    x = np.exp(2j * theta)[:, None] * tab.q_powers
-    d = 1.0 - x
-    xp1 = 1.0 + x
-    f = x / (d * d)
-    series = 1.0 / (sin * sin) - tab.e2_third - 4.0 * f.sum(axis=1)
-    dseries = -2.0 * cos / (sin * sin * sin) - 8j * (f * xp1 / d).sum(axis=1)
+    csc = 1.0 / sin
+    csc2 = csc * csc
+    X = np.exp(2j * theta)
+    u = np.stack([X, 1.0 / X])
+    A = u * tab.q
+    r = 1.0 / (1.0 - A)
+    f = A * r * r
+    Ap1 = 1.0 + A
+    g = f * Ap1 * r
+    h = tab.tail[-1] * u  # (wp, wp') x (X, 1/X) tails
+    for c in tab.tail[-2::-1]:
+        h += c
+        h *= u
+    f += h[0]
+    g += h[1]
+    series = csc2 - tab.e2_third - 4.0 * (f[0] + f[1])
+    dseries = -2.0 * cos * csc * csc2 - 8j * (g[0] - g[1])
     return tab.k ** 2 * series, tab.k ** 3 * dseries, pole
 
 
@@ -343,55 +368,67 @@ def _gauss_newton_log(curve, x, y, v0, iters=48):
     return v, res < LOG_ACCEPT_TOL, res
 
 
+def _closed_form_log(curve: EllipticCurveParams, x, y):
+    """A logarithm of each affine point (x, y) in closed form; 0 on non-finite rows.
+
+    v = R_F(x - e1, x - e2, x - e3) has wp(v) = x and wp'(v) = -2 sqrt(x - e1)
+    sqrt(x - e2) sqrt(x - e3) (principal roots), so a row whose y is nearer
+    the other sign takes -v.  Carlson's duplication d_i <- (d_i + lam) / 4,
+    lam = s1 s2 + s1 s3 + s2 s3 with s_i = sqrt(d_i), runs on each row until
+    4^-m RF_SPREAD max_i |A0 - d_i| < |A| (A the mean of the d_i), and his
+    fifth-order series then gives R_F to about 1e-16.
+    """
+    v = np.zeros(x.shape, dtype=complex)
+    fin = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
+    d0 = x[fin] - curve.tables().roots[:, None]  # (3, rows)
+    s = np.sqrt(d0)
+    dwp = -2.0 * s[0] * s[1] * s[2]
+    a0 = d0.sum(axis=0) / 3.0
+    spread = RF_SPREAD * np.abs(a0 - d0).max(axis=0)
+    d, a = d0.copy(), a0.copy()
+    shrink = np.ones(a.shape)  # 4^-m
+    live = np.flatnonzero(spread >= np.abs(a))
+    while live.size:  # 4^-m spread falls to 0 and |A| to R_F^-2, so every row stops
+        s = np.sqrt(d[:, live])
+        lam = s[0] * s[1] + s[0] * s[2] + s[1] * s[2]
+        d[:, live] = (d[:, live] + lam) * 0.25
+        a[live] = (a[live] + lam) * 0.25
+        shrink[live] *= 0.25
+        live = live[shrink[live] * spread[live] >= np.abs(a[live])]
+    scale = shrink / a
+    X = (a0 - d0[0]) * scale
+    Y = (a0 - d0[1]) * scale
+    Z = -(X + Y)
+    e2 = X * Y - Z * Z
+    e3 = X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(a)
+    yf = y[fin]
+    v[fin] = np.where(np.abs(yf - dwp) <= np.abs(yf + dwp), rf, -rf)
+    return v
+
+
 def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
     """Group logarithms of the affine points (x[r], y[r]), batched.
 
-    Each row runs Gauss-Newton from its seeds in turn until one converges:
-    the anchor when one is given, then, for the rows it leaves unsettled,
-    the 4 points of a 24x24 grid over the cell nearest (x, y), by
-    |wp - x| / (1 + |x|) + |wp' - y| / (1 + |y|), the near-pole asymptotics
-    +-1/sqrt(x), and, only for rows that still fail, the rest of the grid in
-    the same order.  Returns (v, ok): v is reduced to the fundamental cell,
-    or with an anchor (one per row, or one for all) is the lattice translate
-    nearest it; v is 0 where ok is False.
+    With an anchor, Gauss-Newton runs from it over every row first.  Each
+    row it leaves unsettled, and every row without an anchor, is seeded by
+    the closed form wp^-1(x) = R_F(x - e1, x - e2, x - e3) (DLMF 19.25(vi);
+    Carlson, Numer. Algorithms 10, 1995), with the sign that wp' = y picks,
+    and settled by one Gauss-Newton pass.  Returns (v, ok): v is reduced to
+    the fundamental cell, or with an anchor (one per row, or one for all)
+    is the lattice translate nearest it; v is 0 where ok is False.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     m = x.shape[0]
-    grid_z, grid_wp, grid_dwp = curve.tables().grid()
-
-    def seed_distance(r):
-        # wp is even, so wp alone ranks -v as near as v; wp' tells them apart
-        return (np.abs(grid_wp - x[r, None]) / (1.0 + np.abs(x[r, None]))
-                + np.abs(grid_dwp - y[r, None]) / (1.0 + np.abs(y[r, None])))
-
     v = np.zeros(m, dtype=complex)
     done = np.zeros(m, dtype=bool)
     if anchor is not None:
         anchor = np.broadcast_to(np.asarray(anchor, dtype=complex), (m,))
         v, done, _ = _gauss_newton_log(curve, x, y, anchor)
     rest = np.flatnonzero(~done)
-    order = np.empty((rest.size, 4), dtype=np.intp)
-    for lo in range(0, rest.size, SEED_ROWS):
-        dist = seed_distance(rest[lo : lo + SEED_ROWS])
-        near = np.argpartition(dist, 4, axis=1)[:, :4]
-        nearest_first = np.argsort(np.take_along_axis(dist, near, axis=1), axis=1)
-        order[lo : lo + SEED_ROWS] = np.take_along_axis(near, nearest_first, axis=1)
-    root = 1.0 / np.sqrt(np.where(x[rest] == 0, 1.0, x[rest]))
-    for seed in [grid_z[order[:, j]] for j in range(order.shape[1])] + [root, -root]:
-        todo = ~done[rest]
-        if not todo.any():
-            break
-        sub = rest[todo]
-        vt, okt, _ = _gauss_newton_log(curve, x[sub], y[sub], seed[todo])
-        v[sub[okt]] = vt[okt]
-        done[sub] = okt
-    for r in np.flatnonzero(~done):
-        far = np.argsort(seed_distance(r))[4:]
-        vt, okt, _ = _gauss_newton_log(curve, np.full(far.size, x[r]), np.full(far.size, y[r]), grid_z[far])
-        if okt.any():
-            v[r] = vt[np.argmax(okt)]
-            done[r] = True
+    if rest.size:
+        v[rest], done[rest], _ = _gauss_newton_log(curve, x[rest], y[rest], _closed_form_log(curve, x[rest], y[rest]))
     rep, _ = reduce_mod_lattice(np.where(done, v, 0.0), curve.lattice)
     if anchor is not None:
         rep = np.where(done, rep + curve.lattice.nearest_point(anchor - rep), 0.0)

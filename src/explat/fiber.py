@@ -556,8 +556,9 @@ def straight_path(Z0, Z1) -> Callable:
     Z0 = np.array(Z0, dtype=complex)
     Z1 = np.array(Z1, dtype=complex)
 
-    def path(t):
-        return Z0 + t[:, None] * (Z1 - Z0)
+    def path(t, rows):
+        start = Z0[rows]
+        return start + t[:, None] * (Z1[rows] - start)
 
     return path
 
@@ -580,7 +581,9 @@ class _Tracker:
 
     advance() walks every live row along its own path with steps sized from
     those rates (_step), and each substep trials only the rows still on
-    their way.  Each stage root of degree > 1 is tracked by Newton's method
+    their way.  A path is called as path(t, rows) and returns the points
+    of the tracker rows `rows` at their parameters t, so only live rows are
+    evaluated.  Each stage root of degree > 1 is tracked by Newton's method
     from the row's previous root, taken only where Smale's alpha-test at
     that start certifies convergence to a unique nearby root.  The elliptic
     logarithm is predicted from the invariant differential dv = dx/y and
@@ -684,29 +687,25 @@ class _Tracker:
         """
         Z0 = self.Z[rows]
         t0 = t[rows]
-        tt = t.copy()
-        tt[rows] = np.minimum(t0 + VELOCITY_DT, 1.0)
-        speed = np.max(np.abs(path(tt)[rows] - Z0), axis=1) / (tt[rows] - t0)
+        t1 = np.minimum(t0 + VELOCITY_DT, 1.0)
+        speed = np.max(np.abs(path(t1, rows) - Z0), axis=1) / (t1 - t0)
         with np.errstate(divide="ignore", invalid="ignore"):
             rate = np.maximum(self.alpha_rate[rows] / ALPHA_STEP, self.log_rate[rows] / LOG_STEP)
             dt = np.minimum(np.minimum(limit[rows], 1.0 - t0), 1.0 / (rate * speed))
         dt = np.where(rate < np.inf, dt, 0.0)
         t_next, Znext = np.empty_like(t0), np.empty_like(Z0)
-        todo = np.ones(dt.shape, dtype=bool)
-        while True:
-            t_try = np.where(t0 + dt >= DONE, 1.0, t0 + dt)
-            tt[rows] = t_try
-            Z_try = path(tt)[rows]
-            tt[rows] = t0 + 0.5 * dt
-            sag = np.max(np.abs(path(tt)[rows] - 0.5 * (Z0 + Z_try)), axis=1)
+        todo = np.arange(dt.size)  # rows whose dt has not yet fitted, by position in `rows`
+        while todo.size:
+            r, s, d = rows[todo], t0[todo], dt[todo]
+            t_try = np.where(s + d >= DONE, 1.0, s + d)
+            Z_try = path(t_try, r)
+            sag = np.max(np.abs(path(s + 0.5 * d, r) - 0.5 * (Z0[todo] + Z_try)), axis=1)
             with np.errstate(invalid="ignore"):
-                fits = ~(rate * sag > SAG_STEP) | (dt < MIN_FRACTION)
-            take = todo & fits
-            t_next[take], Znext[take] = t_try[take], Z_try[take]
-            todo &= ~fits
-            if not todo.any():
-                return dt, t_next, Znext
-            dt = np.where(todo, 0.5 * dt, dt)
+                fits = ~(rate[todo] * sag > SAG_STEP) | (d < MIN_FRACTION)
+            t_next[todo[fits]], Znext[todo[fits]] = t_try[fits], Z_try[fits]
+            todo = todo[~fits]
+            dt[todo] *= 0.5
+        return dt, t_next, Znext
 
     # -- adaptive advance along per-row paths ---------------------------
     def advance(self, path: Callable, domain=None, active=None, max_iter=600):
@@ -791,8 +790,8 @@ def monodromy_profile(spec: ProblemSpec, base: _Tracker, tol: float = 1e-8) -> l
             break
         z0 = tr.Z.copy()
 
-        def loop_path(t, z0=z0):
-            return z0 * np.exp(2j * math.pi * t)[:, None]
+        def loop_path(t, rows, z0=z0):
+            return z0[rows] * np.exp(2j * math.pi * t)[:, None]
 
         tr.advance(loop_path, active=turning)
         turned = turning & (tr.reason == tr.OK)

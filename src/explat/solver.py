@@ -387,8 +387,8 @@ def _leg1_path(cvec, L_from, L_to):
     """The leg-1 path c * exp((1-t) L_from + t L_to), row by row; it is named
     leg1, the name the phase's advance calls are known by."""
 
-    def leg1(t):
-        return cvec[None, :] * np.exp((1.0 - t) * L_from + t * L_to)[:, None]
+    def leg1(t, rows):
+        return cvec[None, :] * np.exp((1.0 - t) * L_from[rows] + t * L_to[rows])[:, None]
 
     return leg1
 
@@ -427,7 +427,7 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_
 
     hub = base.take(np.tile(np.arange(d), hubs.size))
     L_hub = np.repeat(L0 + hubs * math.log(HUB_RATIO), d)
-    hub.advance(_leg1_path(cvec, L0, L_hub), domain=domain)
+    hub.advance(_leg1_path(cvec, np.full(L_hub.shape, L0), L_hub), domain=domain)
 
     rows = _rows_of(nearest, d)
     tr = hub.take(rows)
@@ -464,9 +464,9 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
     if n > 1:
         U1 = LAM / lam_l[:, None]
 
-        def leg2(t):
-            U = (1.0 - t[:, None]) * cvec[None, :] + t[:, None] * U1
-            return U * lam_l[:, None]
+        def leg2(t, rows):
+            U = (1.0 - t[:, None]) * cvec[None, :] + t[:, None] * U1[rows]
+            return U * lam_l[rows, None]
 
         tr.advance(leg2, domain=domain)
 

@@ -190,6 +190,12 @@ def _nan_s(payload):
     return payload
 
 
+def _huge_int_s(payload):
+    # past the float range: reading it once raised an OverflowError traceback
+    payload["records"][2]["s"][1] = 10**400
+    return payload
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -200,6 +206,7 @@ def _nan_s(payload):
         (_nan_residual, "record 3: residual is not a finite number"),
         (_inf_f_residual, "record 4: f_residual is not a finite number"),
         (_nan_s, "record 6: s is not a list of 2 numbers"),
+        (_huge_int_s, "record 2: s is not a list of 2 numbers"),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, torus_run, corrupt, field):

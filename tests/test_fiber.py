@@ -340,8 +340,10 @@ def test_straight_path_copies_its_ends():
     origin, end = Z0.copy(), Z1.copy()
     Z0[:] = 7.0
     Z1[:] = -7.0
-    assert np.array_equal(path(np.zeros(2)), origin)
-    assert np.array_equal(path(np.ones(2)), end)
+    rows = np.arange(2)
+    assert np.array_equal(path(np.zeros(2), rows), origin)
+    assert np.array_equal(path(np.ones(2), rows), end)
+    assert np.array_equal(path(np.ones(1), rows[1:]), end[1:])
 
 
 def test_continuation_roundtrip(curve_pair_spec):
@@ -437,11 +439,11 @@ def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
     tr = branch_base(identity_spec, None, [1.0 + 0j])
     tr.log_rate[:] = 1e-3
 
-    def spiral(t):
+    def spiral(t, rows):
         return np.exp(t * (10.0 + 2.0j))[:, None]
 
     dt, _, Znext = tr._step(spiral, np.zeros(1), np.full(1, np.inf), np.arange(1))
-    sag = abs(spiral(0.5 * dt)[0, 0] - 0.5 * (1.0 + Znext[0, 0]))
+    sag = abs(spiral(0.5 * dt, np.arange(1))[0, 0] - 0.5 * (1.0 + Znext[0, 0]))
     rate = tr.log_rate[0] / LOG_STEP
     assert 0.4 < dt[0] < 1.0 and rate * sag <= SAG_STEP
     tr.advance(spiral)
@@ -568,7 +570,7 @@ def test_half_turn_swaps_sqrt_branches(sqrt_spec):
     base = branch_base(sqrt_spec, None, [z0])
     tr = base.take([0])
 
-    def half_loop(t):
+    def half_loop(t, rows):
         return np.full((t.shape[0], 1), z0) * np.exp(1j * math.pi * t)[:, None]
 
     tr.advance(half_loop)

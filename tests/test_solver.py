@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from explat import solver
+from explat import elliptic, solver
 from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
 from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _batched_fiber, _Tracker, branch_base
@@ -335,6 +335,25 @@ def test_contraction_decreases_for_curve_product_too():
     assert r2.norm < r1.norm
 
 
+def test_contraction_sampling_runs_one_log_pass_per_curve(monkeypatch):
+    # every sampled row's elliptic logarithm is seeded in closed form and
+    # settled by a single Gauss-Newton pass, one per elliptic factor
+    st = wp_setup()
+    dom, _ = wp_mini()
+    passes = []
+    gauss_newton = elliptic._gauss_newton_log
+
+    def counted(curve, x, y, v0, iters=48):
+        passes.append(len(x))
+        return gauss_newton(curve, x, y, v0, iters)
+
+    monkeypatch.setattr(elliptic, "_gauss_newton_log", counted)
+    rep = measure_contraction(st.problem, dom, (30.0, 120.0))
+    curves = sum(kind == "elliptic" for kind, _ in st.problem.signature.factors)
+    assert curves == 2 and len(passes) == curves
+    assert rep.samples == passes[0] == passes[1] == solver.CONTRACTION_SAMPLES * st.problem.degree
+
+
 def test_margin_model_reasons():
     st = torus_setup()
     rep = measure_contraction(st.problem, st.domain, (2.6, 250.0))
@@ -596,7 +615,7 @@ def test_leg1_tree_keeps_the_branch_labels(name, radius):
     L0 = complex(math.log(solver.BASE_RADIUS_FACTOR / dom.epsilon), 0.5 * (dom.theta + dom.eta))
     L1 = np.repeat(np.log(np.abs(charts)) + 1j * dom.window_arg(charts), base.m)
     cvec = np.array(dom.c, dtype=complex)
-    direct.advance(lambda t: cvec[None, :] * np.exp((1.0 - t) * L0 + t * L1)[:, None], domain=dom)
+    direct.advance(lambda t, rows: cvec[None, :] * np.exp((1.0 - t) * L0 + t * L1[rows])[:, None], domain=dom)
 
     assert not direct.reason.any() and not tree.tracker.reason.any()
     assert np.array_equal(tree.tracker.branch_ids, direct.branch_ids)
