@@ -28,7 +28,6 @@ from .solver import (
     count_zeros_window,
     enumerate_lattice,
     measure_contraction,
-    solve_at_lattice_point,
     sweep,
 )
 from .specfile import ParseError, RunSetup, ValidationError, parse_run, parse_spec
@@ -63,7 +62,6 @@ __all__ = [
     "parse_run",
     "parse_spec",
     "reduce_mod_lattice",
-    "solve_at_lattice_point",
     "sweep",
     "torus_log",
     "torus_log_near",

@@ -46,7 +46,8 @@ def _fmt(x: float) -> str:
 
 def _load_run(path: str):
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         _err(f"cannot read spec: {exc}")
         return None, None
@@ -261,7 +262,8 @@ def cmd_verify(args) -> int:
     if setup is None:
         return EXIT_PARSE
     try:
-        payload = report_mod.parse_json(open(args.report).read())
+        with open(args.report) as fh:
+            payload = report_mod.parse_json(fh.read())
         records, decay = _report_contents(payload, setup.problem.n)
     except (OSError, ValueError) as exc:
         _err(f"cannot read report: {exc}")

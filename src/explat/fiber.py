@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ALPHA_0, ROOT_TOL, NonConvergence, _aberth, _certified_newton, _poly_residual_ok, _smale
+from .core import ALPHA_0, ROOT_TOL, NonConvergence, _certified_newton, _poly_residual_ok, _roots, _smale
 from .elliptic import EllipticCurveParams, _gauss_newton_log, curve_distance, log_E_batch
 from .torus import torus_log_near
 
@@ -350,8 +350,9 @@ def build_problem(sig: GroupSignature, equations) -> ProblemSpec:
 def _stage_coeffs(stage: Stage, known: dict, m: int):
     """One stage's coefficient rows (m, degree+1) at `known`, and the LEAD_TOL guard.
 
-    For degree > 1 the rows failing the guard are replaced by the dummy monic
-    row x^d, which keeps batched root solves over all m rows well posed.
+    The rows failing the guard, non-finite ones included, are replaced by
+    the dummy monic row x^d, which keeps batched root solves over all m rows
+    well posed.
     """
     coeffs = np.stack(
         [np.broadcast_to(np.asarray(cp.eval(known), dtype=complex), (m,)) for cp in stage.coeff_polys],
@@ -359,25 +360,27 @@ def _stage_coeffs(stage: Stage, known: dict, m: int):
     )
     top = np.max(np.abs(coeffs), axis=1)
     lead_ok = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
-    if stage.degree > 1:
-        coeffs[~lead_ok] = 0.0
-        coeffs[~lead_ok, -1] = 1.0
+    coeffs[~lead_ok] = 0.0
+    coeffs[~lead_ok, -1] = 1.0
     return coeffs, lead_ok
 
 
 def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
     """Solve the full fiber over each row of Z, expanding rows branch-wise.
 
-    tol is the root-residual tolerance: ROOT_TOL for base points,
-    1e-9 for contraction sampling.  Returns (rowsZ, vals,
-    idx, dropped): idx maps each output row to its row of Z, and dropped
+    Every stage, degree 1 included, takes all its roots from one batched
+    companion-matrix eigenvalue solve (core._roots) and passes the same
+    guards.  tol is the root-residual tolerance: ROOT_TOL for base points,
+    1e-9 for contraction sampling.  Returns (rowsZ, vals, idx, dropped):
+    idx maps each output row to its row of Z, and dropped
     maps every row of Z that lost a branch to (stage unknown, guard) of its
     first failure, the guard being "leading coefficient", "root residual"
     or "root gap".  The root gap guard is the alphaCertified distinct-roots
     test (Hauenstein-Sottile 2012): every root has alpha < ALPHA_0, so a
     true root lies within 2*beta of it, and those balls are pairwise
-    disjoint.  Only the failing branches are dropped.  Root order within a
-    stage is np.sort_complex, so the row order is deterministic.
+    disjoint, so clustered or multiple roots are refused.  Only the failing
+    branches are dropped.  Root order within a stage is np.sort_complex, so
+    the row order is deterministic.
     """
     rows = np.array(Z, dtype=complex)
     idx = np.arange(rows.shape[0])
@@ -390,18 +393,14 @@ def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
         known.update(vals)
         coeffs, lead_ok = _stage_coeffs(stage, known, m)
         d = stage.degree
-        if d == 1:
-            res_ok = gap_ok = np.ones(m, dtype=bool)
-            roots = (-coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0))[:, None]
-        else:
-            roots, _ = _aberth(coeffs, ROOT_TOL)
-            res_ok = _poly_residual_ok(coeffs, roots, tol)
-            roots = np.sort_complex(roots)
-            step, gamma = _smale(coeffs, roots)
-            beta = np.abs(step)
-            dmat = np.abs(roots[:, :, None] - roots[:, None, :]) - 2.0 * (beta[:, :, None] + beta[:, None, :])
-            dmat[:, np.arange(d), np.arange(d)] = np.inf
-            gap_ok = np.all(beta * gamma < ALPHA_0, axis=1) & (dmat.min(axis=(1, 2)) > 0)
+        roots = _roots(coeffs)
+        res_ok = _poly_residual_ok(coeffs, roots, tol)
+        roots = np.sort_complex(roots)
+        step, gamma = _smale(coeffs, roots)
+        beta = np.abs(step)
+        dmat = np.abs(roots[:, :, None] - roots[:, None, :]) - 2.0 * (beta[:, :, None] + beta[:, None, :])
+        dmat[:, np.arange(d), np.arange(d)] = np.inf
+        gap_ok = np.all(beta * gamma < ALPHA_0, axis=1) & (dmat.min(axis=(1, 2)) > 0)
         good = lead_ok & res_ok & gap_ok
         for r in np.flatnonzero(~good):
             guard = "leading coefficient" if not lead_ok[r] else "root residual" if not res_ok[r] else "root gap"
@@ -641,7 +640,7 @@ class _Tracker:
             ok &= lead_ok
             prev = self.vals[stage.unknown][rows]
             if stage.degree == 1:
-                chosen = -coeffs[:, 0] / np.where(lead_ok, coeffs[:, 1], 1.0)
+                chosen = -coeffs[:, 0] / coeffs[:, 1]
             else:
                 chosen, alpha, cert = _certified_newton(coeffs, prev, ok)
                 cand["alpha"] = np.maximum(cand["alpha"], alpha)

@@ -31,7 +31,6 @@ import numpy as np
 from .core import NonConvergence, _certified_newton
 from .elliptic import _cdiv, wp_both
 from .fiber import (
-    LeftDomain,
     ProblemSpec,
     SectorDomain,
     _batched_fiber,
@@ -509,21 +508,6 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
     why = ("no-convergence", "left-domain", "branch-point", "left-domain", "residual-above-tol")
     code = np.select(cases, [REASONS.index(w) for w in why], 0)
     return _Rows(LAM, tr.branch_ids, code, S, res, f_res, iterations, g_lambda)
-
-
-def solve_at_lattice_point(spec: ProblemSpec, domain: SectorDomain, branch: _Tracker, lam,
-                           tol: float = 1e-10, max_iter: int = 60) -> SolutionRecord:
-    """Solve one lattice point on one branch, a one-row tracker at the base
-    point (a row of branch_base, taken); raises instead of skipping."""
-    lam = np.asarray(lam, dtype=complex)
-    leg1 = _continue_leg1(spec, domain, branch, lam[domain.chart : domain.chart + 1])
-    rows = _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, 1), tol, max_iter)
-    why = REASONS[rows.code[0]]
-    if why is None:
-        return _records(rows, np.arange(1))[0]
-    if why == "left-domain":
-        raise LeftDomain(f"iterate exited the sector domain at lambda = {lam}")
-    raise NonConvergence(f"lattice point failed: {why}")
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from explat.core import ALPHA_0, NonConvergence, _aberth, _poly_residual_ok, _smale
+from explat.core import ALPHA_0, _poly_residual_ok, _smale
 from explat.fiber import (
     ROOT_TOL,
     GroupSignature,
@@ -21,8 +21,8 @@ from explat.fiber import (
     build_problem,
     straight_path,
 )
-from explat import solver
-from explat.solver import _base_point, _continue_leg1, _solve_chunk, solve_at_lattice_point
+from explat import core, solver
+from explat.solver import REASONS, _base_point, _continue_leg1, _solve_chunk
 
 RNG = np.random.default_rng(20260816)
 
@@ -38,7 +38,7 @@ def _elementary_symmetric(roots):
 def _roots(coeffs, tol=ROOT_TOL):
     """All roots of one polynomial (ascending coefficients), residual-checked."""
     batch = np.array([coeffs], dtype=complex)
-    roots, _ = _aberth(batch, ROOT_TOL)
+    roots = core._roots(batch)
     assert _poly_residual_ok(batch, roots, tol)[0]
     return roots[0]
 
@@ -67,6 +67,20 @@ def test_poly_roots_sum_matches_trace():
     assert sum(roots) == pytest.approx(-coeffs[3] / coeffs[4], abs=1e-8)
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4, 12])
+def test_roots_bits_do_not_depend_on_batch_size(degree):
+    # each row's companion matrix is solved on its own, so a row's roots are
+    # the same bits whether it is solved alone or among thousands of rows
+    rng = np.random.default_rng(degree)
+    coeffs = rng.normal(size=(5000, degree + 1)) + 1j * rng.normal(size=(5000, degree + 1))
+    want = core._roots(coeffs)
+    assert want.shape == (5000, degree)
+    for size in (1, 3, 17, 256, 1366, 5000):
+        for lo in (0, 5000 - size):
+            got = core._roots(coeffs[lo : lo + size].copy())
+            assert got.tobytes() == want[lo : lo + size].tobytes(), (size, lo)
+
+
 def test_poly_roots_triple_root_cluster():
     # (z-1)^3 = -1 + 3z - 3z^2 + z^3: the repeated root comes back three
     # times, each copy within the root's conditioning of 1
@@ -83,9 +97,9 @@ def test_poly_roots_triple_root_cluster():
 
 
 def test_fiber_refuses_triple_root_away_from_zero():
-    # (w1 - 1)^3 = z1: at z1 = 0 Aberth returns three copies of w1 = 1 about
-    # 1e-5 apart, each passing the residual check; alpha = 1/3 at every copy,
-    # so the distinct-roots test refuses them
+    # (w1 - 1)^3 = z1: at z1 = 0 the roots come back as three copies of
+    # w1 = 1 about 1e-5 apart, each passing the residual check; alpha = 1/3
+    # at every copy, so the distinct-roots test refuses them
     spec = _torus_spec({(0, 3): 1.0, (0, 2): -3.0, (0, 1): 3.0, (0, 0): -1.0, (1, 0): -1.0})
     rows, vals, _, dropped = _batched_fiber(spec, np.array([[0j], [8.0 + 0j]]), ROOT_TOL)
     assert dropped == {0: ("w1", "root gap")}
@@ -175,13 +189,12 @@ def test_tracker_step_matches_nearest_root(degree):
     m = 400
     z0 = rng.normal(size=m) + 1j * rng.normal(size=m)
     coeffs0 = a[None, :] + z0[:, None] * b[None, :]
-    roots0, conv = _aberth(coeffs0, ROOT_TOL)
-    assert conv.all()
+    roots0 = core._roots(coeffs0)
     w0 = roots0[np.arange(m), rng.integers(degree, size=m)]
     z1 = z0 + np.logspace(-4, 0, m) * np.exp(2j * math.pi * rng.random(m))
     ok, _, cand, _ = _stage_tracker(spec, z0, w0)._trial(z1[:, None], None)
     assert 0.2 * m < ok.sum() < m  # both verdicts occur
-    roots1, _ = _aberth(a[None, :] + z1[ok, None] * b[None, :], ROOT_TOL)
+    roots1 = core._roots(a[None, :] + z1[ok, None] * b[None, :])
     nearest = roots1[np.arange(ok.sum()), np.argmin(np.abs(roots1 - w0[ok, None]), axis=1)]
     assert np.all(np.abs(cand["w1"][ok] - nearest) <= 1e-12 * np.maximum(1.0, np.abs(nearest)))
 
@@ -228,6 +241,14 @@ def test_continue_root_through_branch_point_raises(sqrt_spec):
 # fixed-point iteration z <- lambda + Log z (e^z = z) at one lattice point
 
 
+def _solve_one(spec, domain, base, lam, max_iter=60):
+    """Every branch of base (rows of branch_base) at the lattice point lam:
+    leg 1 to its chart point, then _solve_chunk; returns the _Rows."""
+    lam = np.asarray(lam, dtype=complex)
+    leg1 = _continue_leg1(spec, domain, base, lam[domain.chart : domain.chart + 1])
+    return _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, base.m), 1e-10, max_iter)
+
+
 @pytest.fixture(scope="module")
 def identity_setup():
     spec = _torus_spec({(0, 1): 1.0, (1, 0): -1.0})
@@ -242,19 +263,21 @@ def test_fixed_point_iteration_count_bound(identity_setup):
     spec, domain, base = identity_setup
     for k in (2, 5, 10, 30):
         lam = 2j * math.pi * k
-        rec = solve_at_lattice_point(spec, domain, base, np.array([lam]))
-        first = abs(rec.g_lambda[0])
+        rec = _solve_one(spec, domain, base, [lam])
+        assert REASONS[rec.code[0]] is None
+        first = abs(rec.g_lambda[0, 0])
         q = 1.0 / (abs(lam) - 2.0 * first)
         bound = math.ceil(math.log(1e-13 / first) / math.log(q)) + 2
-        assert 1 <= rec.iterations <= bound
-        assert abs(cmath.exp(rec.s[0]) - rec.s[0]) < 1e-10 * abs(rec.s[0])
+        assert 1 <= rec.iterations[0] <= bound
+        s = rec.s[0, 0]
+        assert abs(cmath.exp(s) - s) < 1e-10 * abs(s)
 
 
-def test_fixed_point_divergence_raises(identity_setup):
+def test_fixed_point_divergence_fails_the_row(identity_setup):
     # one iteration cannot settle the fixed point: the budget runs out
     spec, domain, base = identity_setup
-    with pytest.raises(NonConvergence, match="no-convergence"):
-        solve_at_lattice_point(spec, domain, base, np.array([20j * math.pi]), max_iter=1)
+    rec = _solve_one(spec, domain, base, [20j * math.pi], max_iter=1)
+    assert REASONS[rec.code[0]] == "no-convergence"
 
 
 def test_fixed_point_newton_iterations(identity_setup):
@@ -262,8 +285,9 @@ def test_fixed_point_newton_iterations(identity_setup):
     # leg 2; plain contraction took 13, 10, 9 and 7 iterations here
     spec, domain, base = identity_setup
     for k in (2, 5, 10, 30):
-        rec = solve_at_lattice_point(spec, domain, base, np.array([2j * math.pi * k]))
-        assert rec.iterations <= 5
+        rec = _solve_one(spec, domain, base, [2j * math.pi * k])
+        assert REASONS[rec.code[0]] is None
+        assert rec.iterations[0] <= 5
 
 
 def test_fixed_point_bad_jacobian_rows_take_plain_steps(identity_setup, monkeypatch):

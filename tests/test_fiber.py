@@ -29,7 +29,7 @@ from explat.fiber import (
     monodromy_profile,
     straight_path,
 )
-from explat.solver import _exp_residuals, _sample_domain, sweep
+from explat.solver import _base_point, _exp_residuals, _sample_domain, sweep
 from explat.specfile import parse_run
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -231,6 +231,25 @@ def test_build_problem_rejects_non_triangular():
 
 # ----------------------------------------------------------------------
 # fiber solving
+
+
+@pytest.mark.parametrize("name", ["sqrt_branch", "wp_example"])
+def test_fiber_drops_non_finite_and_overflowing_rows(name):
+    # eigenvalue solvers refuse NaN and inf, so such rows, and rows whose
+    # coefficients dwarf the leading one, must reach the root solve as the
+    # dummy row and leave as a leading-coefficient drop; the good row keeps
+    # its whole fiber, the same bits as when solved alone
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    spec = st.problem
+    good = _base_point(st.domain)
+    Z = np.array([np.full(spec.n, v, dtype=complex) for v in (np.nan, np.inf, 1e200)] + [good])
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows, vals, idx, dropped = _batched_fiber(spec, Z, ROOT_TOL)
+    first = spec.stages[0].unknown
+    assert dropped == {r: (first, "leading coefficient") for r in range(3)}
+    assert idx.tolist() == [3] * spec.degree
+    _, alone, _, _ = _batched_fiber(spec, good[None, :], ROOT_TOL)
+    assert all(vals[nm].tobytes() == alone[nm].tobytes() for nm in alone)
 
 
 def test_fiber_count_is_constant(curve_pair_spec):

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from explat import elliptic, solver
-from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
-from explat.fiber import ROOT_TOL, GroupSignature, LeftDomain, SectorDomain, _batched_fiber, _Tracker, branch_base
+from explat.fiber import ROOT_TOL, GroupSignature, SectorDomain, _batched_fiber, _Tracker, branch_base
 from explat.solver import (
     ContractionGateFailed,
     GAMMA_POINTS,
@@ -24,10 +23,11 @@ from explat.solver import (
     _asymptotic_report,
     _base_point,
     _continue_leg1,
+    _records,
+    _solve_chunk,
     count_zeros_window,
     enumerate_lattice,
     measure_contraction,
-    solve_at_lattice_point,
     sweep,
     verify_records,
 )
@@ -572,14 +572,23 @@ def test_exp_and_forward_residuals():
         assert abs(cmath.exp(s) - s) / (1 + abs(s)) < 1e-10
 
 
+def _solve_one(spec, domain, branch, lam):
+    """One lattice point on a one-row tracker at the base point (a row of
+    branch_base, taken): leg 1 to its chart point, then _solve_chunk."""
+    lam = np.asarray(lam, dtype=complex)
+    leg1 = _continue_leg1(spec, domain, branch, lam[domain.chart : domain.chart + 1])
+    return _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, 1), 1e-10, 60)
+
+
 def test_single_point_solve_matches_sweep(monkeypatch):
     st = torus_setup()
     res = torus_sweep()
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
     lam = np.array([2j * math.pi * 7])
-    rec = solve_at_lattice_point(st.problem, st.domain, base.take([0]), lam)
+    rec = _solve_one(st.problem, st.domain, base.take([0]), lam)
+    assert REASONS[rec.code[0]] is None
     (match,) = [r for r in res.records if abs(r.lam[0] - lam[0]) < 1e-9]
-    assert abs(rec.s[0] - match.s[0]) < 1e-10
+    assert abs(rec.s[0, 0] - match.s[0]) < 1e-10
 
     # curve product: 37 lambda share the chart point 8+2i; chunks of 288
     # rows (24 lambda of 12 branches) split them over two chunks that both
@@ -595,9 +604,10 @@ def test_single_point_solve_matches_sweep(monkeypatch):
     by_key = {(tuple(r.lam), r.branch_id): r for r in res.records}
     for k in (0, per_chunk - 1, per_chunk, len(lams) - 1):
         for b in range(base.m):
-            rec = solve_at_lattice_point(st.problem, dom, base.take([b]), lams[k])
+            rec = _solve_one(st.problem, dom, base.take([b]), lams[k])
             match = by_key[(tuple(lams[k]), b)]
-            assert np.max(np.abs(rec.s - match.s)) <= 1e-12
+            assert REASONS[rec.code[0]] is None
+            assert np.max(np.abs(rec.s[0] - match.s)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, radius", [("sqrt_branch", (2.6, 5000.0)), ("wp_example", None)])
@@ -699,11 +709,11 @@ def test_chunk_budget_does_not_move_sweep(monkeypatch, run, chunk_rows, count):
     assert _sweep_bits(got) == _sweep_bits(want)
 
 
-def test_single_point_solve_raises_off_domain():
+def test_single_point_solve_fails_off_domain():
     st = torus_setup()
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
-    with pytest.raises((LeftDomain, NonConvergence)):
-        solve_at_lattice_point(st.problem, st.domain, base.take([0]), np.array([0.2j]))
+    rec = _solve_one(st.problem, st.domain, base.take([0]), np.array([0.2j]))
+    assert REASONS[rec.code[0]] == "left-domain"
 
 
 def test_verify_flags_record_on_branch_locus():
@@ -711,7 +721,7 @@ def test_verify_flags_record_on_branch_locus():
     # row naming the guard, while a solved record next to it still passes
     st = parse_run(TORUS_SRC.replace("w1 = z1", "w1^2 = z1"))
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
-    good = solve_at_lattice_point(st.problem, st.domain, base.take([0]), np.array([10j * math.pi]))
+    (good,) = _records(_solve_one(st.problem, st.domain, base.take([0]), np.array([10j * math.pi])), [0])
     locus = SimpleNamespace(lam=good.lam, s=np.zeros(1, dtype=complex), residual=0.0, f_residual=0.0)
     all_ok, rows = verify_records(st.problem, st.domain, [good, locus], st.tol)
     assert not all_ok
