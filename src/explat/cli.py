@@ -178,8 +178,7 @@ def cmd_solve(args) -> int:
         _err("internal record invariants violated")
         return EXIT_INVARIANTS
 
-    payload = report_mod.run_payload(result, digest, sig)
-    text = report_mod.emit_csv(payload) if args.format == "csv" else report_mod.emit_json(payload)
+    text = report_mod.emit_csv(result, sig) if args.format == "csv" else report_mod.emit_json(result, digest, sig)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

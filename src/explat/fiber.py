@@ -51,6 +51,8 @@ SAG_STEP = 0.5         # chord sag allowed, in units of the motion the rates all
 SECANT_MIN = 1e-8      # relative motion below which a substep's rates are rounding
 VELOCITY_DT = 1e-6     # parameter difference that measures a path's |dz/dt|
 ALPHA_TINY = 1e-13     # torus coordinate this small (relative) leaves the group
+MAX_SUBSTEPS = 600     # substeps an advance allows a row before it fails
+MONODROMY_TOL = 1e-8   # relative distance at which a turned fiber point has returned
 
 
 class DegenerateFiber(RuntimeError):
@@ -707,7 +709,7 @@ class _Tracker:
         return dt, t_next, Znext
 
     # -- adaptive advance along per-row paths ---------------------------
-    def advance(self, path: Callable, domain=None, active=None, max_iter=600):
+    def advance(self, path: Callable, domain=None, active=None):
         """Move the live rows from t=0 to t=1 along path.
 
         Each substep's dt is the smallest of: the motion and chord-sag
@@ -715,7 +717,7 @@ class _Tracker:
         1 - t.  A rejected substep halves the dt it tried.  A row fails,
         and stays where it failed with its guard in self.reason, when its
         dt falls below MIN_FRACTION, when a trial leaves the domain, or
-        when max_iter substeps do not bring it to t=1.  Rows that failed
+        when MAX_SUBSTEPS substeps do not bring it to t=1.  Rows that failed
         before, and rows where `active` is False, are left untouched.
         """
         m = self.m
@@ -724,7 +726,7 @@ class _Tracker:
             todo &= active
         t_cur = np.zeros(m)
         limit = np.full(m, np.inf)  # twice the last accepted dt, half the last rejected one
-        for _ in range(max_iter):
+        for _ in range(MAX_SUBSTEPS):
             live = todo & (t_cur < DONE) & (self.reason == self.OK)
             if not live.any():
                 break
@@ -770,7 +772,7 @@ class _Tracker:
 # monodromy
 
 
-def monodromy_profile(spec: ProblemSpec, base: _Tracker, tol: float = 1e-8) -> list:
+def monodromy_profile(spec: ProblemSpec, base: _Tracker) -> list:
     """Turn every row's parameter vector around 0 until its alpha recurs.
 
     Returns one profile per row of base: {"e": turns, "stage_orders":
@@ -796,10 +798,10 @@ def monodromy_profile(spec: ProblemSpec, base: _Tracker, tol: float = 1e-8) -> l
         turned = turning & (tr.reason == tr.OK)
         for nm, col in orig.items():
             moved = tr.vals[nm] - col
-            back = np.hypot(moved.real, moved.imag) <= tol * (1.0 + np.hypot(col.real, col.imag))
+            back = np.hypot(moved.real, moved.imag) <= MONODROMY_TOL * (1.0 + np.hypot(col.real, col.imag))
             for r in np.flatnonzero(turned & back):
                 orders[r].setdefault(nm, turn)
-        recurred = turned & (group_distance(spec.signature, tr.vals, orig) <= tol)
+        recurred = turned & (group_distance(spec.signature, tr.vals, orig) <= MONODROMY_TOL)
         for r in np.flatnonzero(recurred):
             for nm in orig:
                 orders[r].setdefault(nm, turn)

@@ -3,138 +3,80 @@
 The JSON layout is fixed: {spec_digest, degree, records, asymptotics,
 skipped}.  All floats are printed with 17 significant digits so doubles
 round-trip bit-faithfully; key order is fixed so equal runs give equal
-bytes.
+bytes.  Both writers read the SweepResult directly and print each record
+with one %-format built once for the number of coordinates n.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
-import math
+
+import numpy as np
 
 
 def spec_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _cvec(vec) -> list:
-    out = []
-    for v in vec:
-        v = complex(v)
-        out.extend((v.real, v.imag))
-    return out
+def _pairs(vecs: list, n: int) -> np.ndarray:
+    """Complex n-vectors -> (len(vecs), 2n) floats, (re, im) per coordinate."""
+    return np.array(vecs, dtype=complex).reshape(len(vecs), n).view(float)
 
 
-def run_payload(result, digest: str, signature) -> dict:
-    """SweepResult -> the plain dict the emitters serialize."""
-    records = []
-    for r in result.records:
-        records.append(
-            {
-                "lambda": _cvec(r.lam),
-                "s": _cvec(r.s),
-                "branch_id": int(r.branch_id),
-                "residual": float(r.residual),
-                "f_residual": float(r.f_residual),
-                "iterations": int(r.iterations),
-            }
-        )
-    abelian = [i for i, (kind, _) in enumerate(signature.factors) if kind == "elliptic"]
-    gamma = {}
-    if result.asymptotics:
-        for bid in sorted(result.asymptotics["gamma"]):
-            full = result.asymptotics["gamma"][bid]
-            gamma[str(bid)] = _cvec(full[abelian]) if abelian else []
-    asym = {
-        "gamma": gamma,
-        "log_growth_constant": result.asymptotics.get("log_growth_constant") if result.asymptotics else None,
-        "decay": [[float(a), float(b)] for a, b in result.asymptotics.get("decay", [])]
-        if result.asymptotics
-        else [],
-    }
-    skipped = [
-        {
-            "lambda": _cvec(lam),
-            "branch_id": None if bid is None else int(bid),
-            "reason": reason,
-        }
-        for lam, bid, reason in result.skipped
-    ]
-    return {
-        "spec_digest": digest,
-        "degree": int(result.degree),
-        "records": records,
-        "asymptotics": asym,
-        "skipped": skipped,
-    }
+def _record_matrix(records: list, n: int) -> np.ndarray:
+    """One row per record: lambda, s, branch_id, residual, f_residual,
+    iterations.  branch_id and iterations are small integers, exact in a
+    double, and the row formats print them with %d."""
+    rest = np.array([(r.branch_id, r.residual, r.f_residual, r.iterations) for r in records], dtype=float)
+    return np.hstack((_pairs([r.lam for r in records], n), _pairs([r.s for r in records], n), rest.reshape(-1, 4)))
 
 
-def _emit(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(repr(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError("non-finite value in report")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for j, item in enumerate(obj):
-            if j:
-                out.append(", ")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for j, (key, val) in enumerate(obj.items()):
-            if j:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _emit(val, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _floats(k: int) -> str:
+    return ", ".join(["%.17g"] * k)
 
 
-def emit_json(payload: dict) -> str:
-    out: list = []
-    _emit(payload, out)
-    out.append("\n")
-    return "".join(out)
+def emit_json(result, digest: str, signature) -> str:
+    n = len(signature.factors)
+    abelian = [k for k, (kind, _) in enumerate(signature.factors) if kind == "elliptic"]
+    asym = result.asymptotics
+    gamma = asym.get("gamma", {})
+    bids = sorted(gamma)
+    log_c = asym.get("log_growth_constant")
+    rows = _record_matrix(result.records, n)
+    gam = _pairs([gamma[b][abelian] for b in bids], len(abelian))
+    decay = np.array(asym.get("decay", []), dtype=float).reshape(-1, 2)
+    skip_lam = _pairs([lam for lam, _, _ in result.skipped], n)
+    head = [] if log_c is None else [log_c]
+    if not np.isfinite(np.concatenate([rows.ravel(), gam.ravel(), decay.ravel(), skip_lam.ravel(), head])).all():
+        raise ValueError("non-finite value in report")
+
+    vec = _floats(2 * n)
+    record = ('{"lambda": [' + vec + '], "s": [' + vec + '], "branch_id": %d, "residual": %.17g, '
+              '"f_residual": %.17g, "iterations": %d}')
+    gamma_entry = '"%d": [' + _floats(2 * len(abelian)) + "]"
+    skip = '{"lambda": [' + vec + '], "branch_id": %s, "reason": %s}'
+    records = ", ".join([record % tuple(row) for row in rows.tolist()])
+    gammas = ", ".join([gamma_entry % (b, *g) for b, g in zip(bids, gam.tolist())])
+    decays = ", ".join(["[%.17g, %.17g]" % tuple(p) for p in decay.tolist()])
+    skips = ", ".join([
+        skip % (*lam, "null" if bid is None else "%d" % bid, json.dumps(reason))
+        for lam, (_, bid, reason) in zip(skip_lam.tolist(), result.skipped)
+    ])
+    return (
+        '{"spec_digest": %s, "degree": %d, "records": [%s], "asymptotics": {"gamma": {%s}, '
+        '"log_growth_constant": %s, "decay": [%s]}, "skipped": [%s]}\n'
+        % (json.dumps(digest), result.degree, records, gammas,
+           "null" if log_c is None else "%.17g" % log_c, decays, skips)
+    )
 
 
 def parse_json(text: str) -> dict:
     return json.loads(text)
 
 
-def _csv_header(n: int) -> list:
-    cols = []
-    for tag in ("lambda", "s"):
-        for k in range(1, n + 1):
-            cols.extend((f"{tag}{k}_re", f"{tag}{k}_im"))
-    cols.extend(("branch_id", "residual", "f_residual", "iterations"))
-    return cols
-
-
-def emit_csv(payload: dict) -> str:
-    records = payload["records"]
-    n = len(records[0]["lambda"]) // 2 if records else 0
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_csv_header(n))
-    for r in records:
-        row = [format(v, ".17g") for v in r["lambda"] + r["s"]]
-        row.append(str(r["branch_id"]))
-        row.append(format(r["residual"], ".17g"))
-        row.append(format(r["f_residual"], ".17g"))
-        row.append(str(r["iterations"]))
-        w.writerow(row)
-    return buf.getvalue()
-
+def emit_csv(result, signature) -> str:
+    n = len(signature.factors)
+    cols = [f"{tag}{k}_{part}" for tag in ("lambda", "s") for k in range(1, n + 1) for part in ("re", "im")]
+    row = ",".join(["%.17g"] * 4 * n) + ",%d,%.17g,%.17g,%d\n"
+    body = [row % tuple(r) for r in _record_matrix(result.records, n).tolist()]
+    return ",".join(cols + ["branch_id", "residual", "f_residual", "iterations"]) + "\n" + "".join(body)

@@ -50,6 +50,9 @@ BASE_RADIUS_FACTOR = 1.25  # base point sits at this multiple of 1/epsilon
 HUB_RATIO = 2.0        # leg-1 hubs sit at the base radius times its powers
 CONTRACTION_SAMPLES = 200  # domain points measure_contraction samples
 CONTRACTION_SEED = 0   # their seed; it moves the bound, and with it the margin skips
+ZERO_MIN_MOD = 1e-8    # |h| below this on a zero-count box's boundary stops the count
+ZERO_BASE_STEP = 0.25  # largest spacing of the first samples on a box side
+ZERO_MAX_DEPTH = 40    # bisections of one boundary cell before the count gives up
 # Lattice candidates (16 B per coordinate) an enumeration may allocate.  Its
 # peak memory is about 2.7x this: 25 MB for the 9.4 MB of candidates of
 # examples/wp_example.spec at radius 5:60.  A two-coordinate sweep keeps
@@ -313,7 +316,6 @@ class SolutionRecord:
     residual: float
     f_residual: float
     iterations: int
-    g_lambda: np.ndarray  # G at z = lambda, kept for asymptotic tables
 
 
 def _base_point(domain: SectorDomain) -> np.ndarray:
@@ -373,7 +375,7 @@ def _records(rows: _Rows, idx: np.ndarray) -> list:
     return [
         SolutionRecord(*fields)
         for fields in zip(rows.lam[idx], rows.s[idx], rows.branch[idx].tolist(), rows.residual[idx].tolist(),
-                          rows.f_residual[idx].tolist(), rows.iterations[idx].tolist(), rows.g_lambda[idx])
+                          rows.f_residual[idx].tolist(), rows.iterations[idx].tolist())
     ]
 
 
@@ -629,22 +631,21 @@ def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
 # argument-principle zero counting
 
 
-def count_zeros_window(h, box, min_mod: float = 1e-8, base_step: float = 0.25,
-                       max_depth: int = 40) -> int:
+def count_zeros_window(h, box) -> int:
     """Winding number of h around the rectangle box = (re0, re1, im0, im1).
 
-    Each side is sampled on a uniform grid of spacing <= base_step (so the
-    phase cannot silently complete a half-turn between samples as long as
-    |h'/h| < pi/base_step on the boundary), then each cell is bisected until
-    its phase change is under 0.8 rad.  |h| below min_mod anywhere sampled
-    raises ZeroOnBoundary.
+    Each side is sampled on a uniform grid of spacing <= ZERO_BASE_STEP (so
+    the phase cannot silently complete a half-turn between samples as long
+    as |h'/h| < pi/ZERO_BASE_STEP on the boundary), then each cell is
+    bisected until its phase change is under 0.8 rad.  |h| below
+    ZERO_MIN_MOD anywhere sampled raises ZeroOnBoundary.
     """
     re0, re1, im0, im1 = map(float, box)
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
 
     def guarded(z):
         v = complex(h(z))
-        if abs(v) < min_mod:
+        if abs(v) < ZERO_MIN_MOD:
             raise ZeroOnBoundary(f"|h| = {abs(v):.3g} at {z}")
         return v
 
@@ -652,7 +653,7 @@ def count_zeros_window(h, box, min_mod: float = 1e-8, base_step: float = 0.25,
         d = math.atan2((fb / fa).imag, (fb / fa).real)
         if abs(d) <= 0.8:
             return d
-        if depth >= max_depth:
+        if depth >= ZERO_MAX_DEPTH:
             raise NonConvergence("phase refinement exhausted; zero too close to boundary")
         mid = 0.5 * (a + b)
         fm = guarded(mid)
@@ -661,7 +662,7 @@ def count_zeros_window(h, box, min_mod: float = 1e-8, base_step: float = 0.25,
     total = 0.0
     for j in range(4):
         a, b = corners[j], corners[(j + 1) % 4]
-        n0 = max(8, int(math.ceil(abs(b - a) / base_step)))
+        n0 = max(8, int(math.ceil(abs(b - a) / ZERO_BASE_STEP)))
         pts = [a + (b - a) * (k / n0) for k in range(n0 + 1)]
         vals = [guarded(z) for z in pts]
         for k in range(n0):

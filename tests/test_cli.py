@@ -117,6 +117,70 @@ def test_csv_carries_same_records(tmp_path, torus_run):
         assert a == b
 
 
+def _two_record_result(decay_error=0.1):
+    """A torus x elliptic SweepResult: two records, a lambda skip and a row
+    skip, gamma keys that sort apart as numbers and as text, signed zeros."""
+    import numpy as np
+
+    from explat.elliptic import EllipticCurveParams, Lattice
+    from explat.fiber import GroupSignature
+    from explat.solver import SolutionRecord, SweepResult
+
+    sig = GroupSignature(factors=(("torus", None), ("elliptic", EllipticCurveParams.from_lattice(Lattice(1.0, 1j)))))
+    records = [
+        SolutionRecord(np.array([30 + 2j, complex(0.1, -0.0)]), np.array([29.5 + 1.25j, complex(-0.0, 1e-300)]),
+                       2, 2.5e-16, 0.0, 4),
+        SolutionRecord(np.array([-1e22 + 0.1j, 3 + 0j]), np.array([1 / 3 - 2j, 7.0 + 0.1j]),
+                       10, 1e-11, 2.220446049250313e-16, 17),
+    ]
+    asym = {
+        "gamma": {10: np.array([5 + 5j, complex(0.1, -0.0)]), 2: np.array([1 + 2j, complex(-0.0, 0.5)])},
+        "log_growth_constant": 0.1,
+        "decay": [(30.066592756745816, decay_error), (1e22, -0.0)],
+    }
+    skipped = [(np.array([0.1 + 0j, 2 - 1j]), None, "ratio-margin"), (np.array([30 + 2j, 0.1 + 0j]), 5, "left-domain")]
+    result = SweepResult(records=records, skipped=skipped, contraction=None, degree=12, enumerated=3, asymptotics=asym)
+    return result, sig
+
+
+# the report layout byte for byte: key order, separators, 17-digit floats,
+# signed zeros, integer fields, and a lambda skip's null branch
+PINNED_JSON = (
+    '{"spec_digest": "abababababababababababababababababababababababababababababababab", "degree": 12, "records": ['
+    '{"lambda": [30, 2, 0.10000000000000001, -0], "s": [29.5, 1.25, -0, 1e-300], "branch_id": 2, '
+    '"residual": 2.5000000000000002e-16, "f_residual": 0, "iterations": 4}, '
+    '{"lambda": [-1e+22, 0.10000000000000001, 3, 0], "s": [0.33333333333333331, -2, 7, 0.10000000000000001], '
+    '"branch_id": 10, "residual": 9.9999999999999994e-12, "f_residual": 2.2204460492503131e-16, "iterations": 17}], '
+    '"asymptotics": {"gamma": {"2": [-0, 0.5], "10": [0.10000000000000001, -0]}, '
+    '"log_growth_constant": 0.10000000000000001, '
+    '"decay": [[30.066592756745816, 0.10000000000000001], [1e+22, -0]]}, '
+    '"skipped": [{"lambda": [0.10000000000000001, 0, 2, -1], "branch_id": null, "reason": "ratio-margin"}, '
+    '{"lambda": [30, 2, 0.10000000000000001, 0], "branch_id": 5, "reason": "left-domain"}]}\n'
+)
+PINNED_CSV = (
+    "lambda1_re,lambda1_im,lambda2_re,lambda2_im,s1_re,s1_im,s2_re,s2_im,branch_id,residual,f_residual,iterations\n"
+    "30,2,0.10000000000000001,-0,29.5,1.25,-0,1e-300,2,2.5000000000000002e-16,0,4\n"
+    "-1e+22,0.10000000000000001,3,0,0.33333333333333331,-2,7,0.10000000000000001,10,"
+    "9.9999999999999994e-12,2.2204460492503131e-16,17\n"
+)
+
+
+def test_report_writers_pin_bytes():
+    from explat import report
+
+    result, sig = _two_record_result()
+    assert report.emit_json(result, "ab" * 32, sig) == PINNED_JSON
+    assert report.emit_csv(result, sig) == PINNED_CSV
+
+
+def test_report_refuses_non_finite_decay():
+    from explat import report
+
+    result, sig = _two_record_result(decay_error=math.nan)
+    with pytest.raises(ValueError, match="non-finite value in report"):
+        report.emit_json(result, "ab" * 32, sig)
+
+
 def test_verify_accepts_own_output(torus_run):
     r = run_cli("verify", "--spec", TORUS_SPEC, "--report", torus_run)
     assert r.returncode == 0, r.stderr
@@ -331,7 +395,7 @@ def test_exit_on_violated_record_invariants(monkeypatch, capsys):
 
     bad = SolutionRecord(
         lam=np.array([2j * np.pi]), s=np.array([2.06 + 7.59j]), branch_id=0, residual=1.0,
-        f_residual=0.0, iterations=1, g_lambda=np.zeros(1, dtype=complex),
+        f_residual=0.0, iterations=1,
     )
     result = SweepResult(
         records=[bad], skipped=[], contraction=None, degree=1, enumerated=1, asymptotics={},
@@ -388,8 +452,8 @@ def test_monodromy_failing_branch_stops_the_table(monkeypatch, capsys):
     # keeps the rows before it, stderr names it, and the exit is 3
     advance = _Tracker.advance
 
-    def fail_branch_5(self, path, domain=None, active=None, max_iter=600):
-        advance(self, path, domain=domain, active=active, max_iter=max_iter)
+    def fail_branch_5(self, path, domain=None, active=None):
+        advance(self, path, domain=domain, active=active)
         if path.__name__ == "loop_path":
             self.reason[self.branch_ids == 5] = _Tracker.FAIL_BRANCH
 

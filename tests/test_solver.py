@@ -18,7 +18,6 @@ from explat.solver import (
     REASONS,
     _Rows,
     LatticeTooLarge,
-    SolutionRecord,
     ZeroOnBoundary,
     _asymptotic_report,
     _base_point,
@@ -641,8 +640,8 @@ def test_leg1_failed_hub_skips_its_chart_points(monkeypatch):
     advance = _Tracker.advance
     names = []
 
-    def last_hub_leaves_domain(self, path, domain=None, active=None, max_iter=600):
-        advance(self, path, domain=domain, active=active, max_iter=max_iter)
+    def last_hub_leaves_domain(self, path, domain=None, active=None):
+        advance(self, path, domain=domain, active=active)
         if not names:
             self.reason[-1] = _Tracker.FAIL_DOMAIN
         names.append(path.__name__)
@@ -681,8 +680,7 @@ def _sweep_bits(res):
     def b(x):
         return np.asarray(x, dtype=complex).tobytes()
 
-    recs = [(b(r.lam), b(r.s), r.branch_id, b(r.residual), b(r.f_residual), r.iterations, b(r.g_lambda))
-            for r in res.records]
+    recs = [(b(r.lam), b(r.s), r.branch_id, b(r.residual), b(r.f_residual), r.iterations) for r in res.records]
     skips = [(b(lam), bid, why) for lam, bid, why in res.skipped]
     asym = res.asymptotics
     return (recs, skips, {k: b(v) for k, v in asym["gamma"].items()},
@@ -897,7 +895,7 @@ def test_asymptotic_report_matches_per_record_arithmetic(kinds):
         lam = records[j - 5].lam if j % 5 == 4 else (rng.integers(-40, 40, n) + 1j * rng.integers(-40, 40, n)) * 1.3
         s = lam + (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-8, 1, n)
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
-        records.append(SolutionRecord(lam, s, int(rng.integers(0, 7)), 0.0, 0.0, 3, g))
+        records.append(SimpleNamespace(lam=lam, s=s, branch_id=int(rng.integers(0, 7)), g_lambda=g))
     spec = SimpleNamespace(signature=SimpleNamespace(factors=tuple((k, None) for k in kinds)))
     def col(field):
         return np.array([getattr(r, field) for r in records])
