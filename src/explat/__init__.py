@@ -22,6 +22,7 @@ from .fiber import (
 from .solver import (
     ContractionGateFailed,
     LatticeTooLarge,
+    Records,
     SolutionRecord,
     SweepResult,
     ZeroOnBoundary,
@@ -46,6 +47,7 @@ __all__ = [
     "NonTriangularSystem",
     "ParseError",
     "ProblemSpec",
+    "Records",
     "RunSetup",
     "SectorDomain",
     "SolutionRecord",

@@ -13,7 +13,6 @@ import itertools
 import math
 import sys
 import time
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .fiber import DegenerateFiber, SectorDomain, branch_base, monodromy_profile
 from .solver import (
     ContractionGateFailed,
     LatticeTooLarge,
+    Records,
     ZeroOnBoundary,
     _base_point,
     count_zeros_window,
@@ -173,8 +173,8 @@ def cmd_solve(args) -> int:
     if not result.records:
         _err("no convergent lattice points in the given radius range")
         return EXIT_NO_POINTS
-    bad = [r for r in result.records if not (r.residual < tol and r.f_residual < tol)]
-    if bad or len(result.records) > result.degree * result.enumerated:
+    valid = (result.records.residual < tol) & (result.records.f_residual < tol)
+    if not valid.all() or len(result.records) > result.degree * result.enumerated:
         _err("internal record invariants violated")
         return EXIT_INVARIANTS
 
@@ -220,7 +220,7 @@ def _finite_array(col: list, size: int = 0):
 
 
 def _report_contents(payload, n: int):
-    """(records, decay table) of a parsed report; ValueError names the bad field.
+    """(Records, decay table) of a parsed report; ValueError names the bad field.
 
     The fields are checked a column at a time; only a report that fails
     is walked record by record, to name the first bad record and field.
@@ -230,10 +230,11 @@ def _report_contents(payload, n: int):
     records = payload.get("records", [])
     if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
         raise ValueError("records is not a list of objects")
-    cols = {key: [rec.get(key) for rec in records] for key in ("lambda", "s", "residual", "f_residual", "branch_id")}
+    keys = ("lambda", "s", "branch_id", "residual", "f_residual", "iterations")
+    cols = {key: [rec.get(key) for rec in records] for key in keys}
     lam, s = _finite_array(cols["lambda"], 2 * n), _finite_array(cols["s"], 2 * n)
-    numbers_ok = _finite_array(cols["residual"]) is not None and _finite_array(cols["f_residual"]) is not None
-    if lam is None or s is None or not numbers_ok or set(map(type, cols["branch_id"])) - {int}:
+    res, f_res = _finite_array(cols["residual"]), _finite_array(cols["f_residual"])
+    if any(c is None for c in (lam, s, res, f_res)) or set(map(type, cols["branch_id"] + cols["iterations"])) - {int}:
         for i, rec in enumerate(records):
             for key in ("lambda", "s"):
                 if _finite_array([rec.get(key)], 2 * n) is None:
@@ -241,18 +242,15 @@ def _report_contents(payload, n: int):
             for key in ("residual", "f_residual"):
                 if _finite_array([rec.get(key)]) is None:
                     raise ValueError(f"record {i}: {key} is not a finite number")
-            if type(rec.get("branch_id")) is not int:
-                raise ValueError(f"record {i}: branch_id is not an integer")
+            for key in ("branch_id", "iterations"):
+                if type(rec.get(key)) is not int:
+                    raise ValueError(f"record {i}: {key} is not an integer")
     asym = payload.get("asymptotics", {})
     decay = asym.get("decay", []) if isinstance(asym, dict) else None
     if not (isinstance(decay, list) and _finite_array(decay, 2) is not None):
         raise ValueError("asymptotics.decay is not a list of number pairs")
-    lam = lam[:, 0::2] + 1j * lam[:, 1::2]
-    s = s[:, 0::2] + 1j * s[:, 1::2]
-    records = [
-        SimpleNamespace(lam=lam_r, s=s_r, residual=res, f_residual=f_res)
-        for lam_r, s_r, res, f_res in zip(lam, s, cols["residual"], cols["f_residual"])
-    ]
+    records = Records(lam[:, 0::2] + 1j * lam[:, 1::2], s[:, 0::2] + 1j * s[:, 1::2], np.array(cols["branch_id"]),
+                      res, f_res, np.array(cols["iterations"]))
     return records, decay
 
 
@@ -272,10 +270,9 @@ def cmd_verify(args) -> int:
     if not records:
         # solve never writes a report without records (it exits 4 instead)
         rows.append(("-", "records", False, "report has no records"))
-    _, rec_rows = verify_records(setup.problem, setup.domain, records, setup.tol)
-    rows.extend(rec_rows)
+    rows += verify_records(setup.problem, setup.domain, records, setup.tol)[1]
 
-    if decay:
+    if decay and decay[0][0] != decay[-1][0]:  # one size has no trend
         rows.append(("-", "decay-trend", decay[-1][1] < decay[0][1], f"{decay[0][1]:.3e} -> {decay[-1][1]:.3e}"))
 
     if args.box is not None:
@@ -285,13 +282,11 @@ def cmd_verify(args) -> int:
         else:
             h = lambda z: np.exp(z) - alpha(z)
             re0, re1, im0, im1 = args.box
-            inside = [
-                r for r in records
-                if re0 < r.s[0].real < re1 and im0 < r.s[0].imag < im1
-            ]
+            s1 = records.s[:, 0]
+            inside = np.count_nonzero((re0 < s1.real) & (s1.real < re1) & (im0 < s1.imag) & (s1.imag < im1))
             try:
                 count = count_zeros_window(h, args.box)
-                rows.append(("-", "zero-count", count == len(inside), f"{count} zeros vs {len(inside)} records"))
+                rows.append(("-", "zero-count", count == inside, f"{count} zeros vs {inside} records"))
             except (ZeroOnBoundary, NonConvergence) as exc:
                 rows.append(("-", "zero-count", False, str(exc)))
 

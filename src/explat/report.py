@@ -18,17 +18,17 @@ def spec_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _pairs(vecs: list, n: int) -> np.ndarray:
-    """Complex n-vectors -> (len(vecs), 2n) floats, (re, im) per coordinate."""
+def _pairs(vecs, n: int) -> np.ndarray:
+    """Complex n-vectors (a list or an (N, n) array) -> (N, 2n) floats, (re, im) per coordinate."""
     return np.array(vecs, dtype=complex).reshape(len(vecs), n).view(float)
 
 
-def _record_matrix(records: list, n: int) -> np.ndarray:
-    """One row per record: lambda, s, branch_id, residual, f_residual,
-    iterations.  branch_id and iterations are small integers, exact in a
-    double, and the row formats print them with %d."""
-    rest = np.array([(r.branch_id, r.residual, r.f_residual, r.iterations) for r in records], dtype=float)
-    return np.hstack((_pairs([r.lam for r in records], n), _pairs([r.s for r in records], n), rest.reshape(-1, 4)))
+def _record_matrix(records, n: int) -> np.ndarray:
+    """One row per record of the Records columns: lambda, s, branch_id,
+    residual, f_residual, iterations.  branch_id and iterations are small
+    integers, exact in a double, and the row formats print them with %d."""
+    rest = np.stack((records.branch_id, records.residual, records.f_residual, records.iterations), axis=1)
+    return np.hstack((_pairs(records.lam, n), _pairs(records.s, n), rest))
 
 
 def _floats(k: int) -> str:

@@ -306,8 +306,7 @@ def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range) -
 # solving at lattice points
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     """One solved lattice point: s satisfies s = lambda + G(s)."""
 
     lam: np.ndarray
@@ -316,6 +315,32 @@ class SolutionRecord:
     residual: float
     f_residual: float
     iterations: int
+
+
+@dataclass(frozen=True)
+class Records:
+    """Solved (lambda, branch) rows as columns: records[i] is row i as a
+    SolutionRecord (Python int and float fields), records[a:b] is Records."""
+
+    lam: np.ndarray          # (N, n)
+    s: np.ndarray            # (N, n)
+    branch_id: np.ndarray
+    residual: np.ndarray
+    f_residual: np.ndarray
+    iterations: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int) -> Records:
+        return cls(np.empty((0, n), complex), np.empty((0, n), complex), *np.empty((4, 0)))
+
+    def __len__(self) -> int:
+        return len(self.branch_id)
+
+    def __getitem__(self, i):
+        lam, s, bid, res, f_res, its = (col[i] for col in vars(self).values())
+        if isinstance(i, slice):
+            return Records(lam, s, bid, res, f_res, its)
+        return SolutionRecord(lam, s, int(bid), float(res), float(f_res), int(its))
 
 
 def _base_point(domain: SectorDomain) -> np.ndarray:
@@ -368,15 +393,6 @@ class _Rows(NamedTuple):
     f_residual: np.ndarray
     iterations: np.ndarray
     g_lambda: np.ndarray     # (m, n): G at z = lambda, kept for asymptotic tables
-
-
-def _records(rows: _Rows, idx: np.ndarray) -> list:
-    """SolutionRecords of the rows idx, in that order."""
-    return [
-        SolutionRecord(*fields)
-        for fields in zip(rows.lam[idx], rows.s[idx], rows.branch[idx].tolist(), rows.residual[idx].tolist(),
-                          rows.f_residual[idx].tolist(), rows.iterations[idx].tolist())
-    ]
 
 
 def _rows_of(owners: np.ndarray, d: int) -> np.ndarray:
@@ -518,7 +534,7 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
 
 @dataclass
 class SweepResult:
-    records: list
+    records: Records
     skipped: list          # (lambda, branch_id or None, reason)
     contraction: ContractionReport
     degree: int
@@ -537,10 +553,8 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
     """
     lams = enumerate_lattice(spec.signature, domain, radius_range)
     if lams.shape[0] == 0:
-        return SweepResult(
-            records=[], skipped=[], contraction=None,
-            degree=spec.degree, enumerated=0, asymptotics={},
-        )
+        return SweepResult(records=Records.empty(spec.n), skipped=[], contraction=None, degree=spec.degree,
+                           enumerated=0, asymptotics={})
     report = measure_contraction(spec, domain, radius_range)
     if report.norm >= GATE_LIMIT:
         raise ContractionGateFailed(
@@ -580,23 +594,18 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
         keys += [rows.lam[:, i].imag, rows.lam[:, i].real]
     order = np.lexsort(keys + [np.hypot(lam_l.real, lam_l.imag)])
     solved, skips = order[rows.code[order] == 0], order[rows.code[order] != 0]
-    records = _records(rows, solved)
+    records = Records(*(col[solved] for col in (rows.lam, rows.s, rows.branch, rows.residual, rows.f_residual,
+                                                  rows.iterations)))
     skipped = [(lam, None if b < 0 else b, REASONS[c])
                for lam, b, c in zip(rows.lam[skips], rows.branch[skips].tolist(), rows.code[skips].tolist())]
-    asym = _asymptotic_report(spec, rows, solved) if records else {}
-    return SweepResult(
-        records=records,
-        skipped=skipped,
-        contraction=report,
-        degree=spec.degree,
-        enumerated=int(lams.shape[0]),
-        asymptotics=asym,
-    )
+    asym = _asymptotic_report(spec, rows, solved) if solved.size else {}
+    return SweepResult(records=records, skipped=skipped, contraction=report, degree=spec.degree,
+                       enumerated=int(lams.shape[0]), asymptotics=asym)
 
 
 def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
     """Per-branch gamma for abelian coordinates, torus log-growth fit, decay
-    table, over the solved rows idx of rows (the records, in their order).
+    table (N x 2: size, error), over the solved rows idx (the records, in order).
 
     Sizes are measured by max|lambda_i|; gamma averages S - lambda over the
     GAMMA_POINTS largest records of each branch; the decay prediction is
@@ -623,7 +632,7 @@ def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
 
     gammas = np.array(list(gamma.values()))
     pred = np.where(kinds == "elliptic", gammas[branch], rows.g_lambda[idx])
-    decay = list(zip(size.tolist(), np.max(np.abs(offset - pred), axis=1).tolist()))
+    decay = np.stack((size, np.max(np.abs(offset - pred), axis=1)), axis=1)
     return {"gamma": gamma, "log_growth_constant": log_c, "decay": decay}
 
 
@@ -681,17 +690,19 @@ def count_zeros_window(h, box) -> int:
 def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float):
     """Re-check every record from scratch; returns (all_ok, row list).
 
-    Rows are (index, check-name, ok, detail); no branch state is reused.
-    Each stage at z = s is certified by Smale's alpha-test at the exp_S(s)
-    coordinate of its unknown, or the record gets a fiber FAIL row naming
-    the guard, as it does at the identity of an elliptic factor.  residual
-    is the distance from exp_S(s) to the certified fiber point, f_residual
+    records: Records, or a list of SolutionRecords.  Rows are (index,
+    check-name, ok, detail); no branch state is reused.  Each stage at
+    z = s is certified by Smale's alpha-test at the exp_S(s) coordinate of
+    its unknown, or the record gets a fiber FAIL row naming the guard, as
+    it does at the identity of an elliptic factor.  residual is the
+    distance from exp_S(s) to the certified fiber point, f_residual
     |s - lambda - G| with its log G seeded at s - lambda.
     """
+    if not isinstance(records, Records):
+        records = Records(*map(np.array, zip(*records))) if records else Records.empty(spec.n)
     N = len(records)
     slack = 50.0  # recomputed roots carry their own tolerance
-    S = np.array([rec.s for rec in records], dtype=complex).reshape(N, spec.n)
-    LAM = np.array([rec.lam for rec in records], dtype=complex).reshape(N, spec.n)
+    S, LAM = records.s, records.lam
     start, identity = _exp_S(spec, S)
     fiber = ~identity.any(axis=1)
     why = dict.fromkeys(np.flatnonzero(~fiber).tolist(), "exp_S(s) is the identity of an elliptic factor")
@@ -706,7 +717,7 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     got = np.full((N, 2), np.nan)
     got[fiber, 0] = group_distance(spec.signature, start, vals)[fiber]
     got[fiber, 1] = np.where(g_ok, np.max(np.abs(S[fiber] - LAM[fiber] - G), axis=1), np.inf)
-    claimed = np.array([[float(rec.residual), float(rec.f_residual)] for rec in records]).reshape(N, 2)
+    claimed = np.stack((records.residual, records.f_residual), axis=1)
     ok = (got < slack * np.fmax(tol, claimed + tol)).tolist()
     in_domain = domain.contains_batch(S).tolist()
     rows = []

@@ -124,7 +124,7 @@ def _two_record_result(decay_error=0.1):
 
     from explat.elliptic import EllipticCurveParams, Lattice
     from explat.fiber import GroupSignature
-    from explat.solver import SolutionRecord, SweepResult
+    from explat.solver import Records, SolutionRecord, SweepResult
 
     sig = GroupSignature(factors=(("torus", None), ("elliptic", EllipticCurveParams.from_lattice(Lattice(1.0, 1j)))))
     records = [
@@ -139,7 +139,8 @@ def _two_record_result(decay_error=0.1):
         "decay": [(30.066592756745816, decay_error), (1e22, -0.0)],
     }
     skipped = [(np.array([0.1 + 0j, 2 - 1j]), None, "ratio-margin"), (np.array([30 + 2j, 0.1 + 0j]), 5, "left-domain")]
-    result = SweepResult(records=records, skipped=skipped, contraction=None, degree=12, enumerated=3, asymptotics=asym)
+    result = SweepResult(records=Records(*map(np.array, zip(*records))), skipped=skipped, contraction=None, degree=12,
+                         enumerated=3, asymptotics=asym)
     return result, sig
 
 
@@ -194,6 +195,21 @@ def test_verify_zero_count_box(torus_run):
     )
     assert r.returncode == 0, r.stderr
     assert "zero-count" in r.stdout and "39 zeros vs 39 records" in r.stdout
+
+
+@pytest.mark.parametrize("spec, count", [(TORUS_SPEC, 1), (SQRT_SPEC, 2)], ids=["torus_identity", "sqrt_branch"])
+def test_verify_accepts_report_of_one_lattice_point(tmp_path, torus_run, spec, count):
+    # radius 5:8 holds only the lattice point 2*pi*i: every decay entry has
+    # one size, which shows no trend, so verify writes no decay-trend row
+    out = tmp_path / "run.json"
+    r = run_cli("solve", "--spec", spec, "--radius", "5:8", "--out", out)
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(out.read_text())["records"]) == count
+    r = run_cli("verify", "--spec", spec, "--report", out)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "decay-trend" not in r.stdout
+    # a report over many sizes keeps the row
+    assert "decay-trend  pass" in run_cli("verify", "--spec", TORUS_SPEC, "--report", torus_run).stdout
 
 
 def test_verify_flags_corrupt_record(tmp_path, torus_run):
@@ -254,6 +270,21 @@ def _nan_s(payload):
     return payload
 
 
+def _float_branch_id(payload):
+    payload["records"][1]["branch_id"] = 0.5
+    return payload
+
+
+def _drop_iterations(payload):
+    del payload["records"][7]["iterations"]
+    return payload
+
+
+def _float_iterations(payload):
+    payload["records"][8]["iterations"] = 3.0
+    return payload
+
+
 def _huge_int_s(payload):
     # past the float range: reading it once raised an OverflowError traceback
     payload["records"][2]["s"][1] = 10**400
@@ -271,6 +302,9 @@ def _huge_int_s(payload):
         (_inf_f_residual, "record 4: f_residual is not a finite number"),
         (_nan_s, "record 6: s is not a list of 2 numbers"),
         (_huge_int_s, "record 2: s is not a list of 2 numbers"),
+        (_float_branch_id, "record 1: branch_id is not an integer"),
+        (_drop_iterations, "record 7: iterations is not an integer"),
+        (_float_iterations, "record 8: iterations is not an integer"),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, torus_run, corrupt, field):
@@ -391,14 +425,14 @@ def test_exit_on_violated_record_invariants(monkeypatch, capsys):
     import numpy as np
 
     import explat.cli as cli
-    from explat.solver import SolutionRecord, SweepResult
+    from explat.solver import Records, SweepResult
 
-    bad = SolutionRecord(
-        lam=np.array([2j * np.pi]), s=np.array([2.06 + 7.59j]), branch_id=0, residual=1.0,
-        f_residual=0.0, iterations=1,
+    bad = Records(
+        lam=np.array([[2j * np.pi]]), s=np.array([[2.06 + 7.59j]]), branch_id=np.array([0]), residual=np.array([1.0]),
+        f_residual=np.array([0.0]), iterations=np.array([1]),
     )
     result = SweepResult(
-        records=[bad], skipped=[], contraction=None, degree=1, enumerated=1, asymptotics={},
+        records=bad, skipped=[], contraction=None, degree=1, enumerated=1, asymptotics={},
     )
     monkeypatch.setattr(cli, "sweep", lambda *args, **kwargs: result)
     assert cli.main(["solve", "--spec", str(TORUS_SPEC)]) == 5

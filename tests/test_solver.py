@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,13 +17,13 @@ from explat.solver import (
     ContractionGateFailed,
     GAMMA_POINTS,
     REASONS,
+    Records,
     _Rows,
     LatticeTooLarge,
     ZeroOnBoundary,
     _asymptotic_report,
     _base_point,
     _continue_leg1,
-    _records,
     _solve_chunk,
     count_zeros_window,
     enumerate_lattice,
@@ -488,9 +489,9 @@ def test_sweep_order_is_the_scalar_key_order(name):
     st = parse_run((EXAMPLES / f"{name}.spec").read_text())
     res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
     ell = st.domain.chart
-    recs = sorted(res.records, key=lambda r: _oracle_sort_key(r.lam, r.branch_id, ell))
+    keys = [(r.lam, r.branch_id) for r in res.records]
     skips = sorted(res.skipped, key=lambda t: _oracle_sort_key(t[0], t[1], ell))
-    assert [id(r) for r in recs] == [id(r) for r in res.records]
+    assert sorted(range(len(keys)), key=lambda i: _oracle_sort_key(*keys[i], ell)) == list(range(len(keys)))
     assert [id(t) for t in skips] == [id(t) for t in res.skipped]
     assert len(res.records) > 0 and (name != "wp_example" or len(res.skipped) == 156)
 
@@ -719,8 +720,9 @@ def test_verify_flags_record_on_branch_locus():
     # row naming the guard, while a solved record next to it still passes
     st = parse_run(TORUS_SRC.replace("w1 = z1", "w1^2 = z1"))
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
-    (good,) = _records(_solve_one(st.problem, st.domain, base.take([0]), np.array([10j * math.pi])), [0])
-    locus = SimpleNamespace(lam=good.lam, s=np.zeros(1, dtype=complex), residual=0.0, f_residual=0.0)
+    rows = _solve_one(st.problem, st.domain, base.take([0]), np.array([10j * math.pi]))
+    good = Records(rows.lam, rows.s, rows.branch, rows.residual, rows.f_residual, rows.iterations)[0]
+    locus = good._replace(s=np.zeros(1, dtype=complex), residual=0.0, f_residual=0.0)
     all_ok, rows = verify_records(st.problem, st.domain, [good, locus], st.tol)
     assert not all_ok
     assert [(i, name, ok) for i, name, ok, _ in rows] == [
@@ -735,13 +737,17 @@ def _moved(rec, k, to):
     """rec with s[k] replaced by to."""
     s = rec.s.copy()
     s[k] = to
-    return SimpleNamespace(lam=rec.lam, s=s, residual=rec.residual, f_residual=rec.f_residual)
+    return rec._replace(s=s)
 
 
-@pytest.mark.parametrize("case", [
+# (setup, domain or None for the setup's own, sweep result) for the verify tests
+verify_cases = pytest.mark.parametrize("case", [
     lambda: (wp_setup(), *wp_mini()),
     lambda: (parse_run((EXAMPLES / "sqrt_branch.spec").read_text()), None, sqrt_sweep()),
 ], ids=["wp_mini", "sqrt_branch"])
+
+
+@verify_cases
 def test_verify_flags_record_moved_off_its_solution(case):
     # exp_S(s) of a record whose s moved by 1e-3 still certifies a fiber
     # point, but that point lies 1e-3 away, and its log no longer returns s
@@ -752,6 +758,19 @@ def test_verify_flags_record_moved_off_its_solution(case):
     assert [(i, name, ok) for i, name, ok, _ in rows if name in ("residual", "f_residual")] == [
         (0, "residual", True), (0, "f_residual", True), (1, "residual", False), (1, "f_residual", False),
     ]
+
+
+@verify_cases
+def test_verify_reads_a_list_of_records_as_their_columns(case):
+    # a list of records[i], the form the benchmark passes, gives the rows
+    # that a slice of the columns gives
+    st, domain, res = case()
+    domain = domain or st.domain
+    part = slice(1, None, 7)
+    want = verify_records(st.problem, domain, res.records[part], st.tol)
+    got = verify_records(st.problem, domain, [res.records[i] for i in range(len(res.records))[part]], st.tol)
+    assert got == want
+    assert want[0] and len(want[1]) > 3 * len(res.records[part])
 
 
 def test_verify_flags_record_at_a_period():
@@ -778,10 +797,27 @@ def test_verify_recomputes_the_sweep_residuals():
     assert max(abs(a - rec.residual) for a, rec in zip(got, res.records)) < 1e-14
 
 
+def test_sweep_result_holds_records_as_columns():
+    # the records and the decay table are arrays: dropping the result of the
+    # examples/wp_example.spec sweep frees under 250 B a record (lambda and s
+    # take 64 of them), where one object per record held some 575 B
+    st = parse_run((EXAMPLES / "wp_example.spec").read_text())
+    tracemalloc.start()
+    try:
+        res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+        count, held = len(res.records), tracemalloc.get_traced_memory()[0]
+        del res
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert count == 10524
+    assert held < 250 * count
+
+
 def test_empty_annulus_returns_empty_result():
     st = torus_setup()
     out = sweep(st.problem, st.domain, (100.0, 50.0))
-    assert out.records == [] and out.enumerated == 0
+    assert len(out.records) == 0 and out.enumerated == 0
     assert out.contraction is None
 
 
@@ -907,7 +943,7 @@ def test_asymptotic_report_matches_per_record_arithmetic(kinds):
     assert list(got["gamma"]) == list(gamma)
     assert all(got["gamma"][b].tobytes() == gamma[b].tobytes() for b in gamma)
     assert got["log_growth_constant"] == log_c
-    assert got["decay"] == decay
+    assert np.array_equal(got["decay"], decay)
 
 
 # ----------------------------------------------------------------------
