@@ -625,7 +625,9 @@ class _Tracker:
         "alpha" to the alpha that the alpha-test judged, the largest over
         the stages of degree > 1 (0 where there are none).  The elliptic
         log starts from the trapezoid rule for the invariant differential,
-        g + 2 (x_new - x_prev) / (y_prev + y_new).
+        g + 2 (x_new - x_prev) / (y_prev + y_new).  A stage whose inputs are
+        bitwise unchanged on every row keeps its certified roots, and a
+        factor made only of such stages its log.
         """
         spec = self.spec
         m = Znext.shape[0]
@@ -636,25 +638,30 @@ class _Tracker:
             reason[~inside] = self.FAIL_DOMAIN
             ok &= inside
         known = {nm: Znext[:, i] for i, nm in enumerate(spec.signature.z_vars)}
+        still = {nm for i, nm in enumerate(spec.signature.z_vars) if np.array_equal(Znext[:, i], self.Z[rows, i])}
         cand = {"alpha": np.zeros(m)}
         for stage in spec.stages:
-            coeffs, lead_ok = _stage_coeffs(stage, known, m)
-            ok &= lead_ok
-            prev = self.vals[stage.unknown][rows]
-            if stage.degree == 1:
-                chosen = -coeffs[:, 0] / coeffs[:, 1]
+            chosen = self.vals[stage.unknown][rows]
+            if still.issuperset(v for v, _ in stage.partials if v != stage.unknown):
+                still.add(stage.unknown)
             else:
-                chosen, alpha, cert = _certified_newton(coeffs, prev, ok)
-                cand["alpha"] = np.maximum(cand["alpha"], alpha)
-                finite = np.isfinite(chosen)
-                res_ok = _poly_residual_ok(coeffs, np.where(finite, chosen, 0.0)[:, None], 1e-9)
-                ok &= cert & finite & res_ok
-            known[stage.unknown] = chosen
-            cand[stage.unknown] = chosen
+                coeffs, lead_ok = _stage_coeffs(stage, known, m)
+                ok &= lead_ok
+                if stage.degree == 1:
+                    chosen = -coeffs[:, 0] / coeffs[:, 1]
+                else:
+                    chosen, alpha, cert = _certified_newton(coeffs, chosen, ok)
+                    cand["alpha"] = np.maximum(cand["alpha"], alpha)
+                    finite = np.isfinite(chosen)
+                    res_ok = _poly_residual_ok(coeffs, np.where(finite, chosen, 0.0)[:, None], 1e-9)
+                    ok &= cert & finite & res_ok
+            known[stage.unknown] = cand[stage.unknown] = chosen
         Gnew = np.empty((m, spec.n), dtype=complex)
         for k, (kind, curve) in enumerate(spec.signature.factors):
             prev_g = self.G[rows, k]
-            if kind == "torus":
+            if still.issuperset(spec.signature.factor_vars(k)):
+                gk = prev_g
+            elif kind == "torus":
                 w = cand[spec.signature.factor_vars(k)[0]]
                 wsafe = np.where(np.abs(w) < 1e-300, 1.0, w)
                 ok &= np.abs(w) >= 1e-300

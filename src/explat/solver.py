@@ -8,9 +8,9 @@ than the measured G bound), then continue every branch from one base point
 to each distinct chart point once (leg 1, a tree: out along the base ray to
 hubs at the base radius times powers of HUB_RATIO, then a short twig from
 the nearest hub to each chart point), hand each lattice point copies of its
-chart point's end rows by index, continue each to its own lattice point
-(leg 2) and solve z = lambda + G(z) there by Newton's method,
-z <- z - (I - dG)^-1 (z - lambda - G(z)), each step a continuation.
+chart point's end rows by index, continue them to their lattice point (leg 2,
+one walk per class of branches it moves alike), and solve z = lambda + G(z)
+there by Newton's method on F(z) = P(z, exp_S(z)) and one continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
 CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
@@ -452,78 +452,130 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_
     return _Leg1(tr, owner)
 
 
+def _exp_F(spec: ProblemSpec, Z: np.ndarray):
+    """F(z) = P(z, exp_S(z)) over the user equations at each row of Z, and DF (m, n, n) in closed
+    form: dP_j/dz_k plus dP_j/dv * dv/dz_k over the variables v of factor k, where dw/dz = w on a
+    torus and d(x, y)/dz = (y, 6 x^2 - g2/2) on a curve.  No roots, logs or continuation."""
+    sig = spec.signature
+    e, _ = _exp_S(spec, Z)
+    known = {**{nm: Z[:, i] for i, nm in enumerate(sig.z_vars)}, **e}
+    slope = {nm: (i, 1.0) for i, nm in enumerate(sig.z_vars)}  # variable -> (its factor, dv/dz)
+    for k, (kind, curve) in enumerate(sig.factors):
+        v = sig.factor_vars(k)
+        dv = (e[v[0]],) if kind == "torus" else (e[v[1]], 6.0 * e[v[0]] * e[v[0]] - 0.5 * curve.g2)
+        slope.update((nm, (k, d)) for nm, d in zip(v, dv))
+    F, DF = np.empty(Z.shape, dtype=complex), np.zeros(Z.shape + Z.shape[1:], dtype=complex)
+    for j, eq in enumerate(spec.equations):
+        F[:, j] = eq.eval(known)
+        for v in sorted(eq.used_vars(), key=eq.vars.index):
+            DF[:, j, slope[v][0]] += eq.diff(v).eval(known) * slope[v][1]
+    return F, DF
+
+
+def _leg2_moved(spec: ProblemSpec, chart: int) -> list:
+    """Stage unknowns leg 2 moves, in stage order: those reading a non-chart z, directly or via others."""
+    moved = set(spec.signature.z_vars) - {spec.signature.z_vars[chart]}
+    for stage in spec.stages:
+        if moved.intersection(v for v, _ in stage.partials):
+            moved.add(stage.unknown)
+    return [st.unknown for st in spec.stages if st.unknown in moved]
+
+
+def _leg2_classes(spec: ProblemSpec, domain: SectorDomain, base: _Tracker) -> np.ndarray:
+    """Leg-2 class of each base row: the first row that agrees with it bitwise on every unknown
+    leg 2 moves or reads.  _batched_fiber builds rows by np.repeat, so those rows are copies."""
+    moved = _leg2_moved(spec, domain.chart)
+    read = {v for st in spec.stages if st.unknown in moved for v, _ in st.partials}
+    bits = np.column_stack([np.zeros(base.m)] + [base.vals[nm] for nm in base.vals if nm in read]).view(np.int64)
+    return np.argmax((bits[:, None] == bits[None]).all(axis=2), axis=1)
+
+
 def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray, tr: _Tracker,
-                 tol: float, max_iter: int) -> _Rows:
+                 tol: float, max_iter: int, classes: np.ndarray) -> _Rows:
     """Solve every branch at each lambda of the chunk from its leg-1 end state.
 
     tr holds the chunk's (lambda, branch) rows at the end of leg 1,
     lambda-major (_Leg1.start), the same number for each lambda; the chunk
-    owns and moves them.  Each is continued along leg 2 from c * lambda_l
-    to lambda, then moved to the fixed point S(lambda) of z = lambda + G(z)
-    by Newton steps, each one continuation along a straight segment; a row
-    whose dG is not finite or has ||dG||_inf >= 1 takes the plain step
-    z <- lambda + G(z) instead.  A row that fails a continuation, leg 1's
-    included, keeps its guard in tr.reason and is not moved again.
-    Returns the rows as columns (lambda-major, branch-minor), each with its
-    code into REASONS, the first that holds of: no-convergence; a
-    continuation left the domain (left-domain); another continuation
-    failure (branch-point); the fixed point lies outside the domain
-    (left-domain); its residual is >= tol (residual-above-tol).
+    owns and moves them.  Leg 2 runs from c * lambda_l to lambda with the
+    chart coordinate's bits held, so the stages that read only it stay
+    still; one live row per (lambda, classes[branch]) walks it
+    (_leg2_classes), and the others copy its moved values, logs and reason
+    and take the larger rates.  Newton's method on F (_exp_F) runs
+    from lambda + G_b(lambda) to s, and one continuation from lambda to s
+    carries the fiber and log there.  A row that fails a continuation keeps
+    its guard in tr.reason.  Returns the rows as columns (lambda-major,
+    branch-minor), each with its code into REASONS, the first that holds
+    of: a continuation left the domain (left-domain) or failed otherwise
+    (branch-point); Newton did not settle, or |s - lambda - G_b(s)| >= tol,
+    s being another branch's solution (no-convergence); the residual is >=
+    tol (residual-above-tol).
     """
     n = lam_chunk.shape[1]
     ell = domain.chart
     cvec = np.array(domain.c, dtype=complex)
 
-    LAM = np.repeat(lam_chunk, tr.m // lam_chunk.shape[0], axis=0)
+    d = tr.m // lam_chunk.shape[0]
+    LAM = np.repeat(lam_chunk, d, axis=0)
     m = LAM.shape[0]
     lam_l = LAM[:, ell]
 
     if n > 1:
         U1 = LAM / lam_l[:, None]
+        z_l = tr.Z[:, ell].copy()
 
         def leg2(t, rows):
-            U = (1.0 - t[:, None]) * cvec[None, :] + t[:, None] * U1[rows]
-            return U * lam_l[rows, None]
+            Z = ((1.0 - t[:, None]) * cvec[None, :] + t[:, None] * U1[rows]) * lam_l[rows, None]
+            Z[:, ell] = z_l[rows]
+            return Z
 
-        tr.advance(leg2, domain=domain)
+        key = np.arange(m) // d * spec.degree + classes[tr.branch_ids]
+        live = np.flatnonzero(tr.reason == _Tracker.OK)
+        _, first, inv = np.unique(key[live], return_index=True, return_inverse=True)
+        tr.advance(leg2, domain=domain, active=np.isin(np.arange(m), live[first]))
+        rep = live[first][inv]
+        moved = _leg2_moved(spec, ell)
+        cols = [k for k in range(n) if set(moved) & set(spec.signature.factor_vars(k))]
+        tr.Z[live], tr.reason[live] = tr.Z[rep], tr.reason[rep]
+        tr.G[np.ix_(live, cols)] = tr.G[np.ix_(rep, cols)]
+        for nm in moved:
+            tr.vals[nm][live] = tr.vals[nm][rep]
+        for rate in (tr.alpha_rate, tr.log_rate):
+            rate[live] = np.maximum(rate[rep], rate[live])
 
     g_lambda = tr.G.copy()
 
-    # Newton on z - lambda - G(z) = 0: z <- z - (I - dG)^-1 (z - lambda - G(z)),
-    # taken where dG is finite with ||dG||_inf < 1 (so I - dG is invertible);
-    # other rows take the plain contraction step z <- lambda + G(z)
+    # Newton on F from lambda + G_b(lambda) until a step is within step_tol;
+    # a row whose F or det DF is not finite, or DF singular, stops there
     lam_scale = 1.0 + np.max(np.abs(LAM), axis=1)
     step_tol = np.maximum(1e-3 * tol, 40.0 * np.finfo(float).eps * lam_scale)
-    converged = np.zeros(m, dtype=bool)
+    S = LAM + tr.G
+    stepping = tr.reason == _Tracker.OK
     iterations = np.zeros(m, dtype=int)
-    eye = np.eye(n)
     for it in range(1, max_iter + 1):
-        stepping = (tr.reason == _Tracker.OK) & ~converged
-        if not stepping.any():
-            break
-        target = LAM + tr.G
         rows = np.flatnonzero(stepping)
-        J = g_jacobian(spec, tr.Z[rows], {nm: col[rows] for nm, col in tr.vals.items()})
-        newton = np.isfinite(J).all(axis=(1, 2)) & (np.abs(J).sum(axis=2).max(axis=1) < 1.0)
-        nr = rows[newton]
-        if nr.size:
-            F = tr.Z[nr] - target[nr]
-            target[nr] = tr.Z[nr] - np.linalg.solve(eye - J[newton], F[:, :, None])[:, :, 0]
-        delta = np.max(np.abs(target - tr.Z), axis=1)
-        # step first so the shipped iterate includes its own closing update
-        tr.advance(straight_path(tr.Z, target), domain=domain, active=stepping)
-        newly = stepping & (tr.reason == _Tracker.OK) & (delta <= step_tol)
-        converged |= newly
-        iterations[newly] = it
+        if not rows.size:
+            break
+        with np.errstate(all="ignore"):
+            F, DF = _exp_F(spec, S[rows])
+            det = np.linalg.det(DF)
+            good = np.isfinite(F).all(axis=1) & np.isfinite(det) & (det != 0)
+            DF[~good] = np.eye(n)
+            step = np.linalg.solve(DF, F[:, :, None])[:, :, 0]
+            S[rows] -= step
+            done = good & (np.max(np.abs(step), axis=1) <= step_tol[rows])
+        iterations[rows[done]] = it
+        stepping[rows[done | ~good]] = False
+    converged = iterations > 0
 
+    tr.advance(straight_path(tr.Z, S), domain=domain, active=converged)
     S = tr.Z
     res = np.full(m, np.inf)
     if converged.any():
         res[converged] = _exp_residuals(spec, S[converged], {nm: col[converged] for nm, col in tr.vals.items()})
     f_res = np.max(np.abs(S - tr.G - LAM), axis=1)
     failed = tr.reason != _Tracker.OK
-    cases = [~failed & ~converged, tr.reason == _Tracker.FAIL_DOMAIN, failed, ~domain.contains_batch(S), res >= tol]
-    why = ("no-convergence", "left-domain", "branch-point", "left-domain", "residual-above-tol")
+    cases = [tr.reason == _Tracker.FAIL_DOMAIN, failed, ~converged | ~(f_res < tol), res >= tol]
+    why = ("left-domain", "branch-point", "no-convergence", "residual-above-tol")
     code = np.select(cases, [REASONS.index(w) for w in why], 0)
     return _Rows(LAM, tr.branch_ids, code, S, res, f_res, iterations, g_lambda)
 
@@ -571,11 +623,12 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
         base = branch_base(spec, domain, _base_point(domain))
         d = base.m
         leg1 = _continue_leg1(spec, domain, base, kept[:, domain.chart])
+        classes = _leg2_classes(spec, domain, base)
         per_chunk = max(1, CHUNK_ROWS // d)
         firsts = range(0, kept.shape[0], per_chunk)
 
         def chunk(i):
-            return spec, domain, kept[i : i + per_chunk], leg1.start(i, i + per_chunk, d), tol, max_iter
+            return spec, domain, kept[i : i + per_chunk], leg1.start(i, i + per_chunk, d), tol, max_iter, classes
 
         if jobs > 1 and len(firsts) > 1:
             # imported here: it loads multiprocessing, which no other run needs

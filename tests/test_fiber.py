@@ -506,14 +506,26 @@ def test_sweep_rejects_few_trials_on_sqrt_branch(monkeypatch):
 
 
 def test_sweep_trials_whole_chunks_on_wide_sqrt_branch(monkeypatch):
-    # the 795 lambda x 2 branches of radius 2.6:5000 fill one chunk, so
-    # leg 2 and the fixed point trial them together; chunks of 24 lambda
-    # took 131 calls for the same rows.  Leg 1 runs out to hubs on the base
-    # ray and then a short twig to each chart point: 2892 rows, where one
-    # spiral from the base point to each chart point took 35642 (40445 in all)
+    # the 795 lambda x 2 branches of radius 2.6:5000 fill one chunk, so the
+    # carry to the fixed point trials them together: 1591 rows for 1590
+    # records; chunks of 24 lambda took 131 calls for the same rows, and a
+    # continuation per Newton step took 4803.  Leg 1 runs out
+    # to hubs on the base ray and then a short twig to each chart point:
+    # 2892 rows, where one spiral from the base point to each chart point
+    # took 35642 (40445 in all)
     calls, rows, _ = _sweep_trials(monkeypatch, "sqrt_branch", radius=(2.6, 5000.0))
     assert calls <= 40
-    assert rows == 7695
+    assert rows == 4483
+
+
+def test_sweep_trial_rows_on_wp_example(monkeypatch):
+    # leg 2 walks one row per (lambda, leg-2 class), 4 of the 12 branches,
+    # and holds z1, so the stages that read only z1 stay still; the fixed
+    # point takes Newton steps on F and one carry per row: 21016 trial rows,
+    # where one leg-2 walk per row and a continuation per Newton step took
+    # 62111
+    _, rows, _ = _sweep_trials(monkeypatch, "wp_example")
+    assert rows <= 25000
 
 
 def test_continuation_detects_branch_point(sqrt_spec):

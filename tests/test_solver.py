@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from explat import elliptic, solver
+from explat import elliptic, fiber, solver
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
 from explat.fiber import ROOT_TOL, GroupSignature, SectorDomain, _batched_fiber, _Tracker, branch_base
 from explat.solver import (
@@ -574,10 +574,11 @@ def test_exp_and_forward_residuals():
 
 def _solve_one(spec, domain, branch, lam):
     """One lattice point on a one-row tracker at the base point (a row of
-    branch_base, taken): leg 1 to its chart point, then _solve_chunk."""
+    branch_base, taken): leg 1 to its chart point, then _solve_chunk with
+    each branch its own leg-2 class."""
     lam = np.asarray(lam, dtype=complex)
     leg1 = _continue_leg1(spec, domain, branch, lam[domain.chart : domain.chart + 1])
-    return _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, 1), 1e-10, 60)
+    return _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, 1), 1e-10, 60, np.arange(spec.degree))
 
 
 def test_single_point_solve_matches_sweep(monkeypatch):
@@ -706,6 +707,88 @@ def test_chunk_budget_does_not_move_sweep(monkeypatch, run, chunk_rows, count):
     got = run()
     assert len(got.records) == count
     assert _sweep_bits(got) == _sweep_bits(want)
+
+
+def test_trial_keeps_the_stages_a_still_z1_leaves_alone(monkeypatch):
+    # on the curve product z1 feeds only y2 = z1, the cubic for x2 and factor
+    # 2's log: a trial that leaves z1 bitwise equal keeps their bits and runs
+    # the certified Newton only for the stages that read z2 (x1, then y1
+    # through x1); with z1 moved too, every stage is re-solved
+    tr = branch_base(wp_setup().problem, MINI_DOMAIN, _base_point(MINI_DOMAIN))
+    degrees = []
+    newton = fiber._certified_newton
+
+    def counted(coeffs, x, ok):
+        degrees.append(coeffs.shape[1] - 1)
+        return newton(coeffs, x, ok)
+
+    monkeypatch.setattr(fiber, "_certified_newton", counted)
+    Znext = tr.Z.copy()
+    Znext[:, 1] += 1e-3
+    ok, _, cand, Gnew = tr._trial(Znext, MINI_DOMAIN)
+    assert ok.all() and degrees == [2, 2]
+    assert all(cand[nm].tobytes() == tr.vals[nm].tobytes() for nm in ("y2", "x2"))
+    assert Gnew[:, 1].tobytes() == tr.G[:, 1].tobytes()
+    assert not np.isin(cand["x1"], tr.vals["x1"]).any() and not np.isin(Gnew[:, 0], tr.G[:, 0]).any()
+    degrees.clear()
+    Znext[:, 0] += 1e-3
+    ok, _, cand, Gnew = tr._trial(Znext, MINI_DOMAIN)
+    assert ok.all() and degrees == [2, 2, 3]
+    assert not any(np.isin(cand[nm], tr.vals[nm]).any() for nm in tr.vals) and not np.isin(Gnew, tr.G).any()
+
+
+TORI_SRC = """
+[group]
+factors = torus, torus
+
+[equations]
+w1^2 = z1
+w2 = z2*w1
+
+[solver]
+c = 1, 1
+chart = 1
+epsilon = 0.3
+theta = 1.4
+eta = 1.75
+radius = 100:140
+"""
+
+
+def _unshared_sweep(monkeypatch, run):
+    """run() with each branch its own leg-2 class."""
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_leg2_classes", lambda spec, domain, base: np.arange(base.m))
+        return run()
+
+
+def test_leg2_classes_share_walks_only_between_copies(monkeypatch):
+    # wp_example: leg 2 moves x1 (its stage reads z2) and y1, while y2 and x2
+    # read only the chart's z1, so the 12 base rows fall into 4 classes of 3
+    # and one row of each walks leg 2 for the other two
+    st = wp_setup()
+    base = branch_base(st.problem, st.domain, _base_point(st.domain))
+    assert solver._leg2_moved(st.problem, 0) == ["x1", "y1"]
+    classes = solver._leg2_classes(st.problem, st.domain, base)
+    assert np.unique(classes, return_counts=True)[1].tolist() == [3] * 4
+    shared, own = wp_mini()[1], _unshared_sweep(monkeypatch, mini_sweep)
+    assert [(r.lam.tobytes(), r.branch_id) for r in shared.records] == [(r.lam.tobytes(), r.branch_id) for r in own.records]
+    assert np.max(np.abs(shared.records.s - own.records.s)) <= 1e-12
+    # w2 = z2*w1 reads w1, which only the chart's z1 moves: both w1 roots
+    # are in the key, so each branch is its own class and no walk is shared
+    tori = parse_run(TORI_SRC)
+    base = branch_base(tori.problem, tori.domain, _base_point(tori.domain))
+    assert solver._leg2_moved(tori.problem, 0) == ["w2"]
+    assert solver._leg2_classes(tori.problem, tori.domain, base).tolist() == [0, 1]
+
+    def tori_sweep():
+        return sweep(tori.problem, tori.domain, tori.radius, tol=tori.tol, max_iter=tori.max_iter)
+
+    res = tori_sweep()
+    assert len(res.records) > 20
+    assert _sweep_bits(res) == _sweep_bits(_unshared_sweep(monkeypatch, tori_sweep))
+    for spec, domain, res in ((st.problem, MINI_DOMAIN, shared), (tori.problem, tori.domain, res)):
+        assert verify_records(spec, domain, res.records, 1e-10)[0]
 
 
 def test_single_point_solve_fails_off_domain():
