@@ -291,6 +291,9 @@ def wp_both(z, curve: EllipticCurveParams):
     g(x) = -g(1/x), the rows n >= 1 and n <= -1 are those at x = u Q^|n|,
     u = X and 1/X, g negated for 1/X.  The row |n| = 1 takes one reciprocal,
     r = 1/(1 - uQ), f = uQ r^2, g = f (1 + uQ) r; the rest are Horner series.
+    sin, cos, X and 1/X are built from sin, cos of Re theta and sinh, cosh,
+    exp of Im theta: half the work of complex sin, cos and exp on a large
+    batch, and as accurate near the poles.
 
     Each row's value is the same bits whatever the batch size.  numpy
     reuses a temporary operand of 256 KiB or more in place, and for a
@@ -306,11 +309,14 @@ def wp_both(z, curve: EllipticCurveParams):
     pole = np.abs(zr) < curve.pole_tol
     zs = np.where(pole, 0.5 * tab.gap, zr)  # safe placeholder at poles
     theta = tab.k * zs
-    sin, cos = np.sin(theta), np.cos(theta)
+    sin_re, cos_re, sinh_im, cosh_im = np.sin(theta.real), np.cos(theta.real), np.sinh(theta.imag), np.cosh(theta.imag)
+    sin, cos, u = np.empty_like(theta), np.empty_like(theta), np.empty((2,) + theta.shape, dtype=complex)
+    sin.real, sin.imag, cos.real, cos.imag = sin_re * cosh_im, cos_re * sinh_im, cos_re * cosh_im, -sin_re * sinh_im
     csc = 1.0 / sin
     csc2 = csc * csc
-    X = np.exp(2j * theta)
-    u = np.stack([X, 1.0 / X])
+    grow = np.exp(2.0 * theta.imag)
+    cos2, sin2 = (cos_re - sin_re) * (cos_re + sin_re), 2.0 * sin_re * cos_re
+    u[0].real, u[0].imag, u[1].real, u[1].imag = cos2 / grow, sin2 / grow, grow * cos2, -grow * sin2  # X, 1/X
     A = u * tab.q
     r = 1.0 / (1.0 - A)
     f = A * r * r

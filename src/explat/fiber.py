@@ -17,10 +17,10 @@ that fails keeps the guard that fired and later advances pass it by.
 Each row sizes its own substeps from two rates per unit of parameter
 motion, the alpha of its previous root and its log motion over the
 lattice gap, measured by its last accepted substep (in closed form before
-its first): a substep aims for alpha ALPHA_STEP and a quarter gap of log
-motion, grows at most 2x, and keeps its chord sag within SAG_STEP of that
-motion, after Beltran-Leykin, "Certified numerical homotopy tracking"
-(Exp. Math. 21, 2012).
+its first, or along a new heading): a substep aims for alpha ALPHA_STEP
+and a quarter gap of log motion, grows at most 2x, and keeps its chord sag
+within SAG_STEP of that motion, after Beltran-Leykin, "Certified
+numerical homotopy tracking" (Exp. Math. 21, 2012).
 
 Row arithmetic never reads other rows, and numpy's elementwise arithmetic
 gives a row the same bits in a batch of any size, with one pitfall: numpy
@@ -525,30 +525,49 @@ def branch_base(spec: ProblemSpec, domain: SectorDomain, z0) -> "_Tracker":
                     np.zeros(order.size, dtype=np.int8))
 
 
-def _start_rates(spec: ProblemSpec, Z, vals: dict):
+def _start_rates(spec: ProblemSpec, Z, vals: dict, direction=None):
     """(alpha_rate, log_rate) of _Tracker in closed form at each row of Z.
 
     A parameter move dZ moves a stage root by about du/dz . dZ, so the
-    alpha of the old root at the new point is about gamma * |du/dz|_1 *
-    |dZ|_inf; the logarithm moves by dG/dz . dZ.  Non-finite rates (a
+    alpha of the old root at the new point is about gamma * |du/dz . dZ|;
+    the logarithm moves by dG/dz . dZ.  The rates bound every dZ by
+    |du/dz|_1 |dZ|_inf, or with a direction (m, n, no row 0) hold along it,
+    where a stage that does not move adds 0.  Non-finite rates (a
     denominator vanished) come out inf, which no step can satisfy.
     """
     known, dz, J = _derivatives(spec, Z, vals)
     m = Z.shape[0]
     gaps = np.array([spec.signature.gap(k) for k in range(spec.n)])
     alpha_rate = np.zeros(m)
+    unit = None if direction is None else direction / np.max(np.abs(direction), axis=1)[:, None]
+
+    def motion(d):  # |d . dZ| per unit |dZ|_inf, d an (m, n) row of derivatives
+        return np.abs(d).sum(axis=1) if unit is None else np.abs((d * unit).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_rate = np.max(np.abs(J).sum(axis=2) / gaps, axis=1)
+        log_rate = np.max([motion(J[:, i]) / gaps[i] for i in range(spec.n)], axis=0)
         for stage in spec.stages:
             if stage.degree > 1:
                 coeffs, _ = _stage_coeffs(stage, known, m)
                 _, gamma = _smale(coeffs, known[stage.unknown][:, None])
-                alpha_rate = np.maximum(alpha_rate, gamma[:, 0] * np.abs(dz[stage.unknown]).sum(axis=1))
+                alpha_rate = np.maximum(alpha_rate, gamma[:, 0] * motion(dz[stage.unknown]))
     return tuple(np.where(np.isfinite(r), r, np.inf) for r in (alpha_rate, log_rate))
 
 
 # ----------------------------------------------------------------------
 # batched continuation
+
+
+def _log_seed(curve: EllipticCurveParams, g, x0, y0, x1, y1):
+    """Elliptic log start at (x1, y1) from the log g at (x0, y0), rowwise: the fourth-order
+    trapezoid rule for dv = dx/y with its endpoint correction, g + h/2 (1/y0 + 1/y1) + h^2/12
+    (f'(x0) - f'(x1)), h = x1 - x0, f' = -(6x^2 - g2/2)/y^3; where that is not finite (y = 0),
+    the trapezoid rule for dx = y dv, g + 2h/(y0 + y1); where neither is, g."""
+    h = x1 - x0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        trapezoid = 2.0 * h / (y0 + y1)
+        slope0, slope1 = (-(6.0 * x * x - 0.5 * curve.g2) / (y * y * y) for x, y in ((x0, y0), (x1, y1)))
+        corrected = 0.5 * h * (1.0 / y0 + 1.0 / y1) + h * h / 12.0 * (slope0 - slope1)
+    return g + np.where(np.isfinite(corrected), corrected, np.where(np.isfinite(trapezoid), trapezoid, 0.0))
 
 
 def straight_path(Z0, Z1) -> Callable:
@@ -577,8 +596,8 @@ class _Tracker:
     branch_base builds the rows of a base fiber with the rates in closed
     form (_start_rates); each accepted substep then sets them from its own
     alpha and log motion over its |dZ| (_measure).  take() copies rows with
-    their rates and reasons, so leg 2 starts from leg 1's last step and a
-    row that failed stays failed.
+    their rates and reasons, so a row that failed stays failed; aim() sets
+    them in closed form along a new heading.
 
     advance() walks every live row along its own path with steps sized from
     those rates (_step), and each substep trials only the rows still on
@@ -588,11 +607,12 @@ class _Tracker:
     from the row's previous root, taken only where Smale's alpha-test at
     that start certifies convergence to a unique nearby root.  The elliptic
     logarithm is predicted from the invariant differential dv = dx/y and
-    polished by Gauss-Newton.  Guards (alpha test, root residual, leading
-    coefficient, log step, domain) reject a substep and halve that row's
-    step only.  Rows never read other rows, and a row's values are the same
-    bits in a tracker of any size as long as the kernels it calls avoid
-    numpy's temporary elision (see the module docstring).
+    polished by Gauss-Newton on the rows the other guards kept.  Guards
+    (alpha test, root residual, leading coefficient, log step, domain)
+    reject a substep and halve that row's step only.  Rows never read other
+    rows, and a row's values are the same bits in a tracker of any size as
+    long as the kernels it calls avoid numpy's temporary elision (see the
+    module docstring).
     """
 
     OK, FAIL_BRANCH, FAIL_DOMAIN = 0, 1, 2
@@ -616,6 +636,13 @@ class _Tracker:
         return _Tracker(self.spec, self.Z[rows], {nm: col[rows] for nm, col in self.vals.items()}, self.G[rows],
                         self.branch_ids[rows], (self.alpha_rate[rows], self.log_rate[rows]), self.reason[rows])
 
+    def aim(self, rows, direction):
+        """Set the rates of `rows` along `direction` (_start_rates); a row whose direction is 0 keeps them."""
+        moving = np.any(direction != 0, axis=1)
+        rows = rows[moving]
+        vals = {nm: col[rows] for nm, col in self.vals.items()}
+        self.alpha_rate[rows], self.log_rate[rows] = _start_rates(self.spec, self.Z[rows], vals, direction[moving])
+
     # -- one trial evaluation at target points -------------------------
     def _trial(self, Znext, domain, rows=slice(None)):
         """Trial step of the tracker rows `rows` to the points Znext (one per row).
@@ -623,11 +650,12 @@ class _Tracker:
         Returns (ok, reason, cand, Gnew) for those rows; the state is not
         changed.  cand maps each stage unknown to its new values, and
         "alpha" to the alpha that the alpha-test judged, the largest over
-        the stages of degree > 1 (0 where there are none).  The elliptic
-        log starts from the trapezoid rule for the invariant differential,
-        g + 2 (x_new - x_prev) / (y_prev + y_new).  A stage whose inputs are
-        bitwise unchanged on every row keeps its certified roots, and a
-        factor made only of such stages its log.
+        the stages of degree > 1 (0 where there are none).  Gauss-Newton
+        solves the elliptic log only on the rows the stage and domain
+        guards (and earlier factors) kept, from _log_seed; Gnew holds the
+        previous log on the others.  A stage whose inputs are bitwise
+        unchanged on every row keeps its certified roots, and a factor made
+        only of such stages its log.
         """
         spec = self.spec
         m = Znext.shape[0]
@@ -668,12 +696,12 @@ class _Tracker:
                 gk = torus_log_near(wsafe, prev_g)
             else:
                 xk, yk = spec.signature.factor_vars(k)
-                x, y = cand[xk], cand[yk]
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    seed = prev_g + 2.0 * (x - self.vals[xk][rows]) / (self.vals[yk][rows] + y)
-                seed = np.where(np.isfinite(seed), seed, prev_g)
-                gk, gok, _ = _gauss_newton_log(curve, x, y, seed, iters=40)
-                ok &= gok
+                keep = np.flatnonzero(ok)
+                x, y = cand[xk][keep], cand[yk][keep]
+                seed = _log_seed(curve, prev_g[keep], self.vals[xk][rows][keep], self.vals[yk][rows][keep], x, y)
+                gk = prev_g.copy()
+                gk[keep], gok, _ = _gauss_newton_log(curve, x, y, seed, iters=40)
+                ok[keep] &= gok
             ok &= np.abs(gk - prev_g) <= 0.5 * self.gaps[k]
             Gnew[:, k] = gk
         reason[(reason == 0) & ~ok] = self.FAIL_BRANCH

@@ -9,8 +9,9 @@ to each distinct chart point once (leg 1, a tree: out along the base ray to
 hubs at the base radius times powers of HUB_RATIO, then a short twig from
 the nearest hub to each chart point), hand each lattice point copies of its
 chart point's end rows by index, continue them to their lattice point (leg 2,
-one walk per class of branches it moves alike), and solve z = lambda + G(z)
-there by Newton's method on F(z) = P(z, exp_S(z)) and one continuation.
+one walk per class of branches it moves alike, aimed along its own
+heading), and solve z = lambda + G(z) there by Newton's method on
+F(z) = P(z, exp_S(z)) from the first-order fixed point and one continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
 CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
@@ -377,8 +378,8 @@ class _Leg1(NamedTuple):
 
     def start(self, lo: int, hi: int, d: int) -> _Tracker:
         """The (lambda, branch) rows of lambdas lo..hi-1, lambda-major: fresh
-        copies, step rates and reasons included, so leg 2 sizes its first
-        step from leg 1's last and skips the rows leg 1 failed."""
+        copies, step rates and reasons included, so leg 2 skips the rows leg
+        1 failed and a row it does not move keeps leg 1's last rates."""
         return self.tracker.take(_rows_of(self.owner[lo:hi], d))
 
 
@@ -490,6 +491,29 @@ def _leg2_classes(spec: ProblemSpec, domain: SectorDomain, base: _Tracker) -> np
     return np.argmax((bits[:, None] == bits[None]).all(axis=2), axis=1)
 
 
+def _solve_rows(A: np.ndarray, b: np.ndarray):
+    """(x, ok): A[r] x[r] = b[r] for each (n, n) A[r] by Gaussian elimination with partial pivoting,
+    batched over rows r for any n; ok is False on a row with a non-finite entry, a zero pivot or a
+    non-finite x.  Rows never read other rows, so a row's bits do not depend on the batch."""
+    A, x = np.array(A, dtype=complex), np.array(b, dtype=complex)
+    r, n = np.arange(x.shape[0]), x.shape[1]
+    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(x).all(axis=1)
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            p = i + np.argmax(np.abs(A[:, i:, i]), axis=1)
+            A[r, i], A[r, p] = A[r, p], A[r, i]
+            x[r, i], x[r, p] = x[r, p], x[r, i]
+            pivot = A[:, i, i]
+            ok &= pivot != 0
+            for j in range(i + 1, n):
+                f = A[:, j, i] / pivot
+                A[:, j, i:] -= f[:, None] * A[:, i, i:]
+                x[:, j] -= f * x[:, i]
+        for i in reversed(range(n)):
+            x[:, i] = (x[:, i] - (A[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)) / A[:, i, i]
+    return x, ok & np.isfinite(x).all(axis=1)
+
+
 def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray, tr: _Tracker,
                  tol: float, max_iter: int, classes: np.ndarray) -> _Rows:
     """Solve every branch at each lambda of the chunk from its leg-1 end state.
@@ -499,13 +523,15 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
     owns and moves them.  Leg 2 runs from c * lambda_l to lambda with the
     chart coordinate's bits held, so the stages that read only it stay
     still; one live row per (lambda, classes[branch]) walks it
-    (_leg2_classes), and the others copy its moved values, logs and reason
-    and take the larger rates.  Newton's method on F (_exp_F) runs
-    from lambda + G_b(lambda) to s, and one continuation from lambda to s
-    carries the fiber and log there.  A row that fails a continuation keeps
-    its guard in tr.reason.  Returns the rows as columns (lambda-major,
-    branch-minor), each with its code into REASONS, the first that holds
-    of: a continuation left the domain (left-domain) or failed otherwise
+    (_leg2_classes), its first step sized along its own heading
+    (_Tracker.aim), and the others copy its moved values, logs and reason
+    and take the larger rates.  Newton's method on F (_exp_F, _solve_rows)
+    runs from lambda + (I - dG_b)^-1 G_b (g_jacobian) to s, and one
+    continuation from lambda to s carries the fiber and log there.  A row
+    that fails a continuation keeps its guard in tr.reason.  Returns the
+    rows as columns (lambda-major, branch-minor), each with its code into
+    REASONS, the first that holds of: a continuation left the domain
+    (left-domain) or failed otherwise
     (branch-point); Newton did not settle, or |s - lambda - G_b(s)| >= tol,
     s being another branch's solution (no-convergence); the residual is >=
     tol (residual-above-tol).
@@ -531,8 +557,10 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
         key = np.arange(m) // d * spec.degree + classes[tr.branch_ids]
         live = np.flatnonzero(tr.reason == _Tracker.OK)
         _, first, inv = np.unique(key[live], return_index=True, return_inverse=True)
-        tr.advance(leg2, domain=domain, active=np.isin(np.arange(m), live[first]))
-        rep = live[first][inv]
+        walkers = live[first]
+        tr.aim(walkers, leg2(np.ones(walkers.size), walkers) - leg2(np.zeros(walkers.size), walkers))
+        tr.advance(leg2, domain=domain, active=np.isin(np.arange(m), walkers))
+        rep = walkers[inv]
         moved = _leg2_moved(spec, ell)
         cols = [k for k in range(n) if set(moved) & set(spec.signature.factor_vars(k))]
         tr.Z[live], tr.reason[live] = tr.Z[rep], tr.reason[rep]
@@ -544,11 +572,12 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
 
     g_lambda = tr.G.copy()
 
-    # Newton on F from lambda + G_b(lambda) until a step is within step_tol;
-    # a row whose F or det DF is not finite, or DF singular, stops there
+    # Newton on F from the first-order fixed point, or lambda + G_b where it is
+    # not finite, until a step is within step_tol; a row _solve_rows refuses stops
     lam_scale = 1.0 + np.max(np.abs(LAM), axis=1)
     step_tol = np.maximum(1e-3 * tol, 40.0 * np.finfo(float).eps * lam_scale)
-    S = LAM + tr.G
+    offset, good = _solve_rows(np.eye(n) - g_jacobian(spec, tr.Z, tr.vals), tr.G)
+    S = LAM + np.where(good[:, None], offset, tr.G)
     stepping = tr.reason == _Tracker.OK
     iterations = np.zeros(m, dtype=int)
     for it in range(1, max_iter + 1):
@@ -557,10 +586,7 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
             break
         with np.errstate(all="ignore"):
             F, DF = _exp_F(spec, S[rows])
-            det = np.linalg.det(DF)
-            good = np.isfinite(F).all(axis=1) & np.isfinite(det) & (det != 0)
-            DF[~good] = np.eye(n)
-            step = np.linalg.solve(DF, F[:, :, None])[:, :, 0]
+            step, good = _solve_rows(DF, F)
             S[rows] -= step
             done = good & (np.max(np.abs(step), axis=1) <= step_tol[rows])
         iterations[rows[done]] = it

@@ -359,6 +359,25 @@ def test_wp_both_does_not_depend_on_batch_size(lattice):
             assert a[:n].tobytes() == b.tobytes(), n
 
 
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.2 + 2.5j], ids=["square", "tau=0.3+1.1i", "tau=0.2+2.5i"])
+def test_wp_both_near_poles_matches_laurent_series(tau):
+    # wp = 1/z^2 + g2 z^2/20 + g3 z^4/28 + O(z^6) and wp' its derivative;
+    # for |z| <= 1e-3 the dropped terms sit below 1e-20 relative, so the
+    # error is wp_both's and the reference's rounding: sin, cos and X built
+    # from real sin, cos, sinh, cosh and exp read <= 9.4e-16 on these points,
+    # as the complex functions did
+    curve = EllipticCurveParams.from_lattice(Lattice(1.0, tau))
+    rng = np.random.default_rng(11)
+    z = 10.0 ** rng.uniform(-7.0, -3.0, 60) * np.exp(2j * np.pi * rng.random(60))
+    val, dval, pole = wp_both(z, curve)
+    z2 = z * z
+    want = 1.0 / z2 + curve.g2 / 20.0 * z2 + curve.g3 / 28.0 * z2 * z2
+    dwant = -2.0 / (z2 * z) + curve.g2 / 10.0 * z + curve.g3 / 7.0 * z2 * z
+    assert not pole.any()
+    assert np.max(np.abs(val - want) / np.abs(want)) <= 2e-15
+    assert np.max(np.abs(dval - dwant) / np.abs(dwant)) <= 2e-15
+
+
 def test_wp_matches_lattice_sum_oracle(curves):
     # errors relative to 1 + |wp|, as above: wp and wp' have zeros in the cell.
     # The hexagonal lattice has the largest |Q| after reduction, so the

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from explat import elliptic, fiber
 from explat.elliptic import EllipticCurveParams, Lattice, wp_both
 from explat.fiber import (
     LOG_STEP,
@@ -344,6 +345,52 @@ def test_branch_base_rates_are_closed_form_at_z0(curve_pair_spec, sqrt_spec):
     assert np.allclose(base.log_rate, 1.0 / (2.0 * abs(z) * 2.0 * math.pi), rtol=1e-12, atol=0.0)
 
 
+def test_directed_rates_never_exceed_the_undirected_ones(curve_pair_spec):
+    # |du/dz . dZ| <= |du/dz|_1 |dZ|_inf: a rate along a direction is at most
+    # the rate that bounds every direction (up to the rounding of the unit
+    # direction's modulus), and below it where the direction misses the
+    # steepest one
+    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    rng = np.random.default_rng(3)
+    heading = rng.standard_normal((base.m, 2)) + 1j * rng.standard_normal((base.m, 2))
+    heading[:4, 0] = 0.0
+    alpha, log = _start_rates(curve_pair_spec, base.Z, base.vals, heading)
+    slack = 1.0 + 4.0 * np.finfo(float).eps
+    assert np.all(alpha <= slack * base.alpha_rate) and np.all(log <= slack * base.log_rate)
+    assert np.any(alpha < 0.5 * base.alpha_rate) and np.any(log < 0.5 * base.log_rate)
+
+
+def test_directed_rate_of_a_stage_the_direction_does_not_move_is_zero():
+    # w1^2 = z1 and w2 = z2: along (0, 1) only z2 moves, so the one stage of
+    # degree > 1, which reads z1 alone, adds nothing to the alpha rate, and
+    # only G2 = log z2 moves, at |1/z2| over the gap 2*pi
+    sig = GroupSignature(factors=(("torus", None), ("torus", None)))
+    av = sig.z_vars + sig.group_vars
+    eq1 = MPoly.from_dict(av, {term(av, w1=2): 1.0, term(av, z1=1): -1.0})
+    eq2 = MPoly.from_dict(av, {term(av, w2=1): 1.0, term(av, z2=1): -1.0})
+    spec = build_problem(sig, [eq1, eq2])
+    z = np.array([9.0 + 1.0j, 4.0 - 2.0j])
+    base = branch_base(spec, None, z)
+    alpha, log = _start_rates(spec, base.Z, base.vals, np.tile([0.0, 0.5j], (base.m, 1)))
+    assert np.all(base.alpha_rate > 0.0) and np.all(alpha == 0.0)
+    assert np.allclose(log, 1.0 / (abs(z[1]) * 2.0 * math.pi), rtol=1e-14, atol=0.0)
+
+
+def test_aim_sets_rates_along_each_direction_and_zero_keeps_them(curve_pair_spec):
+    # a row aimed along a direction gets the closed-form rates along it; a
+    # row whose direction is 0 (a leg 2 of zero length) keeps the rates it
+    # inherited, which its later continuations start from
+    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    tr = base.take([0, 1, 2, 3])
+    tr.alpha_rate[:], tr.log_rate[:] = 0.7, 0.3
+    heading = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0j], [0.0, 0.0]])
+    tr.aim(np.array([0, 1, 2]), heading[:3])
+    alpha, log = _start_rates(curve_pair_spec, base.Z[[0, 2]], {nm: col[[0, 2]] for nm, col in base.vals.items()},
+                              heading[[0, 2]])
+    assert tr.alpha_rate.tolist() == [alpha[0], 0.7, alpha[1], 0.7]
+    assert tr.log_rate.tolist() == [log[0], 0.3, log[1], 0.3]
+
+
 def test_branch_base_respects_domain(identity_spec):
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=0.1, eta=1.5)
     branch_base(identity_spec, dom, [10.0 * np.exp(0.5j)])
@@ -521,11 +568,85 @@ def test_sweep_trials_whole_chunks_on_wide_sqrt_branch(monkeypatch):
 def test_sweep_trial_rows_on_wp_example(monkeypatch):
     # leg 2 walks one row per (lambda, leg-2 class), 4 of the 12 branches,
     # and holds z1, so the stages that read only z1 stay still; the fixed
-    # point takes Newton steps on F and one carry per row: 21016 trial rows,
-    # where one leg-2 walk per row and a continuation per Newton step took
-    # 62111
+    # point takes Newton steps on F and one carry per row.  Each walker's
+    # first leg-2 step is sized along its own direction: 16868 trial rows,
+    # where leg 1's last rates took 21016, and one leg-2 walk per row and a
+    # continuation per Newton step 62111
     _, rows, _ = _sweep_trials(monkeypatch, "wp_example")
-    assert rows <= 25000
+    assert rows <= 18000
+
+
+def test_trial_solves_logs_only_on_the_rows_its_guards_kept(curve_pair_spec, monkeypatch):
+    # half the rows step out of the domain: Gauss-Newton sees only the other
+    # half, and their logs are the bits of a Gauss-Newton over every row
+    z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
+    dom = SectorDomain(c=(1.0, z0[1] / z0[0]), chart=0, epsilon=0.1, theta=0.0, eta=0.5)
+    tr = branch_base(curve_pair_spec, dom, z0)
+    inside = np.arange(tr.m) < 6
+    Znext = tr.Z + 0.02 * np.exp(1j * np.arange(tr.m))[:, None]
+    Znext[~inside, 1] += 5.0
+    handed = []
+    gauss_newton = fiber._gauss_newton_log
+
+    def spy(curve, x, y, v0, iters=48):
+        handed.append((x, y, v0))
+        return gauss_newton(curve, x, y, v0, iters)
+
+    monkeypatch.setattr(fiber, "_gauss_newton_log", spy)
+    ok, reason, cand, Gnew = tr._trial(Znext, dom)
+    assert ok.tolist() == inside.tolist()
+    assert (reason[~inside] == _Tracker.FAIL_DOMAIN).all()
+    assert [h[0].tolist() for h in handed] == [cand["x1"][inside].tolist(), cand["x2"][inside].tolist()]
+    curve = curve_pair_spec.signature.factors[0][1]
+    for k, (xk, yk) in enumerate((("x1", "y1"), ("x2", "y2"))):
+        seed = fiber._log_seed(curve, tr.G[:, k], tr.vals[xk], tr.vals[yk], cand[xk], cand[yk])
+        every, _, _ = gauss_newton(curve, cand[xk], cand[yk], seed, 40)
+        assert Gnew[inside, k].tobytes() == every[inside].tobytes()
+
+
+def test_log_seed_falls_back_where_its_correction_is_not_finite(square_curve):
+    # at y = 0 the corrected trapezoid rule for dv = dx/y is not finite, and
+    # the seed is the trapezoid rule for dx = y dv; with y0 + y1 = 0 as well,
+    # it is the previous log
+    e1 = square_curve.tables().roots[0]
+    x0 = np.array([0.3 + 0.2j, 0.3 + 0.2j, e1 + 0.01])
+    y0 = np.array([1.1 - 0.4j, 1.1 - 0.4j, 0.0])
+    x1 = np.array([0.32 + 0.21j, e1, e1])
+    y1 = np.array([1.12 - 0.41j, 0.0, 0.0])
+    g = np.array([0.1 + 0.2j, 0.3 + 0.1j, 0.2 + 0.2j])
+    seed = fiber._log_seed(square_curve, g, x0, y0, x1, y1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trapezoid = g + 2.0 * (x1 - x0) / (y0 + y1)
+    assert seed[0] != trapezoid[0] and np.isfinite(seed[0])
+    assert seed[1] == trapezoid[1]
+    assert seed[2] == g[2]
+
+
+def test_log_seed_settles_in_fewer_wp_evaluations(square_curve, monkeypatch):
+    # 39 substeps of 0.018 (under a fiftieth of the gap) along a segment of
+    # the curve that keeps 0.2 from the half periods, where y = 0 and dx/y
+    # is singular in x: the fourth-order seed starts within 4e-7 and
+    # Gauss-Newton evaluates wp 94 times, the trapezoid rule for dx = y dv
+    # within 9e-5 and 119 times
+    v = np.linspace(0.2 + 0.15j, 0.3 + 0.85j, 40)
+    v0, v1 = v[:-1], v[1:]
+    (x0, y0, _), (x1, y1, _) = wp_both(v0, square_curve), wp_both(v1, square_curve)
+    seeds = {"corrected": fiber._log_seed(square_curve, v0, x0, y0, x1, y1),
+             "trapezoid": v0 + 2.0 * (x1 - x0) / (y0 + y1)}
+    wp = elliptic.wp_both
+    rows = {}
+    for name, seed in seeds.items():
+        count = [0]
+
+        def counted(z, curve, count=count):
+            count[0] += np.size(z)
+            return wp(z, curve)
+
+        monkeypatch.setattr(elliptic, "wp_both", counted)
+        v, ok, _ = elliptic._gauss_newton_log(square_curve, x1, y1, seed, 40)
+        assert ok.all() and np.max(np.abs(v - v1)) < 1e-12
+        rows[name] = count[0]
+    assert rows["corrected"] < rows["trapezoid"]
 
 
 def test_continuation_detects_branch_point(sqrt_spec):

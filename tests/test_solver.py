@@ -905,6 +905,53 @@ def test_empty_annulus_returns_empty_result():
 
 
 # ----------------------------------------------------------------------
+# the rowwise linear solve of the fixed-point phase
+
+
+def _random_systems(n, m, seed):
+    """m complex n x n systems whose condition numbers are below 100, and right-hand sides."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((4 * m, n, n)) + 1j * rng.standard_normal((4 * m, n, n))
+    A = A[np.linalg.cond(A) < 100.0][:m]
+    assert A.shape[0] == m
+    return A, rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solve_rows_matches_lapack(n):
+    A, b = _random_systems(n, 500, n)
+    x, ok = solver._solve_rows(A, b)
+    want = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    assert ok.all()
+    assert np.all(np.max(np.abs(x - want), axis=1) <= 1e-13 * np.max(np.abs(want), axis=1))
+
+
+def test_solve_rows_flags_zero_pivots_and_non_finite_rows():
+    # row 0 is singular, its second pivot cancels to exactly 0 after the
+    # pivoting swap; rows 2 and 3 carry a NaN or an inf; row 4 is all zero
+    A = np.array([[[1, 2], [2, 4]], [[0, 1], [1, 0]], [[np.nan, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 0], [0, 0]]],
+                 dtype=complex)
+    b = np.array([[1, 1], [1, 2], [1, 1], [np.inf, 1], [1, 1]], dtype=complex)
+    x, ok = solver._solve_rows(A, b)
+    assert ok.tolist() == [False, True, False, False, False]
+    assert x[1].tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_rows_bits_do_not_depend_on_batch_size(n):
+    # a row solved alone gets the bits it gets in a batch of 4096, the
+    # chunk size, singular and non-finite rows of the batch notwithstanding
+    A, b = _random_systems(n, 4096, 10 + n)
+    A[::7, -1] = 0.0
+    A[3::11, 0, 0] = np.nan
+    x, ok = solver._solve_rows(A, b)
+    assert not ok[::7].any() and not ok[3::11].any()
+    for r in np.flatnonzero(ok):
+        one, one_ok = solver._solve_rows(A[r : r + 1], b[r : r + 1])
+        assert one_ok[0] and one.tobytes() == x[r].tobytes()
+
+
+# ----------------------------------------------------------------------
 # curve-product sweep: fibers, skips, asymptotic anchors
 
 
