@@ -291,9 +291,9 @@ def cmd_verify(args) -> int:
                 rows.append(("-", "zero-count", False, str(exc)))
 
     all_ok = all(ok for _, _, ok, _ in rows)
-    print(f"{'record':>7} {'check':<12} {'status':<6} detail")
-    for idx, name, ok, detail in rows:
-        print(f"{str(idx):>7} {name:<12} {'pass' if ok else 'FAIL':<6} {detail}")
+    lines = [f"{'record':>7} {'check':<12} {'status':<6} detail"]
+    lines += [f"{str(idx):>7} {name:<12} {'pass' if ok else 'FAIL':<6} {detail}" for idx, name, ok, detail in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
     if not all_ok:
         worst = [(idx, name, detail) for idx, name, ok, detail in rows if not ok][0]
         _err(f"verification failed; first offender: record {worst[0]} {worst[1]} {worst[2]}")

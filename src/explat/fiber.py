@@ -5,8 +5,10 @@ torus factor, (x_k, y_k) for an elliptic factor; curve equations are
 appended implicitly).  Each equation must bind exactly one new unknown, so
 fibers are solved by a chain of univariate all-roots solves, certified
 distinct by Smale's alpha-test, and branches are continued by tracking one
-root per stage with Newton's method from the previous root, accepted only
-where the alpha-test certifies that start.
+root per stage with Newton's method from its tangent prediction u + du/dz .
+dZ (implicit differentiation at the current point), accepted only where the
+alpha-test certifies that start; a predictor-corrector step after Allgower-
+Georg, Introduction to Numerical Continuation Methods (SIAM 2003), Ch. 6.
 
 The continuation engine (_Tracker) is batched: it advances many
 (parameter-path, branch) rows through the same stage structure at once,
@@ -15,12 +17,13 @@ take: branch_base returns the base fiber as one, and each row carries its
 point, fiber values, logarithm, step rates and failure reason, so a row
 that fails keeps the guard that fired and later advances pass it by.
 Each row sizes its own substeps from two rates per unit of parameter
-motion, the alpha of its previous root and its log motion over the
-lattice gap, measured by its last accepted substep (in closed form before
-its first, or along a new heading): a substep aims for alpha ALPHA_STEP
-and a quarter gap of log motion, grows at most 2x, and keeps its chord sag
-within SAG_STEP of that motion, after Beltran-Leykin, "Certified
-numerical homotopy tracking" (Exp. Math. 21, 2012).
+motion, measured by its last accepted substep (in closed form before its
+first, or along a new heading): kappa = sqrt(alpha)/|dZ|, alpha being that
+of its predicted start, which grows as |dZ|^2, and its log motion over the
+lattice gap.  A substep aims for alpha ALPHA_STEP and a quarter gap of log
+motion, grows at most 2x, and keeps its chord sag within SAG_STEP of that
+motion, after Beltran-Leykin, "Certified numerical homotopy tracking"
+(Exp. Math. 21, 2012).
 
 Row arithmetic never reads other rows, and numpy's elementwise arithmetic
 gives a row the same bits in a batch of any size, with one pitfall: numpy
@@ -45,7 +48,7 @@ from .torus import torus_log_near
 LEAD_TOL = 1e-10       # relative leading-coefficient degeneracy threshold
 MIN_FRACTION = 1e-7    # adaptive parameter-step underflow
 DONE = 1.0 - 1e-12     # path parameter at which a row has arrived
-ALPHA_STEP = 0.1       # alpha a substep aims for, below ALPHA_0 = 0.157
+ALPHA_STEP = 0.1       # alpha a predicted start aims for, below ALPHA_0 = 0.157; it grows as |dZ|^2
 LOG_STEP = 0.25        # log motion a substep aims for, in gaps; the guard allows 0.5
 SAG_STEP = 0.5         # chord sag allowed, in units of the motion the rates allow
 SECANT_MIN = 1e-8      # relative motion below which a substep's rates are rounding
@@ -438,17 +441,33 @@ def fiber_logs(spec: ProblemSpec, vals: dict, anchor=None):
     return G, ok
 
 
+def _stage_slope(stage: Stage, known: dict, slope: dict):
+    """How far the stage unknown u moves when each variable v it reads moves by slope[v].
+
+    The stage residual P vanishes along the branch, so by implicit
+    differentiation at `known`, u moves by -(sum_v dP/dv * slope[v]) / (dP/du).
+    slope[v] is one move per row, (m,), or a stack of them, (n, m); rows
+    where dP/du vanishes come out non-finite.
+    """
+    num = 0.0
+    for name, dp in stage.partials:
+        c = dp.eval(known)
+        if name == stage.unknown:
+            den = c
+        else:
+            num = num + c * slope[name]
+    return -num / den
+
+
 def _derivatives(spec: ProblemSpec, Z, vals: dict):
     """Stage values, du/dz of every stage unknown, and dG/dz at each row of Z.
 
     Returns (known, dz, J): known maps every z variable and stage unknown
-    to its row values, dz maps each stage unknown u to du/dz of shape (m, n),
-    and J (m, n, n) holds J[r, i, k] = dG_i/dz_k.  Each stage residual P
-    vanishes along the branch, so by implicit differentiation its unknown
-    moves by du/dz = -(dP/dz + sum_v dP/dv * dv/dz) / (dP/du), v running
-    over the unknowns of earlier stages.  Then dG_k = dw/w on a torus factor
-    and dG_k = dx/y (the invariant differential) on an elliptic one.  Rows
-    where a denominator vanishes come out non-finite.
+    to its row values, dz maps each stage unknown u to du/dz of shape (m, n)
+    (_stage_slope along each unit z direction), and J (m, n, n) holds
+    J[r, i, k] = dG_i/dz_k: dG_k = dw/w on a torus factor and dG_k = dx/y
+    (the invariant differential) on an elliptic one.  Rows where a
+    denominator vanishes come out non-finite.
     """
     Z = np.asarray(Z, dtype=complex)
     m, n = Z.shape
@@ -456,26 +475,19 @@ def _derivatives(spec: ProblemSpec, Z, vals: dict):
     known = {nm: Z[:, i] for i, nm in enumerate(sig.z_vars)}
     known.update(vals)
     eye = np.eye(n, dtype=complex)
-    dz = {nm: np.broadcast_to(eye[i], (m, n)) for i, nm in enumerate(sig.z_vars)}
+    dz = {nm: np.broadcast_to(eye[i][:, None], (n, m)) for i, nm in enumerate(sig.z_vars)}
     J = np.empty((m, n, n), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for stage in spec.stages:
-            num = np.zeros((m, n), dtype=complex)
-            for name, dp in stage.partials:
-                c = np.broadcast_to(np.asarray(dp.eval(known), dtype=complex), (m,))
-                if name == stage.unknown:
-                    den = c
-                else:
-                    num += c[:, None] * dz[name]
-            dz[stage.unknown] = -num / den[:, None]
+            dz[stage.unknown] = np.broadcast_to(_stage_slope(stage, known, dz), (n, m))
         for k, (kind, _) in enumerate(sig.factors):
             if kind == "torus":
                 (w,) = sig.factor_vars(k)
-                J[:, k] = dz[w] / known[w][:, None]
+                J[:, k] = dz[w].T / known[w][:, None]
             else:
                 xk, yk = sig.factor_vars(k)
-                J[:, k] = dz[xk] / known[yk][:, None]
-    return known, dz, J
+                J[:, k] = dz[xk].T / known[yk][:, None]
+    return known, {nm: d.T for nm, d in dz.items()}, J
 
 
 def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
@@ -528,12 +540,14 @@ def branch_base(spec: ProblemSpec, domain: SectorDomain, z0) -> "_Tracker":
 def _start_rates(spec: ProblemSpec, Z, vals: dict, direction=None):
     """(alpha_rate, log_rate) of _Tracker in closed form at each row of Z.
 
-    A parameter move dZ moves a stage root by about du/dz . dZ, so the
-    alpha of the old root at the new point is about gamma * |du/dz . dZ|;
-    the logarithm moves by dG/dz . dZ.  The rates bound every dZ by
-    |du/dz|_1 |dZ|_inf, or with a direction (m, n, no row 0) hold along it,
-    where a stage that does not move adds 0.  Non-finite rates (a
-    denominator vanished) come out inf, which no step can satisfy.
+    A parameter move dZ moves a stage root by about du/dz . dZ, and the
+    tangent prediction misses it by about |u''| |dZ|^2 / 2 with
+    |u''| <~ 2 gamma |du/dz|^2, so the alpha of that start is about
+    (gamma |du/dz . dZ|)^2 and alpha_rate, kappa = sqrt(alpha)/|dZ|, is
+    about gamma |du/dz|; the logarithm moves by dG/dz . dZ.  The rates
+    bound every dZ by |du/dz|_1 |dZ|_inf, or with a direction (m, n, no row
+    0) hold along it, where a stage that does not move adds 0.  Non-finite
+    rates (a denominator vanished) come out inf, which no step can satisfy.
     """
     known, dz, J = _derivatives(spec, Z, vals)
     m = Z.shape[0]
@@ -560,14 +574,17 @@ def _start_rates(spec: ProblemSpec, Z, vals: dict, direction=None):
 def _log_seed(curve: EllipticCurveParams, g, x0, y0, x1, y1):
     """Elliptic log start at (x1, y1) from the log g at (x0, y0), rowwise: the fourth-order
     trapezoid rule for dv = dx/y with its endpoint correction, g + h/2 (1/y0 + 1/y1) + h^2/12
-    (f'(x0) - f'(x1)), h = x1 - x0, f' = -(6x^2 - g2/2)/y^3; where that is not finite (y = 0),
-    the trapezoid rule for dx = y dv, g + 2h/(y0 + y1); where neither is, g."""
+    (f'(x0) - f'(x1)), h = x1 - x0, f' = -(6x^2 - g2/2)/y^3.  Near a half period y -> 0 and 1/y
+    is singular in x, so where that step is not finite or differs from the trapezoid rule for
+    dx = y dv, 2h/(y0 + y1), by more than the latter's size, the seed is g + 2h/(y0 + y1);
+    where neither is finite, g."""
     h = x1 - x0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         trapezoid = 2.0 * h / (y0 + y1)
         slope0, slope1 = (-(6.0 * x * x - 0.5 * curve.g2) / (y * y * y) for x, y in ((x0, y0), (x1, y1)))
         corrected = 0.5 * h * (1.0 / y0 + 1.0 / y1) + h * h / 12.0 * (slope0 - slope1)
-    return g + np.where(np.isfinite(corrected), corrected, np.where(np.isfinite(trapezoid), trapezoid, 0.0))
+        agree = np.abs(corrected - trapezoid) <= np.abs(trapezoid)
+    return g + np.where(agree, corrected, np.where(np.isfinite(trapezoid), trapezoid, 0.0))
 
 
 def straight_path(Z0, Z1) -> Callable:
@@ -590,8 +607,9 @@ class _Tracker:
     parameter point Z[r], stage values, logarithm G[r], branch id, failure
     reason (0 while the row is alive, else FAIL_BRANCH or FAIL_DOMAIN), and
     two rates per unit of parameter motion |dZ|_inf:
-    - alpha_rate: Smale's alpha of the previous stage roots at the new
-      point, the largest over the stages of degree > 1;
+    - alpha_rate: kappa = sqrt(alpha) / |dZ|_inf, alpha being Smale's alpha
+      of the predicted stage roots at the new point, the largest over the
+      stages of degree > 1 (it grows as |dZ|^2);
     - log_rate: max_k |dG_k| / gap_k.
     branch_base builds the rows of a base fiber with the rates in closed
     form (_start_rates); each accepted substep then sets them from its own
@@ -604,8 +622,10 @@ class _Tracker:
     their way.  A path is called as path(t, rows) and returns the points
     of the tracker rows `rows` at their parameters t, so only live rows are
     evaluated.  Each stage root of degree > 1 is tracked by Newton's method
-    from the row's previous root, taken only where Smale's alpha-test at
-    that start certifies convergence to a unique nearby root.  The elliptic
+    from its tangent prediction u + du/dz . dZ at the row's current point,
+    taken only where Smale's alpha-test at that start certifies convergence
+    to a unique nearby root; a row whose prediction is not finite starts
+    from its previous root (_stage_roots).  The elliptic
     logarithm is predicted from the invariant differential dv = dx/y and
     polished by Gauss-Newton on the rows the other guards kept.  Guards
     (alpha test, root residual, leading coefficient, log step, domain)
@@ -649,13 +669,13 @@ class _Tracker:
 
         Returns (ok, reason, cand, Gnew) for those rows; the state is not
         changed.  cand maps each stage unknown to its new values, and
-        "alpha" to the alpha that the alpha-test judged, the largest over
-        the stages of degree > 1 (0 where there are none).  Gauss-Newton
-        solves the elliptic log only on the rows the stage and domain
-        guards (and earlier factors) kept, from _log_seed; Gnew holds the
-        previous log on the others.  A stage whose inputs are bitwise
-        unchanged on every row keeps its certified roots, and a factor made
-        only of such stages its log.
+        "alpha" to the alpha that the alpha-test judged at the predicted
+        starts (_stage_roots), the largest over the stages of degree > 1 (0
+        where there are none).  Gauss-Newton solves the elliptic log only on
+        the rows the stage and domain guards (and earlier factors) kept,
+        from _log_seed; Gnew holds the previous log on the others.  A stage
+        whose inputs are bitwise unchanged on every row keeps its certified
+        roots, and a factor made only of such stages its log.
         """
         spec = self.spec
         m = Znext.shape[0]
@@ -665,25 +685,7 @@ class _Tracker:
             inside = domain.contains_batch(Znext)
             reason[~inside] = self.FAIL_DOMAIN
             ok &= inside
-        known = {nm: Znext[:, i] for i, nm in enumerate(spec.signature.z_vars)}
-        still = {nm for i, nm in enumerate(spec.signature.z_vars) if np.array_equal(Znext[:, i], self.Z[rows, i])}
-        cand = {"alpha": np.zeros(m)}
-        for stage in spec.stages:
-            chosen = self.vals[stage.unknown][rows]
-            if still.issuperset(v for v, _ in stage.partials if v != stage.unknown):
-                still.add(stage.unknown)
-            else:
-                coeffs, lead_ok = _stage_coeffs(stage, known, m)
-                ok &= lead_ok
-                if stage.degree == 1:
-                    chosen = -coeffs[:, 0] / coeffs[:, 1]
-                else:
-                    chosen, alpha, cert = _certified_newton(coeffs, chosen, ok)
-                    cand["alpha"] = np.maximum(cand["alpha"], alpha)
-                    finite = np.isfinite(chosen)
-                    res_ok = _poly_residual_ok(coeffs, np.where(finite, chosen, 0.0)[:, None], 1e-9)
-                    ok &= cert & finite & res_ok
-            known[stage.unknown] = cand[stage.unknown] = chosen
+        cand, still = self._stage_roots(Znext, rows, ok)
         Gnew = np.empty((m, spec.n), dtype=complex)
         for k, (kind, curve) in enumerate(spec.signature.factors):
             prev_g = self.G[rows, k]
@@ -707,14 +709,59 @@ class _Tracker:
         reason[(reason == 0) & ~ok] = self.FAIL_BRANCH
         return ok, reason, cand, Gnew
 
+    def _stage_roots(self, Znext, rows, ok):
+        """Stage roots of the tracker rows `rows` at Znext: (cand, still), clearing `ok` where a guard fires.
+
+        Each stage root of degree > 1 is Newton's method from its tangent
+        prediction u + du/dz . dZ, dZ = Znext - Z, taken only where Smale's
+        alpha-test at that start certifies it; du/dz . dZ comes stage by
+        stage at the row's current point (_stage_slope), and a row whose
+        prediction is not finite starts from u.  A degree-1 stage is solved
+        outright.  still holds the unknowns whose inputs are bitwise
+        unchanged on every row; they keep their roots.  The current point and
+        the predictions live only here, not through the trial's logarithms.
+        """
+        spec = self.spec
+        m = Znext.shape[0]
+        Z = self.Z[rows]
+        here = {nm: Z[:, i] for i, nm in enumerate(spec.signature.z_vars)}
+        here.update((nm, col[rows]) for nm, col in self.vals.items())
+        slope = {nm: Znext[:, i] - Z[:, i] for i, nm in enumerate(spec.signature.z_vars)}
+        known = {nm: Znext[:, i] for i, nm in enumerate(spec.signature.z_vars)}
+        still = {nm for i, nm in enumerate(spec.signature.z_vars) if np.array_equal(Znext[:, i], Z[:, i])}
+        cand = {"alpha": np.zeros(m)}
+        for stage in spec.stages:
+            chosen = here[stage.unknown]
+            if still.issuperset(v for v, _ in stage.partials if v != stage.unknown):
+                still.add(stage.unknown)
+                slope[stage.unknown] = 0.0
+            else:
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    slope[stage.unknown] = _stage_slope(stage, here, slope)
+                    start = chosen + slope[stage.unknown]
+                coeffs, lead_ok = _stage_coeffs(stage, known, m)
+                ok &= lead_ok
+                if stage.degree == 1:
+                    chosen = -coeffs[:, 0] / coeffs[:, 1]
+                else:
+                    chosen, alpha, cert = _certified_newton(coeffs, np.where(np.isfinite(start), start, chosen), ok)
+                    cand["alpha"] = np.maximum(cand["alpha"], alpha)
+                    finite = np.isfinite(chosen)
+                    res_ok = _poly_residual_ok(coeffs, np.where(finite, chosen, 0.0)[:, None], 1e-9)
+                    ok &= cert & finite & res_ok
+            known[stage.unknown] = cand[stage.unknown] = chosen
+        return cand, still
+
     # -- step sizing ------------------------------------------------------
     def _step(self, path: Callable, t, limit, rows):
         """Substep of the rows `rows` from t along path: (dt, t_next, Znext).
 
         dt is at most limit, the remaining 1 - t, and the motion bound
-        1 / (rate * |dz/dt|_inf), where rate = max(alpha_rate / ALPHA_STEP,
-        log_rate / LOG_STEP) and the path's velocity comes from a difference
-        over VELOCITY_DT.  The chord sag |path(t + dt/2) - (Z + path(t + dt))/2|_inf
+        1 / (rate * |dz/dt|_inf), where rate = max(alpha_rate /
+        sqrt(ALPHA_STEP), log_rate / LOG_STEP) and the path's velocity comes
+        from a difference over VELOCITY_DT: a predicted start's alpha is
+        (kappa |dZ|)^2, so |dZ| = sqrt(ALPHA_STEP) / kappa aims for
+        ALPHA_STEP.  The chord sag |path(t + dt/2) - (Z + path(t + dt))/2|_inf
         must then stay within SAG_STEP / rate, so a step cannot cut across a
         curved path (the leg-1 log-spiral, a monodromy circle) that the trial
         sees only at its ends; a row whose dt sags too far halves it until
@@ -726,7 +773,7 @@ class _Tracker:
         t1 = np.minimum(t0 + VELOCITY_DT, 1.0)
         speed = np.max(np.abs(path(t1, rows) - Z0), axis=1) / (t1 - t0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.maximum(self.alpha_rate[rows] / ALPHA_STEP, self.log_rate[rows] / LOG_STEP)
+            rate = np.maximum(self.alpha_rate[rows] / math.sqrt(ALPHA_STEP), self.log_rate[rows] / LOG_STEP)
             dt = np.minimum(np.minimum(limit[rows], 1.0 - t0), 1.0 / (rate * speed))
         dt = np.where(rate < np.inf, dt, 0.0)
         t_next, Znext = np.empty_like(t0), np.empty_like(Z0)
@@ -789,7 +836,7 @@ class _Tracker:
         self.reason[todo & (t_cur < DONE) & (self.reason == self.OK)] = self.FAIL_BRANCH
 
     def _measure(self, rows, Znext, Gnew, alpha):
-        """Set the rates of accepted `rows` from their substep to Znext.
+        """Set the rates of accepted `rows` from their substep to Znext: alpha_rate = sqrt(alpha) / |dZ|_inf.
 
         Substeps with |dZ|_inf <= SECANT_MIN * (1 + |Z|_inf) leave the rates
         alone: their alpha and log motion are mostly rounding.
@@ -799,7 +846,7 @@ class _Tracker:
         moved = dz > SECANT_MIN * (1.0 + np.max(np.abs(Z), axis=1))
         r = rows[moved]
         dz = dz[moved]
-        self.alpha_rate[r] = alpha[moved] / dz
+        self.alpha_rate[r] = np.sqrt(alpha[moved]) / dz
         self.log_rate[r] = np.max(np.abs(Gnew[moved] - self.G[r]) / self.gaps, axis=1) / dz
 
 

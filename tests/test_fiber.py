@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from explat import elliptic, fiber
+from explat import core, elliptic, fiber
 from explat.elliptic import EllipticCurveParams, Lattice, wp_both
 from explat.fiber import (
     LOG_STEP,
@@ -30,7 +30,7 @@ from explat.fiber import (
     monodromy_profile,
     straight_path,
 )
-from explat.solver import _base_point, _exp_residuals, _sample_domain, sweep
+from explat.solver import _base_point, _continue_leg1, _exp_residuals, _sample_domain, enumerate_lattice, sweep
 from explat.specfile import parse_run
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -539,10 +539,11 @@ def _sweep_trials(monkeypatch, name, epsilon=None, radius=None):
 
 
 def test_sweep_trial_rows_on_curve_product(monkeypatch):
-    # steps sized from each row's measured alpha and log motion take 2124
-    # trial rows here; a fixed step cap took 3564
+    # steps sized from each row's measured alpha and log motion, from
+    # tangent-predicted Newton starts, take 692 trial rows here; starts from
+    # the previous root took 784, and a fixed step cap 3564
     _, rows, _ = _sweep_trials(monkeypatch, "wp_example", epsilon=0.15)
-    assert rows <= 2600
+    assert rows <= 800
 
 
 def test_sweep_rejects_few_trials_on_sqrt_branch(monkeypatch):
@@ -554,26 +555,102 @@ def test_sweep_rejects_few_trials_on_sqrt_branch(monkeypatch):
 
 def test_sweep_trials_whole_chunks_on_wide_sqrt_branch(monkeypatch):
     # the 795 lambda x 2 branches of radius 2.6:5000 fill one chunk, so the
-    # carry to the fixed point trials them together: 1591 rows for 1590
-    # records; chunks of 24 lambda took 131 calls for the same rows, and a
-    # continuation per Newton step took 4803.  Leg 1 runs out
+    # carry to the fixed point trials them together: 1590 rows for 1590
+    # records in one call; chunks of 24 lambda took 131 calls for the same
+    # rows, and a continuation per Newton step took 4803.  Leg 1 runs out
     # to hubs on the base ray and then a short twig to each chart point:
-    # 2892 rows, where one spiral from the base point to each chart point
-    # took 35642 (40445 in all)
+    # 1698 rows in 10 calls from tangent-predicted Newton starts, where
+    # starts from the previous root took 2892 in 28 (4483 rows in 30 calls
+    # in all), and one spiral from the base point to each chart point took
+    # 35642 (40445 in all)
     calls, rows, _ = _sweep_trials(monkeypatch, "sqrt_branch", radius=(2.6, 5000.0))
-    assert calls <= 40
-    assert rows == 4483
+    assert calls <= 15
+    assert rows == 3288
 
 
 def test_sweep_trial_rows_on_wp_example(monkeypatch):
     # leg 2 walks one row per (lambda, leg-2 class), 4 of the 12 branches,
     # and holds z1, so the stages that read only z1 stay still; the fixed
     # point takes Newton steps on F and one carry per row.  Each walker's
-    # first leg-2 step is sized along its own direction: 16868 trial rows,
-    # where leg 1's last rates took 21016, and one leg-2 walk per row and a
-    # continuation per Newton step 62111
+    # first leg-2 step is sized along its own direction, and every stage's
+    # Newton starts from its tangent prediction: 14400 trial rows, where
+    # starts from the previous root took 16868, leg 1's last rates 21016,
+    # and one leg-2 walk per row and a continuation per Newton step 62111
     _, rows, _ = _sweep_trials(monkeypatch, "wp_example")
-    assert rows <= 18000
+    assert rows <= 15000
+
+
+def test_leg1_on_wp_example_takes_few_trials(monkeypatch):
+    # the 12 branches run to wp_example's one chart point, hub then twig, in
+    # 13 trials from tangent-predicted Newton starts; starts from the
+    # previous root took 25
+    st = parse_run((EXAMPLES / "wp_example.spec").read_text())
+    lams = enumerate_lattice(st.problem.signature, st.domain, st.radius)
+    base = branch_base(st.problem, st.domain, _base_point(st.domain))
+    calls = [0]
+    trial = _Tracker._trial
+
+    def counted(self, Znext, domain, rows=slice(None)):
+        calls[0] += 1
+        return trial(self, Znext, domain, rows)
+
+    monkeypatch.setattr(_Tracker, "_trial", counted)
+    leg1 = _continue_leg1(st.problem, st.domain, base, lams[:, st.domain.chart])
+    assert leg1.tracker.m == 12 and not leg1.tracker.reason.any()
+    assert calls[0] <= 14
+
+
+def test_predicted_start_alpha_falls_with_the_square_of_the_step(sqrt_spec):
+    # w1^2 = z1: Newton from the tangent prediction w + dZ/(2w) starts
+    # O(|dZ|^2) from the root, so halving dZ cuts its alpha about 4x; from
+    # the previous root w it starts O(|dZ|) away, and alpha falls about 2x.
+    # kappa = sqrt(alpha)/|dZ| is then about the closed-form rate
+    # gamma |dw/dz| = 1/(4|z|) that a row starts from
+    tr = branch_base(sqrt_spec, None, [9.0 + 1.0j])
+    predicted, previous = [], []
+    for h in (0.4, 0.2):
+        dZ = h * np.exp(0.7j)
+        _, _, cand, _ = tr._trial(tr.Z + dZ, None)
+        predicted.append(cand["alpha"])
+        z1 = tr.Z[:, 0] + dZ
+        step, gamma = core._smale(np.stack([-z1, 0.0 * z1, 1.0 + 0.0 * z1], axis=1), tr.vals["w1"][:, None])
+        previous.append(np.abs(step[:, 0]) * gamma[:, 0])
+        assert np.allclose(np.sqrt(cand["alpha"]) / h, tr.alpha_rate, rtol=0.05, atol=0.0)
+    assert np.all((3.5 < predicted[0] / predicted[1]) & (predicted[0] / predicted[1] < 4.5))
+    assert np.all((1.8 < previous[0] / previous[1]) & (previous[0] / previous[1] < 2.2))
+
+
+def test_trial_starts_a_row_whose_prediction_is_not_finite_from_its_previous_root(curve_pair_spec, monkeypatch):
+    # row 3's predictions forced to nan: its Newton starts from its previous
+    # roots, in every stage, and still certifies this short step; every
+    # other row keeps the bits of a trial without the forcing
+    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    Znext = base.Z + 0.01 * np.exp(1j * np.arange(base.m))[:, None]
+    want_ok, _, want, want_G = base._trial(Znext, None)
+    starts = []
+    newton, stage_slope = fiber._certified_newton, fiber._stage_slope
+
+    def spy(coeffs, x, ok):
+        starts.append(x.copy())
+        return newton(coeffs, x, ok)
+
+    def forced(stage, known, slope):
+        out = np.array(stage_slope(stage, known, slope))
+        out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(fiber, "_certified_newton", spy)
+    monkeypatch.setattr(fiber, "_stage_slope", forced)
+    ok, _, cand, G = base._trial(Znext, None)
+    tracked = [st.unknown for st in curve_pair_spec.stages if st.degree > 1]
+    assert len(starts) == len(tracked) == 3
+    for x, nm in zip(starts, tracked):
+        assert x[3] == base.vals[nm][3] and np.count_nonzero(x != base.vals[nm]) == base.m - 1
+    other = np.arange(base.m) != 3
+    assert ok.tolist() == want_ok.tolist() and ok.all()
+    assert all(cand[nm][other].tobytes() == want[nm][other].tobytes() for nm in want)
+    assert G[other].tobytes() == want_G[other].tobytes()
+    assert max(abs(cand[nm][3] - want[nm][3]) for nm in base.vals) < 1e-12
 
 
 def test_trial_solves_logs_only_on_the_rows_its_guards_kept(curve_pair_spec, monkeypatch):
@@ -647,6 +724,23 @@ def test_log_seed_settles_in_fewer_wp_evaluations(square_curve, monkeypatch):
         assert ok.all() and np.max(np.abs(v - v1)) < 1e-12
         rows[name] = count[0]
     assert rows["corrected"] < rows["trapezoid"]
+
+
+def test_log_seed_settles_near_a_half_period(square_curve):
+    # the segment of length 0.1 from 0.40 + 0.48i + 0.1 e^(0.2i) to
+    # 0.40 + 0.48i passes the half period (1 + i)/2, where y -> 0 and 1/y is
+    # singular in x: the corrected rule for dv = dx/y differs from the
+    # trapezoid rule for dx = y dv by more than the latter's size, so the
+    # seed is the latter, and Gauss-Newton settles from it.  So do 200
+    # seeded random segments of length 0.1 that keep 0.1 from the poles
+    rng = np.random.default_rng(0)
+    v1 = np.concatenate([[0.40 + 0.48j], 0.2 + 0.6 * (rng.random(200) + 1j * rng.random(200))])
+    v0 = v1 + 0.1 * np.exp(1j * np.concatenate([[0.2], 2.0 * math.pi * rng.random(200)]))
+    (x0, y0, _), (x1, y1, _) = wp_both(v0, square_curve), wp_both(v1, square_curve)
+    seed = fiber._log_seed(square_curve, v0, x0, y0, x1, y1)
+    assert seed[0] == v0[0] + 2.0 * (x1[0] - x0[0]) / (y0[0] + y1[0])
+    v, ok, _ = elliptic._gauss_newton_log(square_curve, x1, y1, seed, 40)
+    assert ok.all() and np.max(np.abs(v - v1)) < 1e-12
 
 
 def test_continuation_detects_branch_point(sqrt_spec):
