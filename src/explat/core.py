@@ -85,6 +85,8 @@ def _certified_newton(coeffs: np.ndarray, x: np.ndarray, ok: np.ndarray):
     d = coeffs.shape[1] - 1
     live = np.flatnonzero(cert)
     for _ in range(NEWTON_STEPS - 1):
+        if not live.size:
+            break
         r = x[live]
         c = coeffs[live]
         p = c[:, d]

@@ -36,7 +36,7 @@ batched; tests pin this for wp_both and for sweeps at several chunk sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -273,6 +273,11 @@ class ProblemSpec:
     equations: tuple  # user equations as MPoly residuals (lhs - rhs)
     stages: tuple
     degree: int
+    partials: tuple = field(init=False, repr=False, compare=False)  # per equation: (variable, dP/dvariable)
+
+    def __post_init__(self):
+        object.__setattr__(self, "partials", tuple(tuple((v, eq.diff(v)) for v in eq.vars if v in eq.used_vars())
+                                                   for eq in self.equations))
 
     @property
     def n(self) -> int:
@@ -359,10 +364,9 @@ def _stage_coeffs(stage: Stage, known: dict, m: int):
     the dummy monic row x^d, which keeps batched root solves over all m rows
     well posed.
     """
-    coeffs = np.stack(
-        [np.broadcast_to(np.asarray(cp.eval(known), dtype=complex), (m,)) for cp in stage.coeff_polys],
-        axis=1,
-    )
+    coeffs = np.empty((m, len(stage.coeff_polys)), dtype=complex)
+    for k, cp in enumerate(stage.coeff_polys):
+        coeffs[:, k] = cp.eval(known)
     top = np.max(np.abs(coeffs), axis=1)
     lead_ok = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
     coeffs[~lead_ok] = 0.0
@@ -505,36 +509,51 @@ def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
 
 
 def branch_base(spec: ProblemSpec, domain: SectorDomain, z0) -> "_Tracker":
-    """A tracker with one row per fiber point at z0, ids 0..degree-1 by
-    lexicographic alpha order.
-
-    G starts as the anchor-0 torus branch / fundamental-cell elliptic
-    logarithm of each alpha coordinate, and the step rates come in closed
-    form (_start_rates).  A degenerate fiber raises DegenerateFiber naming
-    the guard and the stage that fired.
+    """A tracker with one row per fiber point at z0 (_fiber_rows).  A
+    degenerate fiber raises DegenerateFiber naming the guard and the stage
+    that fired, a logarithm that did not converge NonConvergence.
     """
     z0 = np.asarray(z0, dtype=complex)
     if domain is not None and not domain.contains(z0):
         raise LeftDomain("base point outside the sector domain")
-    _, vals, _, dropped = _batched_fiber(spec, z0[None, :], ROOT_TOL)
-    if dropped:
-        unknown, guard = dropped[0]
-        raise DegenerateFiber(f"{guard} guard fired in the {unknown} stage")
+    tr, why = _fiber_rows(spec, z0[None, :])
+    if why:
+        raise why[0]
+    return tr
+
+
+def _fiber_rows(spec: ProblemSpec, Z):
+    """The fibers over the rows of Z as one tracker, and why the others failed.
+
+    Returns (tr, why).  tr holds degree rows for each row of Z whose whole
+    fiber passed every guard, in the order of Z, with ids 0..degree-1 by
+    lexicographic alpha order within each; G is the anchor-0 torus branch /
+    fundamental-cell elliptic logarithm of each alpha coordinate, and the
+    step rates come in closed form (_start_rates).  why maps each other row
+    of Z to the error of its first failure: a _batched_fiber guard, a
+    vanished torus coordinate, or a logarithm that did not converge.
+    """
+    rowsZ, vals, idx, dropped = _batched_fiber(spec, Z, ROOT_TOL)
+    why = {j: DegenerateFiber(f"{guard} guard fired in the {unknown} stage") for j, (unknown, guard) in dropped.items()}
     sig = spec.signature
     for k, (kind, _) in enumerate(sig.factors):
         if kind == "torus":
             w = vals[sig.factor_vars(k)[0]]
-            if np.any(np.abs(w) < ALPHA_TINY * (1.0 + np.abs(w))):
-                raise DegenerateFiber("torus coordinate vanished on the fiber")
+            for j in idx[np.abs(w) < ALPHA_TINY * (1.0 + np.abs(w))].tolist():
+                why.setdefault(j, DegenerateFiber("torus coordinate vanished on the fiber"))
     G, ok = fiber_logs(spec, vals)
-    if not ok.all():
-        raise NonConvergence("base-point logarithm did not converge")
-    # lexicographic in (re, im) of the group variables; stable on ties
-    order = np.lexsort([part(vals[nm]) for nm in reversed(sig.group_vars) for part in (np.imag, np.real)])
-    Z = np.repeat(z0[None, :], order.size, axis=0)
+    for j in idx[~ok].tolist():
+        why.setdefault(j, NonConvergence("fiber logarithm did not converge"))
+    # by row of Z, then lexicographic in (re, im) of the group variables; stable on ties
+    keys = [part(vals[nm]) for nm in reversed(sig.group_vars) for part in (np.imag, np.real)]
+    order = np.lexsort(keys + [idx])
+    failed = np.zeros(len(Z), dtype=bool)
+    failed[list(why)] = True
+    order = order[~failed[idx[order]]]
+    Z = rowsZ[order]
     vals = {nm: col[order] for nm, col in vals.items()}
-    return _Tracker(spec, Z, vals, G[order], np.arange(order.size), _start_rates(spec, Z, vals),
-                    np.zeros(order.size, dtype=np.int8))
+    return _Tracker(spec, Z, vals, G[order], np.arange(order.size) % spec.degree, _start_rates(spec, Z, vals),
+                    np.zeros(order.size, dtype=np.int8)), why
 
 
 def _start_rates(spec: ProblemSpec, Z, vals: dict, direction=None):
@@ -655,6 +674,15 @@ class _Tracker:
         step from these rows' last and skips the rows that failed."""
         return _Tracker(self.spec, self.Z[rows], {nm: col[rows] for nm, col in self.vals.items()}, self.G[rows],
                         self.branch_ids[rows], (self.alpha_rate[rows], self.log_rate[rows]), self.reason[rows])
+
+    @staticmethod
+    def stack(parts) -> "_Tracker":
+        """One tracker holding the rows of each tracker in parts, in turn."""
+        def cat(name):
+            return np.concatenate([getattr(p, name) for p in parts])
+        vals = {nm: np.concatenate([p.vals[nm] for p in parts]) for nm in parts[0].vals}
+        return _Tracker(parts[0].spec, cat("Z"), vals, cat("G"), cat("branch_ids"), (cat("alpha_rate"), cat("log_rate")),
+                        cat("reason"))
 
     def aim(self, rows, direction):
         """Set the rates of `rows` along `direction` (_start_rates); a row whose direction is 0 keeps them."""

@@ -5,13 +5,15 @@ coordinate at a time over all chart points, no loop per chart point), gate
 on a contraction bound for dG sampled from its closed form
 (fiber.g_jacobian), drop points too close to the domain boundary (closer
 than the measured G bound), then continue every branch from one base point
-to each distinct chart point once (leg 1, a tree: out along the base ray to
-hubs at the base radius times powers of HUB_RATIO, then a short twig from
-the nearest hub to each chart point), hand each lattice point copies of its
-chart point's end rows by index, continue them to their lattice point (leg 2,
-one walk per class of branches it moves alike, aimed along its own
-heading), and solve z = lambda + G(z) there by Newton's method on
-F(z) = P(z, exp_S(z)) from the first-order fixed point and one continuation.
+to each distinct chart point once (leg 1, a tree: up the base ray to hubs at
+the base radius times powers of HUB_RATIO, as a ladder of rungs at those
+radii whose fibers are re-solved and whose segments run in one advance, then
+a short twig from the nearest hub to each chart point), hand each lattice
+point copies of its chart point's end rows by index, continue them to their
+lattice point (leg 2, one walk per class of branches it moves alike, aimed
+along its own heading), and solve z = lambda + G(z) there by Newton's method
+on F(z) = P(z, exp_S(z)) from the first-order fixed point and one
+continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
 CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
@@ -35,6 +37,7 @@ from .fiber import (
     ProblemSpec,
     SectorDomain,
     _batched_fiber,
+    _fiber_rows,
     _stage_coeffs,
     _Tracker,
     branch_base,
@@ -48,7 +51,7 @@ CHUNK_ROWS = 4096      # (lambda, branch) rows per work chunk, fixed for determi
 GATE_LIMIT = 0.5       # contraction bound required before sweeping
 GAMMA_POINTS = 5       # records per branch used for the gamma estimate
 BASE_RADIUS_FACTOR = 1.25  # base point sits at this multiple of 1/epsilon
-HUB_RATIO = 2.0        # leg-1 hubs sit at the base radius times its powers
+HUB_RATIO = 2.0        # leg-1 hubs and ladder rungs sit at the base radius times its powers
 CONTRACTION_SAMPLES = 200  # domain points measure_contraction samples
 CONTRACTION_SEED = 0   # their seed; it moves the bound, and with it the margin skips
 ZERO_MIN_MOD = 1e-8    # |h| below this on a zero-count box's boundary stops the count
@@ -414,39 +417,89 @@ def _leg1_path(cvec, L_from, L_to):
 def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_l) -> _Leg1:
     """Continue every branch once from the base point to each distinct chart point, as a tree.
 
-    lam_l holds the chart coordinate of every lambda to be solved, repeats
-    allowed; the distinct ones are continued once each, and the returned
-    owner index (np.unique's inverse) maps each lambda to its chart point's
-    rows, which _Leg1.start copies out chunk by chunk.
-    Paths are straight in L = log r + i arg(z_l), mapped by z = c * exp(L).
-    Hubs: every branch runs from the base point out along the base ray to
-    the hubs at radii base_r * HUB_RATIO^j that some chart point is nearest
-    to.  Twigs: each chart point's rows start from copies of its nearest
-    hub's (nearest in L; all hubs share one arg, so nearest in log r), step
-    rates included, and run on to c * lambda_l.  So leg 1 costs the hubs'
-    log(radius) once plus one short twig per chart point, not a log(radius)
-    spiral per chart point.  Continuation does not depend on the path
-    inside the simply connected sector domain (Bates-Hauenstein-Sommese-
-    Wampler, Numerically Solving Polynomial Systems with Bertini, 2013,
-    Ch. 2), so the tree gives the branches the labels a direct spiral
-    would.  A twig copies its hub's failure reason, so the twigs of a
-    failed hub are skipped.  Each row's path depends only on its own chart
-    point, so its bits do not depend on which other chart points the sweep
-    holds.
+    lam_l holds the chart coordinate of every lambda to be solved, repeats allowed; the distinct
+    ones are continued once each, and the returned owner index (np.unique's inverse) maps each
+    lambda to its chart point's rows, which _Leg1.start copies out chunk by chunk.  Paths are
+    straight in L = log r + i arg(z_l), mapped by z = c * exp(L).
+    Hubs: the points of the base ray at radii base_r * HUB_RATIO^j that some chart point is
+    nearest to (in log r), the farthest being J.  The ray is a ladder: the fibers at the rungs
+    j = 1..J-1 are solved in one batch (_fiber_rows), and one advance runs every segment, base to
+    rung 1 and rung j to j+1, at once.  Walking up, each live arrival at a rung is matched
+    one-to-one to the re-solved root it lands on (group_distance), whose rows take its branch id
+    and, on their log, the lattice offset arrival G - fresh G.  Continuing along the segments in
+    turn is continuing along the ray, so no path independence is assumed.  A hub's rows are the
+    arrivals there, in base-row order.  A rung whose fiber fails a guard is dropped: the segment
+    past it, and its own if it is a hub, start below it.  A branch whose arrival failed or matched
+    no root one-to-one fails at the hubs beyond (with its reason, else FAIL_BRANCH); roots that no
+    row of a subset base reaches go unused.
+    Twigs: each chart point's rows start from copies of its nearest hub's, step rates and reasons
+    included (so a failed hub's twigs are skipped), and run on to c * lambda_l.  A hub's rows
+    depend only on the rungs below it and a twig only on its own chart point, so a row's bits do
+    not depend on which other chart points the sweep holds.
     """
     charts, owner = np.unique(np.asarray(lam_l, dtype=complex), return_inverse=True)
-    d = base.m
+    d, deg = base.m, spec.degree
     cvec = np.array(domain.c, dtype=complex)
     log_base = math.log(BASE_RADIUS_FACTOR / domain.epsilon)
     L0 = complex(log_base, 0.5 * (domain.theta + domain.eta))
     L1 = np.log(np.abs(charts)) + 1j * domain.window_arg(charts)
-    j = np.maximum(np.rint((L1.real - log_base) / math.log(HUB_RATIO)), 0.0)
+    j = np.maximum(np.rint((L1.real - log_base) / math.log(HUB_RATIO)), 0.0).astype(int)
     hubs, nearest = np.unique(j, return_inverse=True)
+    L = L0 + np.arange(hubs[-1] + 1) * math.log(HUB_RATIO)
 
-    hub = base.take(np.tile(np.arange(d), hubs.size))
-    L_hub = np.repeat(L0 + hubs * math.log(HUB_RATIO), d)
-    hub.advance(_leg1_path(cvec, np.full(L_hub.shape, L0), L_hub), domain=domain)
+    fresh, why = _fiber_rows(spec, cvec[None, :] * np.exp(L[1:-1])[:, None])
+    rungs, hub_set = {k for k in range(1, L.size - 1) if k - 1 not in why}, set(hubs.tolist())
+    starts, ends = np.array([0, *sorted(rungs)]), np.array(sorted(rungs | hub_set))
+    rung = np.array([e in rungs for e in ends.tolist()])
+    source = _Tracker.stack([base, fresh])
+    first = np.concatenate(([0], d + deg * np.arange(starts.size - 1)))  # each start's first row in source
+    q = np.searchsorted(starts, ends)
+    below = np.maximum(q - 1, 0)  # each segment runs from the last start below its end
+    size = np.where(below == 0, d, deg)
+    seg = np.repeat(np.arange(ends.size), size)
+    src = np.concatenate([first[b] + np.arange(k) for b, k in zip(below, size)])
+    tr = source.take(src)
+    tr.advance(_leg1_path(cvec, L[starts[below[seg]]], L[ends[seg]]), domain=domain)
 
+    # the re-solved root each live arrival at a rung lands on, if no other arrival there lands on it
+    arr = np.flatnonzero(rung[seg])
+    roots = first[q[seg[arr]]][:, None] + np.arange(deg)
+    dist = group_distance(spec.signature, {nm: np.repeat(col[arr], deg) for nm, col in tr.vals.items()},
+                          {nm: col[roots.ravel()] for nm, col in source.vals.items()})
+    hit = roots[np.arange(arr.size), np.argmin(dist.reshape(arr.size, deg), axis=1)]
+    live = tr.reason[arr] == _Tracker.OK
+    lands = np.full(tr.m, -1)
+    one = live & (np.bincount(hit[live], minlength=source.m)[hit] == 1)
+    lands[arr[one]] = hit[one]
+
+    # walk up: a hub takes each branch's latest arrival; past a rung, a branch goes on as the root
+    # its arrival landed on, with that root's log offset by the lattice vector between them
+    carries = [*range(d)] + [-1] * (source.m - d)  # the base row whose branch each source row carries
+    offset = np.zeros_like(source.G)
+    at, lost, hub_rows, hub_lost = [0] * d, [0] * d, [], []
+    landing, src_l, reason, stop = lands.tolist(), src.tolist(), tr.reason.tolist(), np.cumsum(size).tolist()
+    for i, e in enumerate(ends.tolist()):
+        arrived = [(k, carries[src_l[k]]) for k in range(stop[i] - size[i], stop[i]) if carries[src_l[k]] >= 0]
+        for k, p in arrived:
+            at[p] = k
+        if e in hub_set:
+            hub_rows += at
+            hub_lost += lost
+        if rung[i]:
+            for k, p in arrived:
+                if landing[k] < 0:
+                    lost[p] = reason[k] or _Tracker.FAIL_BRANCH
+                else:
+                    carries[landing[k]] = p
+            on = [k for k, _ in arrived if landing[k] >= 0]
+            offset[lands[on]] = tr.G[on] + offset[src[on]] - source.G[lands[on]]
+
+    hub = tr.take(hub_rows)
+    hub.G += offset[src[hub_rows]]
+    hub.branch_ids = np.tile(base.branch_ids, hubs.size)
+    lost = np.array(hub_lost, dtype=np.int8)
+    hub.reason = np.where(lost != 0, lost, hub.reason)
+    L_hub = np.repeat(L[hubs], d)
     rows = _rows_of(nearest, d)
     tr = hub.take(rows)
     tr.advance(_leg1_path(cvec, L_hub[rows], np.repeat(L1, d)), domain=domain)
@@ -466,10 +519,10 @@ def _exp_F(spec: ProblemSpec, Z: np.ndarray):
         dv = (e[v[0]],) if kind == "torus" else (e[v[1]], 6.0 * e[v[0]] * e[v[0]] - 0.5 * curve.g2)
         slope.update((nm, (k, d)) for nm, d in zip(v, dv))
     F, DF = np.empty(Z.shape, dtype=complex), np.zeros(Z.shape + Z.shape[1:], dtype=complex)
-    for j, eq in enumerate(spec.equations):
+    for j, (eq, partials) in enumerate(zip(spec.equations, spec.partials)):
         F[:, j] = eq.eval(known)
-        for v in sorted(eq.used_vars(), key=eq.vars.index):
-            DF[:, j, slope[v][0]] += eq.diff(v).eval(known) * slope[v][1]
+        for v, dp in partials:
+            DF[:, j, slope[v][0]] += dp.eval(known) * slope[v][1]
     return F, DF
 
 
@@ -494,23 +547,31 @@ def _leg2_classes(spec: ProblemSpec, domain: SectorDomain, base: _Tracker) -> np
 def _solve_rows(A: np.ndarray, b: np.ndarray):
     """(x, ok): A[r] x[r] = b[r] for each (n, n) A[r] by Gaussian elimination with partial pivoting,
     batched over rows r for any n; ok is False on a row with a non-finite entry, a zero pivot or a
-    non-finite x.  Rows never read other rows, so a row's bits do not depend on the batch."""
-    A, x = np.array(A, dtype=complex), np.array(b, dtype=complex)
-    r, n = np.arange(x.shape[0]), x.shape[1]
-    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(x).all(axis=1)
+    non-finite x.  It works on the n x n entries as (m,) columns and swaps pivot rows by np.where, so
+    a row's bits do not depend on the batch."""
+    A, b = np.asarray(A, dtype=complex), np.asarray(b, dtype=complex)
+    n = b.shape[1]
+    a = [[A[:, j, k] for k in range(n)] for j in range(n)]
+    x = [b[:, j] for j in range(n)]
+    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
     with np.errstate(all="ignore"):
         for i in range(n):
-            p = i + np.argmax(np.abs(A[:, i:, i]), axis=1)
-            A[r, i], A[r, p] = A[r, p], A[r, i]
-            x[r, i], x[r, p] = x[r, p], x[r, i]
-            pivot = A[:, i, i]
-            ok &= pivot != 0
+            p = i + np.argmax(np.abs(np.stack([a[j][i] for j in range(i, n)], axis=1)), axis=1)
             for j in range(i + 1, n):
-                f = A[:, j, i] / pivot
-                A[:, j, i:] -= f[:, None] * A[:, i, i:]
-                x[:, j] -= f * x[:, i]
+                swap = p == j
+                a[i][i:], a[j][i:] = ([np.where(swap, u, v) for u, v in zip(a[j][i:], a[i][i:])],
+                                      [np.where(swap, v, u) for u, v in zip(a[j][i:], a[i][i:])])
+                x[i], x[j] = np.where(swap, x[j], x[i]), np.where(swap, x[i], x[j])
+            ok &= a[i][i] != 0
+            for j in range(i + 1, n):
+                f = a[j][i] / a[i][i]
+                for k in range(i + 1, n):
+                    a[j][k] = a[j][k] - f * a[i][k]
+                x[j] = x[j] - f * x[i]
         for i in reversed(range(n)):
-            x[:, i] = (x[:, i] - (A[:, i, i + 1 :] * x[:, i + 1 :]).sum(axis=1)) / A[:, i, i]
+            terms = [a[i][k] * x[k] for k in range(i + 1, n)]
+            x[i] = (x[i] - sum(terms[1:], terms[0]) if terms else x[i]) / a[i][i]
+    x = np.stack(x, axis=1)
     return x, ok & np.isfinite(x).all(axis=1)
 
 

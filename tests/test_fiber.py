@@ -557,15 +557,16 @@ def test_sweep_trials_whole_chunks_on_wide_sqrt_branch(monkeypatch):
     # the 795 lambda x 2 branches of radius 2.6:5000 fill one chunk, so the
     # carry to the fixed point trials them together: 1590 rows for 1590
     # records in one call; chunks of 24 lambda took 131 calls for the same
-    # rows, and a continuation per Newton step took 4803.  Leg 1 runs out
-    # to hubs on the base ray and then a short twig to each chart point:
-    # 1698 rows in 10 calls from tangent-predicted Newton starts, where
-    # starts from the previous root took 2892 in 28 (4483 rows in 30 calls
-    # in all), and one spiral from the base point to each chart point took
-    # 35642 (40445 in all)
+    # rows, and a continuation per Newton step took 4803.  Leg 1 runs up a
+    # ladder of re-solved rungs on the base ray in one advance and then a
+    # short twig to each chart point: 1612 rows in 2 calls (3202 rows in 3
+    # calls in all), where a walk out to each hub took 1698 in 10 (3288 in
+    # 11) from tangent-predicted Newton starts and 2892 in 28 (4483 in 30)
+    # from the previous root, and one spiral from the base point to each
+    # chart point took 35642 (40445 in all)
     calls, rows, _ = _sweep_trials(monkeypatch, "sqrt_branch", radius=(2.6, 5000.0))
-    assert calls <= 15
-    assert rows == 3288
+    assert calls <= 4
+    assert rows == 3202
 
 
 def test_sweep_trial_rows_on_wp_example(monkeypatch):
@@ -581,9 +582,9 @@ def test_sweep_trial_rows_on_wp_example(monkeypatch):
 
 
 def test_leg1_on_wp_example_takes_few_trials(monkeypatch):
-    # the 12 branches run to wp_example's one chart point, hub then twig, in
-    # 13 trials from tangent-predicted Newton starts; starts from the
-    # previous root took 25
+    # the 12 branches run to wp_example's one chart point, up the ladder of
+    # re-solved rungs then twig, in 9 trials; a walk out to the hub took 13
+    # from tangent-predicted Newton starts and 25 from the previous root
     st = parse_run((EXAMPLES / "wp_example.spec").read_text())
     lams = enumerate_lattice(st.problem.signature, st.domain, st.radius)
     base = branch_base(st.problem, st.domain, _base_point(st.domain))
@@ -597,7 +598,7 @@ def test_leg1_on_wp_example_takes_few_trials(monkeypatch):
     monkeypatch.setattr(_Tracker, "_trial", counted)
     leg1 = _continue_leg1(st.problem, st.domain, base, lams[:, st.domain.chart])
     assert leg1.tracker.m == 12 and not leg1.tracker.reason.any()
-    assert calls[0] <= 14
+    assert calls[0] <= 10
 
 
 def test_predicted_start_alpha_falls_with_the_square_of_the_step(sqrt_spec):

@@ -636,8 +636,9 @@ def test_leg1_tree_keeps_the_branch_labels(name, radius):
 
 
 def test_leg1_failed_hub_skips_its_chart_points(monkeypatch):
-    # the hubs' advance comes first; a hub that fails there passes its
-    # reason to every chart point whose twig would start from it
+    # the ladder's advance comes first, its last row the arrival at the
+    # farthest hub; a hub that fails there passes its reason to every chart
+    # point whose twig would start from it
     st = torus_setup()
     advance = _Tracker.advance
     names = []
@@ -657,6 +658,141 @@ def test_leg1_failed_hub_skips_its_chart_points(monkeypatch):
     assert len(lams) == 39 and 0 < len(far) < 39
     assert {complex(lam[0]) for lam, _, _ in res.skipped} == far
     assert {why for _, _, why in res.skipped} == {"left-domain"}
+
+
+def _hub_ray(dom, charts):
+    """L of the base point, L of each chart point's nearest hub on the base ray, and its index j."""
+    log_base = math.log(solver.BASE_RADIUS_FACTOR / dom.epsilon)
+    L0 = complex(log_base, 0.5 * (dom.theta + dom.eta))
+    j = np.maximum(np.rint((np.log(np.abs(charts)) - log_base) / math.log(solver.HUB_RATIO)), 0.0)
+    return L0, L0 + j * math.log(solver.HUB_RATIO), j
+
+
+@pytest.mark.parametrize("src, radius", [
+    ((EXAMPLES / "sqrt_branch.spec").read_text(), (2.6, 5000.0)),
+    ((EXAMPLES / "wp_example.spec").read_text(), None),
+    # on the base ray w1 = z1 - 200 - 40i crosses the cut of the principal
+    # log near |z1| = 42, so from the rung at 81.6 on the re-solved logs sit
+    # one period from the continued ones, and only the lattice offset mends them
+    (TORUS_SRC.replace("w1 = z1", "w1 = z1 - 200 - 40*i"), (2.6, 300.0)),
+], ids=["sqrt_branch", "wp_example", "shifted_torus"])
+def test_leg1_ladder_hubs_match_a_direct_advance(monkeypatch, src, radius):
+    # the ladder re-solves the fiber at every rung and relabels its roots by
+    # the arrivals; its hub rows, which the twigs start from, must be those
+    # of one advance from the base point straight out to each hub
+    st = parse_run(src)
+    spec, dom = st.problem, st.domain
+    charts = np.unique(enumerate_lattice(spec.signature, dom, radius or st.radius)[:, dom.chart])
+    base = branch_base(spec, dom, _base_point(dom))
+    advance, twig = _Tracker.advance, []
+
+    def keep_twig_start(self, path, domain=None, active=None):
+        if path.__name__ == "leg1" and not twig:
+            twig.append(None)
+        elif path.__name__ == "leg1":
+            twig[0] = self.take(np.arange(self.m))
+        advance(self, path, domain=domain, active=active)
+
+    monkeypatch.setattr(_Tracker, "advance", keep_twig_start)
+    _continue_leg1(spec, dom, base, charts)
+    monkeypatch.undo()
+
+    L0, L_hub, _ = _hub_ray(dom, charts)
+    L_hub = np.repeat(L_hub, base.m)
+    direct = base.take(np.tile(np.arange(base.m), charts.size))
+    direct.advance(solver._leg1_path(np.array(dom.c, dtype=complex), np.full(L_hub.shape, L0), L_hub), domain=dom)
+    hub = twig[0]
+    assert not direct.reason.any() and not hub.reason.any()
+    assert np.array_equal(hub.branch_ids, direct.branch_ids)
+    assert np.array_equal(hub.Z, direct.Z)
+    for got, want in [(hub.G, direct.G)] + [(hub.vals[nm], direct.vals[nm]) for nm in direct.vals]:
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_leg1_drops_a_rung_whose_fiber_fails(monkeypatch):
+    # the fiber at rung 2, a hub, fails a guard: that rung is dropped, the
+    # segments on both sides of it run from rung 1, and the records stay
+    st = parse_run((EXAMPLES / "sqrt_branch.spec").read_text())
+    want = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    batched, advance, ladder = fiber._batched_fiber, _Tracker.advance, []
+
+    def rung_2_fails(spec, Z, tol):
+        rows, vals, idx, dropped = batched(spec, Z, tol)
+        if Z.shape[0] > 1:
+            dropped.setdefault(1, ("w1", "root gap"))
+        return rows, vals, idx, dropped
+
+    def record_ladder(self, path, domain=None, active=None):
+        if path.__name__ == "leg1" and not ladder:
+            ladder.append(self.Z[:, 0].copy())
+        advance(self, path, domain=domain, active=active)
+
+    monkeypatch.setattr(fiber, "_batched_fiber", rung_2_fails)
+    monkeypatch.setattr(_Tracker, "advance", record_ladder)
+    got = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    _, _, hub = _hub_ray(st.domain, np.array([r.lam[0] for r in want.records]))
+    _, _, rung = _hub_ray(st.domain, ladder[0])  # where each ladder row starts
+    assert 2 in hub and hub.max() == 7
+    assert rung.tolist() == [0, 0, 1, 1, 1, 1, 3, 3, 4, 4, 5, 5, 6, 6]  # segments to 2 and to 3 from rung 1
+    assert not want.skipped and not got.skipped
+    assert np.array_equal(got.records.lam, want.records.lam)
+    assert np.array_equal(got.records.branch_id, want.records.branch_id)
+    assert np.array_equal(got.records.iterations, want.records.iterations)
+    assert np.max(np.abs(got.records.s - want.records.s)) <= 1e-12
+
+
+def test_leg1_branch_matching_no_root_one_to_one_fails_beyond_that_rung(monkeypatch):
+    # both arrivals at rung 2 land nearest the same root: neither branch
+    # can be followed past it, so the hub rows beyond rung 2 fail before
+    # their twigs start, every chart point there is skipped as branch-point,
+    # and the others keep their records
+    st = parse_run((EXAMPLES / "sqrt_branch.spec").read_text())
+    want = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    distance, advance, twig = solver.group_distance, _Tracker.advance, []
+    z_rung_2 = 4.0 * solver.BASE_RADIUS_FACTOR / st.domain.epsilon
+
+    def rung_2_one_root(sig, a, b, a_identity=None):  # w1^2 = z1: the roots at rung 2 have |w1|^2 = |z1|
+        at_rung_2 = np.isclose(np.abs(b["w1"]) ** 2, z_rung_2, rtol=1e-12, atol=0.0)
+        return np.where(at_rung_2, np.where(b["w1"].real > 0, 0.0, 1.0), distance(sig, a, b, a_identity))
+
+    def keep_twig_reasons(self, path, domain=None, active=None):
+        if path.__name__ == "leg1":
+            twig.append(self.reason.copy())
+        advance(self, path, domain=domain, active=active)
+
+    monkeypatch.setattr(solver, "group_distance", rung_2_one_root)
+    monkeypatch.setattr(_Tracker, "advance", keep_twig_reasons)
+    got = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    _, _, hub = _hub_ray(st.domain, np.array([r.lam[0] for r in want.records]))  # chart-major, 2 branches each
+    near = hub <= 2
+    assert twig[1].tolist() == np.where(near, _Tracker.OK, _Tracker.FAIL_BRANCH).tolist()
+    assert near.any() and not near.all()
+    assert np.array_equal(got.records.lam, want.records.lam[near])
+    assert np.array_equal(got.records.s, want.records.s[near])
+    assert [(complex(lam[0]), b) for lam, b, _ in got.skipped] == [
+        (complex(r.lam[0]), r.branch_id) for r, n in zip(want.records, near) if not n]
+    assert {why for _, _, why in got.skipped} == {"branch-point"}
+
+
+def test_leg1_trials_do_not_grow_with_the_radius(monkeypatch):
+    # one advance up the ladder and one twig per chart point: the same two
+    # trials out to 5000 and to 20000, where a walk out to each hub took 10
+    # and 11
+    st = parse_run((EXAMPLES / "sqrt_branch.spec").read_text())
+    spec, dom = st.problem, st.domain
+    base = branch_base(spec, dom, _base_point(dom))
+    trial, calls = _Tracker._trial, []
+
+    def counted(self, Znext, domain, rows=slice(None)):
+        calls[-1] += 1
+        return trial(self, Znext, domain, rows)
+
+    monkeypatch.setattr(_Tracker, "_trial", counted)
+    for rmax in (5000.0, 20000.0):
+        calls.append(0)
+        leg1 = _continue_leg1(spec, dom, base, enumerate_lattice(spec.signature, dom, (2.6, rmax))[:, 0])
+        assert not leg1.tracker.reason.any()
+    assert calls == [2, 2]
 
 
 def test_jobs_do_not_move_shared_chart_rows(monkeypatch):
