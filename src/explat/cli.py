@@ -26,6 +26,7 @@ from .solver import (
     Records,
     ZeroOnBoundary,
     _base_point,
+    _exp_F,
     count_zeros_window,
     sweep,
     verify_records,
@@ -97,7 +98,10 @@ def _box_arg(text: str):
     parts = text.split(":")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("box is written RE0:RE1:IM0:IM1")
-    return tuple(_finite_arg(p) for p in parts)
+    re0, re1, im0, im1 = map(_finite_arg, parts)
+    if not (re0 < re1 and im0 < im1):
+        raise argparse.ArgumentTypeError(f"box needs RE0 < RE1 and IM0 < IM1, got {text!r}")
+    return re0, re1, im0, im1
 
 
 def _echo_invariants(sig):
@@ -187,21 +191,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _alpha_of_z(problem):
-    """For n=1 torus specs with one linear stage: z -> alpha(z), else None."""
-    sig = problem.signature
-    if sig.n != 1 or sig.factors[0][0] != "torus" or len(problem.stages) != 1:
-        return None
-    stage = problem.stages[0]
-    if stage.degree != 1:
-        return None
-    c0, c1 = stage.coeff_polys
-    if any(e != (0,) * len(c1.vars) for e, _ in c1.terms):
-        return None
-    lead = c1.eval({"z1": 0.0})
-    return lambda z: -c0.eval({"z1": z}) / lead
-
-
 def _finite_array(col: list, size: int = 0):
     """col as one float array: (N, size) when each entry is a list of `size`
     finite JSON numbers, (N,) when each is one; else None."""
@@ -276,16 +265,16 @@ def cmd_verify(args) -> int:
         rows.append(("-", "decay-trend", decay[-1][1] < decay[0][1], f"{decay[0][1]:.3e} -> {decay[-1][1]:.3e}"))
 
     if args.box is not None:
-        alpha = _alpha_of_z(setup.problem)
-        if alpha is None:
-            rows.append(("-", "zero-count", False, "spec is not a scalar torus graph"))
+        sig = setup.problem.signature
+        if sig.n != 1 or sig.factors[0][0] != "torus":
+            why = f"{sig.n} coordinates" if sig.n != 1 else "an elliptic coordinate, where h has poles"
+            rows.append(("-", "zero-count", False, f"the zero count needs one torus coordinate; the spec has {why}"))
         else:
-            h = lambda z: np.exp(z) - alpha(z)
             re0, re1, im0, im1 = args.box
             s1 = records.s[:, 0]
             inside = np.count_nonzero((re0 < s1.real) & (s1.real < re1) & (im0 < s1.imag) & (s1.imag < im1))
-            try:
-                count = count_zeros_window(h, args.box)
+            try:  # h(z) = P(z, e^z): its zeros are the solutions on every branch
+                count = count_zeros_window(lambda z: _exp_F(setup.problem, z[:, None])[0][:, 0], args.box)
                 rows.append(("-", "zero-count", count == inside, f"{count} zeros vs {inside} records"))
             except (ZeroOnBoundary, NonConvergence) as exc:
                 rows.append(("-", "zero-count", False, str(exc)))

@@ -511,7 +511,8 @@ def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
 def branch_base(spec: ProblemSpec, domain: SectorDomain, z0) -> "_Tracker":
     """A tracker with one row per fiber point at z0 (_fiber_rows).  A
     degenerate fiber raises DegenerateFiber naming the guard and the stage
-    that fired, a logarithm that did not converge NonConvergence.
+    that fired, a logarithm that did not converge NonConvergence.  (A sweep
+    solves its base fiber in the batch of its leg-1 rungs instead.)
     """
     z0 = np.asarray(z0, dtype=complex)
     if domain is not None and not domain.contains(z0):
@@ -674,15 +675,6 @@ class _Tracker:
         step from these rows' last and skips the rows that failed."""
         return _Tracker(self.spec, self.Z[rows], {nm: col[rows] for nm, col in self.vals.items()}, self.G[rows],
                         self.branch_ids[rows], (self.alpha_rate[rows], self.log_rate[rows]), self.reason[rows])
-
-    @staticmethod
-    def stack(parts) -> "_Tracker":
-        """One tracker holding the rows of each tracker in parts, in turn."""
-        def cat(name):
-            return np.concatenate([getattr(p, name) for p in parts])
-        vals = {nm: np.concatenate([p.vals[nm] for p in parts]) for nm in parts[0].vals}
-        return _Tracker(parts[0].spec, cat("Z"), vals, cat("G"), cat("branch_ids"), (cat("alpha_rate"), cat("log_rate")),
-                        cat("reason"))
 
     def aim(self, rows, direction):
         """Set the rates of `rows` along `direction` (_start_rates); a row whose direction is 0 keeps them."""

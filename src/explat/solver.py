@@ -7,13 +7,13 @@ on a contraction bound for dG sampled from its closed form
 than the measured G bound), then continue every branch from one base point
 to each distinct chart point once (leg 1, a tree: up the base ray to hubs at
 the base radius times powers of HUB_RATIO, as a ladder of rungs at those
-radii whose fibers are re-solved and whose segments run in one advance, then
-a short twig from the nearest hub to each chart point), hand each lattice
-point copies of its chart point's end rows by index, continue them to their
-lattice point (leg 2, one walk per class of branches it moves alike, aimed
-along its own heading), and solve z = lambda + G(z) there by Newton's method
-on F(z) = P(z, exp_S(z)) from the first-order fixed point and one
-continuation.
+radii whose fibers are solved in one batch with the base fiber and whose
+segments run in one advance, then a short twig from the nearest hub to each
+chart point), hand each lattice point copies of its chart point's end rows
+by index, continue them to their lattice point (leg 2, one walk per class of
+branches it moves alike, aimed along its own heading), and solve
+z = lambda + G(z) there by Newton's method on F(z) = P(z, exp_S(z)) from the
+first-order fixed point and one continuation.
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
 CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
@@ -22,6 +22,9 @@ Rows stay arrays throughout: branch rows live only in fiber._Tracker,
 which holds each row's failure reason from the base fiber to the fixed
 point, the margin gate and the chunks give each row a code into REASONS,
 and one np.lexsort puts them in the canonical order.
+For one torus coordinate, F(z) = P(z, e^z) is entire and its zeros are the
+solutions on every branch, so count_zeros_window, which evaluates its h on
+arrays, checks a box of records against F itself (explat verify --box).
 """
 from __future__ import annotations
 
@@ -40,7 +43,6 @@ from .fiber import (
     _fiber_rows,
     _stage_coeffs,
     _Tracker,
-    branch_base,
     fiber_logs,
     g_jacobian,
     group_distance,
@@ -374,10 +376,11 @@ def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
 class _Leg1(NamedTuple):
     """Leg-1 end rows: one tracker row per (distinct chart point, branch),
     chart-major; owner[k] is the distinct chart point of the k-th lambda_l
-    handed to _continue_leg1."""
+    handed to _continue_leg1; base holds the rows of the base fiber."""
 
     tracker: _Tracker
     owner: np.ndarray
+    base: _Tracker
 
     def start(self, lo: int, hi: int, d: int) -> _Tracker:
         """The (lambda, branch) rows of lambdas lo..hi-1, lambda-major: fresh
@@ -414,7 +417,7 @@ def _leg1_path(cvec, L_from, L_to):
     return leg1
 
 
-def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_l) -> _Leg1:
+def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, lam_l) -> _Leg1:
     """Continue every branch once from the base point to each distinct chart point, as a tree.
 
     lam_l holds the chart coordinate of every lambda to be solved, repeats allowed; the distinct
@@ -422,23 +425,23 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_
     lambda to its chart point's rows, which _Leg1.start copies out chunk by chunk.  Paths are
     straight in L = log r + i arg(z_l), mapped by z = c * exp(L).
     Hubs: the points of the base ray at radii base_r * HUB_RATIO^j that some chart point is
-    nearest to (in log r), the farthest being J.  The ray is a ladder: the fibers at the rungs
-    j = 1..J-1 are solved in one batch (_fiber_rows), and one advance runs every segment, base to
-    rung 1 and rung j to j+1, at once.  Walking up, each live arrival at a rung is matched
+    nearest to (in log r), the farthest being J.  The ray is a ladder: the fibers at the base
+    point (_base_point, rung 0) and the rungs j = 1..J-1 are solved in one batch (_fiber_rows), a
+    degenerate base fiber raising as branch_base does, and one advance runs every segment, base
+    to rung 1 and rung j to j+1, at once.  Walking up, each live arrival at a rung is matched
     one-to-one to the re-solved root it lands on (group_distance), whose rows take its branch id
     and, on their log, the lattice offset arrival G - fresh G.  Continuing along the segments in
     turn is continuing along the ray, so no path independence is assumed.  A hub's rows are the
     arrivals there, in base-row order.  A rung whose fiber fails a guard is dropped: the segment
     past it, and its own if it is a hub, start below it.  A branch whose arrival failed or matched
-    no root one-to-one fails at the hubs beyond (with its reason, else FAIL_BRANCH); roots that no
-    row of a subset base reaches go unused.
+    no root one-to-one fails at the hubs beyond (with its reason, else FAIL_BRANCH).
     Twigs: each chart point's rows start from copies of its nearest hub's, step rates and reasons
     included (so a failed hub's twigs are skipped), and run on to c * lambda_l.  A hub's rows
     depend only on the rungs below it and a twig only on its own chart point, so a row's bits do
     not depend on which other chart points the sweep holds.
     """
     charts, owner = np.unique(np.asarray(lam_l, dtype=complex), return_inverse=True)
-    d, deg = base.m, spec.degree
+    d = spec.degree
     cvec = np.array(domain.c, dtype=complex)
     log_base = math.log(BASE_RADIUS_FACTOR / domain.epsilon)
     L0 = complex(log_base, 0.5 * (domain.theta + domain.eta))
@@ -447,26 +450,26 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_
     hubs, nearest = np.unique(j, return_inverse=True)
     L = L0 + np.arange(hubs[-1] + 1) * math.log(HUB_RATIO)
 
-    fresh, why = _fiber_rows(spec, cvec[None, :] * np.exp(L[1:-1])[:, None])
-    rungs, hub_set = {k for k in range(1, L.size - 1) if k - 1 not in why}, set(hubs.tolist())
+    rung_Z = cvec[None, :] * np.exp(L[1:-1])[:, None]
+    source, why = _fiber_rows(spec, np.concatenate([_base_point(domain)[None, :], rung_Z]))  # d rows per start
+    if 0 in why:
+        raise why[0]
+    rungs, hub_set = {k for k in range(1, L.size - 1) if k not in why}, set(hubs.tolist())
     starts, ends = np.array([0, *sorted(rungs)]), np.array(sorted(rungs | hub_set))
     rung = np.array([e in rungs for e in ends.tolist()])
-    source = _Tracker.stack([base, fresh])
-    first = np.concatenate(([0], d + deg * np.arange(starts.size - 1)))  # each start's first row in source
     q = np.searchsorted(starts, ends)
     below = np.maximum(q - 1, 0)  # each segment runs from the last start below its end
-    size = np.where(below == 0, d, deg)
-    seg = np.repeat(np.arange(ends.size), size)
-    src = np.concatenate([first[b] + np.arange(k) for b, k in zip(below, size)])
+    seg = np.repeat(np.arange(ends.size), d)
+    src = _rows_of(below, d)
     tr = source.take(src)
     tr.advance(_leg1_path(cvec, L[starts[below[seg]]], L[ends[seg]]), domain=domain)
 
     # the re-solved root each live arrival at a rung lands on, if no other arrival there lands on it
     arr = np.flatnonzero(rung[seg])
-    roots = first[q[seg[arr]]][:, None] + np.arange(deg)
-    dist = group_distance(spec.signature, {nm: np.repeat(col[arr], deg) for nm, col in tr.vals.items()},
+    roots = d * q[seg[arr]][:, None] + np.arange(d)
+    dist = group_distance(spec.signature, {nm: np.repeat(col[arr], d) for nm, col in tr.vals.items()},
                           {nm: col[roots.ravel()] for nm, col in source.vals.items()})
-    hit = roots[np.arange(arr.size), np.argmin(dist.reshape(arr.size, deg), axis=1)]
+    hit = roots[np.arange(arr.size), np.argmin(dist.reshape(arr.size, d), axis=1)]
     live = tr.reason[arr] == _Tracker.OK
     lands = np.full(tr.m, -1)
     one = live & (np.bincount(hit[live], minlength=source.m)[hit] == 1)
@@ -477,9 +480,9 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_
     carries = [*range(d)] + [-1] * (source.m - d)  # the base row whose branch each source row carries
     offset = np.zeros_like(source.G)
     at, lost, hub_rows, hub_lost = [0] * d, [0] * d, [], []
-    landing, src_l, reason, stop = lands.tolist(), src.tolist(), tr.reason.tolist(), np.cumsum(size).tolist()
+    landing, src_l, reason = lands.tolist(), src.tolist(), tr.reason.tolist()
     for i, e in enumerate(ends.tolist()):
-        arrived = [(k, carries[src_l[k]]) for k in range(stop[i] - size[i], stop[i]) if carries[src_l[k]] >= 0]
+        arrived = [(k, carries[src_l[k]]) for k in range(i * d, (i + 1) * d) if carries[src_l[k]] >= 0]
         for k, p in arrived:
             at[p] = k
         if e in hub_set:
@@ -496,14 +499,14 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, base: _Tracker, lam_
 
     hub = tr.take(hub_rows)
     hub.G += offset[src[hub_rows]]
-    hub.branch_ids = np.tile(base.branch_ids, hubs.size)
+    hub.branch_ids = np.tile(np.arange(d), hubs.size)
     lost = np.array(hub_lost, dtype=np.int8)
     hub.reason = np.where(lost != 0, lost, hub.reason)
     L_hub = np.repeat(L[hubs], d)
     rows = _rows_of(nearest, d)
     tr = hub.take(rows)
     tr.advance(_leg1_path(cvec, L_hub[rows], np.repeat(L1, d)), domain=domain)
-    return _Leg1(tr, owner)
+    return _Leg1(tr, owner, source.take(np.arange(d)))
 
 
 def _exp_F(spec: ProblemSpec, Z: np.ndarray):
@@ -707,10 +710,9 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
     parts = [_Rows(turned, np.full(k, -1), code[code != 0], turned, np.zeros(k), np.zeros(k),
                    np.zeros(k, dtype=int), turned)]
     if kept.shape[0]:
-        base = branch_base(spec, domain, _base_point(domain))
-        d = base.m
-        leg1 = _continue_leg1(spec, domain, base, kept[:, domain.chart])
-        classes = _leg2_classes(spec, domain, base)
+        d = spec.degree
+        leg1 = _continue_leg1(spec, domain, kept[:, domain.chart])
+        classes = _leg2_classes(spec, domain, leg1.base)
         per_chunk = max(1, CHUNK_ROWS // d)
         firsts = range(0, kept.shape[0], per_chunk)
 
@@ -783,40 +785,45 @@ def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
 def count_zeros_window(h, box) -> int:
     """Winding number of h around the rectangle box = (re0, re1, im0, im1).
 
-    Each side is sampled on a uniform grid of spacing <= ZERO_BASE_STEP (so
-    the phase cannot silently complete a half-turn between samples as long
-    as |h'/h| < pi/ZERO_BASE_STEP on the boundary), then each cell is
-    bisected until its phase change is under 0.8 rad.  |h| below
-    ZERO_MIN_MOD anywhere sampled raises ZeroOnBoundary.
+    h maps an array of points to the array of its values.  Each side is
+    sampled on a uniform grid of spacing <= ZERO_BASE_STEP (so the phase
+    cannot silently complete a half-turn between samples as long as
+    |h'/h| < pi/ZERO_BASE_STEP on the boundary), all four sides in one call
+    of h; then each round bisects, in one more call, every cell whose phase
+    change is over 0.8 rad, for at most ZERO_MAX_DEPTH rounds.  A value of
+    h that is not finite raises NonConvergence naming its point, and |h|
+    below ZERO_MIN_MOD anywhere sampled raises ZeroOnBoundary.
     """
     re0, re1, im0, im1 = map(float, box)
     corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
 
     def guarded(z):
-        v = complex(h(z))
-        if abs(v) < ZERO_MIN_MOD:
-            raise ZeroOnBoundary(f"|h| = {abs(v):.3g} at {z}")
+        with np.errstate(all="ignore"):
+            v = np.asarray(h(z), dtype=complex)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise NonConvergence(f"h is not finite at z = {z[bad][0]}")
+        small = np.abs(v) < ZERO_MIN_MOD
+        if small.any():
+            raise ZeroOnBoundary(f"|h| = {abs(v[small][0]):.3g} at {z[small][0]}")
         return v
 
-    def arc(a, fa, b, fb, depth):
-        d = math.atan2((fb / fa).imag, (fb / fa).real)
-        if abs(d) <= 0.8:
-            return d
-        if depth >= ZERO_MAX_DEPTH:
-            raise NonConvergence("phase refinement exhausted; zero too close to boundary")
-        mid = 0.5 * (a + b)
-        fm = guarded(mid)
-        return arc(a, fa, mid, fm, depth + 1) + arc(mid, fm, b, fb, depth + 1)
-
-    total = 0.0
-    for j in range(4):
-        a, b = corners[j], corners[(j + 1) % 4]
+    sides = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
         n0 = max(8, int(math.ceil(abs(b - a) / ZERO_BASE_STEP)))
-        pts = [a + (b - a) * (k / n0) for k in range(n0 + 1)]
-        vals = [guarded(z) for z in pts]
-        for k in range(n0):
-            total += arc(pts[k], vals[k], pts[k + 1], vals[k + 1], 0)
-    w = total / (2.0 * math.pi)
+        sides.append(a + (b - a) * (np.arange(n0) / n0))
+    z = np.concatenate(sides + [corners[:1]])
+    v = guarded(z)
+    for depth in range(ZERO_MAX_DEPTH + 1):
+        d = np.angle(v[1:] / v[:-1])
+        wide = np.flatnonzero(np.abs(d) > 0.8)
+        if not wide.size:
+            break
+        if depth == ZERO_MAX_DEPTH:
+            raise NonConvergence("phase refinement exhausted; zero too close to boundary")
+        mid = 0.5 * (z[wide] + z[wide + 1])
+        z, v = np.insert(z, wide + 1, mid), np.insert(v, wide + 1, guarded(mid))
+    w = float(np.sum(d)) / (2.0 * math.pi)
     n = round(w)
     if abs(w - n) > 1e-6:
         raise NonConvergence(f"winding number {w} did not settle to an integer")

@@ -181,7 +181,7 @@ def test_criterion_3_zero_count_matches_records():
         r for r in res.records
         if box[0] <= r.s[0].real <= box[1] and box[2] <= r.s[0].imag <= box[3]
     ]
-    n_zeros = count_zeros_window(lambda z: cmath.exp(z) - z, box)
+    n_zeros = count_zeros_window(lambda z: np.exp(z) - z, box)
     elapsed = time.monotonic() - t0
     ok = n_zeros == len(in_box) and elapsed < 5.0
     report(3, ok, f"winding count {n_zeros} == {len(in_box)} records in box", elapsed)

@@ -197,6 +197,76 @@ def test_verify_zero_count_box(torus_run):
     assert "zero-count" in r.stdout and "39 zeros vs 39 records" in r.stdout
 
 
+def test_verify_zero_count_covers_every_branch(tmp_path):
+    # w1^2 = z1: h(z) = e^(2z) - z has the zeros of both branches, 78 in the
+    # box, and a report that lost one of them fails the count
+    out = tmp_path / "sqrt.json"
+    assert run_cli("solve", "--spec", SQRT_SPEC, "--out", out).returncode == 0
+    r = run_cli("verify", "--spec", SQRT_SPEC, "--report", out, "--box=0:4:3:247.5")
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "zero-count   pass   78 zeros vs 78 records" in r.stdout
+    payload = json.loads(out.read_text())
+    k = next(i for i, rec in enumerate(payload["records"]) if 0 < rec["s"][0] < 4 and 3 < rec["s"][1] < 247.5)
+    del payload["records"][k]
+    out.write_text(json.dumps(payload))
+    r = run_cli("verify", "--spec", SQRT_SPEC, "--report", out, "--box=0:4:3:247.5")
+    assert r.returncode == 1
+    assert [ln for ln in r.stdout.splitlines() if "FAIL" in ln] == ["      - zero-count   FAIL   78 zeros vs 77 records"]
+
+
+ELLIPTIC_1 = """[group]
+factors = elliptic
+
+[curve 1]
+omega1 = 1
+omega2 = 1i
+
+[equations]
+z1 = x1
+
+[solver]
+c = 1
+chart = 1
+epsilon = 0.5
+theta = 0.1
+eta = 1.4
+radius = 3:6
+"""
+
+
+@pytest.mark.parametrize("spec, radius, why", [
+    (WP_SPEC, "29.5:30.5", "the spec has 2 coordinates"),
+    (None, "3:6", "the spec has an elliptic coordinate, where h has poles"),
+], ids=["wp_example", "elliptic"])
+def test_verify_zero_count_needs_one_torus_coordinate(tmp_path, spec, radius, why):
+    if spec is None:
+        spec = tmp_path / "elliptic.spec"
+        spec.write_text(ELLIPTIC_1)
+    out = tmp_path / "run.json"
+    assert run_cli("solve", "--spec", spec, "--radius", radius, "--out", out).returncode == 0
+    r = run_cli("verify", "--spec", spec, "--report", out, "--box=0:4:3:247.5")
+    assert r.returncode == 1
+    assert [ln for ln in r.stdout.splitlines() if "FAIL" in ln] == [
+        f"      - zero-count   FAIL   the zero count needs one torus coordinate; {why}"]
+
+
+def test_verify_zero_count_names_a_non_finite_h(torus_run):
+    # e^z overflows past Re z = 709.78: the count says so, not that a zero
+    # sits near the boundary
+    r = run_cli("verify", "--spec", TORUS_SPEC, "--report", torus_run, "--box=700:720:0:1")
+    assert r.returncode == 1
+    assert "zero-count   FAIL   h is not finite at z = (710+0j)" in r.stdout
+    assert "Warning" not in r.stderr
+
+
+@pytest.mark.parametrize("box", ["5.75:0:6.28:251.3", "0:0:6.28:251.3", "0:5.75:251.3:6.28"])
+def test_verify_refuses_a_box_without_increasing_edges(capsys, torus_run, box):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--spec", str(TORUS_SPEC), "--report", str(torus_run), "--box=" + box])
+    assert exc.value.code == 2
+    assert "box needs RE0 < RE1 and IM0 < IM1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec, count", [(TORUS_SPEC, 1), (SQRT_SPEC, 2)], ids=["torus_identity", "sqrt_branch"])
 def test_verify_accepts_report_of_one_lattice_point(tmp_path, torus_run, spec, count):
     # radius 5:8 holds only the lattice point 2*pi*i: every decay entry has
@@ -368,6 +438,29 @@ def test_exit_on_degenerate_geometry(tmp_path):
         "radius = 2.6:250\n"
     )
     assert run_cli("solve", "--spec", zero_c).returncode == 3
+
+
+def test_exit_on_degenerate_base_fiber(monkeypatch, capsys):
+    # the sweep solves its base fiber in one batch with the leg-1 rungs; a
+    # guard that fires at the base point still stops the solve and names itself
+    import numpy as np
+
+    from explat import fiber
+    from explat.solver import _base_point
+    from explat.specfile import parse_run
+
+    base = _base_point(parse_run(TORUS_SPEC.read_text()).domain)
+    batched = fiber._batched_fiber
+
+    def base_fails(spec, Z, tol):
+        rows, vals, idx, dropped = batched(spec, Z, tol)
+        if np.array_equal(Z[0], base):
+            dropped.setdefault(0, ("w1", "root gap"))
+        return rows, vals, idx, dropped
+
+    monkeypatch.setattr(fiber, "_batched_fiber", base_fails)
+    assert cli.main(["solve", "--spec", str(TORUS_SPEC), "--out", os.devnull]) == 3
+    assert capsys.readouterr().err.splitlines()[-1] == "degenerate geometry: root gap guard fired in the w1 stage"
 
 
 def test_exit_on_empty_annulus():

@@ -22,7 +22,7 @@ from explat.fiber import (
     straight_path,
 )
 from explat import core, solver
-from explat.solver import REASONS, _base_point, _continue_leg1, _solve_chunk
+from explat.solver import REASONS, _continue_leg1, _solve_chunk
 
 RNG = np.random.default_rng(20260816)
 
@@ -241,29 +241,30 @@ def test_continue_root_through_branch_point_raises(sqrt_spec):
 # fixed-point iteration z <- lambda + Log z (e^z = z) at one lattice point
 
 
-def _solve_one(spec, domain, base, lam, max_iter=60):
-    """Every branch of base (rows of branch_base) at the lattice point lam:
-    leg 1 to its chart point, then _solve_chunk; returns the _Rows."""
+def _solve_one(spec, domain, lam, max_iter=60):
+    """Every branch at the lattice point lam: leg 1 to its chart point,
+    then _solve_chunk; returns the _Rows."""
     lam = np.asarray(lam, dtype=complex)
-    leg1 = _continue_leg1(spec, domain, base, lam[domain.chart : domain.chart + 1])
-    return _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, base.m), 1e-10, max_iter, np.arange(base.m))
+    leg1 = _continue_leg1(spec, domain, lam[domain.chart : domain.chart + 1])
+    d = spec.degree
+    return _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, d), 1e-10, max_iter, np.arange(d))
 
 
 @pytest.fixture(scope="module")
 def identity_setup():
     spec = _torus_spec({(0, 1): 1.0, (1, 0): -1.0})
     domain = SectorDomain(c=(1.0,), chart=0, epsilon=0.49, theta=0.15, eta=2.33)
-    return spec, domain, branch_base(spec, domain, _base_point(domain))
+    return spec, domain
 
 
 def test_fixed_point_iteration_count_bound(identity_setup):
     # dG = 1/z and the iterates stay within 2|G(lambda)| of lambda, so the
     # step shrinks at least by q = 1/(|lambda| - 2|G(lambda)|) per iteration;
     # the first step is |G(lambda)| and convergence is declared below 1e-13
-    spec, domain, base = identity_setup
+    spec, domain = identity_setup
     for k in (2, 5, 10, 30):
         lam = 2j * math.pi * k
-        rec = _solve_one(spec, domain, base, [lam])
+        rec = _solve_one(spec, domain, [lam])
         assert REASONS[rec.code[0]] is None
         first = abs(rec.g_lambda[0, 0])
         q = 1.0 / (abs(lam) - 2.0 * first)
@@ -275,8 +276,8 @@ def test_fixed_point_iteration_count_bound(identity_setup):
 
 def test_fixed_point_divergence_fails_the_row(identity_setup):
     # one iteration cannot settle the fixed point: the budget runs out
-    spec, domain, base = identity_setup
-    rec = _solve_one(spec, domain, base, [20j * math.pi], max_iter=1)
+    spec, domain = identity_setup
+    rec = _solve_one(spec, domain, [20j * math.pi], max_iter=1)
     assert REASONS[rec.code[0]] == "no-convergence"
 
 
@@ -285,9 +286,9 @@ def test_fixed_point_newton_iterations(identity_setup):
     # fixed point lambda + G/(1 - G') at the end of leg 2: 4, 4, 4 and 3
     # iterations here, where lambda + G(lambda) took 5, 5, 5 and 4 and plain
     # contraction 13, 10, 9 and 7
-    spec, domain, base = identity_setup
+    spec, domain = identity_setup
     for k in (2, 5, 10, 30):
-        rec = _solve_one(spec, domain, base, [2j * math.pi * k])
+        rec = _solve_one(spec, domain, [2j * math.pi * k])
         assert REASONS[rec.code[0]] is None
         assert rec.iterations[0] <= 4
 
@@ -297,9 +298,9 @@ def test_fixed_point_rows_newton_cannot_settle_are_skipped(identity_setup, monke
     # Newton lands on a zero of F off its own branch fails the f_residual
     # check: each is skipped as no-convergence, and the other rows of the
     # chunk come out with the same bits
-    spec, domain, base = identity_setup
+    spec, domain = identity_setup
     lams = 2j * math.pi * np.arange(3.0, 9.0)[:, None]
-    leg1 = _continue_leg1(spec, domain, base, lams[:, 0])
+    leg1 = _continue_leg1(spec, domain, lams[:, 0])
     want = _solve_chunk(spec, domain, lams, leg1.start(0, 6, 1), 1e-10, 60, np.arange(1))
     exp_F = solver._exp_F
 

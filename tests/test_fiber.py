@@ -587,7 +587,6 @@ def test_leg1_on_wp_example_takes_few_trials(monkeypatch):
     # from tangent-predicted Newton starts and 25 from the previous root
     st = parse_run((EXAMPLES / "wp_example.spec").read_text())
     lams = enumerate_lattice(st.problem.signature, st.domain, st.radius)
-    base = branch_base(st.problem, st.domain, _base_point(st.domain))
     calls = [0]
     trial = _Tracker._trial
 
@@ -596,7 +595,7 @@ def test_leg1_on_wp_example_takes_few_trials(monkeypatch):
         return trial(self, Znext, domain, rows)
 
     monkeypatch.setattr(_Tracker, "_trial", counted)
-    leg1 = _continue_leg1(st.problem, st.domain, base, lams[:, st.domain.chart])
+    leg1 = _continue_leg1(st.problem, st.domain, lams[:, st.domain.chart])
     assert leg1.tracker.m == 12 and not leg1.tracker.reason.any()
     assert calls[0] <= 10
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from explat import elliptic, fiber, solver
+from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
 from explat.fiber import ROOT_TOL, GroupSignature, SectorDomain, _batched_fiber, _Tracker, branch_base
 from explat.solver import (
@@ -572,21 +573,21 @@ def test_exp_and_forward_residuals():
         assert abs(cmath.exp(s) - s) / (1 + abs(s)) < 1e-10
 
 
-def _solve_one(spec, domain, branch, lam):
-    """One lattice point on a one-row tracker at the base point (a row of
-    branch_base, taken): leg 1 to its chart point, then _solve_chunk with
-    each branch its own leg-2 class."""
+def _solve_one(spec, domain, b, lam):
+    """One lattice point on branch b alone: leg 1 to its chart point, row b
+    of its leg-1 rows taken, then _solve_chunk with each branch its own
+    leg-2 class."""
     lam = np.asarray(lam, dtype=complex)
-    leg1 = _continue_leg1(spec, domain, branch, lam[domain.chart : domain.chart + 1])
-    return _solve_chunk(spec, domain, lam[None, :], leg1.start(0, 1, 1), 1e-10, 60, np.arange(spec.degree))
+    leg1 = _continue_leg1(spec, domain, lam[domain.chart : domain.chart + 1])
+    row = leg1.start(0, 1, spec.degree).take([b])
+    return _solve_chunk(spec, domain, lam[None, :], row, 1e-10, 60, np.arange(spec.degree))
 
 
 def test_single_point_solve_matches_sweep(monkeypatch):
     st = torus_setup()
     res = torus_sweep()
-    base = branch_base(st.problem, st.domain, _base_point(st.domain))
     lam = np.array([2j * math.pi * 7])
-    rec = _solve_one(st.problem, st.domain, base.take([0]), lam)
+    rec = _solve_one(st.problem, st.domain, 0, lam)
     assert REASONS[rec.code[0]] is None
     (match,) = [r for r in res.records if abs(r.lam[0] - lam[0]) < 1e-9]
     assert abs(rec.s[0, 0] - match.s[0]) < 1e-10
@@ -598,14 +599,13 @@ def test_single_point_solve_matches_sweep(monkeypatch):
     st = wp_setup()
     monkeypatch.setattr(solver, "CHUNK_ROWS", 288)
     dom, res = MINI_DOMAIN, mini_sweep()
-    base = branch_base(st.problem, dom, _base_point(dom))
-    per_chunk = solver.CHUNK_ROWS // base.m
+    per_chunk = solver.CHUNK_ROWS // st.problem.degree
     lams = list({tuple(r.lam): r.lam for r in res.records}.values())
     assert len(lams) == 37 and per_chunk < 37 <= 2 * per_chunk
     by_key = {(tuple(r.lam), r.branch_id): r for r in res.records}
     for k in (0, per_chunk - 1, per_chunk, len(lams) - 1):
-        for b in range(base.m):
-            rec = _solve_one(st.problem, dom, base.take([b]), lams[k])
+        for b in range(st.problem.degree):
+            rec = _solve_one(st.problem, dom, b, lams[k])
             match = by_key[(tuple(lams[k]), b)]
             assert REASONS[rec.code[0]] is None
             assert np.max(np.abs(rec.s[0] - match.s)) <= 1e-12
@@ -620,7 +620,7 @@ def test_leg1_tree_keeps_the_branch_labels(name, radius):
     spec, dom = st.problem, st.domain
     charts = np.unique(enumerate_lattice(spec.signature, dom, radius or st.radius)[:, dom.chart])
     base = branch_base(spec, dom, _base_point(dom))
-    tree = _continue_leg1(spec, dom, base, charts)
+    tree = _continue_leg1(spec, dom, charts)
 
     direct = base.take(np.tile(np.arange(base.m), charts.size))
     L0 = complex(math.log(solver.BASE_RADIUS_FACTOR / dom.epsilon), 0.5 * (dom.theta + dom.eta))
@@ -694,7 +694,7 @@ def test_leg1_ladder_hubs_match_a_direct_advance(monkeypatch, src, radius):
         advance(self, path, domain=domain, active=active)
 
     monkeypatch.setattr(_Tracker, "advance", keep_twig_start)
-    _continue_leg1(spec, dom, base, charts)
+    _continue_leg1(spec, dom, charts)
     monkeypatch.undo()
 
     L0, L_hub, _ = _hub_ray(dom, charts)
@@ -719,7 +719,7 @@ def test_leg1_drops_a_rung_whose_fiber_fails(monkeypatch):
     def rung_2_fails(spec, Z, tol):
         rows, vals, idx, dropped = batched(spec, Z, tol)
         if Z.shape[0] > 1:
-            dropped.setdefault(1, ("w1", "root gap"))
+            dropped.setdefault(2, ("w1", "root gap"))
         return rows, vals, idx, dropped
 
     def record_ladder(self, path, domain=None, active=None):
@@ -780,7 +780,6 @@ def test_leg1_trials_do_not_grow_with_the_radius(monkeypatch):
     # and 11
     st = parse_run((EXAMPLES / "sqrt_branch.spec").read_text())
     spec, dom = st.problem, st.domain
-    base = branch_base(spec, dom, _base_point(dom))
     trial, calls = _Tracker._trial, []
 
     def counted(self, Znext, domain, rows=slice(None)):
@@ -790,7 +789,7 @@ def test_leg1_trials_do_not_grow_with_the_radius(monkeypatch):
     monkeypatch.setattr(_Tracker, "_trial", counted)
     for rmax in (5000.0, 20000.0):
         calls.append(0)
-        leg1 = _continue_leg1(spec, dom, base, enumerate_lattice(spec.signature, dom, (2.6, rmax))[:, 0])
+        leg1 = _continue_leg1(spec, dom, enumerate_lattice(spec.signature, dom, (2.6, rmax))[:, 0])
         assert not leg1.tracker.reason.any()
     assert calls == [2, 2]
 
@@ -929,8 +928,7 @@ def test_leg2_classes_share_walks_only_between_copies(monkeypatch):
 
 def test_single_point_solve_fails_off_domain():
     st = torus_setup()
-    base = branch_base(st.problem, st.domain, _base_point(st.domain))
-    rec = _solve_one(st.problem, st.domain, base.take([0]), np.array([0.2j]))
+    rec = _solve_one(st.problem, st.domain, 0, np.array([0.2j]))
     assert REASONS[rec.code[0]] == "left-domain"
 
 
@@ -938,8 +936,7 @@ def test_verify_flags_record_on_branch_locus():
     # w1^2 = z1 has a double root at s = 0: that record gets a fiber FAIL
     # row naming the guard, while a solved record next to it still passes
     st = parse_run(TORUS_SRC.replace("w1 = z1", "w1^2 = z1"))
-    base = branch_base(st.problem, st.domain, _base_point(st.domain))
-    rows = _solve_one(st.problem, st.domain, base.take([0]), np.array([10j * math.pi]))
+    rows = _solve_one(st.problem, st.domain, 0, np.array([10j * math.pi]))
     good = Records(rows.lam, rows.s, rows.branch, rows.residual, rows.f_residual, rows.iterations)[0]
     locus = good._replace(s=np.zeros(1, dtype=complex), residual=0.0, f_residual=0.0)
     all_ok, rows = verify_records(st.problem, st.domain, [good, locus], st.tol)
@@ -1231,7 +1228,7 @@ def test_winding_separates_roots():
 
 def test_winding_long_edge_unwrapping():
     # [DERIVED] e^z - z has one zero per 2*pi*i strip; nine strips fit the box
-    f = lambda z: cmath.exp(z) - z
+    f = lambda z: np.exp(z) - z
     box = (0.0, math.log(20 * math.pi), 2 * math.pi, 20 * math.pi)
     assert count_zeros_window(f, box) == 9
 
@@ -1239,3 +1236,24 @@ def test_winding_long_edge_unwrapping():
 def test_winding_boundary_guard():
     with pytest.raises(ZeroOnBoundary):
         count_zeros_window(lambda z: z, (0.0, 1.0, -1.0, 1.0))
+
+
+def test_winding_calls_h_once_per_round():
+    # criterion 3's box: h is called on arrays, once for the sides and once
+    # per round of bisections, never per point
+    calls = []
+
+    def h(z):
+        calls.append(z.size)
+        return np.exp(z) - z
+
+    assert count_zeros_window(h, (0.0, math.log(100 * math.pi), 2 * math.pi, 80 * math.pi)) == 39
+    assert len(calls) <= solver.ZERO_MAX_DEPTH + 1 and calls[0] > 1000
+
+
+def test_winding_names_a_non_finite_h():
+    # e^z overflows past Re z = 709.78; that is no zero near the boundary
+    with pytest.raises(NonConvergence, match=r"h is not finite at z = \(710\+0j\)"):
+        count_zeros_window(lambda z: np.exp(z) - z, (700.0, 720.0, 0.0, 1.0))
+    with pytest.raises(NonConvergence, match="h is not finite"):
+        count_zeros_window(lambda z: np.where(z.imag > 0.9, np.nan, z - 0.5), (0.0, 1.0, -1.0, 1.0))
