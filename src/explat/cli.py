@@ -113,10 +113,17 @@ def _echo_invariants(sig):
             )
 
 
+def _add_domain_flags(p):
+    """The flags that override the [solver] block's domain and tol (_apply_domain_overrides)."""
+    p.add_argument("--theta", type=_finite_arg, default=None)
+    p.add_argument("--eta", type=_finite_arg, default=None)
+    p.add_argument("--epsilon", type=_positive_arg, default=None)
+    p.add_argument("--tol", type=_positive_arg, default=None)
+
+
 def _apply_domain_overrides(setup, args):
-    """CLI flags win over the [solver] block; returns (domain, radius, tol)."""
+    """CLI flags win over the [solver] block; returns (domain, tol)."""
     dom = setup.domain
-    radius = args.radius if args.radius is not None else setup.radius
     tol = args.tol if args.tol is not None else setup.tol
     eps = args.epsilon if args.epsilon is not None else dom.epsilon
     theta = args.theta if args.theta is not None else dom.theta
@@ -132,7 +139,7 @@ def _apply_domain_overrides(setup, args):
         eps_old, eps = eps, min(torus_caps)
         _err(f"epsilon clamped {eps_old:g} -> {eps:g} (torus proportionality constraint)")
     domain = SectorDomain(c=dom.c, chart=dom.chart, epsilon=eps, theta=theta, eta=eta)
-    return domain, radius, tol
+    return domain, tol
 
 
 def cmd_solve(args) -> int:
@@ -146,10 +153,11 @@ def cmd_solve(args) -> int:
             _err("degenerate direction point: torus coordinate of c is zero")
             return EXIT_GEOMETRY
     try:
-        domain, radius, tol = _apply_domain_overrides(setup, args)
+        domain, tol = _apply_domain_overrides(setup, args)
     except ValueError as exc:
         _err(f"degenerate geometry: {exc}")
         return EXIT_GEOMETRY
+    radius = args.radius if args.radius is not None else setup.radius
 
     t_solve = time.perf_counter()
     try:
@@ -254,12 +262,17 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         _err(f"cannot read report: {exc}")
         return EXIT_PARSE
+    try:
+        domain, tol = _apply_domain_overrides(setup, args)
+    except ValueError as exc:
+        _err(f"degenerate geometry: {exc}")
+        return EXIT_GEOMETRY
 
     rows = [("-", "digest", payload.get("spec_digest") == digest, "")]
     if not records:
         # solve never writes a report without records (it exits 4 instead)
         rows.append(("-", "records", False, "report has no records"))
-    rows += verify_records(setup.problem, setup.domain, records, setup.tol)[1]
+    rows += verify_records(setup.problem, domain, records, tol)[1]
 
     if decay and decay[0][0] != decay[-1][0]:  # one size has no trend
         rows.append(("-", "decay-trend", decay[-1][1] < decay[0][1], f"{decay[0][1]:.3e} -> {decay[-1][1]:.3e}"))
@@ -342,10 +355,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("solve", help="enumerate lattice points and solve exp_S(z) = alpha(z)")
     p.add_argument("--spec", required=True)
     p.add_argument("--radius", type=_radius_arg, default=None, help="override MIN:MAX")
-    p.add_argument("--theta", type=_finite_arg, default=None)
-    p.add_argument("--eta", type=_finite_arg, default=None)
-    p.add_argument("--epsilon", type=_positive_arg, default=None)
-    p.add_argument("--tol", type=_positive_arg, default=None)
+    _add_domain_flags(p)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--jobs", type=_jobs_arg, default=1)
@@ -356,6 +366,7 @@ def main(argv=None) -> int:
     p.add_argument("--report", required=True)
     p.add_argument("--box", type=_box_arg, default=None,
                    help="RE0:RE1:IM0:IM1 window for the zero-count cross-check")
+    _add_domain_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invariants", help="print invariants of a period lattice")

@@ -41,15 +41,24 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+def _fold_columns(op, a: np.ndarray) -> np.ndarray:
+    """op (np.maximum, np.logical_and) folded over the columns of the 2-D array a: np.max or
+    np.all along axis 1, the same values, which numpy reduces over a short row many times slower."""
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        op(out, a[:, k], out=out)
+    return out
+
+
 def _poly_residual_ok(coeffs: np.ndarray, roots: np.ndarray, tol: float) -> np.ndarray:
     """Check |p(r)| <= tol * max(1, ||p|| * max(1,|r|)^deg) rowwise."""
     d = coeffs.shape[1] - 1
     p = np.repeat(coeffs[:, -1:], roots.shape[1], axis=1)
     for k in range(d - 1, -1, -1):
         p = p * roots + coeffs[:, k, None]
-    norm = np.max(np.abs(coeffs), axis=1)
+    norm = _fold_columns(np.maximum, np.abs(coeffs))
     scale = np.maximum(1.0, norm[:, None] * np.maximum(1.0, np.abs(roots)) ** d)
-    return np.all(np.abs(p) <= tol * scale, axis=1)
+    return _fold_columns(np.logical_and, np.abs(p) <= tol * scale)
 
 
 def _smale(coeffs: np.ndarray, x: np.ndarray):

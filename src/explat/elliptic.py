@@ -337,6 +337,14 @@ def wp_both(z, curve: EllipticCurveParams):
 # logarithm of the curve
 
 
+def _gauss_newton_step(curve, val, dval, r1, r2):
+    """The Gauss-Newton step at a v with wp(v) = val and wp'(v) = dval, for the residuals
+    r1 = val - x and r2 = dval - y of wp(v) = x, wp'(v) = y: v - step is the next v."""
+    ddval = 6.0 * val * val - curve.g2 / 2.0
+    denom = np.abs(dval) ** 2 + np.abs(ddval) ** 2
+    return (np.conj(dval) * r1 + np.conj(ddval) * r2) / np.where(denom == 0, 1.0, denom)
+
+
 def _gauss_newton_log(curve, x, y, v0, iters=48):
     """Damped Gauss-Newton for wp(v) = x, wp'(v) = y from seed v0 (arrays).
 
@@ -363,9 +371,7 @@ def _gauss_newton_log(curve, x, y, v0, iters=48):
         if it == iters:
             break
         done = ~pole & (np.abs(r1) <= 1e-13 * scale[live]) & (np.abs(r2) <= 1e-13 * scale[live])
-        ddval = 6.0 * val * val - curve.g2 / 2.0
-        denom = np.abs(dval) ** 2 + np.abs(ddval) ** 2
-        step = (np.conj(dval) * r1 + np.conj(ddval) * r2) / np.where(denom == 0, 1.0, denom)
+        step = _gauss_newton_step(curve, val, dval, r1, r2)
         mag = np.abs(step)
         step = np.where(mag > lim, step * (lim / np.where(mag == 0, 1.0, mag)), step)
         step = np.where(pole, -(0.13 + 0.077j) * tab.gap, step)

@@ -41,7 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ALPHA_0, ROOT_TOL, NonConvergence, _certified_newton, _poly_residual_ok, _roots, _smale
+from .core import (ALPHA_0, ROOT_TOL, NonConvergence, _certified_newton, _fold_columns, _poly_residual_ok, _roots,
+                   _smale)
 from .elliptic import EllipticCurveParams, _gauss_newton_log, curve_distance, log_E_batch
 from .torus import torus_log_near
 
@@ -367,7 +368,7 @@ def _stage_coeffs(stage: Stage, known: dict, m: int):
     coeffs = np.empty((m, len(stage.coeff_polys)), dtype=complex)
     for k, cp in enumerate(stage.coeff_polys):
         coeffs[:, k] = cp.eval(known)
-    top = np.max(np.abs(coeffs), axis=1)
+    top = _fold_columns(np.maximum, np.abs(coeffs))
     lead_ok = (top > 0) & (np.abs(coeffs[:, -1]) > LEAD_TOL * top)
     coeffs[~lead_ok] = 0.0
     coeffs[~lead_ok, -1] = 1.0
@@ -573,7 +574,7 @@ def _start_rates(spec: ProblemSpec, Z, vals: dict, direction=None):
     m = Z.shape[0]
     gaps = np.array([spec.signature.gap(k) for k in range(spec.n)])
     alpha_rate = np.zeros(m)
-    unit = None if direction is None else direction / np.max(np.abs(direction), axis=1)[:, None]
+    unit = None if direction is None else direction / _fold_columns(np.maximum, np.abs(direction))[:, None]
 
     def motion(d):  # |d . dZ| per unit |dZ|_inf, d an (m, n) row of derivatives
         return np.abs(d).sum(axis=1) if unit is None else np.abs((d * unit).sum(axis=1))
@@ -773,12 +774,17 @@ class _Tracker:
         return cand, still
 
     # -- step sizing ------------------------------------------------------
+    def _rate(self, rows):
+        """Rate of the rows `rows` per unit |dZ|_inf: a substep of |dZ|_inf <= 1 / rate aims for alpha
+        ALPHA_STEP and LOG_STEP gaps of log motion."""
+        return np.maximum(self.alpha_rate[rows] / math.sqrt(ALPHA_STEP), self.log_rate[rows] / LOG_STEP)
+
     def _step(self, path: Callable, t, limit, rows):
         """Substep of the rows `rows` from t along path: (dt, t_next, Znext).
 
         dt is at most limit, the remaining 1 - t, and the motion bound
         1 / (rate * |dz/dt|_inf), where rate = max(alpha_rate /
-        sqrt(ALPHA_STEP), log_rate / LOG_STEP) and the path's velocity comes
+        sqrt(ALPHA_STEP), log_rate / LOG_STEP) (_rate) and the path's velocity comes
         from a difference over VELOCITY_DT: a predicted start's alpha is
         (kappa |dZ|)^2, so |dZ| = sqrt(ALPHA_STEP) / kappa aims for
         ALPHA_STEP.  The chord sag |path(t + dt/2) - (Z + path(t + dt))/2|_inf
@@ -791,9 +797,9 @@ class _Tracker:
         Z0 = self.Z[rows]
         t0 = t[rows]
         t1 = np.minimum(t0 + VELOCITY_DT, 1.0)
-        speed = np.max(np.abs(path(t1, rows) - Z0), axis=1) / (t1 - t0)
+        speed = _fold_columns(np.maximum, np.abs(path(t1, rows) - Z0)) / (t1 - t0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.maximum(self.alpha_rate[rows] / math.sqrt(ALPHA_STEP), self.log_rate[rows] / LOG_STEP)
+            rate = self._rate(rows)
             dt = np.minimum(np.minimum(limit[rows], 1.0 - t0), 1.0 / (rate * speed))
         dt = np.where(rate < np.inf, dt, 0.0)
         t_next, Znext = np.empty_like(t0), np.empty_like(Z0)
@@ -802,7 +808,7 @@ class _Tracker:
             r, s, d = rows[todo], t0[todo], dt[todo]
             t_try = np.where(s + d >= DONE, 1.0, s + d)
             Z_try = path(t_try, r)
-            sag = np.max(np.abs(path(s + 0.5 * d, r) - 0.5 * (Z0[todo] + Z_try)), axis=1)
+            sag = _fold_columns(np.maximum, np.abs(path(s + 0.5 * d, r) - 0.5 * (Z0[todo] + Z_try)))
             with np.errstate(invalid="ignore"):
                 fits = ~(rate[todo] * sag > SAG_STEP) | (d < MIN_FRACTION)
             t_next[todo[fits]], Znext[todo[fits]] = t_try[fits], Z_try[fits]
@@ -862,12 +868,12 @@ class _Tracker:
         alone: their alpha and log motion are mostly rounding.
         """
         Z = self.Z[rows]
-        dz = np.max(np.abs(Znext - Z), axis=1)
-        moved = dz > SECANT_MIN * (1.0 + np.max(np.abs(Z), axis=1))
+        dz = _fold_columns(np.maximum, np.abs(Znext - Z))
+        moved = dz > SECANT_MIN * (1.0 + _fold_columns(np.maximum, np.abs(Z)))
         r = rows[moved]
         dz = dz[moved]
         self.alpha_rate[r] = np.sqrt(alpha[moved]) / dz
-        self.log_rate[r] = np.max(np.abs(Gnew[moved] - self.G[r]) / self.gaps, axis=1) / dz
+        self.log_rate[r] = _fold_columns(np.maximum, np.abs(Gnew[moved] - self.G[r]) / self.gaps) / dz
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ chart point), hand each lattice point copies of its chart point's end rows
 by index, continue them to their lattice point (leg 2, one walk per class of
 branches it moves alike, aimed along its own heading), and solve
 z = lambda + G(z) there by Newton's method on F(z) = P(z, exp_S(z)) from the
-first-order fixed point and one continuation.
+first-order fixed point, settled by a certificate at s (one continuation
+from lambda to s where that fails).
 Leg 1 runs once per sweep in the calling process; leg 2 and the fixed
 point are batched in chunks of CHUNK_ROWS (lambda, branch) rows, that is
 CHUNK_ROWS // degree lattice points.  Chunks are fixed by the row count
@@ -34,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonConvergence, _certified_newton
-from .elliptic import _cdiv, wp_both
+from .core import NonConvergence, _certified_newton, _fold_columns
+from .elliptic import _cdiv, _gauss_newton_step, wp_both
 from .fiber import (
     ProblemSpec,
     SectorDomain,
@@ -48,6 +49,7 @@ from .fiber import (
     group_distance,
     straight_path,
 )
+from .torus import torus_log_near
 
 CHUNK_ROWS = 4096      # (lambda, branch) rows per work chunk, fixed for determinism
 GATE_LIMIT = 0.5       # contraction bound required before sweeping
@@ -578,6 +580,47 @@ def _solve_rows(A: np.ndarray, b: np.ndarray):
     return x, ok & np.isfinite(x).all(axis=1)
 
 
+def _certify_carry(spec: ProblemSpec, domain: SectorDomain, tr: _Tracker, path, LAM, rows, tol: float):
+    """Settle in place the carry of the tracker rows `rows` whose one substep to s = path(1) passes its
+    guards; returns the settled rows with their residuals and f_residuals.
+
+    A row settles where its rate (_Tracker._rate) allows all of |s - lambda|_inf, s is in the domain,
+    the stage roots at s pass (_Tracker._stage_roots), exp_S(s) is within tol of them, and each
+    factor's log at s is within half a gap of G at lambda: torus_log_near from it on a torus, and on
+    a curve s - lambda less one Gauss-Newton step from wp(s), wp'(s) of exp_S(s), the step (that
+    coordinate's f_residual) below tol.  The other rows are left as they were.
+    """
+    sig = spec.signature
+    Znext = path(np.ones(rows.size), rows)
+    with np.errstate(all="ignore"):
+        dz = _fold_columns(np.maximum, np.abs(Znext - tr.Z[rows]))
+        fit = (tr._rate(rows) * dz <= 1.0) & domain.contains_batch(Znext)
+        rows, Znext, lam = rows[fit], Znext[fit], LAM[rows[fit]]
+        ok = np.ones(rows.size, dtype=bool)
+        cand, _ = tr._stage_roots(Znext, rows, ok)
+        e, identity = _exp_S(spec, Znext)
+        res = group_distance(sig, e, cand, identity)
+        ok &= res < tol
+        G, dist = np.empty_like(Znext), np.empty(Znext.shape)
+        for k, (kind, curve) in enumerate(sig.factors):
+            v = sig.factor_vars(k)
+            if kind == "torus":
+                ok &= np.abs(cand[v[0]]) >= 1e-300
+                G[:, k] = torus_log_near(np.where(ok, cand[v[0]], 1.0), tr.G[rows, k])
+                dist[:, k] = np.abs(Znext[:, k] - G[:, k] - lam[:, k])
+            else:
+                step = _gauss_newton_step(curve, e[v[0]], e[v[1]], e[v[0]] - cand[v[0]], e[v[1]] - cand[v[1]])
+                G[:, k] = Znext[:, k] - lam[:, k] - step
+                dist[:, k] = np.abs(step)
+                ok &= ~identity[:, k] & (dist[:, k] < tol)
+            ok &= np.abs(G[:, k] - tr.G[rows, k]) <= 0.5 * tr.gaps[k]
+    rows = rows[ok]
+    tr.Z[rows], tr.G[rows] = Znext[ok], G[ok]
+    for nm in tr.vals:
+        tr.vals[nm][rows] = cand[nm][ok]
+    return rows, res[ok], _fold_columns(np.maximum, dist[ok])
+
+
 def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray, tr: _Tracker,
                  tol: float, max_iter: int, classes: np.ndarray) -> _Rows:
     """Solve every branch at each lambda of the chunk from its leg-1 end state.
@@ -590,8 +633,9 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
     (_leg2_classes), its first step sized along its own heading
     (_Tracker.aim), and the others copy its moved values, logs and reason
     and take the larger rates.  Newton's method on F (_exp_F, _solve_rows)
-    runs from lambda + (I - dG_b)^-1 G_b (g_jacobian) to s, and one
-    continuation from lambda to s carries the fiber and log there.  A row
+    runs from lambda + (I - dG_b)^-1 G_b (g_jacobian) to s.  The fiber and
+    log at s come from a certificate there (_certify_carry), and a row it
+    refuses takes one continuation from lambda to s, the carry.  A row
     that fails a continuation keeps its guard in tr.reason.  Returns the
     rows as columns (lambda-major, branch-minor), each with its code into
     REASONS, the first that holds of: a continuation left the domain
@@ -638,7 +682,7 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
 
     # Newton on F from the first-order fixed point, or lambda + G_b where it is
     # not finite, until a step is within step_tol; a row _solve_rows refuses stops
-    lam_scale = 1.0 + np.max(np.abs(LAM), axis=1)
+    lam_scale = 1.0 + _fold_columns(np.maximum, np.abs(LAM))
     step_tol = np.maximum(1e-3 * tol, 40.0 * np.finfo(float).eps * lam_scale)
     offset, good = _solve_rows(np.eye(n) - g_jacobian(spec, tr.Z, tr.vals), tr.G)
     S = LAM + np.where(good[:, None], offset, tr.G)
@@ -652,17 +696,23 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
             F, DF = _exp_F(spec, S[rows])
             step, good = _solve_rows(DF, F)
             S[rows] -= step
-            done = good & (np.max(np.abs(step), axis=1) <= step_tol[rows])
+            done = good & (_fold_columns(np.maximum, np.abs(step)) <= step_tol[rows])
         iterations[rows[done]] = it
         stepping[rows[done | ~good]] = False
     converged = iterations > 0
 
-    tr.advance(straight_path(tr.Z, S), domain=domain, active=converged)
+    path = straight_path(tr.Z, S)
+    settled, res_settled, f_settled = _certify_carry(spec, domain, tr, path, LAM, np.flatnonzero(converged), tol)
+    carried = converged.copy()
+    carried[settled] = False
+    tr.advance(path, domain=domain, active=carried)
     S = tr.Z
     res = np.full(m, np.inf)
-    if converged.any():
-        res[converged] = _exp_residuals(spec, S[converged], {nm: col[converged] for nm, col in tr.vals.items()})
-    f_res = np.max(np.abs(S - tr.G - LAM), axis=1)
+    if carried.any():
+        res[carried] = _exp_residuals(spec, S[carried], {nm: col[carried] for nm, col in tr.vals.items()})
+    res[settled] = res_settled
+    f_res = _fold_columns(np.maximum, np.abs(S - tr.G - LAM))
+    f_res[settled] = f_settled
     failed = tr.reason != _Tracker.OK
     cases = [tr.reason == _Tracker.FAIL_DOMAIN, failed, ~converged | ~(f_res < tol), res >= tol]
     why = ("left-domain", "branch-point", "no-convergence", "residual-above-tol")
@@ -756,7 +806,7 @@ def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
     kinds = np.array([kind for kind, _ in spec.signature.factors])
     lam = rows.lam[idx]
     offset = rows.s[idx] - lam
-    size = np.max(np.abs(lam), axis=1)
+    size = _fold_columns(np.maximum, np.abs(lam))
     bids, branch = np.unique(rows.branch[idx], return_inverse=True)
 
     gamma: dict = {}
@@ -769,12 +819,12 @@ def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
     tor = kinds == "torus"
     if tor.any():
         # hypot rounds as abs() of a complex does; np.abs does not
-        growth = np.max(np.hypot(offset.real[:, tor], offset.imag[:, tor]), axis=1)
+        growth = _fold_columns(np.maximum, np.hypot(offset.real[:, tor], offset.imag[:, tor]))
         log_c = max(0.0, float(np.max(growth / np.maximum(1.0, [math.log(v) for v in size.tolist()]))))
 
     gammas = np.array(list(gamma.values()))
     pred = np.where(kinds == "elliptic", gammas[branch], rows.g_lambda[idx])
-    decay = np.stack((size, np.max(np.abs(offset - pred), axis=1)), axis=1)
+    decay = np.stack((size, _fold_columns(np.maximum, np.abs(offset - pred))), axis=1)
     return {"gamma": gamma, "log_growth_constant": log_c, "decay": decay}
 
 
@@ -842,8 +892,9 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     z = s is certified by Smale's alpha-test at the exp_S(s) coordinate of
     its unknown, or the record gets a fiber FAIL row naming the guard, as
     it does at the identity of an elliptic factor.  residual is the
-    distance from exp_S(s) to the certified fiber point, f_residual
-    |s - lambda - G| with its log G seeded at s - lambda.
+    distance from exp_S(s) to the certified fiber point, f_residual the
+    log distance |s - lambda - G| from s - lambda to it, its log G seeded
+    at s - lambda.
     """
     if not isinstance(records, Records):
         records = Records(*map(np.array, zip(*records))) if records else Records.empty(spec.n)
@@ -863,7 +914,7 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     G, g_ok = fiber_logs(spec, {nm: col[fiber] for nm, col in vals.items()}, anchor=S[fiber] - LAM[fiber])
     got = np.full((N, 2), np.nan)
     got[fiber, 0] = group_distance(spec.signature, start, vals)[fiber]
-    got[fiber, 1] = np.where(g_ok, np.max(np.abs(S[fiber] - LAM[fiber] - G), axis=1), np.inf)
+    got[fiber, 1] = np.where(g_ok, _fold_columns(np.maximum, np.abs(S[fiber] - LAM[fiber] - G)), np.inf)
     claimed = np.stack((records.residual, records.f_residual), axis=1)
     ok = (got < slack * np.fmax(tol, claimed + tol)).tolist()
     in_domain = domain.contains_batch(S).tolist()
@@ -885,7 +936,7 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     distinct = np.ones(sizes.size, dtype=bool)
     S = S[order]
     for k in range(1, sizes.max(initial=0)):
-        near = ~(np.max(np.abs(S[k:] - S[:-k]), axis=1) > 1e-6)
+        near = ~(_fold_columns(np.maximum, np.abs(S[k:] - S[:-k])) > 1e-6)
         distinct[group[k:][near & (group[k:] == group[:-k])]] = False
     rows += [(idx, "distinct", ok_d, f"{size} records")
              for idx, ok_d, size in zip(order[new].tolist(), distinct.tolist(), sizes.tolist())]

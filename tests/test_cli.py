@@ -282,6 +282,19 @@ def test_verify_accepts_report_of_one_lattice_point(tmp_path, torus_run, spec, c
     assert "decay-trend  pass" in run_cli("verify", "--spec", TORUS_SPEC, "--report", torus_run).stdout
 
 
+def test_verify_takes_the_domain_flags_solve_took(tmp_path, capsys):
+    # --eta 0.12 widens wp_example's sector, so its report holds lambdas outside
+    # the spec's own domain: verify FAILs them in-domain unless it is given the
+    # same flag, and then passes every record
+    out = tmp_path / "wide.json"
+    assert cli.main(["solve", "--spec", str(WP_SPEC), "--eta", "0.12", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", "--spec", str(WP_SPEC), "--report", str(out)]) == 1
+    assert "in-domain    FAIL" in capsys.readouterr().out
+    assert cli.main(["verify", "--spec", str(WP_SPEC), "--report", str(out), "--eta", "0.12"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_flags_corrupt_record(tmp_path, torus_run):
     payload = json.loads(torus_run.read_text())
     payload["records"][5]["s"][0] += 1e-3

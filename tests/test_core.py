@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from explat.core import ALPHA_0, _poly_residual_ok, _smale
+from explat.elliptic import EllipticCurveParams, Lattice
 from explat.fiber import (
     ROOT_TOL,
     GroupSignature,
@@ -321,3 +322,52 @@ def test_fixed_point_rows_newton_cannot_settle_are_skipped(identity_setup, monke
     kept = [2, 4, 5]
     assert got.s[kept].tobytes() == want.s[kept].tobytes()
     assert got.iterations[kept].tolist() == want.iterations[kept].tolist()
+
+
+def test_fixed_point_row_newton_lands_one_period_off_is_skipped(monkeypatch):
+    # on z2 = x1^2, z1 = y2 over E x E (E the square curve), F is moved so
+    # that, from the row at lambda, Newton lands on the same branch's solution
+    # at lambda - (0, 1): exp_S there equals the branch's fiber point, so the
+    # residual passes, but its log is one period from G at lambda.  The
+    # certificate's log guard refuses the row, the carry brings it to s with
+    # the log continued from lambda, and |s - lambda - G| = 1 skips it as
+    # no-convergence; the other rows settle with the same bits
+    curve = EllipticCurveParams.from_lattice(Lattice(1.0, 1j))
+    sig = GroupSignature(factors=(("elliptic", curve), ("elliptic", curve)))
+    av = sig.z_vars + sig.group_vars  # x1^2 - z2 and y2 - z1 as exponents of (z1, z2, x1, y1, x2, y2)
+    spec = build_problem(sig, [MPoly.from_dict(av, {(0, 0, 2, 0, 0, 0): 1.0, (0, 1, 0, 0, 0, 0): -1.0}),
+                               MPoly.from_dict(av, {(0, 0, 0, 0, 0, 1): 1.0, (1, 0, 0, 0, 0, 0): -1.0})])
+    domain = SectorDomain(c=(1.0, 1.0), chart=0, epsilon=0.6, theta=0.04, eta=0.095)
+    lams = np.array([[30 + 2j, 13 + 1j], [30 + 2j, 14 + 1j], [30 + 2j, 12 + 1j]])
+    d, b = spec.degree, 3
+    leg1 = _continue_leg1(spec, domain, lams[:, 0])
+
+    def solve():
+        return _solve_chunk(spec, domain, lams, leg1.start(0, 3, d).take(np.arange(3) * d + b), 1e-10, 60,
+                            np.arange(d))
+
+    want = solve()
+    exp_F, certify = solver._exp_F, solver._certify_carry
+    settled = []
+
+    def broken(spec, Z):
+        F, DF = exp_F(spec, Z)
+        near = np.max(np.abs(Z - want.s[1]), axis=1) < 0.25  # one step lands on the solution at lams[0]
+        F[near], DF[near] = Z[near] - want.s[0], np.eye(2)
+        return F, DF
+
+    def spied(*args):
+        out = certify(*args)
+        settled.extend(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(solver, "_exp_F", broken)
+    monkeypatch.setattr(solver, "_certify_carry", spied)
+    got = solve()
+    assert not want.code.any() and settled == [0, 2]
+    assert [REASONS[c] for c in got.code] == [None, "no-convergence", None]
+    assert np.max(np.abs(got.s[1] - want.s[0])) < 1e-12 and got.residual[1] < 1e-10
+    assert abs(got.f_residual[1] - 1.0) < 1e-9
+    kept = [0, 2]
+    for col in ("s", "residual", "f_residual", "iterations"):
+        assert getattr(got, col)[kept].tobytes() == getattr(want, col)[kept].tobytes()

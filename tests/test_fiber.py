@@ -554,31 +554,33 @@ def test_sweep_rejects_few_trials_on_sqrt_branch(monkeypatch):
 
 
 def test_sweep_trials_whole_chunks_on_wide_sqrt_branch(monkeypatch):
-    # the 795 lambda x 2 branches of radius 2.6:5000 fill one chunk, so the
-    # carry to the fixed point trials them together: 1590 rows for 1590
-    # records in one call; chunks of 24 lambda took 131 calls for the same
+    # the 795 lambda x 2 branches of radius 2.6:5000 fill one chunk, and the
+    # certificate at s settles every one of their 1590 rows with no trial:
+    # the carry to the fixed point trialled them together in one call (1590
+    # rows for 1590 records), chunks of 24 lambda took 131 calls for the same
     # rows, and a continuation per Newton step took 4803.  Leg 1 runs up a
     # ladder of re-solved rungs on the base ray in one advance and then a
-    # short twig to each chart point: 1612 rows in 2 calls (3202 rows in 3
-    # calls in all), where a walk out to each hub took 1698 in 10 (3288 in
-    # 11) from tangent-predicted Newton starts and 2892 in 28 (4483 in 30)
-    # from the previous root, and one spiral from the base point to each
-    # chart point took 35642 (40445 in all)
+    # short twig to each chart point: 1612 rows in 2 calls, all the trials
+    # now (3202 rows in 3 calls with the carry), where a walk out to each hub
+    # took 1698 in 10 (3288 in 11) from tangent-predicted Newton starts and
+    # 2892 in 28 (4483 in 30) from the previous root, and one spiral from the
+    # base point to each chart point took 35642 (40445 in all)
     calls, rows, _ = _sweep_trials(monkeypatch, "sqrt_branch", radius=(2.6, 5000.0))
-    assert calls <= 4
-    assert rows == 3202
+    assert calls <= 2
+    assert rows == 1612
 
 
 def test_sweep_trial_rows_on_wp_example(monkeypatch):
     # leg 2 walks one row per (lambda, leg-2 class), 4 of the 12 branches,
     # and holds z1, so the stages that read only z1 stay still; the fixed
-    # point takes Newton steps on F and one carry per row.  Each walker's
-    # first leg-2 step is sized along its own direction, and every stage's
-    # Newton starts from its tangent prediction: 14400 trial rows, where
-    # starts from the previous root took 16868, leg 1's last rates 21016,
-    # and one leg-2 walk per row and a continuation per Newton step 62111
+    # point takes Newton steps on F and a certificate at s per row, which
+    # settles all 10524 with no trial.  Each walker's first leg-2 step is
+    # sized along its own direction, and every stage's Newton starts from its
+    # tangent prediction: 3876 trial rows, where a carry per row took 14400,
+    # starts from the previous root 16868, leg 1's last rates 21016, and one
+    # leg-2 walk per row and a continuation per Newton step 62111
     _, rows, _ = _sweep_trials(monkeypatch, "wp_example")
-    assert rows <= 15000
+    assert rows <= 4000
 
 
 def test_leg1_on_wp_example_takes_few_trials(monkeypatch):

@@ -844,6 +844,38 @@ def test_chunk_budget_does_not_move_sweep(monkeypatch, run, chunk_rows, count):
     assert _sweep_bits(got) == _sweep_bits(want)
 
 
+@pytest.mark.parametrize("name, epsilon", [("wp_example", 0.15), ("sqrt_branch", None)])
+def test_certificate_settles_rows_as_the_carry_would(monkeypatch, name, epsilon):
+    # the certificate at s runs the guards of the carry's one substep from
+    # lambda to s: with it refusing every row, so that every row takes the
+    # carry, the records, skips and bits are the same
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    dom = st.domain if epsilon is None else SectorDomain(c=st.domain.c, chart=st.domain.chart, epsilon=epsilon,
+                                                         theta=st.domain.theta, eta=st.domain.eta)
+    certify, settled = solver._certify_carry, [0]
+
+    def counted(*args):
+        out = certify(*args)
+        settled[0] += out[0].size
+        return out
+
+    def run():
+        return sweep(st.problem, dom, st.radius, tol=st.tol, max_iter=st.max_iter)
+
+    monkeypatch.setattr(solver, "_certify_carry", counted)
+    got = run()
+    assert settled[0] == len(got.records) > 0
+    monkeypatch.setattr(solver, "_certify_carry", lambda spec, domain, tr, path, LAM, rows, tol: (rows[:0],) * 3)
+    want = run()
+
+    def bits(res):
+        recs = [(r.lam.tobytes(), r.branch_id, r.s.tobytes(), np.float64(r.residual).tobytes(), r.iterations)
+                for r in res.records]
+        return recs, [(lam.tobytes(), bid, why) for lam, bid, why in res.skipped]
+
+    assert bits(got) == bits(want)
+
+
 def test_trial_keeps_the_stages_a_still_z1_leaves_alone(monkeypatch):
     # on the curve product z1 feeds only y2 = z1, the cubic for x2 and factor
     # 2's log: a trial that leaves z1 bitwise equal keeps their bits and runs
