@@ -88,29 +88,6 @@ class Lattice:
     def from_coords(self, m, n):
         return m * self.omega1 + n * self.omega2
 
-    def nearest_point(self, z):
-        """Lattice point(s) nearest to z; vectorized over arrays."""
-        a, b = self._reduced
-        z = np.asarray(z, dtype=complex)
-        det = a.real * b.imag - a.imag * b.real
-        s = (b.imag * z.real - b.real * z.imag) / det
-        t = (-a.imag * z.real + a.real * z.imag) / det
-        m0 = np.round(s)
-        n0 = np.round(t)
-        best = None
-        best_d = None
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                cand = (m0 + dm) * a + (n0 + dn) * b
-                d = np.abs(z - cand)
-                if best is None:
-                    best, best_d = cand, d
-                else:
-                    take = d < best_d
-                    best = np.where(take, cand, best)
-                    best_d = np.where(take, d, best_d)
-        return best if best.shape else complex(best)
-
 
 def reduce_mod_lattice(z, lat: Lattice):
     """Split z = representative + lattice point, representative in the
@@ -419,29 +396,16 @@ def _closed_form_log(curve: EllipticCurveParams, x, y):
     return v
 
 
-def log_E_batch(curve: EllipticCurveParams, x, y, anchor=None):
+def log_E_batch(curve: EllipticCurveParams, x, y):
     """Group logarithms of the affine points (x[r], y[r]), batched.
 
-    With an anchor, Gauss-Newton runs from it over every row first.  Each
-    row it leaves unsettled, and every row without an anchor, is seeded by
-    the closed form wp^-1(x) = R_F(x - e1, x - e2, x - e3) (DLMF 19.25(vi);
-    Carlson, Numer. Algorithms 10, 1995), with the sign that wp' = y picks,
-    and settled by one Gauss-Newton pass.  Returns (v, ok): v is reduced to
-    the fundamental cell, or with an anchor (one per row, or one for all)
-    is the lattice translate nearest it; v is 0 where ok is False.
+    Each row is seeded by the closed form wp^-1(x) = R_F(x - e1, x - e2,
+    x - e3) (DLMF 19.25(vi); Carlson, Numer. Algorithms 10, 1995), with the
+    sign that wp' = y picks, and settled by one Gauss-Newton pass.  Returns
+    (v, ok): v is reduced to the fundamental cell, and 0 where ok is False.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    m = x.shape[0]
-    v = np.zeros(m, dtype=complex)
-    done = np.zeros(m, dtype=bool)
-    if anchor is not None:
-        anchor = np.broadcast_to(np.asarray(anchor, dtype=complex), (m,))
-        v, done, _ = _gauss_newton_log(curve, x, y, anchor)
-    rest = np.flatnonzero(~done)
-    if rest.size:
-        v[rest], done[rest], _ = _gauss_newton_log(curve, x[rest], y[rest], _closed_form_log(curve, x[rest], y[rest]))
-    rep, _ = reduce_mod_lattice(np.where(done, v, 0.0), curve.lattice)
-    if anchor is not None:
-        rep = np.where(done, rep + curve.lattice.nearest_point(anchor - rep), 0.0)
-    return rep, done
+    v, ok, _ = _gauss_newton_log(curve, x, y, _closed_form_log(curve, x, y))
+    rep, _ = reduce_mod_lattice(np.where(ok, v, 0.0), curve.lattice)
+    return rep, ok

@@ -423,26 +423,50 @@ def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
     return rows, vals, idx, dropped
 
 
-def fiber_logs(spec: ProblemSpec, vals: dict, anchor=None):
-    """Logarithms of fiber values per factor, batched over rows.
-
-    Without anchor: the anchor-0 torus branch and the fundamental-cell
-    elliptic logarithm.  With anchor (rows x n): the branch nearest each
-    anchor, elliptic logs seeded from it.  Returns (G, ok).
+def _stage_roots(spec: ProblemSpec, Z, start: dict, still, ok):
+    """The fiber point over the rows of Z, stage by stage from start[unknown]: (vals, alpha, fired),
+    clearing `ok` where a guard fires.  A stage in `still` keeps its start; any other is guarded by
+    its leading coefficient (_stage_coeffs), and is solved outright at degree 1, else by
+    _certified_newton (the alpha test) from its start, its root then finite with residual below 1e-9
+    (root residual).  alpha is the largest judged, and fired maps a row to its first (unknown, guard).
     """
+    m = Z.shape[0]
+    known = {nm: Z[:, i] for i, nm in enumerate(spec.signature.z_vars)}
+    alpha, fired = np.zeros(m), {}
+    for stage in spec.stages:
+        root = start[stage.unknown]
+        if stage.unknown not in still:
+            coeffs, lead_ok = _stage_coeffs(stage, known, m)
+            guards = [("leading coefficient", lead_ok)]
+            if stage.degree == 1:
+                root = -coeffs[:, 0] / coeffs[:, 1]
+            else:
+                root, a, cert = _certified_newton(coeffs, root, ok & lead_ok)
+                alpha = np.maximum(alpha, a)
+                finite = np.isfinite(root)
+                res_ok = _poly_residual_ok(coeffs, np.where(finite, root, 0.0)[:, None], 1e-9)
+                guards += [("alpha test", cert), ("root residual", finite & res_ok)]
+            for name, passed in guards:
+                fired.update(dict.fromkeys(np.flatnonzero(ok & ~passed).tolist(), (stage.unknown, name)))
+                ok &= passed
+        known[stage.unknown] = root
+    return {st.unknown: known[st.unknown] for st in spec.stages}, alpha, fired
+
+
+def fiber_logs(spec: ProblemSpec, vals: dict):
+    """Logarithms (G, ok) of fiber values per factor, batched over rows: the anchor-0 torus branch
+    and the fundamental-cell elliptic logarithm."""
     m = len(next(iter(vals.values())))
     G = np.zeros((m, spec.n), dtype=complex)
     ok = np.ones(m, dtype=bool)
     for k, (kind, curve) in enumerate(spec.signature.factors):
-        a = 0.0 if anchor is None else anchor[:, k]
+        v = [vals[nm] for nm in spec.signature.factor_vars(k)]
         if kind == "torus":
-            w = vals[spec.signature.factor_vars(k)[0]]
-            ok &= np.abs(w) > 0
-            G[:, k] = torus_log_near(np.where(np.abs(w) > 0, w, 1.0), a)
-            continue
-        xk, yk = spec.signature.factor_vars(k)
-        G[:, k], vok = log_E_batch(curve, vals[xk], vals[yk], None if anchor is None else a)
-        ok &= vok
+            ok &= np.abs(v[0]) > 0
+            G[:, k] = torus_log_near(np.where(np.abs(v[0]) > 0, v[0], 1.0), 0.0)
+        else:
+            G[:, k], vok = log_E_batch(curve, *v)
+            ok &= vok
     return G, ok
 
 
@@ -646,7 +670,7 @@ class _Tracker:
     from its tangent prediction u + du/dz . dZ at the row's current point,
     taken only where Smale's alpha-test at that start certifies convergence
     to a unique nearby root; a row whose prediction is not finite starts
-    from its previous root (_stage_roots).  The elliptic
+    from its previous root (_predict, _stage_roots).  The elliptic
     logarithm is predicted from the invariant differential dv = dx/y and
     polished by Gauss-Newton on the rows the other guards kept.  Guards
     (alpha test, root residual, leading coefficient, log step, domain)
@@ -691,12 +715,13 @@ class _Tracker:
         Returns (ok, reason, cand, Gnew) for those rows; the state is not
         changed.  cand maps each stage unknown to its new values, and
         "alpha" to the alpha that the alpha-test judged at the predicted
-        starts (_stage_roots), the largest over the stages of degree > 1 (0
-        where there are none).  Gauss-Newton solves the elliptic log only on
-        the rows the stage and domain guards (and earlier factors) kept,
-        from _log_seed; Gnew holds the previous log on the others.  A stage
-        whose inputs are bitwise unchanged on every row keeps its certified
-        roots, and a factor made only of such stages its log.
+        starts (_predict, _stage_roots), the largest over the stages of
+        degree > 1 (0 where there are none).  Gauss-Newton solves the
+        elliptic log only on the rows the stage and domain guards (and
+        earlier factors) kept, from _log_seed; Gnew holds the previous log
+        on the others.  A stage whose inputs are bitwise unchanged on every
+        row keeps its certified roots, and a factor made only of such stages
+        its log.
         """
         spec = self.spec
         m = Znext.shape[0]
@@ -706,7 +731,9 @@ class _Tracker:
             inside = domain.contains_batch(Znext)
             reason[~inside] = self.FAIL_DOMAIN
             ok &= inside
-        cand, still = self._stage_roots(Znext, rows, ok)
+        start, still = self._predict(Znext, rows)
+        cand, alpha, _ = _stage_roots(spec, Znext, start, still, ok)
+        cand["alpha"] = alpha
         Gnew = np.empty((m, spec.n), dtype=complex)
         for k, (kind, curve) in enumerate(spec.signature.factors):
             prev_g = self.G[rows, k]
@@ -730,48 +757,28 @@ class _Tracker:
         reason[(reason == 0) & ~ok] = self.FAIL_BRANCH
         return ok, reason, cand, Gnew
 
-    def _stage_roots(self, Znext, rows, ok):
-        """Stage roots of the tracker rows `rows` at Znext: (cand, still), clearing `ok` where a guard fires.
-
-        Each stage root of degree > 1 is Newton's method from its tangent
-        prediction u + du/dz . dZ, dZ = Znext - Z, taken only where Smale's
-        alpha-test at that start certifies it; du/dz . dZ comes stage by
-        stage at the row's current point (_stage_slope), and a row whose
-        prediction is not finite starts from u.  A degree-1 stage is solved
-        outright.  still holds the unknowns whose inputs are bitwise
-        unchanged on every row; they keep their roots.  The current point and
-        the predictions live only here, not through the trial's logarithms.
-        """
+    def _predict(self, Znext, rows):
+        """Starts (start, still) of the stage roots (_stage_roots) of the rows `rows` at Znext: each the
+        tangent prediction u + du/dz . dZ, dZ = Znext - Z (_stage_slope at the current point), or u where
+        that is not finite; still holds the unknowns whose inputs are bitwise unchanged, which keep u."""
         spec = self.spec
-        m = Znext.shape[0]
         Z = self.Z[rows]
         here = {nm: Z[:, i] for i, nm in enumerate(spec.signature.z_vars)}
         here.update((nm, col[rows]) for nm, col in self.vals.items())
         slope = {nm: Znext[:, i] - Z[:, i] for i, nm in enumerate(spec.signature.z_vars)}
-        known = {nm: Znext[:, i] for i, nm in enumerate(spec.signature.z_vars)}
         still = {nm for i, nm in enumerate(spec.signature.z_vars) if np.array_equal(Znext[:, i], Z[:, i])}
-        cand = {"alpha": np.zeros(m)}
+        start = {}
         for stage in spec.stages:
-            chosen = here[stage.unknown]
+            u = here[stage.unknown]
             if still.issuperset(v for v, _ in stage.partials if v != stage.unknown):
                 still.add(stage.unknown)
-                slope[stage.unknown] = 0.0
-            else:
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    slope[stage.unknown] = _stage_slope(stage, here, slope)
-                    start = chosen + slope[stage.unknown]
-                coeffs, lead_ok = _stage_coeffs(stage, known, m)
-                ok &= lead_ok
-                if stage.degree == 1:
-                    chosen = -coeffs[:, 0] / coeffs[:, 1]
-                else:
-                    chosen, alpha, cert = _certified_newton(coeffs, np.where(np.isfinite(start), start, chosen), ok)
-                    cand["alpha"] = np.maximum(cand["alpha"], alpha)
-                    finite = np.isfinite(chosen)
-                    res_ok = _poly_residual_ok(coeffs, np.where(finite, chosen, 0.0)[:, None], 1e-9)
-                    ok &= cert & finite & res_ok
-            known[stage.unknown] = cand[stage.unknown] = chosen
-        return cand, still
+                slope[stage.unknown], start[stage.unknown] = 0.0, u
+                continue
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                slope[stage.unknown] = _stage_slope(stage, here, slope)
+                guess = u + slope[stage.unknown]
+            start[stage.unknown] = np.where(np.isfinite(guess), guess, u)
+        return start, still
 
     # -- step sizing ------------------------------------------------------
     def _rate(self, rows):

@@ -35,14 +35,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NonConvergence, _certified_newton, _fold_columns
-from .elliptic import _cdiv, _gauss_newton_step, wp_both
+from .core import NonConvergence, _fold_columns
+from .elliptic import Lattice, _cdiv, _gauss_newton_step, wp_both
 from .fiber import (
     ProblemSpec,
     SectorDomain,
     _batched_fiber,
     _fiber_rows,
-    _stage_coeffs,
+    _stage_roots,
     _Tracker,
     fiber_logs,
     g_jacobian,
@@ -555,10 +555,10 @@ def _solve_rows(A: np.ndarray, b: np.ndarray):
     non-finite x.  It works on the n x n entries as (m,) columns and swaps pivot rows by np.where, so
     a row's bits do not depend on the batch."""
     A, b = np.asarray(A, dtype=complex), np.asarray(b, dtype=complex)
-    n = b.shape[1]
+    m, n = b.shape
     a = [[A[:, j, k] for k in range(n)] for j in range(n)]
     x = [b[:, j] for j in range(n)]
-    ok = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    ok = _fold_columns(np.logical_and, np.isfinite(np.concatenate((A.reshape(m, n * n), b), axis=1)))
     with np.errstate(all="ignore"):
         for i in range(n):
             p = i + np.argmax(np.abs(np.stack([a[j][i] for j in range(i, n)], axis=1)), axis=1)
@@ -577,7 +577,32 @@ def _solve_rows(A: np.ndarray, b: np.ndarray):
             terms = [a[i][k] * x[k] for k in range(i + 1, n)]
             x[i] = (x[i] - sum(terms[1:], terms[0]) if terms else x[i]) / a[i][i]
     x = np.stack(x, axis=1)
-    return x, ok & np.isfinite(x).all(axis=1)
+    return x, ok & _fold_columns(np.logical_and, np.isfinite(x))
+
+
+def _log_at_s(spec: ProblemSpec, S, LAM, exp, vals: dict, anchor):
+    """The record check at s = S[r] of its fiber point vals, exp = _exp_S(spec, S), for the sweep's
+    certificate and verify: (residual, G, dist, ok).  residual is group_distance(exp_S(s), vals); on a
+    torus factor G is torus_log_near from anchor and dist |s - lambda - G|, on a curve G is s - lambda
+    less one Gauss-Newton step from wp(s), wp'(s) of exp_S(s) and dist that step's length.  ok is False
+    where a torus coordinate vanishes or exp_S(s) is the identity of an elliptic factor."""
+    sig = spec.signature
+    e, identity = exp
+    res = group_distance(sig, e, vals, identity)
+    G, dist = np.empty_like(S), np.empty(S.shape)
+    ok = np.ones(S.shape[0], dtype=bool)
+    for k, (kind, curve) in enumerate(sig.factors):
+        v = sig.factor_vars(k)
+        if kind == "torus":
+            ok &= np.abs(vals[v[0]]) >= 1e-300
+            G[:, k] = torus_log_near(np.where(ok, vals[v[0]], 1.0), anchor[:, k])
+            dist[:, k] = np.abs(S[:, k] - G[:, k] - LAM[:, k])
+        else:
+            step = _gauss_newton_step(curve, e[v[0]], e[v[1]], e[v[0]] - vals[v[0]], e[v[1]] - vals[v[1]])
+            G[:, k] = S[:, k] - LAM[:, k] - step
+            dist[:, k] = np.abs(step)
+            ok &= ~identity[:, k]
+    return res, G, dist, ok
 
 
 def _certify_carry(spec: ProblemSpec, domain: SectorDomain, tr: _Tracker, path, LAM, rows, tol: float):
@@ -585,35 +610,21 @@ def _certify_carry(spec: ProblemSpec, domain: SectorDomain, tr: _Tracker, path, 
     guards; returns the settled rows with their residuals and f_residuals.
 
     A row settles where its rate (_Tracker._rate) allows all of |s - lambda|_inf, s is in the domain,
-    the stage roots at s pass (_Tracker._stage_roots), exp_S(s) is within tol of them, and each
-    factor's log at s is within half a gap of G at lambda: torus_log_near from it on a torus, and on
-    a curve s - lambda less one Gauss-Newton step from wp(s), wp'(s) of exp_S(s), the step (that
-    coordinate's f_residual) below tol.  The other rows are left as they were.
+    the stage roots at s pass (_stage_roots from _Tracker._predict), and in the record check at s
+    (_log_at_s from G at lambda) the residual is below tol, each log within half a gap of G at lambda
+    and each curve's step below tol.  The other rows are left as they were.
     """
-    sig = spec.signature
     Znext = path(np.ones(rows.size), rows)
     with np.errstate(all="ignore"):
         dz = _fold_columns(np.maximum, np.abs(Znext - tr.Z[rows]))
         fit = (tr._rate(rows) * dz <= 1.0) & domain.contains_batch(Znext)
-        rows, Znext, lam = rows[fit], Znext[fit], LAM[rows[fit]]
+        rows, Znext = rows[fit], Znext[fit]
         ok = np.ones(rows.size, dtype=bool)
-        cand, _ = tr._stage_roots(Znext, rows, ok)
-        e, identity = _exp_S(spec, Znext)
-        res = group_distance(sig, e, cand, identity)
-        ok &= res < tol
-        G, dist = np.empty_like(Znext), np.empty(Znext.shape)
-        for k, (kind, curve) in enumerate(sig.factors):
-            v = sig.factor_vars(k)
-            if kind == "torus":
-                ok &= np.abs(cand[v[0]]) >= 1e-300
-                G[:, k] = torus_log_near(np.where(ok, cand[v[0]], 1.0), tr.G[rows, k])
-                dist[:, k] = np.abs(Znext[:, k] - G[:, k] - lam[:, k])
-            else:
-                step = _gauss_newton_step(curve, e[v[0]], e[v[1]], e[v[0]] - cand[v[0]], e[v[1]] - cand[v[1]])
-                G[:, k] = Znext[:, k] - lam[:, k] - step
-                dist[:, k] = np.abs(step)
-                ok &= ~identity[:, k] & (dist[:, k] < tol)
-            ok &= np.abs(G[:, k] - tr.G[rows, k]) <= 0.5 * tr.gaps[k]
+        cand, _, _ = _stage_roots(spec, Znext, *tr._predict(Znext, rows), ok)
+        res, G, dist, log_ok = _log_at_s(spec, Znext, LAM[rows], _exp_S(spec, Znext), cand, tr.G[rows])
+        ok &= (res < tol) & log_ok
+        for k, (kind, _) in enumerate(spec.signature.factors):
+            ok &= (np.abs(G[:, k] - tr.G[rows, k]) <= 0.5 * tr.gaps[k]) & ((kind == "torus") | (dist[:, k] < tol))
     rows = rows[ok]
     tr.Z[rows], tr.G[rows] = Znext[ok], G[ok]
     for nm in tr.vals:
@@ -887,34 +898,28 @@ def count_zeros_window(h, box) -> int:
 def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float):
     """Re-check every record from scratch; returns (all_ok, row list).
 
-    records: Records, or a list of SolutionRecords.  Rows are (index,
-    check-name, ok, detail); no branch state is reused.  Each stage at
-    z = s is certified by Smale's alpha-test at the exp_S(s) coordinate of
-    its unknown, or the record gets a fiber FAIL row naming the guard, as
-    it does at the identity of an elliptic factor.  residual is the
-    distance from exp_S(s) to the certified fiber point, f_residual the
-    log distance |s - lambda - G| from s - lambda to it, its log G seeded
-    at s - lambda.
+    records: Records, or a list of SolutionRecords.  Rows are (index, check-name, ok, detail); no
+    branch state is reused.  It is the sweep's check at s: _stage_roots from exp_S(s), then _log_at_s
+    from s - lambda for residual and f_residual, into which a curve coordinate also folds the distance
+    from lambda to its lattice (0 on m*a + n*b in the reduced basis, as _disc_points builds lambda).  A
+    record whose stage fails a guard, or whose exp_S(s) is an elliptic identity, gets a fiber FAIL row.
     """
     if not isinstance(records, Records):
         records = Records(*map(np.array, zip(*records))) if records else Records.empty(spec.n)
     N = len(records)
     slack = 50.0  # recomputed roots carry their own tolerance
     S, LAM = records.s, records.lam
-    start, identity = _exp_S(spec, S)
-    fiber = ~identity.any(axis=1)
+    exp = _exp_S(spec, S)
+    fiber = ~exp[1].any(axis=1)
     why = dict.fromkeys(np.flatnonzero(~fiber).tolist(), "exp_S(s) is the identity of an elliptic factor")
-    vals = {nm: S[:, i] for i, nm in enumerate(spec.signature.z_vars)}
-    for stage in spec.stages:
-        coeffs, lead_ok = _stage_coeffs(stage, vals, N)
-        vals[stage.unknown], _, cert = _certified_newton(coeffs, start[stage.unknown], fiber & lead_ok)
-        for r in np.flatnonzero(fiber & ~cert).tolist():
-            why[r] = f"{'alpha test' if lead_ok[r] else 'leading coefficient'} guard fired in the {stage.unknown} stage"
-        fiber &= cert
-    G, g_ok = fiber_logs(spec, {nm: col[fiber] for nm, col in vals.items()}, anchor=S[fiber] - LAM[fiber])
-    got = np.full((N, 2), np.nan)
-    got[fiber, 0] = group_distance(spec.signature, start, vals)[fiber]
-    got[fiber, 1] = np.where(g_ok, _fold_columns(np.maximum, np.abs(S[fiber] - LAM[fiber] - G)), np.inf)
+    vals, _, fired = _stage_roots(spec, S, exp[0], (), fiber)
+    res, _, dist, log_ok = _log_at_s(spec, S, LAM, exp, vals, S - LAM)
+    for k, (kind, curve) in enumerate(spec.signature.factors):
+        if kind != "torus":
+            lat = Lattice(*curve.lattice.reduced_basis())
+            dist[:, k] = np.maximum(dist[:, k], np.abs(LAM[:, k] - lat.from_coords(*np.round(lat.coords(LAM[:, k])))))
+    why.update((r, f"{guard} guard fired in the {unknown} stage") for r, (unknown, guard) in fired.items())
+    got = np.stack((res, np.where(log_ok, _fold_columns(np.maximum, dist), np.inf)), axis=1)
     claimed = np.stack((records.residual, records.f_residual), axis=1)
     ok = (got < slack * np.fmax(tol, claimed + tol)).tolist()
     in_domain = domain.contains_batch(S).tolist()

@@ -296,14 +296,18 @@ def test_verify_takes_the_domain_flags_solve_took(tmp_path, capsys):
 
 
 def test_verify_flags_corrupt_record(tmp_path, torus_run):
-    payload = json.loads(torus_run.read_text())
-    payload["records"][5]["s"][0] += 1e-3
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    r = run_cli("verify", "--spec", TORUS_SPEC, "--report", bad)
-    assert r.returncode == 1
-    assert "FAIL" in r.stdout
-    assert "record 5" in r.stderr
+    # one s[0] moved by 1e-3, on a torus report and on an elliptic one
+    wp_run = tmp_path / "wp.json"
+    assert run_cli("solve", "--spec", WP_SPEC, "--epsilon", "0.15", "--out", wp_run).returncode == 0
+    for spec, run, flags in ((TORUS_SPEC, torus_run, ()), (WP_SPEC, wp_run, ("--epsilon", "0.15"))):
+        payload = json.loads(run.read_text())
+        payload["records"][5]["s"][0] += 1e-3
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        r = run_cli("verify", "--spec", spec, "--report", bad, *flags)
+        assert r.returncode == 1, spec
+        assert "FAIL" in r.stdout
+        assert "record 5" in r.stderr
 
 
 @pytest.mark.parametrize("strip", [lambda payload: payload.update(records=[]), lambda payload: payload.pop("records")],

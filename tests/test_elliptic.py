@@ -62,6 +62,30 @@ def _brute_invariants(w1, w2):
     return g2, g3
 
 
+def _nearest_point(lat, z):
+    """Lattice point(s) nearest to z; vectorized over arrays."""
+    a, b = lat.reduced_basis()
+    z = np.asarray(z, dtype=complex)
+    det = a.real * b.imag - a.imag * b.real
+    s = (b.imag * z.real - b.real * z.imag) / det
+    t = (-a.imag * z.real + a.real * z.imag) / det
+    m0 = np.round(s)
+    n0 = np.round(t)
+    best = None
+    best_d = None
+    for dm in (-1, 0, 1):
+        for dn in (-1, 0, 1):
+            cand = (m0 + dm) * a + (n0 + dn) * b
+            d = np.abs(z - cand)
+            if best is None:
+                best, best_d = cand, d
+            else:
+                take = d < best_d
+                best = np.where(take, cand, best)
+                best_d = np.where(take, d, best_d)
+    return best if best.shape else complex(best)
+
+
 def _cell_points(lat, count, margin=0.05):
     """Random points of the fundamental cell at distance > margin*|w1| from
     the lattice (keeps wp well conditioned for invariant checks)."""
@@ -70,7 +94,7 @@ def _cell_points(lat, count, margin=0.05):
     while len(out) < count:
         s, t = RNG.uniform(-0.5, 0.5, size=2)
         z = lat.from_coords(s, t)
-        if abs(z - lat.nearest_point(z)) > bound:
+        if abs(z - _nearest_point(lat, z)) > bound:
             out.append(z)
     return np.array(out)
 
@@ -130,7 +154,7 @@ def test_reduce_mod_lattice_tie_convention():
 def test_nearest_point_is_nearest():
     for lat in (SQUARE, SKEW, HEX):
         z = RNG.normal(size=40) * 4 + 1j * RNG.normal(size=40) * 4
-        near = lat.nearest_point(z)
+        near = _nearest_point(lat, z)
         s, t = lat.coords(near)
         assert np.allclose(s, np.round(s), atol=1e-9)
         ms = np.arange(-8, 9)
@@ -325,7 +349,7 @@ def _lattice_sum_wp(z, curve):
     tail = np.array([0j] + [c[j] - (2 * j + 1) * np.sum(near ** (-2 * j - 2)) for j in range(1, jmax + 1)])
 
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zr = z - lat.nearest_point(z)
+    zr = z - _nearest_point(lat, z)
     pole = np.abs(zr) < curve.pole_tol
     zs = np.where(pole, 0.5 * gap, zr)
     w = zs[:, None] - near[None, :]
@@ -456,51 +480,6 @@ def test_log_two_torsion(curves):
     back, ok = log_E_batch(curve, x, np.zeros(3))
     assert ok.all()
     assert np.max(np.abs(reduce_mod_lattice(back - half, curve.lattice)[0])) < 1e-8
-
-
-def test_log_near_anchor(curves):
-    curve = curves["skew"]
-    lat = curve.lattice
-    z = np.array([0.23 + 0.11j, 0.31 - 0.17j])
-    x, y, _ = wp_both(z, curve)
-    shift = lat.from_coords(4, -3)
-    got, ok = log_E_batch(curve, x, y, anchor=z + shift + 0.05)
-    assert ok.all()
-    assert np.max(np.abs(got - (z + shift))) < 1e-9
-    # a seed beside the cell representative returns that representative
-    got, ok = log_E_batch(curve, x, y, anchor=z + 0.01)
-    assert ok.all()
-    assert np.max(np.abs(got - z)) < 1e-9
-
-
-def test_log_tries_the_anchor_before_the_closed_form(curves, monkeypatch):
-    # the anchor runs over every row first: a row it settles is Gauss-Newton
-    # from the anchor, moved to the lattice translate nearest the anchor;
-    # only the row it leaves (its anchor a half period, where Gauss-Newton
-    # stalls) goes on to the closed-form seed, and still finds its log there
-    curve = curves["skew"]
-    lat = curve.lattice
-    z = np.array([0.23 + 0.11j, 0.31 - 0.17j, 0.23 + 0.11j])
-    x, y, _ = wp_both(z, curve)
-    shift = lat.from_coords(4, -3)
-    anchor = np.r_[z[:2] + shift + 0.05, shift + 0.5 * lat.omega1]
-    passes = []
-    gauss_newton = elliptic._gauss_newton_log
-
-    def counted(curve, x, y, v0, iters=48):
-        passes.append(len(x))
-        return gauss_newton(curve, x, y, v0, iters)
-
-    monkeypatch.setattr(elliptic, "_gauss_newton_log", counted)
-    got, ok = log_E_batch(curve, x, y, anchor=anchor)
-    assert ok.all() and passes[:2] == [3, 1]
-    v, settled, _ = gauss_newton(curve, x, y, anchor)
-    assert settled.tolist() == [True, True, False]
-    rep = reduce_mod_lattice(v[:2], lat)[0]
-    assert got[:2].tolist() == (rep + lat.nearest_point(anchor[:2] - rep)).tolist()
-    m, n = lat.coords(got[2] - z[2])
-    assert max(abs(m - round(m)), abs(n - round(n))) < 1e-9
-    assert abs(got[2] - anchor[2]) < abs(lat.omega1) + abs(lat.omega2)
 
 
 @pytest.mark.parametrize("name", ["square", "hex", "skew", *sorted(ELONGATED)])

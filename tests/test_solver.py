@@ -874,6 +874,11 @@ def test_certificate_settles_rows_as_the_carry_would(monkeypatch, name, epsilon)
         return recs, [(lam.tobytes(), bid, why) for lam, bid, why in res.skipped]
 
     assert bits(got) == bits(want)
+    # verify recomputes the carry's f_residual too
+    all_ok, rows = verify_records(st.problem, dom, want.records, st.tol)
+    f_res = [float(detail) for _, check, _, detail in rows if check == "f_residual"]
+    assert all_ok and len(f_res) == len(want.records)
+    assert max(abs(a - rec.f_residual) for a, rec in zip(f_res, want.records)) < 1e-14
 
 
 def test_trial_keeps_the_stages_a_still_z1_leaves_alone(monkeypatch):
@@ -1009,6 +1014,23 @@ def test_verify_flags_record_moved_off_its_solution(case):
 
 
 @verify_cases
+def test_verify_flags_record_off_the_period_lattice(case):
+    # lambda[0] moved by 0.1, off the period lattice of its factor (a curve
+    # on wp_mini, a torus on sqrt_branch): s still solves the fiber, so the
+    # residual passes, but s - lambda lies 0.1 from every log of exp_S(s)
+    st, domain, res = case()
+    good = res.records[len(res.records) // 2]
+    lam = good.lam.copy()
+    lam[0] += 0.1
+    all_ok, rows = verify_records(st.problem, domain or st.domain, [good, good._replace(lam=lam)], st.tol)
+    assert not all_ok
+    assert [(i, name, ok) for i, name, ok, _ in rows if name in ("residual", "f_residual")] == [
+        (0, "residual", True), (0, "f_residual", True), (1, "residual", True), (1, "f_residual", False),
+    ]
+    assert [detail for i, name, _, detail in rows if (i, name) == (1, "f_residual")] == ["1.000e-01"]
+
+
+@verify_cases
 def test_verify_reads_a_list_of_records_as_their_columns(case):
     # a list of records[i], the form the benchmark passes, gives the rows
     # that a slice of the columns gives
@@ -1033,16 +1055,18 @@ def test_verify_flags_record_at_a_period():
     assert all(ok for i, _, ok, _ in rows if i == 1)
 
 
-def test_verify_recomputes_the_sweep_residuals():
-    # the fiber point certified at exp_S(s) is the one the sweep tracked:
-    # every residual verify recomputes is the sweep's own within 1e-14
-    domain, res = wp_mini()
-    st = wp_setup()
-    all_ok, rows = verify_records(st.problem, domain, res.records, st.tol)
+@verify_cases
+def test_verify_recomputes_the_sweep_residuals(case):
+    # verify runs the sweep's own check at s (the stage roots, then the log
+    # at s): every residual and f_residual it recomputes is the sweep's own
+    # within 1e-14
+    st, domain, res = case()
+    all_ok, rows = verify_records(st.problem, domain or st.domain, res.records, st.tol)
     assert all_ok
-    got = [float(detail) for _, name, _, detail in rows if name == "residual"]
-    assert len(got) == len(res.records) == 444
-    assert max(abs(a - rec.residual) for a, rec in zip(got, res.records)) < 1e-14
+    for name in ("residual", "f_residual"):
+        got = [float(detail) for _, check, _, detail in rows if check == name]
+        assert len(got) == len(res.records) > 0
+        assert max(abs(a - getattr(rec, name)) for a, rec in zip(got, res.records)) < 1e-14
 
 
 def test_sweep_result_holds_records_as_columns():
@@ -1149,9 +1173,9 @@ def test_gamma_matches_fresh_log_of_alpha():
         d = np.zeros(st.problem.degree)
         for k, (_, curve) in enumerate(st.problem.signature.factors):
             xk, yk = st.problem.signature.factor_vars(k)
-            g, ok = log_E_batch(curve, vals[xk], vals[yk], g_b[k])
+            g, ok = log_E_batch(curve, vals[xk], vals[yk])
             assert ok.all()
-            d = np.maximum(d, np.abs(g - g_b[k]))
+            d = np.maximum(d, np.abs(reduce_mod_lattice(g - g_b[k], curve.lattice)[0]))
         assert d.min() < 0.02
 
 
