@@ -22,7 +22,7 @@ alone, never by --jobs, so the report is the same bytes at any --jobs.
 Rows stay arrays throughout: branch rows live only in fiber._Tracker,
 which holds each row's failure reason from the base fiber to the fixed
 point, the margin gate and the chunks give each row a code into REASONS,
-and one np.lexsort puts them in the canonical order.
+and the report keeps enumerate_lattice's order of their lambdas.
 For one torus coordinate, F(z) = P(z, e^z) is entire and its zeros are the
 solutions on every branch, so count_zeros_window, which evaluates its h on
 arrays, checks a box of records against F itself (explat verify --box).
@@ -167,8 +167,9 @@ def enumerate_lattice(sig, domain: SectorDomain, radius_range) -> np.ndarray:
 
     The chart coordinate lambda_l runs over the annulus of its factor's
     lattice; each other coordinate i over the disc |lambda_i - c_i lambda_l|
-    < epsilon |lambda_l|.  Deterministic order: ascending |lambda_l|, then
-    lexicographic on (re, im) of each coordinate.  Raises LatticeTooLarge
+    < epsilon |lambda_l|.  The order is the report's canonical order:
+    ascending |lambda_l| (as abs() rounds it), then lexicographic on (re,
+    im) of each coordinate.  Raises LatticeTooLarge
     when the candidates exceed MAX_LATTICE_BYTES: the chart disc's before it
     is allocated, and the per-chart discs' (counted exactly from the chart
     points kept) before any of them is.
@@ -198,9 +199,8 @@ def enumerate_lattice(sig, domain: SectorDomain, radius_range) -> np.ndarray:
     pts = np.stack([cols[i] for i in range(n)], axis=1)
     pts = pts[domain.contains_batch(pts)]
     keys = sum(([pts[:, i].imag, pts[:, i].real] for i in reversed(range(n))), [])
-    keys.append(np.abs(pts[:, ell]))
-    order = np.lexsort(keys)
-    return pts[order]
+    keys.append(np.hypot(pts[:, ell].real, pts[:, ell].imag))
+    return pts[np.lexsort(keys)]
 
 
 # ----------------------------------------------------------------------
@@ -367,12 +367,6 @@ def _exp_S(spec: ProblemSpec, S: np.ndarray):
         else:
             out[names[0]], out[names[1]], identity[:, k] = wp_both(S[:, k], curve)
     return out, identity
-
-
-def _exp_residuals(spec: ProblemSpec, S: np.ndarray, vals: dict) -> np.ndarray:
-    """Group distance between exp_S(s) and alpha(s) per row."""
-    e, identity = _exp_S(spec, S)
-    return group_distance(spec.signature, e, vals, identity)
 
 
 class _Leg1(NamedTuple):
@@ -581,28 +575,31 @@ def _solve_rows(A: np.ndarray, b: np.ndarray):
 
 
 def _log_at_s(spec: ProblemSpec, S, LAM, exp, vals: dict, anchor):
-    """The record check at s = S[r] of its fiber point vals, exp = _exp_S(spec, S), for the sweep's
-    certificate and verify: (residual, G, dist, ok).  residual is group_distance(exp_S(s), vals); on a
-    torus factor G is torus_log_near from anchor and dist |s - lambda - G|, on a curve G is s - lambda
-    less one Gauss-Newton step from wp(s), wp'(s) of exp_S(s) and dist that step's length.  ok is False
-    where a torus coordinate vanishes or exp_S(s) is the identity of an elliptic factor."""
+    """The record check at s = S[r] of its fiber point vals, exp = _exp_S(spec, S), for the sweep and
+    verify: (residual, G, f).  residual is group_distance(exp_S(s), vals).  On a torus factor G is
+    torus_log_near from anchor and its distance |s - lambda - G|; on a curve G is s - lambda less one
+    Gauss-Newton step from wp(s), wp'(s) of exp_S(s), and its distance that step's length.  f is the
+    largest over the factors of that distance, or of |G - anchor| where that exceeds half the factor's
+    gap; it is inf where a torus coordinate vanishes or exp_S(s) is the identity of an elliptic factor."""
     sig = spec.signature
     e, identity = exp
     res = group_distance(sig, e, vals, identity)
-    G, dist = np.empty_like(S), np.empty(S.shape)
+    G, f = np.empty_like(S), np.zeros(S.shape[0])
     ok = np.ones(S.shape[0], dtype=bool)
     for k, (kind, curve) in enumerate(sig.factors):
         v = sig.factor_vars(k)
         if kind == "torus":
             ok &= np.abs(vals[v[0]]) >= 1e-300
             G[:, k] = torus_log_near(np.where(ok, vals[v[0]], 1.0), anchor[:, k])
-            dist[:, k] = np.abs(S[:, k] - G[:, k] - LAM[:, k])
+            dist = np.abs(S[:, k] - G[:, k] - LAM[:, k])
         else:
             step = _gauss_newton_step(curve, e[v[0]], e[v[1]], e[v[0]] - vals[v[0]], e[v[1]] - vals[v[1]])
             G[:, k] = S[:, k] - LAM[:, k] - step
-            dist[:, k] = np.abs(step)
+            dist = np.abs(step)
             ok &= ~identity[:, k]
-    return res, G, dist, ok
+        off = np.abs(G[:, k] - anchor[:, k])
+        f = np.maximum(f, np.where(off <= 0.5 * sig.gap(k), dist, off))
+    return res, G, np.where(ok, f, np.inf)
 
 
 def _certify_carry(spec: ProblemSpec, domain: SectorDomain, tr: _Tracker, path, LAM, rows, tol: float):
@@ -610,9 +607,9 @@ def _certify_carry(spec: ProblemSpec, domain: SectorDomain, tr: _Tracker, path, 
     guards; returns the settled rows with their residuals and f_residuals.
 
     A row settles where its rate (_Tracker._rate) allows all of |s - lambda|_inf, s is in the domain,
-    the stage roots at s pass (_stage_roots from _Tracker._predict), and in the record check at s
-    (_log_at_s from G at lambda) the residual is below tol, each log within half a gap of G at lambda
-    and each curve's step below tol.  The other rows are left as they were.
+    the stage roots at s pass (_stage_roots from _Tracker._predict), and the record check at s
+    (_log_at_s from G at lambda) gives a residual and an f below tol.  The other rows are left as they
+    were.
     """
     Znext = path(np.ones(rows.size), rows)
     with np.errstate(all="ignore"):
@@ -621,15 +618,13 @@ def _certify_carry(spec: ProblemSpec, domain: SectorDomain, tr: _Tracker, path, 
         rows, Znext = rows[fit], Znext[fit]
         ok = np.ones(rows.size, dtype=bool)
         cand, _, _ = _stage_roots(spec, Znext, *tr._predict(Znext, rows), ok)
-        res, G, dist, log_ok = _log_at_s(spec, Znext, LAM[rows], _exp_S(spec, Znext), cand, tr.G[rows])
-        ok &= (res < tol) & log_ok
-        for k, (kind, _) in enumerate(spec.signature.factors):
-            ok &= (np.abs(G[:, k] - tr.G[rows, k]) <= 0.5 * tr.gaps[k]) & ((kind == "torus") | (dist[:, k] < tol))
+        res, G, f = _log_at_s(spec, Znext, LAM[rows], _exp_S(spec, Znext), cand, tr.G[rows])
+        ok &= (res < tol) & (f < tol)
     rows = rows[ok]
     tr.Z[rows], tr.G[rows] = Znext[ok], G[ok]
     for nm in tr.vals:
         tr.vals[nm][rows] = cand[nm][ok]
-    return rows, res[ok], _fold_columns(np.maximum, dist[ok])
+    return rows, res[ok], f[ok]
 
 
 def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray, tr: _Tracker,
@@ -646,12 +641,13 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
     and take the larger rates.  Newton's method on F (_exp_F, _solve_rows)
     runs from lambda + (I - dG_b)^-1 G_b (g_jacobian) to s.  The fiber and
     log at s come from a certificate there (_certify_carry), and a row it
-    refuses takes one continuation from lambda to s, the carry.  A row
-    that fails a continuation keeps its guard in tr.reason.  Returns the
-    rows as columns (lambda-major, branch-minor), each with its code into
-    REASONS, the first that holds of: a continuation left the domain
-    (left-domain) or failed otherwise
-    (branch-point); Newton did not settle, or |s - lambda - G_b(s)| >= tol,
+    refuses takes one continuation from lambda to s, the carry, and then
+    the same record check at s (_log_at_s from its continued log), so
+    every row's residual and f_residual mean one thing.  A row that fails
+    a continuation keeps its guard in tr.reason.  Returns the rows as
+    columns (lambda-major, branch-minor), each with its code into REASONS,
+    the first that holds of: a continuation left the domain (left-domain)
+    or failed otherwise (branch-point); Newton did not settle, or f >= tol,
     s being another branch's solution (no-convergence); the residual is >=
     tol (residual-above-tol).
     """
@@ -713,17 +709,17 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
     converged = iterations > 0
 
     path = straight_path(tr.Z, S)
+    res, f_res = np.full(m, np.inf), np.full(m, np.inf)
     settled, res_settled, f_settled = _certify_carry(spec, domain, tr, path, LAM, np.flatnonzero(converged), tol)
+    res[settled], f_res[settled] = res_settled, f_settled
     carried = converged.copy()
     carried[settled] = False
     tr.advance(path, domain=domain, active=carried)
     S = tr.Z
-    res = np.full(m, np.inf)
-    if carried.any():
-        res[carried] = _exp_residuals(spec, S[carried], {nm: col[carried] for nm, col in tr.vals.items()})
-    res[settled] = res_settled
-    f_res = _fold_columns(np.maximum, np.abs(S - tr.G - LAM))
-    f_res[settled] = f_settled
+    rows = np.flatnonzero(carried & (tr.reason == _Tracker.OK))
+    if rows.size:
+        res[rows], _, f_res[rows] = _log_at_s(spec, S[rows], LAM[rows], _exp_S(spec, S[rows]),
+                                              {nm: col[rows] for nm, col in tr.vals.items()}, tr.G[rows])
     failed = tr.reason != _Tracker.OK
     cases = [tr.reason == _Tracker.FAIL_DOMAIN, failed, ~converged | ~(f_res < tol), res >= tol]
     why = ("left-domain", "branch-point", "no-convergence", "residual-above-tol")
@@ -749,10 +745,9 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
           max_iter: int = 60, jobs: int = 1) -> SweepResult:
     """Enumerate, gate, and solve; returns records and skips in canonical order.
 
-    The lambdas the margin model turns away and the chunks' (lambda, branch)
-    rows are put in one canonical order by one np.lexsort: |lambda_l| (as
-    abs() rounds it), then (re, im) of each coordinate, then the branch, a
-    turned-away lambda counting as branch -1 (and its row coming first).
+    The lambdas the margin model turns away (one row each) and the chunks'
+    (lambda, branch) rows (branch-minor) keep enumerate_lattice's order of
+    their lambdas: one stable argsort of each row's enumeration index.
     """
     lams = enumerate_lattice(spec.signature, domain, radius_range)
     if lams.shape[0] == 0:
@@ -766,12 +761,11 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
 
     code = report.admits(lams, domain)
     turned, kept = lams[code != 0], lams[code == 0]
-    k = turned.shape[0]
+    k, d = turned.shape[0], spec.degree
     # turned-away lambdas as rows; their s, residuals and g are never read
     parts = [_Rows(turned, np.full(k, -1), code[code != 0], turned, np.zeros(k), np.zeros(k),
                    np.zeros(k, dtype=int), turned)]
     if kept.shape[0]:
-        d = spec.degree
         leg1 = _continue_leg1(spec, domain, kept[:, domain.chart])
         classes = _leg2_classes(spec, domain, leg1.base)
         per_chunk = max(1, CHUNK_ROWS // d)
@@ -791,11 +785,9 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
             parts += [_solve_chunk(*chunk(i)) for i in firsts]
 
     rows = _Rows(*map(np.concatenate, zip(*parts)))
-    lam_l = rows.lam[:, domain.chart]
-    keys = [rows.branch]
-    for i in reversed(range(lams.shape[1])):
-        keys += [rows.lam[:, i].imag, rows.lam[:, i].real]
-    order = np.lexsort(keys + [np.hypot(lam_l.real, lam_l.imag)])
+    # the enumeration index of each row's lambda: the turned-away lambdas, then d rows per kept one
+    index = np.concatenate([np.flatnonzero(code != 0), np.repeat(np.flatnonzero(code == 0), d)])
+    order = np.argsort(index, kind="stable")
     solved, skips = order[rows.code[order] == 0], order[rows.code[order] != 0]
     records = Records(*(col[solved] for col in (rows.lam, rows.s, rows.branch, rows.residual, rows.f_residual,
                                                   rows.iterations)))
@@ -913,13 +905,13 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     fiber = ~exp[1].any(axis=1)
     why = dict.fromkeys(np.flatnonzero(~fiber).tolist(), "exp_S(s) is the identity of an elliptic factor")
     vals, _, fired = _stage_roots(spec, S, exp[0], (), fiber)
-    res, _, dist, log_ok = _log_at_s(spec, S, LAM, exp, vals, S - LAM)
+    res, _, f = _log_at_s(spec, S, LAM, exp, vals, S - LAM)
     for k, (kind, curve) in enumerate(spec.signature.factors):
         if kind != "torus":
             lat = Lattice(*curve.lattice.reduced_basis())
-            dist[:, k] = np.maximum(dist[:, k], np.abs(LAM[:, k] - lat.from_coords(*np.round(lat.coords(LAM[:, k])))))
+            f = np.maximum(f, np.abs(LAM[:, k] - lat.from_coords(*np.round(lat.coords(LAM[:, k])))))
     why.update((r, f"{guard} guard fired in the {unknown} stage") for r, (unknown, guard) in fired.items())
-    got = np.stack((res, np.where(log_ok, _fold_columns(np.maximum, dist), np.inf)), axis=1)
+    got = np.stack((res, f), axis=1)
     claimed = np.stack((records.residual, records.f_residual), axis=1)
     ok = (got < slack * np.fmax(tol, claimed + tol)).tolist()
     in_domain = domain.contains_batch(S).tolist()

@@ -30,7 +30,7 @@ from explat.fiber import (
     monodromy_profile,
     straight_path,
 )
-from explat.solver import _base_point, _continue_leg1, _exp_residuals, _sample_domain, enumerate_lattice, sweep
+from explat.solver import _base_point, _continue_leg1, _exp_S, _log_at_s, _sample_domain, enumerate_lattice, sweep
 from explat.specfile import parse_run
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -323,7 +323,7 @@ def test_branch_base_ids_and_logs(curve_pair_spec):
     assert base.branch_ids.tolist() == list(range(12))
     assert not base.reason.any()
     # exp_S(g) lands on alpha for every branch
-    d = _exp_residuals(curve_pair_spec, base.G, base.vals)
+    d, _, _ = _log_at_s(curve_pair_spec, base.G, 0 * base.G, _exp_S(curve_pair_spec, base.G), base.vals, base.G)
     assert np.max(d) < 1e-9
 
 
@@ -853,4 +853,4 @@ def test_group_distance_and_exp(square_curve):
     assert group_distance(sig, a, c)[0] > 1e-3
     # the residual's exp_S is exactly e^z and (wp, wp')
     spec = ProblemSpec(signature=sig, equations=(), stages=(), degree=1)
-    assert _exp_residuals(spec, z, a)[0] == 0.0
+    assert _log_at_s(spec, z, 0 * z, _exp_S(spec, z), a, z)[0][0] == 0.0

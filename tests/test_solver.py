@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
@@ -484,17 +485,24 @@ def test_admits_matches_the_scalar_margin_model_at_each_wall(case):
         assert got[0] != got[1]
 
 
-@pytest.mark.parametrize("name", ["torus_identity", "sqrt_branch", "wp_example"])
-def test_sweep_order_is_the_scalar_key_order(name):
-    # one lexsort puts records and skips in the order the scalar key sorts them
+@pytest.mark.parametrize("name, radius, skips", [
+    ("torus_identity", None, {}),
+    ("sqrt_branch", None, {}),
+    ("wp_example", None, {"ratio-margin": 156}),
+    ("wp_example", (36.0, 36.1), {"ratio-margin": 168, "left-domain": 431}),
+], ids=["torus_identity", "sqrt_branch", "wp_example", "wp_example-36"])
+def test_sweep_order_is_the_scalar_key_order(name, radius, skips):
+    # records and skips keep the enumeration's order of their lambdas, which is
+    # the order the scalar key sorts them in; at 36:36.1 turned-away lambdas and
+    # (lambda, branch) rows that left the domain interleave over four chunks
     st = parse_run((EXAMPLES / f"{name}.spec").read_text())
-    res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    res = sweep(st.problem, st.domain, radius or st.radius, tol=st.tol, max_iter=st.max_iter)
     ell = st.domain.chart
     keys = [(r.lam, r.branch_id) for r in res.records]
-    skips = sorted(res.skipped, key=lambda t: _oracle_sort_key(t[0], t[1], ell))
+    ordered = sorted(res.skipped, key=lambda t: _oracle_sort_key(t[0], t[1], ell))
     assert sorted(range(len(keys)), key=lambda i: _oracle_sort_key(*keys[i], ell)) == list(range(len(keys)))
-    assert [id(t) for t in skips] == [id(t) for t in res.skipped]
-    assert len(res.records) > 0 and (name != "wp_example" or len(res.skipped) == 156)
+    assert [id(t) for t in ordered] == [id(t) for t in res.skipped]
+    assert len(res.records) > 0 and Counter(why for _, _, why in res.skipped) == skips
 
 
 def test_contraction_gate_blocks_sweep():
@@ -844,11 +852,13 @@ def test_chunk_budget_does_not_move_sweep(monkeypatch, run, chunk_rows, count):
     assert _sweep_bits(got) == _sweep_bits(want)
 
 
-@pytest.mark.parametrize("name, epsilon", [("wp_example", 0.15), ("sqrt_branch", None)])
+@pytest.mark.parametrize("name, epsilon", [("wp_example", 0.15), ("wp_example", None), ("sqrt_branch", None),
+                                           ("torus_identity", None)])
 def test_certificate_settles_rows_as_the_carry_would(monkeypatch, name, epsilon):
     # the certificate at s runs the guards of the carry's one substep from
-    # lambda to s: with it refusing every row, so that every row takes the
-    # carry, the records, skips and bits are the same
+    # lambda to s, and a carried row ends in the same record check at s: with
+    # the certificate refusing every row, so that every row takes the carry,
+    # the records, skips and bits, f_residual included, are the same
     st = parse_run((EXAMPLES / f"{name}.spec").read_text())
     dom = st.domain if epsilon is None else SectorDomain(c=st.domain.c, chart=st.domain.chart, epsilon=epsilon,
                                                          theta=st.domain.theta, eta=st.domain.eta)
@@ -869,8 +879,8 @@ def test_certificate_settles_rows_as_the_carry_would(monkeypatch, name, epsilon)
     want = run()
 
     def bits(res):
-        recs = [(r.lam.tobytes(), r.branch_id, r.s.tobytes(), np.float64(r.residual).tobytes(), r.iterations)
-                for r in res.records]
+        recs = [(r.lam.tobytes(), r.branch_id, r.s.tobytes(), np.float64(r.residual).tobytes(),
+                 np.float64(r.f_residual).tobytes(), r.iterations) for r in res.records]
         return recs, [(lam.tobytes(), bid, why) for lam, bid, why in res.skipped]
 
     assert bits(got) == bits(want)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from explat.fiber import GroupSignature, ProblemSpec
-from explat.solver import _exp_residuals
+from explat.solver import _exp_S, _log_at_s
 from explat.torus import TORUS_PERIOD, torus_log, torus_log_near
 
 RNG = np.random.default_rng(20260816)
@@ -16,7 +16,7 @@ def test_exp_basics():
     spec = ProblemSpec(signature=GroupSignature(factors=(("torus", None),)), equations=(), stages=(), degree=1)
     S = np.array([[0j], [2j * math.pi * 7], [1 + 1j * math.pi]])
     w = np.array([1.0, 1.0, -math.e])
-    res = _exp_residuals(spec, S, {"w1": w})
+    res, _, _ = _log_at_s(spec, S, 0 * S, _exp_S(spec, S), {"w1": w}, S)
     assert res[0] == 0.0
     # |exp(s) - w| < 1e-12, as the residual scales it
     assert np.all(res < 1e-12 / (1.0 + np.abs(w)))
