@@ -9,7 +9,6 @@ All diagnostics and timings go to stderr; reports go to --out or stdout.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 import time
@@ -23,7 +22,6 @@ from .fiber import DegenerateFiber, SectorDomain, branch_base, monodromy_profile
 from .solver import (
     ContractionGateFailed,
     LatticeTooLarge,
-    Records,
     ZeroOnBoundary,
     _base_point,
     _exp_F,
@@ -122,24 +120,27 @@ def _add_domain_flags(p):
 
 
 def _apply_domain_overrides(setup, args):
-    """CLI flags win over the [solver] block; returns (domain, tol)."""
+    """CLI flags win over the [solver] block; returns (domain, tol), or
+    (None, tol) after naming the degenerate geometry on stderr."""
     dom = setup.domain
     tol = args.tol if args.tol is not None else setup.tol
     eps = args.epsilon if args.epsilon is not None else dom.epsilon
     theta = args.theta if args.theta is not None else dom.theta
     eta = args.eta if args.eta is not None else dom.eta
 
-    sig = setup.problem.signature
-    torus_caps = [
-        0.5 * min(abs(c), 1.0 / abs(c))
-        for c, (kind, _) in zip(dom.c, sig.factors)
-        if kind == "torus" and c != 0
-    ]
-    if torus_caps and eps > min(torus_caps):
-        eps_old, eps = eps, min(torus_caps)
+    torus_c = [c for c, (kind, _) in zip(dom.c, setup.problem.signature.factors) if kind == "torus"]
+    if 0 in torus_c:
+        _err("degenerate direction point: torus coordinate of c is zero")
+        return None, tol
+    cap = min((0.5 * min(abs(c), 1.0 / abs(c)) for c in torus_c), default=math.inf)
+    if eps > cap:
+        eps_old, eps = eps, cap
         _err(f"epsilon clamped {eps_old:g} -> {eps:g} (torus proportionality constraint)")
-    domain = SectorDomain(c=dom.c, chart=dom.chart, epsilon=eps, theta=theta, eta=eta)
-    return domain, tol
+    try:
+        return SectorDomain(c=dom.c, chart=dom.chart, epsilon=eps, theta=theta, eta=eta), tol
+    except ValueError as exc:
+        _err(f"degenerate geometry: {exc}")
+        return None, tol
 
 
 def cmd_solve(args) -> int:
@@ -148,40 +149,26 @@ def cmd_solve(args) -> int:
         return EXIT_PARSE
     sig = setup.problem.signature
     _echo_invariants(sig)
-    for c, (kind, _) in zip(setup.domain.c, sig.factors):
-        if kind == "torus" and c == 0:
-            _err("degenerate direction point: torus coordinate of c is zero")
-            return EXIT_GEOMETRY
-    try:
-        domain, tol = _apply_domain_overrides(setup, args)
-    except ValueError as exc:
-        _err(f"degenerate geometry: {exc}")
+    domain, tol = _apply_domain_overrides(setup, args)
+    if domain is None:
         return EXIT_GEOMETRY
     radius = args.radius if args.radius is not None else setup.radius
 
     t_solve = time.perf_counter()
     try:
-        result = sweep(
-            setup.problem, domain, radius, tol=tol,
-            max_iter=setup.max_iter, jobs=args.jobs,
-        )
+        result = sweep(setup.problem, domain, radius, tol=tol, max_iter=setup.max_iter, jobs=args.jobs)
     except LatticeTooLarge as exc:
         _err(f"input error: {exc}")
         return EXIT_PARSE
-    except (ContractionGateFailed, DegenerateFiber) as exc:
-        _err(f"degenerate geometry: {exc}")
-        return EXIT_GEOMETRY
-    except (NonConvergence, ValueError) as exc:
+    except (ContractionGateFailed, DegenerateFiber, NonConvergence, ValueError) as exc:
         _err(f"degenerate geometry: {exc}")
         return EXIT_GEOMETRY
     solve_s = time.perf_counter() - t_solve
 
     if result.contraction is not None:
         _err(f"contraction bound {result.contraction.norm:.6g} on {result.contraction.samples} samples")
-    _err(
-        f"enumerated {result.enumerated} lattice points, "
-        f"{len(result.records)} records, {len(result.skipped)} skipped, {solve_s:.2f}s"
-    )
+    _err(f"enumerated {result.enumerated} lattice points, {len(result.records)} records, "
+         f"{len(result.skipped)} skipped, {solve_s:.2f}s")
     if not result.records:
         _err("no convergent lattice points in the given radius range")
         return EXIT_NO_POINTS
@@ -191,90 +178,39 @@ def cmd_solve(args) -> int:
         return EXIT_INVARIANTS
 
     text = report_mod.emit_csv(result, sig) if args.format == "csv" else report_mod.emit_json(result, digest, sig)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _finite_array(col: list, size: int = 0):
-    """col as one float array: (N, size) when each entry is a list of `size`
-    finite JSON numbers, (N,) when each is one; else None."""
-    values = col
-    if size:
-        if not all(map(isinstance, col, itertools.repeat(list))) or set(map(len, col)) - {size}:
-            return None
-        values = itertools.chain.from_iterable(col)
-    if set(map(type, values)) - {int, float}:
-        return None
     try:
-        arr = np.array(col, dtype=float).reshape(len(col), *((size,) if size else ()))
-    except OverflowError:  # an int past the float range
-        return None
-    return arr if np.isfinite(arr).all() else None
-
-
-def _report_contents(payload, n: int):
-    """(Records, decay table) of a parsed report; ValueError names the bad field.
-
-    The fields are checked a column at a time; only a report that fails
-    is walked record by record, to name the first bad record and field.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("the report is not a JSON object")
-    records = payload.get("records", [])
-    if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
-        raise ValueError("records is not a list of objects")
-    keys = ("lambda", "s", "branch_id", "residual", "f_residual", "iterations")
-    cols = {key: [rec.get(key) for rec in records] for key in keys}
-    lam, s = _finite_array(cols["lambda"], 2 * n), _finite_array(cols["s"], 2 * n)
-    res, f_res = _finite_array(cols["residual"]), _finite_array(cols["f_residual"])
-    if any(c is None for c in (lam, s, res, f_res)) or set(map(type, cols["branch_id"] + cols["iterations"])) - {int}:
-        for i, rec in enumerate(records):
-            for key in ("lambda", "s"):
-                if _finite_array([rec.get(key)], 2 * n) is None:
-                    raise ValueError(f"record {i}: {key} is not a list of {2 * n} numbers")
-            for key in ("residual", "f_residual"):
-                if _finite_array([rec.get(key)]) is None:
-                    raise ValueError(f"record {i}: {key} is not a finite number")
-            for key in ("branch_id", "iterations"):
-                if type(rec.get(key)) is not int:
-                    raise ValueError(f"record {i}: {key} is not an integer")
-    asym = payload.get("asymptotics", {})
-    decay = asym.get("decay", []) if isinstance(asym, dict) else None
-    if not (isinstance(decay, list) and _finite_array(decay, 2) is not None):
-        raise ValueError("asymptotics.decay is not a list of number pairs")
-    records = Records(lam[:, 0::2] + 1j * lam[:, 1::2], s[:, 0::2] + 1j * s[:, 1::2], np.array(cols["branch_id"]),
-                      res, f_res, np.array(cols["iterations"]))
-    return records, decay
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        _err(f"cannot write report: {exc}")
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     setup, digest = _load_run(args.spec)
     if setup is None:
         return EXIT_PARSE
+    domain, tol = _apply_domain_overrides(setup, args)
+    if domain is None:
+        return EXIT_GEOMETRY
     try:
         with open(args.report) as fh:
-            payload = report_mod.parse_json(fh.read())
-        records, decay = _report_contents(payload, setup.problem.n)
+            claimed_digest, records, decay = report_mod.read_report(fh.read(), setup.problem.n)
     except (OSError, ValueError) as exc:
         _err(f"cannot read report: {exc}")
         return EXIT_PARSE
-    try:
-        domain, tol = _apply_domain_overrides(setup, args)
-    except ValueError as exc:
-        _err(f"degenerate geometry: {exc}")
-        return EXIT_GEOMETRY
 
-    rows = [("-", "digest", payload.get("spec_digest") == digest, "")]
+    rows = [("-", "digest", claimed_digest == digest, "")]
     if not records:
         # solve never writes a report without records (it exits 4 instead)
         rows.append(("-", "records", False, "report has no records"))
     rows += verify_records(setup.problem, domain, records, tol)[1]
 
-    if decay and decay[0][0] != decay[-1][0]:  # one size has no trend
+    if len(decay) and decay[0][0] != decay[-1][0]:  # one size has no trend
         rows.append(("-", "decay-trend", decay[-1][1] < decay[0][1], f"{decay[0][1]:.3e} -> {decay[-1][1]:.3e}"))
 
     if args.box is not None:
@@ -292,13 +228,12 @@ def cmd_verify(args) -> int:
             except (ZeroOnBoundary, NonConvergence) as exc:
                 rows.append(("-", "zero-count", False, str(exc)))
 
-    all_ok = all(ok for _, _, ok, _ in rows)
     lines = [f"{'record':>7} {'check':<12} {'status':<6} detail"]
     lines += [f"{str(idx):>7} {name:<12} {'pass' if ok else 'FAIL':<6} {detail}" for idx, name, ok, detail in rows]
     sys.stdout.write("\n".join(lines) + "\n")
-    if not all_ok:
-        worst = [(idx, name, detail) for idx, name, ok, detail in rows if not ok][0]
-        _err(f"verification failed; first offender: record {worst[0]} {worst[1]} {worst[2]}")
+    failed = [(idx, name, detail) for idx, name, ok, detail in rows if not ok]
+    if failed:
+        _err("verification failed; first offender: record %s %s %s" % failed[0])
         return 1
     return EXIT_OK
 

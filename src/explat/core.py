@@ -50,15 +50,15 @@ def _fold_columns(op, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_residual_ok(coeffs: np.ndarray, roots: np.ndarray, tol: float) -> np.ndarray:
-    """Check |p(r)| <= tol * max(1, ||p|| * max(1,|r|)^deg) rowwise."""
+def _poly_residual_ok(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Check |p(r)| <= ROOT_TOL * max(1, ||p|| * max(1,|r|)^deg) rowwise."""
     d = coeffs.shape[1] - 1
     p = np.repeat(coeffs[:, -1:], roots.shape[1], axis=1)
     for k in range(d - 1, -1, -1):
         p = p * roots + coeffs[:, k, None]
     norm = _fold_columns(np.maximum, np.abs(coeffs))
     scale = np.maximum(1.0, norm[:, None] * np.maximum(1.0, np.abs(roots)) ** d)
-    return _fold_columns(np.logical_and, np.abs(p) <= tol * scale)
+    return _fold_columns(np.logical_and, np.abs(p) <= ROOT_TOL * scale)
 
 
 def _smale(coeffs: np.ndarray, x: np.ndarray):

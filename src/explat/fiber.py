@@ -41,8 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (ALPHA_0, ROOT_TOL, NonConvergence, _certified_newton, _fold_columns, _poly_residual_ok, _roots,
-                   _smale)
+from .core import ALPHA_0, NonConvergence, _certified_newton, _fold_columns, _poly_residual_ok, _roots, _smale
 from .elliptic import EllipticCurveParams, _gauss_newton_log, curve_distance, log_E_batch
 from .torus import torus_log_near
 
@@ -375,14 +374,13 @@ def _stage_coeffs(stage: Stage, known: dict, m: int):
     return coeffs, lead_ok
 
 
-def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
+def _batched_fiber(spec: ProblemSpec, Z: np.ndarray):
     """Solve the full fiber over each row of Z, expanding rows branch-wise.
 
     Every stage, degree 1 included, takes all its roots from one batched
     companion-matrix eigenvalue solve (core._roots) and passes the same
-    guards.  tol is the root-residual tolerance: ROOT_TOL for base points,
-    1e-9 for contraction sampling.  Returns (rowsZ, vals, idx, dropped):
-    idx maps each output row to its row of Z, and dropped
+    guards, the root residual among them at core.ROOT_TOL.  Returns (rowsZ, vals,
+    idx, dropped): idx maps each output row to its row of Z, and dropped
     maps every row of Z that lost a branch to (stage unknown, guard) of its
     first failure, the guard being "leading coefficient", "root residual"
     or "root gap".  The root gap guard is the alphaCertified distinct-roots
@@ -404,7 +402,7 @@ def _batched_fiber(spec: ProblemSpec, Z: np.ndarray, tol: float):
         coeffs, lead_ok = _stage_coeffs(stage, known, m)
         d = stage.degree
         roots = _roots(coeffs)
-        res_ok = _poly_residual_ok(coeffs, roots, tol)
+        res_ok = _poly_residual_ok(coeffs, roots)
         roots = np.sort_complex(roots)
         step, gamma = _smale(coeffs, roots)
         beta = np.abs(step)
@@ -427,7 +425,7 @@ def _stage_roots(spec: ProblemSpec, Z, start: dict, still, ok):
     """The fiber point over the rows of Z, stage by stage from start[unknown]: (vals, alpha, fired),
     clearing `ok` where a guard fires.  A stage in `still` keeps its start; any other is guarded by
     its leading coefficient (_stage_coeffs), and is solved outright at degree 1, else by
-    _certified_newton (the alpha test) from its start, its root then finite with residual below 1e-9
+    _certified_newton (the alpha test) from its start, its root then finite with residual below core.ROOT_TOL
     (root residual).  alpha is the largest judged, and fired maps a row to its first (unknown, guard).
     """
     m = Z.shape[0]
@@ -444,7 +442,7 @@ def _stage_roots(spec: ProblemSpec, Z, start: dict, still, ok):
                 root, a, cert = _certified_newton(coeffs, root, ok & lead_ok)
                 alpha = np.maximum(alpha, a)
                 finite = np.isfinite(root)
-                res_ok = _poly_residual_ok(coeffs, np.where(finite, root, 0.0)[:, None], 1e-9)
+                res_ok = _poly_residual_ok(coeffs, np.where(finite, root, 0.0)[:, None])
                 guards += [("alpha test", cert), ("root residual", finite & res_ok)]
             for name, passed in guards:
                 fired.update(dict.fromkeys(np.flatnonzero(ok & ~passed).tolist(), (stage.unknown, name)))
@@ -559,7 +557,7 @@ def _fiber_rows(spec: ProblemSpec, Z):
     of Z to the error of its first failure: a _batched_fiber guard, a
     vanished torus coordinate, or a logarithm that did not converge.
     """
-    rowsZ, vals, idx, dropped = _batched_fiber(spec, Z, ROOT_TOL)
+    rowsZ, vals, idx, dropped = _batched_fiber(spec, Z)
     why = {j: DegenerateFiber(f"{guard} guard fired in the {unknown} stage") for j, (unknown, guard) in dropped.items()}
     sig = spec.signature
     for k, (kind, _) in enumerate(sig.factors):

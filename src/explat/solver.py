@@ -289,7 +289,7 @@ def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range) -
     """
     rng = np.random.default_rng(CONTRACTION_SEED)
     Z = _sample_domain(domain, radius_range, CONTRACTION_SAMPLES, rng)
-    rowsZ, vals, _, _ = _batched_fiber(spec, Z, 1e-9)
+    rowsZ, vals, _, _ = _batched_fiber(spec, Z)
     if rowsZ.shape[0] == 0:
         raise NonConvergence("no usable contraction samples")
     G, ok = fiber_logs(spec, vals)

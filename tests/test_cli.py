@@ -378,6 +378,34 @@ def _huge_int_s(payload):
     return payload
 
 
+def _huge_int_branch_id(payload):
+    # past the int64 range: np.array would make it an object column
+    payload["records"][1]["branch_id"] = 10**400
+    return payload
+
+
+def _records_not_objects(payload):
+    payload["records"][9] = payload["records"][9]["s"]
+    return payload
+
+
+def _decay_not_pairs(payload):
+    payload["asymptotics"]["decay"][1].append(0.5)
+    return payload
+
+
+# JSON true and false: np.array(..., dtype=float) reads them as 1 and 0, so
+# only the reader's type check stands between them and a record
+def _true_residual(payload):
+    payload["records"][3]["residual"] = True
+    return payload
+
+
+def _true_in_s(payload):
+    payload["records"][2]["s"][0] = True
+    return payload
+
+
 @pytest.mark.parametrize(
     "corrupt, field",
     [
@@ -392,6 +420,11 @@ def _huge_int_s(payload):
         (_float_branch_id, "record 1: branch_id is not an integer"),
         (_drop_iterations, "record 7: iterations is not an integer"),
         (_float_iterations, "record 8: iterations is not an integer"),
+        (_records_not_objects, "records is not a list of objects"),
+        (_decay_not_pairs, "asymptotics.decay is not a list of number pairs"),
+        (_true_residual, "record 3: residual is not a finite number"),
+        (_true_in_s, "record 2: s is not a list of 2 numbers"),
+        (_huge_int_branch_id, "record 1: branch_id is not an integer"),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, torus_run, corrupt, field):
@@ -454,7 +487,15 @@ def test_exit_on_degenerate_geometry(tmp_path):
         "[solver]\nc = 1, 0\nchart = 1\nepsilon = 0.4\ntheta = 0.15\neta = 2.33\n"
         "radius = 2.6:250\n"
     )
-    assert run_cli("solve", "--spec", zero_c).returncode == 3
+    r = run_cli("solve", "--spec", zero_c)
+    assert r.returncode == 3
+    assert r.stderr == "degenerate direction point: torus coordinate of c is zero\n"
+    # verify refuses the same spec before it reads the report
+    report = tmp_path / "run.json"
+    report.write_text('{"records": []}')
+    r = run_cli("verify", "--spec", zero_c, "--report", report)
+    assert (r.returncode, r.stdout) == (3, "")
+    assert r.stderr == "degenerate direction point: torus coordinate of c is zero\n"
 
 
 def test_exit_on_degenerate_base_fiber(monkeypatch, capsys):
@@ -469,8 +510,8 @@ def test_exit_on_degenerate_base_fiber(monkeypatch, capsys):
     base = _base_point(parse_run(TORUS_SPEC.read_text()).domain)
     batched = fiber._batched_fiber
 
-    def base_fails(spec, Z, tol):
-        rows, vals, idx, dropped = batched(spec, Z, tol)
+    def base_fails(spec, Z):
+        rows, vals, idx, dropped = batched(spec, Z)
         if np.array_equal(Z[0], base):
             dropped.setdefault(0, ("w1", "root gap"))
         return rows, vals, idx, dropped
@@ -506,13 +547,33 @@ def test_exit_on_invalid_spec_value(tmp_path, old, new):
 @pytest.mark.parametrize(
     "flag, value",
     [("--radius", "1:inf"), ("--radius", "nan:50"), ("--epsilon", "inf"), ("--epsilon", "0"),
-     ("--tol", "0"), ("--tol", "nan"), ("--tol", "-1e-10"), ("--theta", "-inf")],
+     ("--tol", "0"), ("--tol", "nan"), ("--tol", "-1e-10"), ("--theta", "-inf"), ("--tol", "abc")],
 )
 def test_exit_on_invalid_flag_value(flag, value):
     # FLAG=VALUE, so argparse takes a leading minus as part of the value
     r = run_cli("solve", "--spec", TORUS_SPEC, f"{flag}={value}")
     assert r.returncode == 2, r.stderr
     assert f"argument {flag}: expected a" in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--radius", "1"], "radius is written MIN:MAX"),
+    (["verify", "--report", "run.json", "--box=0:1:2"], "box is written RE0:RE1:IM0:IM1"),
+], ids=["radius", "box"])
+def test_exit_on_malformed_range_flag(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--spec", str(TORUS_SPEC)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_exit_on_unwritable_out(tmp_path):
+    # a report that cannot be written is an input error, not a traceback or
+    # verify's "a check failed" exit 1
+    r = run_cli("solve", "--spec", TORUS_SPEC, "--out", tmp_path / "missing" / "run.json")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.splitlines()[-1].startswith("cannot write report: ")
+    assert "Traceback" not in r.stderr
 
 
 def test_exit_on_huge_radius():

@@ -11,7 +11,6 @@ import pytest
 from explat.core import ALPHA_0, _poly_residual_ok, _smale
 from explat.elliptic import EllipticCurveParams, Lattice
 from explat.fiber import (
-    ROOT_TOL,
     GroupSignature,
     MPoly,
     SectorDomain,
@@ -36,11 +35,11 @@ def _elementary_symmetric(roots):
     return coeffs
 
 
-def _roots(coeffs, tol=ROOT_TOL):
+def _roots(coeffs):
     """All roots of one polynomial (ascending coefficients), residual-checked."""
     batch = np.array([coeffs], dtype=complex)
     roots = core._roots(batch)
-    assert _poly_residual_ok(batch, roots, tol)[0]
+    assert _poly_residual_ok(batch, roots)[0]
     return roots[0]
 
 
@@ -91,7 +90,7 @@ def test_poly_roots_triple_root_cluster():
     # the fiber solver refuses a fiber over a triple root through its
     # root-gap guard: w1^3 = z1 has the triple root w1 = 0 at z1 = 0
     spec = _torus_spec({(0, 3): 1.0, (1, 0): -1.0})
-    rows, vals, _, dropped = _batched_fiber(spec, np.array([[0j], [8.0 + 0j]]), ROOT_TOL)
+    rows, vals, _, dropped = _batched_fiber(spec, np.array([[0j], [8.0 + 0j]]))
     assert dropped == {0: ("w1", "root gap")}
     assert rows.shape[0] == 3  # the three cube roots of 8 survive
     assert np.allclose(vals["w1"] ** 3, 8.0)
@@ -102,7 +101,7 @@ def test_fiber_refuses_triple_root_away_from_zero():
     # w1 = 1 about 1e-5 apart, each passing the residual check; alpha = 1/3
     # at every copy, so the distinct-roots test refuses them
     spec = _torus_spec({(0, 3): 1.0, (0, 2): -3.0, (0, 1): 3.0, (0, 0): -1.0, (1, 0): -1.0})
-    rows, vals, _, dropped = _batched_fiber(spec, np.array([[0j], [8.0 + 0j]]), ROOT_TOL)
+    rows, vals, _, dropped = _batched_fiber(spec, np.array([[0j], [8.0 + 0j]]))
     assert dropped == {0: ("w1", "root gap")}
     assert rows.shape[0] == 3
     assert np.allclose((vals["w1"] - 1.0) ** 3, 8.0)
@@ -112,7 +111,7 @@ def test_poly_roots_rejects_constant():
     # z1 * (w1^2 - 1) vanishes identically at z1 = 0: the stage polynomial
     # has no roots to solve for, and the leading-coefficient guard drops it
     spec = _torus_spec({(1, 2): 1.0, (1, 0): -1.0})
-    rows, vals, idx, dropped = _batched_fiber(spec, np.array([[0j], [3.0 + 0j]]), ROOT_TOL)
+    rows, vals, idx, dropped = _batched_fiber(spec, np.array([[0j], [3.0 + 0j]]))
     assert dropped == {0: ("w1", "leading coefficient")}
     assert idx.tolist() == [1, 1]
     assert np.allclose(vals["w1"], [-1.0, 1.0])

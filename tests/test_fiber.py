@@ -10,7 +10,6 @@ from explat import core, elliptic, fiber
 from explat.elliptic import EllipticCurveParams, Lattice, wp_both
 from explat.fiber import (
     LOG_STEP,
-    ROOT_TOL,
     SAG_STEP,
     DegenerateFiber,
     GroupSignature,
@@ -127,7 +126,7 @@ def test_g_jacobian_chains_through_stages():
     eq2 = MPoly.from_dict(av, {term(av, w2=2): 1.0, term(av, w1=1, z2=1): -1.0})
     spec = build_problem(sig, [eq1, eq2])
     Z = np.array([[3.0 + 1.0j, 2.0 - 0.5j], [-1.5 + 4.0j, 0.7 + 2.2j]])
-    _, vals, _, _ = _batched_fiber(spec, Z, ROOT_TOL)
+    _, vals, _, _ = _batched_fiber(spec, Z)
     J = g_jacobian(spec, np.repeat(Z, 2, axis=0), vals)
     for r, (z1, z2) in enumerate(np.repeat(Z, 2, axis=0)):
         w1 = z1 + z2
@@ -140,7 +139,7 @@ def test_g_jacobian_matches_central_differences(name):
     st = parse_run((EXAMPLES / f"{name}.spec").read_text())
     spec = st.problem
     Z = _sample_domain(st.domain, st.radius, 40, np.random.default_rng(7))
-    rowsZ, vals, _, _ = _batched_fiber(spec, Z, 1e-9)
+    rowsZ, vals, _, _ = _batched_fiber(spec, Z)
     G, ok = fiber_logs(spec, vals)
     assert ok.all()
     J = g_jacobian(spec, rowsZ, vals)
@@ -245,18 +244,18 @@ def test_fiber_drops_non_finite_and_overflowing_rows(name):
     good = _base_point(st.domain)
     Z = np.array([np.full(spec.n, v, dtype=complex) for v in (np.nan, np.inf, 1e200)] + [good])
     with np.errstate(invalid="ignore", over="ignore"):
-        rows, vals, idx, dropped = _batched_fiber(spec, Z, ROOT_TOL)
+        rows, vals, idx, dropped = _batched_fiber(spec, Z)
     first = spec.stages[0].unknown
     assert dropped == {r: (first, "leading coefficient") for r in range(3)}
     assert idx.tolist() == [3] * spec.degree
-    _, alone, _, _ = _batched_fiber(spec, good[None, :], ROOT_TOL)
+    _, alone, _, _ = _batched_fiber(spec, good[None, :])
     assert all(vals[nm].tobytes() == alone[nm].tobytes() for nm in alone)
 
 
 def test_fiber_count_is_constant(curve_pair_spec):
     # generic parameter points all carry exactly degree-many solutions
     Z = 15.0 + 10.0 * RNG.random((5, 2)) + 1j * (1.0 + 3.0 * RNG.random((5, 2)))
-    rows, vals, idx, dropped = _batched_fiber(curve_pair_spec, Z, ROOT_TOL)
+    rows, vals, idx, dropped = _batched_fiber(curve_pair_spec, Z)
     assert not dropped
     assert np.bincount(idx).tolist() == [12] * 5
     full = dict(vals, z1=rows[:, 0], z2=rows[:, 1])

@@ -14,7 +14,7 @@ import pytest
 from explat import elliptic, fiber, solver
 from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
-from explat.fiber import ROOT_TOL, GroupSignature, SectorDomain, _batched_fiber, _Tracker, branch_base
+from explat.fiber import GroupSignature, SectorDomain, _batched_fiber, _Tracker, branch_base
 from explat.solver import (
     ContractionGateFailed,
     GAMMA_POINTS,
@@ -724,8 +724,8 @@ def test_leg1_drops_a_rung_whose_fiber_fails(monkeypatch):
     want = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
     batched, advance, ladder = fiber._batched_fiber, _Tracker.advance, []
 
-    def rung_2_fails(spec, Z, tol):
-        rows, vals, idx, dropped = batched(spec, Z, tol)
+    def rung_2_fails(spec, Z):
+        rows, vals, idx, dropped = batched(spec, Z)
         if Z.shape[0] > 1:
             dropped.setdefault(2, ("w1", "root gap"))
         return rows, vals, idx, dropped
@@ -1179,7 +1179,7 @@ def test_gamma_matches_fresh_log_of_alpha():
             best[rec.branch_id] = (r, rec)
     for b, (_, rec) in best.items():
         g_b = np.asarray(gam[b])
-        _, vals, _, _ = _batched_fiber(st.problem, np.asarray(rec.s)[None, :], ROOT_TOL)
+        _, vals, _, _ = _batched_fiber(st.problem, np.asarray(rec.s)[None, :])
         d = np.zeros(st.problem.degree)
         for k, (_, curve) in enumerate(st.problem.signature.factors):
             xk, yk = st.problem.signature.factor_vars(k)

@@ -337,6 +337,59 @@ def test_curve_section_bookkeeping():
         parse_spec(TORUS_SRC.format(eq="w1 = z1") + "\n[curve 1]\nomega1 = 1\nomega2 = 1i\n")
 
 
+TORUS_ID = TORUS_SRC.format(eq="w1 = z1")
+
+# every structural guard of the file reader: (text, error, message, line); a
+# ParseError carries its line, a ValidationError names it in the message if
+# it has one, and here line None means the message names no line
+GUARDS = {
+    "unterminated-section": (TORUS_ID.replace("[group]", "[group"), ParseError, "unterminated section header", 2),
+    "unknown-section": (TORUS_ID.replace("[group]", "[group extra]"), ParseError, "unknown section '[group extra]'", 2),
+    "curve-form": (WP_SRC.replace("[curve 2]", "[curve two]"), ParseError, "curve sections are written [curve k]", 9),
+    "content-before-header": ("factors = torus\n" + TORUS_ID, ParseError, "content before any section header", 1),
+    "key-value": (TORUS_ID.replace("factors = torus", "factors torus"), ParseError,
+                  "expected key = value in [group]", 3),
+    "unknown-key": (TORUS_ID.replace("factors = torus", "factors = torus\ncolour = red"), ValidationError,
+                    "unknown key 'colour' in [group]", 4),
+    "duplicate-key": (TORUS_ID.replace("factors = torus", "factors = torus\nfactors = torus"), ValidationError,
+                      "duplicate key 'factors'", 4),
+    "two-groups": (TORUS_ID + "\n[group]\nfactors = torus\n", ParseError, "exactly one [group] section required", 17),
+    "no-group": (TORUS_ID.replace("[group]\nfactors = torus\n", ""), ParseError,
+                 "exactly one [group] section required", 1),
+    "missing-factors": (TORUS_ID.replace("factors = torus", ""), ValidationError,
+                        "[group] is missing the factors key", None),
+    "empty-factors": (TORUS_ID.replace("factors = torus", "factors = ,"), ParseError, "factors list is empty", 3),
+    "unknown-factor": (TORUS_ID.replace("factors = torus", "factors = sphere"), ValidationError,
+                       "unknown factor type 'sphere'", 3),
+    "duplicate-curve": (WP_SRC.replace("[curve 2]", "[curve 1]"), ValidationError, "duplicate [curve 1] section", None),
+    "mismatched-curve": (WP_SRC.replace("[curve 2]", "[curve 3]"), ValidationError,
+                         "[curve 3] does not match an elliptic factor", None),
+    "missing-curve": (WP_SRC.replace("[curve 2]\nomega1 = 1\nomega2 = 1i\n", ""), ValidationError,
+                      "elliptic factor 2 has no [curve 2] section", None),
+    "missing-omega1": (WP_SRC.replace("[curve 1]\nomega1 = 1\n", "[curve 1]\n"), ValidationError,
+                       "[curve 1] is missing omega1", None),
+    "collinear-periods": (WP_SRC.replace("omega2 = 1i", "omega2 = 2", 1), ValidationError,
+                          "[curve 1]: periods are collinear; not a rank-2 lattice", None),
+    "no-solver": (TORUS_ID[: TORUS_ID.index("[solver]")], ParseError, "exactly one [solver] section required", 1),
+    "two-solvers": (TORUS_ID + "\n[solver]\nc = 1\n", ParseError, "exactly one [solver] section required", 1),
+    "missing-solver-key": (TORUS_ID.replace("theta = 0.15\n", ""), ValidationError, "[solver] is missing theta", None),
+    "c-length": (TORUS_ID.replace("c = 1", "c = 1, 1"), ValidationError, "c has 2 coordinates, expected 1", 9),
+    "chart-form": (TORUS_ID.replace("chart = 1", "chart = x"), ValidationError, "chart must be 1..1", 10),
+    "radius-form": (TORUS_ID.replace("2.6:250", "2.6:250:300"), ParseError, "radius is written MIN:MAX", 14),
+    # the domain's reals are read inside the [solver] domain guard, which names the section first
+    "complex-real": (TORUS_ID.replace("epsilon = 0.49", "epsilon = 0.49+1i"), ValidationError,
+                     "[solver]: line 11: expected a real number, got '0.49+1i'", None),
+}
+
+
+@pytest.mark.parametrize("text, error, message, line", GUARDS.values(), ids=GUARDS.keys())
+def test_file_guards(text, error, message, line):
+    with pytest.raises(error) as info:
+        parse_run(text)
+    assert type(info.value) is error
+    assert str(info.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_c_count_must_match_factors():
     with pytest.raises(ValidationError):
         parse_run(WP_SRC.replace("c = 1, 1", "c = 1"))
