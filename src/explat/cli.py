@@ -199,12 +199,16 @@ def cmd_verify(args) -> int:
         return EXIT_GEOMETRY
     try:
         with open(args.report) as fh:
-            claimed_digest, records, decay = report_mod.read_report(fh.read(), setup.problem.n)
+            claimed_digest, claimed_degree, records, decay = report_mod.read_report(fh.read(), setup.problem.n)
     except (OSError, ValueError) as exc:
         _err(f"cannot read report: {exc}")
         return EXIT_PARSE
 
-    rows = [("-", "digest", claimed_digest == digest, "")]
+    degree, bids = setup.problem.degree, records.branch_id
+    stray = np.flatnonzero((bids < 0) | (bids >= degree))
+    ids = (f"report degree {claimed_degree}, spec degree {degree}" if claimed_degree != degree else
+           f"record {stray[0]}: branch_id {bids[stray[0]]} is outside 0..{degree - 1}" if stray.size else "")
+    rows = [("-", "digest", claimed_digest == digest, ""), ("-", "branch-ids", not ids, ids)]
     if not records:
         # solve never writes a report without records (it exits 4 instead)
         rows.append(("-", "records", False, "report has no records"))

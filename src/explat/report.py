@@ -10,7 +10,6 @@ coordinates n.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 
 import numpy as np
@@ -23,6 +22,8 @@ FIELDS = (("lambda", "lam", "vector"), ("s", "s", "vector"), ("branch_id", "bran
 
 
 def spec_digest(data: bytes) -> str:
+    import hashlib  # imported here: it loads OpenSSL, which a sweep does not need
+
     return hashlib.sha256(data).hexdigest()
 
 
@@ -117,7 +118,7 @@ _NOT_A = {"vector": "a list of {} numbers", "number": "a finite number", "intege
 
 
 def read_report(text: str, n: int):
-    """(spec_digest, Records, decay table) of a JSON report on n coordinates; ValueError names what
+    """(spec_digest, degree, Records, decay table) of a JSON report on n coordinates; ValueError names what
     is malformed.  Each field is checked down its column; only a report that fails is walked record
     by record, to name the first bad record and field.  Vectors read back bit for bit."""
     from .solver import Records  # imported here: report.py loads no other explat module
@@ -125,6 +126,8 @@ def read_report(text: str, n: int):
     payload = parse_json(text)
     if not isinstance(payload, dict):
         raise ValueError("the report is not a JSON object")
+    if _column([payload.get("degree")], "integer", 1) is None:
+        raise ValueError("degree is not an integer")
     records = payload.get("records", [])
     if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
         raise ValueError("records is not a list of objects")
@@ -140,4 +143,4 @@ def read_report(text: str, n: int):
     if decay is None:
         raise ValueError("asymptotics.decay is not a list of number pairs")
     columns = {col: arr.view(complex) if kind == "vector" else arr for (_, col, kind), arr in zip(FIELDS, cols)}
-    return payload.get("spec_digest"), Records(**columns), decay
+    return payload.get("spec_digest"), payload["degree"], Records(**columns), decay

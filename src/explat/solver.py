@@ -56,8 +56,7 @@ GATE_LIMIT = 0.5       # contraction bound required before sweeping
 GAMMA_POINTS = 5       # records per branch used for the gamma estimate
 BASE_RADIUS_FACTOR = 1.25  # base point sits at this multiple of 1/epsilon
 HUB_RATIO = 2.0        # leg-1 hubs and ladder rungs sit at the base radius times its powers
-CONTRACTION_SAMPLES = 200  # domain points measure_contraction samples
-CONTRACTION_SEED = 0   # their seed; it moves the bound, and with it the margin skips
+CONTRACTION_SAMPLES = 200  # domain points measure_contraction samples, from _Seed0Stream
 ZERO_MIN_MOD = 1e-8    # |h| below this on a zero-count box's boundary stops the count
 ZERO_BASE_STEP = 0.25  # largest spacing of the first samples on a box side
 ZERO_MAX_DEPTH = 40    # bisections of one boundary cell before the count gives up
@@ -258,6 +257,29 @@ class ContractionReport:
         return np.select([radial, arg, ratio], walls, 0)
 
 
+_PCG64_SEED0 = (0x1AA1B5345996452D09585EB7A69561E3, 0x418DDADB3AF71A82588133BC447873A9)  # PCG64(0).state
+
+
+def _pcg64_doubles(state: int, inc: int):
+    while True:  # numpy's PCG64: the LCG step, the XSL-RR output, its top 53 bits as a double in [0, 1)
+        state = (state * 0x2360ED051FC65DA44385DF649FCCF645 + inc) % 2**128
+        x, rot = ((state >> 64) ^ state) % 2**64, state >> 122
+        yield ((((x >> rot) | (x << (64 - rot))) % 2**64) >> 11) * 2.0**-53
+
+
+class _Seed0Stream:
+    """np.random.default_rng(0).uniform, bit for bit, so that a sweep need not load numpy.random: each
+    call maps the next count doubles u of the seed-0 stream to lo + (hi - lo) * u, as numpy does."""
+
+    doubles, source = [], _pcg64_doubles(*_PCG64_SEED0)  # class-wide: one fixed stream, generated once
+    drawn = 0
+
+    def uniform(self, lo: float, hi: float, count: int) -> np.ndarray:
+        self.drawn += count
+        self.doubles.extend(next(self.source) for _ in range(self.drawn - len(self.doubles)))
+        return lo + (hi - lo) * np.array(self.doubles[self.drawn - count:self.drawn])
+
+
 def _sample_domain(domain: SectorDomain, radius_range, count: int, rng) -> np.ndarray:
     rmin = max(float(radius_range[0]), 1.001 / domain.epsilon)
     rmax = float(radius_range[1])
@@ -280,15 +302,15 @@ def _sample_domain(domain: SectorDomain, radius_range, count: int, rng) -> np.nd
 def measure_contraction(spec: ProblemSpec, domain: SectorDomain, radius_range) -> ContractionReport:
     """Sampled bound for ||dG||_inf over domain points, from the closed-form dG.
 
-    CONTRACTION_SAMPLES points, drawn with CONTRACTION_SEED, cover all
-    branches of the fiber (rows = samples x degree), and
-    the norm is the largest row sum of |dG| (g_jacobian) over them; the same
-    pass harvests the G-size statistics behind the report's margin model
-    (bound, admits).  Rows whose logarithm failed or whose dG is not finite
-    are left out.
+    CONTRACTION_SAMPLES points of numpy's seed-0 stream (_Seed0Stream: a
+    sweep loads neither numpy.random nor OpenSSL; a seedless grid, ROADMAP
+    Direction 15A, would delete the stream) cover all branches of the fiber
+    (rows = samples x degree), and the norm is the largest row sum of |dG|
+    (g_jacobian) over them; the same pass harvests the G-size statistics
+    behind the report's margin model (bound, admits).  Rows whose logarithm
+    failed or whose dG is not finite are left out.
     """
-    rng = np.random.default_rng(CONTRACTION_SEED)
-    Z = _sample_domain(domain, radius_range, CONTRACTION_SAMPLES, rng)
+    Z = _sample_domain(domain, radius_range, CONTRACTION_SAMPLES, _Seed0Stream())
     rowsZ, vals, _, _ = _batched_fiber(spec, Z)
     if rowsZ.shape[0] == 0:
         raise NonConvergence("no usable contraction samples")

@@ -346,14 +346,9 @@ def parse_run(text: str) -> RunSetup:
         if not val.isdigit() or int(val) < 1:
             raise ParseError("max_iter must be a positive integer", lineno)
         max_iter = int(val)
+    epsilon, theta, eta = (_parse_real(kv[key][1], kv[key][0]) for key in ("epsilon", "theta", "eta"))
     try:
-        domain = SectorDomain(
-            c=c,
-            chart=chart - 1,
-            epsilon=_parse_real(kv["epsilon"][1], kv["epsilon"][0]),
-            theta=_parse_real(kv["theta"][1], kv["theta"][0]),
-            eta=_parse_real(kv["eta"][1], kv["eta"][0]),
-        )
+        domain = SectorDomain(c=c, chart=chart - 1, epsilon=epsilon, theta=theta, eta=eta)
     except ValueError as exc:
         raise ValidationError(f"[solver]: {exc}") from None
     return RunSetup(problem=problem, domain=domain, radius=radius, tol=tol, max_iter=max_iter)

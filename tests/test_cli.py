@@ -310,6 +310,23 @@ def test_verify_flags_corrupt_record(tmp_path, torus_run):
         assert "record 5" in r.stderr
 
 
+@pytest.mark.parametrize("ids, degree, row", [
+    ({1: 99, 2: -5}, 1, "branch-ids   FAIL   record 1: branch_id 99 is outside 0..0"),
+    ({}, 2, "branch-ids   FAIL   report degree 2, spec degree 1"),
+])
+def test_verify_checks_branch_ids_and_degree(tmp_path, torus_run, ids, degree, row):
+    # verify_records reads neither, so without this row both reports passed
+    payload = json.loads(torus_run.read_text())
+    payload["degree"] = degree
+    for i, bid in ids.items():
+        payload["records"][i]["branch_id"] = bid
+    bad = tmp_path / "ids.json"
+    bad.write_text(json.dumps(payload))
+    r = run_cli("verify", "--spec", TORUS_SPEC, "--report", bad)
+    assert r.returncode == 1, r.stderr
+    assert row in r.stdout and r.stdout.count("FAIL") == 1
+
+
 @pytest.mark.parametrize("strip", [lambda payload: payload.update(records=[]), lambda payload: payload.pop("records")],
                          ids=["empty", "absent"])
 def test_verify_fails_report_without_records(tmp_path, torus_run, strip):
@@ -384,6 +401,11 @@ def _huge_int_branch_id(payload):
     return payload
 
 
+def _float_degree(payload):
+    payload["degree"] = 1.0
+    return payload
+
+
 def _records_not_objects(payload):
     payload["records"][9] = payload["records"][9]["s"]
     return payload
@@ -425,6 +447,7 @@ def _true_in_s(payload):
         (_true_residual, "record 3: residual is not a finite number"),
         (_true_in_s, "record 2: s is not a list of 2 numbers"),
         (_huge_int_branch_id, "record 1: branch_id is not an integer"),
+        (_float_degree, "degree is not an integer"),
     ],
 )
 def test_verify_rejects_malformed_report(tmp_path, torus_run, corrupt, field):
@@ -472,6 +495,24 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_sweep_loads_neither_numpy_random_nor_openssl():
+    # the contraction sample is explat's own seed-0 stream, and hashlib is imported only where a
+    # digest is taken; modules loaded before the import (a site hook's, say) do not count
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import explat.cli\n"
+        "from explat.solver import sweep\n"
+        "from explat.specfile import parse_run\n"
+        f"st = parse_run(open({str(TORUS_SPEC)!r}).read())\n"
+        "print(len(sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter).records))\n"
+        "print(sorted(m for m in ('numpy.random', '_hashlib') if m in set(sys.modules) - before))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CLI_ENV)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n")[:2] == ["39", "[]"]
 
 
 def test_exit_on_degenerate_geometry(tmp_path):

@@ -376,6 +376,37 @@ def test_margin_model_ratio_wall():
     assert code[1] == 0
 
 
+# the contraction sample is numpy's seed-0 stream, drawn without numpy.random
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_seed0_stream_is_numpys_uniform(n):
+    # _sample_domain's draws on n coordinates: log r and phi, then radius and angle per other coordinate
+    draws = [(math.log(2.6), math.log(250.0)), (0.15, 2.33)] + [(0.0, 1.0)] * (2 * n - 2)
+    ours, numpys = solver._Seed0Stream(), np.random.default_rng(0)
+    got = np.concatenate([ours.uniform(lo, hi, solver.CONTRACTION_SAMPLES) for lo, hi in draws])
+    want = np.concatenate([numpys.uniform(lo, hi, solver.CONTRACTION_SAMPLES) for lo, hi in draws])
+    assert got.size == 400 * n and got.tobytes() == want.tobytes()
+
+
+def test_seed0_state_is_numpys():
+    state = np.random.PCG64(0).state["state"]
+    assert solver._PCG64_SEED0 == (state["state"], state["inc"])
+
+
+@pytest.mark.parametrize("name", ["torus_identity", "sqrt_branch", "wp_example"])
+def test_contraction_report_is_numpys_seed0_report(monkeypatch, name):
+    st = parse_run((EXAMPLES / f"{name}.spec").read_text())
+    got = measure_contraction(st.problem, st.domain, st.radius)
+    sample = solver._sample_domain
+    monkeypatch.setattr(solver, "_sample_domain", lambda dom, radius, count, rng:
+                        sample(dom, radius, count, np.random.default_rng(0)))
+    want = measure_contraction(st.problem, st.domain, st.radius)
+    assert (got.norm, got.kinds, got.samples) == (want.norm, want.kinds, want.samples)
+    for field in ("g_abs_max", "g_re_ratio", "g_im_max"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
 # reference for the batched margin model and canonical order: the scalar
 # model and sort key, one lambda at a time in Python arithmetic
 

@@ -283,7 +283,7 @@ def test_unknown_section_and_key():
 def test_bad_solver_values():
     with pytest.raises(ParseError, match="MIN:MAX"):
         parse_run(TORUS_SRC.format(eq="w1 = z1").replace("2.6:250", "250"))
-    with pytest.raises(ValidationError, match="complex"):
+    with pytest.raises(ParseError, match="complex"):
         parse_run(TORUS_SRC.format(eq="w1 = z1").replace("0.49", "abc"))
     with pytest.raises(ValidationError, match="theta"):
         parse_run(TORUS_SRC.format(eq="w1 = z1").replace("2.33", "0.10"))
@@ -294,7 +294,7 @@ def test_bad_solver_values():
 @pytest.mark.parametrize(
     "old, new, error, match",
     [
-        ("epsilon = 0.49", "epsilon = 1e309", ValidationError, "overflows"),
+        ("epsilon = 0.49", "epsilon = 1e309", ParseError, "overflows"),
         ("2.6:250", "29.5:1e999", ParseError, "overflows"),
         ("2.6:250", "2.6:250\ntol = 0", ValidationError, "tol must be positive"),
         ("2.6:250", "2.6:250\ntol = -1", ValidationError, "tol must be positive"),
@@ -376,9 +376,8 @@ GUARDS = {
     "c-length": (TORUS_ID.replace("c = 1", "c = 1, 1"), ValidationError, "c has 2 coordinates, expected 1", 9),
     "chart-form": (TORUS_ID.replace("chart = 1", "chart = x"), ValidationError, "chart must be 1..1", 10),
     "radius-form": (TORUS_ID.replace("2.6:250", "2.6:250:300"), ParseError, "radius is written MIN:MAX", 14),
-    # the domain's reals are read inside the [solver] domain guard, which names the section first
-    "complex-real": (TORUS_ID.replace("epsilon = 0.49", "epsilon = 0.49+1i"), ValidationError,
-                     "[solver]: line 11: expected a real number, got '0.49+1i'", None),
+    "complex-real": (TORUS_ID.replace("epsilon = 0.49", "epsilon = 0.49+1i"), ParseError,
+                     "expected a real number, got '0.49+1i'", 11),
 }
 
 
