@@ -37,7 +37,7 @@ RF_SPREAD = 3e-16 ** (-1.0 / 6.0)  # Carlson's (3r)^(-1/6) for a relative error 
 
 @dataclass
 class Lattice:
-    """Rank-2 period lattice Z*omega1 + Z*omega2, oriented Im(w2/w1) > 0."""
+    """Rank-2 period lattice Z*omega1 + Z*omega2, oriented Im(w2/w1) > 0, so its cell area det is positive."""
 
     omega1: complex
     omega2: complex
@@ -53,7 +53,7 @@ class Lattice:
         if ratio.imag < 0:
             self.omega2 = -self.omega2
         w1, w2 = self.omega1, self.omega2
-        self._det = w1.real * w2.imag - w1.imag * w2.real
+        self.det = w1.real * w2.imag - w1.imag * w2.real
         self._reduced = self._gauss_reduce()
 
     def _gauss_reduce(self):
@@ -81,8 +81,8 @@ class Lattice:
         """Real basis coordinates (s, t) with z = s*omega1 + t*omega2."""
         z = np.asarray(z, dtype=complex)
         w1, w2 = self.omega1, self.omega2
-        s = (w2.imag * z.real - w2.real * z.imag) / self._det
-        t = (-w1.imag * z.real + w1.real * z.imag) / self._det
+        s = (w2.imag * z.real - w2.real * z.imag) / self.det
+        t = (-w1.imag * z.real + w1.real * z.imag) / self.det
         return s, t
 
     def from_coords(self, m, n):

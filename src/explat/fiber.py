@@ -9,6 +9,8 @@ root per stage with Newton's method from its tangent prediction u + du/dz .
 dZ (implicit differentiation at the current point), accepted only where the
 alpha-test certifies that start; a predictor-corrector step after Allgower-
 Georg, Introduction to Numerical Continuation Methods (SIAM 2003), Ch. 6.
+Every fiber point takes the one elliptic logarithm, elliptic.log_E_batch,
+and continuation only picks its translate in the period lattice.
 
 The continuation engine (_Tracker) is batched: it advances many
 (parameter-path, branch) rows through the same stage structure at once,
@@ -42,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .core import ALPHA_0, NonConvergence, _certified_newton, _fold_columns, _poly_residual_ok, _roots, _smale
-from .elliptic import EllipticCurveParams, _gauss_newton_log, curve_distance, log_E_batch
+from .elliptic import EllipticCurveParams, curve_distance, log_E_batch, reduce_mod_lattice
 from .torus import torus_log_near
 
 LEAD_TOL = 1e-10       # relative leading-coefficient degeneracy threshold
@@ -256,13 +258,12 @@ class SectorDomain:
 
 @dataclass(frozen=True)
 class Stage:
-    """One triangular step: residual solved for `unknown` of given degree."""
+    """One triangular step: an equation solved for `unknown` of given degree."""
 
     unknown: str
-    residual: MPoly
     degree: int
     coeff_polys: tuple  # degree+1 MPolys over previously bound variables
-    partials: tuple  # (variable, dP/dvariable) for each variable the residual uses
+    partials: tuple  # (variable, dP/dvariable) for each variable the equation P uses
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,7 @@ def build_problem(sig: GroupSignature, equations) -> ProblemSpec:
         if d < 1:
             raise NonTriangularSystem(f"equation does not depend on {unknown}")
         used = eq.used_vars()
-        stages.append(Stage(unknown=unknown, residual=eq, degree=d, coeff_polys=tuple(eq.split_by(unknown)),
+        stages.append(Stage(unknown=unknown, degree=d, coeff_polys=tuple(eq.split_by(unknown)),
                             partials=tuple((v, eq.diff(v)) for v in all_vars if v in used)))
         bound.add(unknown)
         pending.remove(eq)
@@ -614,22 +615,6 @@ def _start_rates(spec: ProblemSpec, Z, vals: dict, direction=None):
 # batched continuation
 
 
-def _log_seed(curve: EllipticCurveParams, g, x0, y0, x1, y1):
-    """Elliptic log start at (x1, y1) from the log g at (x0, y0), rowwise: the fourth-order
-    trapezoid rule for dv = dx/y with its endpoint correction, g + h/2 (1/y0 + 1/y1) + h^2/12
-    (f'(x0) - f'(x1)), h = x1 - x0, f' = -(6x^2 - g2/2)/y^3.  Near a half period y -> 0 and 1/y
-    is singular in x, so where that step is not finite or differs from the trapezoid rule for
-    dx = y dv, 2h/(y0 + y1), by more than the latter's size, the seed is g + 2h/(y0 + y1);
-    where neither is finite, g."""
-    h = x1 - x0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        trapezoid = 2.0 * h / (y0 + y1)
-        slope0, slope1 = (-(6.0 * x * x - 0.5 * curve.g2) / (y * y * y) for x, y in ((x0, y0), (x1, y1)))
-        corrected = 0.5 * h * (1.0 / y0 + 1.0 / y1) + h * h / 12.0 * (slope0 - slope1)
-        agree = np.abs(corrected - trapezoid) <= np.abs(trapezoid)
-    return g + np.where(agree, corrected, np.where(np.isfinite(trapezoid), trapezoid, 0.0))
-
-
 def straight_path(Z0, Z1) -> Callable:
     """The segment from Z0 to Z1, row by row; both ends are copied, so the
     path stays put when a caller passes the tracker's own, moving, state."""
@@ -669,8 +654,8 @@ class _Tracker:
     taken only where Smale's alpha-test at that start certifies convergence
     to a unique nearby root; a row whose prediction is not finite starts
     from its previous root (_predict, _stage_roots).  The elliptic
-    logarithm is predicted from the invariant differential dv = dx/y and
-    polished by Gauss-Newton on the rows the other guards kept.  Guards
+    logarithm is log_E_batch's at the new fiber point, on the rows the
+    other guards kept, moved to the translate nearest the previous log.  Guards
     (alpha test, root residual, leading coefficient, log step, domain)
     reject a substep and halve that row's step only.  Rows never read other
     rows, and a row's values are the same bits in a tracker of any size as
@@ -714,12 +699,14 @@ class _Tracker:
         changed.  cand maps each stage unknown to its new values, and
         "alpha" to the alpha that the alpha-test judged at the predicted
         starts (_predict, _stage_roots), the largest over the stages of
-        degree > 1 (0 where there are none).  Gauss-Newton solves the
-        elliptic log only on the rows the stage and domain guards (and
-        earlier factors) kept, from _log_seed; Gnew holds the previous log
-        on the others.  A stage whose inputs are bitwise unchanged on every
-        row keeps its certified roots, and a factor made only of such stages
-        its log.
+        degree > 1 (0 where there are none).  log_E_batch solves the
+        elliptic log v only on the rows the stage and domain guards (and
+        earlier factors) kept, and a row takes the translate v + p with
+        prev - v - p in the curve's reduced cell, which holds the disc of
+        sqrt(3)/4 gap about 0, and the log guard refuses any other translate
+        of a move below half a gap; Gnew holds the previous log on the others.
+        A stage whose inputs are bitwise unchanged on every row keeps its
+        certified roots, and a factor made only of such stages its log.
         """
         spec = self.spec
         m = Znext.shape[0]
@@ -745,11 +732,10 @@ class _Tracker:
             else:
                 xk, yk = spec.signature.factor_vars(k)
                 keep = np.flatnonzero(ok)
-                x, y = cand[xk][keep], cand[yk][keep]
-                seed = _log_seed(curve, prev_g[keep], self.vals[xk][rows][keep], self.vals[yk][rows][keep], x, y)
+                v, vok = log_E_batch(curve, cand[xk][keep], cand[yk][keep])
                 gk = prev_g.copy()
-                gk[keep], gok, _ = _gauss_newton_log(curve, x, y, seed, iters=40)
-                ok[keep] &= gok
+                gk[keep] = v + reduce_mod_lattice(prev_g[keep] - v, curve.tables().cell)[1]
+                ok[keep] &= vok
             ok &= np.abs(gk - prev_g) <= 0.5 * self.gaps[k]
             Gnew[:, k] = gk
         reason[(reason == 0) & ~ok] = self.FAIL_BRANCH

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NonConvergence, _fold_columns
-from .elliptic import Lattice, _cdiv, _gauss_newton_step, wp_both
+from .elliptic import _cdiv, _gauss_newton_step, wp_both
 from .fiber import (
     ProblemSpec,
     SectorDomain,
@@ -104,12 +104,10 @@ def _disc_ranges(sig, k: int, center, radius):
             half = np.sqrt(np.maximum(radius * radius - center.real * center.real, 0.0))
             return [(np.ceil((center.imag - half) / (2.0 * math.pi)),
                      np.floor((center.imag + half) / (2.0 * math.pi)))]
-        a, b = curve.lattice.reduced_basis()
-        det = a.real * b.imag - a.imag * b.real
-        cm = np.floor((b.imag * center.real - b.real * center.imag) / det)
-        cn = np.floor((-a.imag * center.real + a.real * center.imag) / det)
-        mpad = np.ceil(radius * abs(b) / abs(det)) + 1.0
-        npad = np.ceil(radius * abs(a) / abs(det)) + 1.0
+        cell = curve.tables().cell
+        cm, cn = (np.floor(c) for c in cell.coords(center))
+        mpad = np.ceil(radius * abs(cell.omega2) / cell.det) + 1.0
+        npad = np.ceil(radius * abs(cell.omega1) / cell.det) + 1.0
         return [(cm - mpad, cm + mpad), (cn - npad, cn + npad)]
 
 
@@ -144,9 +142,8 @@ def _disc_points(sig, k: int, center, radius):
     if kind == "torus":
         pts = 2j * math.pi * (lo[0] + pos)
     else:
-        a, b = curve.lattice.reduced_basis()
         mlen = counts[0][disc]
-        pts = (lo[0] + pos % mlen) * a + (lo[1] + pos // mlen) * b
+        pts = curve.tables().cell.from_coords(lo[0] + pos % mlen, lo[1] + pos // mlen)
     keep = np.abs(pts - center[disc]) < radius[disc]
     return pts[keep], disc[keep]
 
@@ -930,7 +927,7 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     res, _, f = _log_at_s(spec, S, LAM, exp, vals, S - LAM)
     for k, (kind, curve) in enumerate(spec.signature.factors):
         if kind != "torus":
-            lat = Lattice(*curve.lattice.reduced_basis())
+            lat = curve.tables().cell
             f = np.maximum(f, np.abs(LAM[:, k] - lat.from_coords(*np.round(lat.coords(LAM[:, k])))))
     why.update((r, f"{guard} guard fired in the {unknown} stage") for r, (unknown, guard) in fired.items())
     got = np.stack((res, f), axis=1)

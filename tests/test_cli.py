@@ -481,7 +481,7 @@ def test_problem_files_parse_without_sympy():
     )
     r = subprocess.run([sys.executable, "-c", code, str(ROOT / "examples")], capture_output=True, text=True, env=CLI_ENV)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "3"
+    assert r.stdout.strip() == "4"
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from explat import core, elliptic, fiber
-from explat.elliptic import EllipticCurveParams, Lattice, wp_both
+from explat import core, fiber
+from explat.elliptic import EllipticCurveParams, Lattice, reduce_mod_lattice, wp_both
 from explat.fiber import (
     LOG_STEP,
     SAG_STEP,
@@ -260,7 +260,8 @@ def test_fiber_count_is_constant(curve_pair_spec):
     assert np.bincount(idx).tolist() == [12] * 5
     full = dict(vals, z1=rows[:, 0], z2=rows[:, 1])
     for st in curve_pair_spec.stages:
-        assert np.max(np.abs(st.residual.eval(full))) < 1e-8
+        value = sum(cp.eval(full) * full[st.unknown] ** e for e, cp in enumerate(st.coeff_polys))
+        assert np.max(np.abs(value)) < 1e-8
 
 
 def test_fiber_points_lie_on_curves(curve_pair_spec, square_curve):
@@ -655,8 +656,9 @@ def test_trial_starts_a_row_whose_prediction_is_not_finite_from_its_previous_roo
 
 
 def test_trial_solves_logs_only_on_the_rows_its_guards_kept(curve_pair_spec, monkeypatch):
-    # half the rows step out of the domain: Gauss-Newton sees only the other
-    # half, and their logs are the bits of a Gauss-Newton over every row
+    # half the rows step out of the domain: log_E_batch sees only the other
+    # half, and their logs are the bits of a log over every row, moved to
+    # the translate whose difference from the previous log lies in the cell
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     dom = SectorDomain(c=(1.0, z0[1] / z0[0]), chart=0, epsilon=0.1, theta=0.0, eta=0.5)
     tr = branch_base(curve_pair_spec, dom, z0)
@@ -664,84 +666,85 @@ def test_trial_solves_logs_only_on_the_rows_its_guards_kept(curve_pair_spec, mon
     Znext = tr.Z + 0.02 * np.exp(1j * np.arange(tr.m))[:, None]
     Znext[~inside, 1] += 5.0
     handed = []
-    gauss_newton = fiber._gauss_newton_log
+    log = fiber.log_E_batch
 
-    def spy(curve, x, y, v0, iters=48):
-        handed.append((x, y, v0))
-        return gauss_newton(curve, x, y, v0, iters)
+    def spy(curve, x, y):
+        handed.append((x, y))
+        return log(curve, x, y)
 
-    monkeypatch.setattr(fiber, "_gauss_newton_log", spy)
+    monkeypatch.setattr(fiber, "log_E_batch", spy)
     ok, reason, cand, Gnew = tr._trial(Znext, dom)
     assert ok.tolist() == inside.tolist()
     assert (reason[~inside] == _Tracker.FAIL_DOMAIN).all()
     assert [h[0].tolist() for h in handed] == [cand["x1"][inside].tolist(), cand["x2"][inside].tolist()]
     curve = curve_pair_spec.signature.factors[0][1]
     for k, (xk, yk) in enumerate((("x1", "y1"), ("x2", "y2"))):
-        seed = fiber._log_seed(curve, tr.G[:, k], tr.vals[xk], tr.vals[yk], cand[xk], cand[yk])
-        every, _, _ = gauss_newton(curve, cand[xk], cand[yk], seed, 40)
+        every, _ = log(curve, cand[xk], cand[yk])
+        every += reduce_mod_lattice(tr.G[:, k] - every, curve.tables().cell)[1]
         assert Gnew[inside, k].tobytes() == every[inside].tobytes()
 
 
-def test_log_seed_falls_back_where_its_correction_is_not_finite(square_curve):
-    # at y = 0 the corrected trapezoid rule for dv = dx/y is not finite, and
-    # the seed is the trapezoid rule for dx = y dv; with y0 + y1 = 0 as well,
-    # it is the previous log
-    e1 = square_curve.tables().roots[0]
-    x0 = np.array([0.3 + 0.2j, 0.3 + 0.2j, e1 + 0.01])
-    y0 = np.array([1.1 - 0.4j, 1.1 - 0.4j, 0.0])
-    x1 = np.array([0.32 + 0.21j, e1, e1])
-    y1 = np.array([1.12 - 0.41j, 0.0, 0.0])
-    g = np.array([0.1 + 0.2j, 0.3 + 0.1j, 0.2 + 0.2j])
-    seed = fiber._log_seed(square_curve, g, x0, y0, x1, y1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        trapezoid = g + 2.0 * (x1 - x0) / (y0 + y1)
-    assert seed[0] != trapezoid[0] and np.isfinite(seed[0])
-    assert seed[1] == trapezoid[1]
-    assert seed[2] == g[2]
+def _trial_logs(curve, v0, v1, monkeypatch):
+    """(ok, G) of a trial that moves rows at the logs v0 of E: z1 = x1 to the curve points at v1.
+
+    The stage walk is replaced by those exact points, so only the trial's
+    logarithm and its half-gap log guard act.
+    """
+    sig = GroupSignature(factors=(("elliptic", curve),))
+    av = sig.z_vars + sig.group_vars
+    spec = build_problem(sig, [MPoly.from_dict(av, {term(av, x1=1): 1.0, term(av, z1=1): -1.0})])
+    (x0, y0, _), (x1, y1, _) = wp_both(v0, curve), wp_both(v1, curve)
+    m = x1.size
+    tr = _Tracker(spec, x0[:, None], {"x1": x0, "y1": y0}, v0[:, None], np.zeros(m), (np.zeros(m), np.zeros(m)),
+                  np.zeros(m))
+    monkeypatch.setattr(fiber, "_stage_roots", lambda *args: ({"x1": x1, "y1": y1}, np.zeros(m), {}))
+    ok, _, _, G = tr._trial(x1[:, None], None)
+    return ok, G[:, 0]
 
 
-def test_log_seed_settles_in_fewer_wp_evaluations(square_curve, monkeypatch):
-    # 39 substeps of 0.018 (under a fiftieth of the gap) along a segment of
-    # the curve that keeps 0.2 from the half periods, where y = 0 and dx/y
-    # is singular in x: the fourth-order seed starts within 4e-7 and
-    # Gauss-Newton evaluates wp 94 times, the trapezoid rule for dx = y dv
-    # within 9e-5 and 119 times
-    v = np.linspace(0.2 + 0.15j, 0.3 + 0.85j, 40)
-    v0, v1 = v[:-1], v[1:]
-    (x0, y0, _), (x1, y1, _) = wp_both(v0, square_curve), wp_both(v1, square_curve)
-    seeds = {"corrected": fiber._log_seed(square_curve, v0, x0, y0, x1, y1),
-             "trapezoid": v0 + 2.0 * (x1 - x0) / (y0 + y1)}
-    wp = elliptic.wp_both
-    rows = {}
-    for name, seed in seeds.items():
-        count = [0]
-
-        def counted(z, curve, count=count):
-            count[0] += np.size(z)
-            return wp(z, curve)
-
-        monkeypatch.setattr(elliptic, "wp_both", counted)
-        v, ok, _ = elliptic._gauss_newton_log(square_curve, x1, y1, seed, 40)
-        assert ok.all() and np.max(np.abs(v - v1)) < 1e-12
-        rows[name] = count[0]
-    assert rows["corrected"] < rows["trapezoid"]
-
-
-def test_log_seed_settles_near_a_half_period(square_curve):
+def test_trial_log_settles_near_a_half_period(square_curve, monkeypatch):
     # the segment of length 0.1 from 0.40 + 0.48i + 0.1 e^(0.2i) to
-    # 0.40 + 0.48i passes the half period (1 + i)/2, where y -> 0 and 1/y is
-    # singular in x: the corrected rule for dv = dx/y differs from the
-    # trapezoid rule for dx = y dv by more than the latter's size, so the
-    # seed is the latter, and Gauss-Newton settles from it.  So do 200
-    # seeded random segments of length 0.1 that keep 0.1 from the poles
+    # 0.40 + 0.48i passes the half period (1 + i)/2, where y -> 0 and dx/y
+    # is singular in x; the trial logs its end in closed form, as it does
+    # the ends of 200 seeded random segments of length 0.1 that keep 0.1
+    # from the poles, and each lands on the translate the segment reaches
     rng = np.random.default_rng(0)
     v1 = np.concatenate([[0.40 + 0.48j], 0.2 + 0.6 * (rng.random(200) + 1j * rng.random(200))])
     v0 = v1 + 0.1 * np.exp(1j * np.concatenate([[0.2], 2.0 * math.pi * rng.random(200)]))
-    (x0, y0, _), (x1, y1, _) = wp_both(v0, square_curve), wp_both(v1, square_curve)
-    seed = fiber._log_seed(square_curve, v0, x0, y0, x1, y1)
-    assert seed[0] == v0[0] + 2.0 * (x1[0] - x0[0]) / (y0[0] + y1[0])
-    v, ok, _ = elliptic._gauss_newton_log(square_curve, x1, y1, seed, 40)
-    assert ok.all() and np.max(np.abs(v - v1)) < 1e-12
+    ok, g = _trial_logs(square_curve, v0, v1, monkeypatch)
+    assert ok.all() and np.max(np.abs(g - v1)) < 1e-12
+
+
+TRANSLATE_LATTICES = {
+    "hex": Lattice(1.0, complex(math.cos(math.pi / 3), math.sin(math.pi / 3))),
+    "skew": Lattice(1.3 + 0.4j, -0.2 + 1.1j),
+    "elongated": Lattice(1.0, 0.3 + 3j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSLATE_LATTICES))
+def test_trial_log_takes_the_translate_of_the_move(name, monkeypatch):
+    # moves in 256 directions from the point farthest from the lattice (the
+    # circumcentre of the acute triangle 0, a, b of the reduced basis): the
+    # reduced cell holds the disc of sqrt(3)/4 gap, so up to 0.43 gap every
+    # move gets its own translate; beyond it some moves get another, which
+    # lies more than half a gap from the previous log, and the guard refuses
+    # exactly those
+    lat = TRANSLATE_LATTICES[name]
+    curve = EllipticCurveParams.from_lattice(lat)
+    a, b = lat.reduced_basis()
+    if (b * a.conjugate()).real < 0:
+        b = a + b
+    centre = a * b * (a - b).conjugate() / (a.conjugate() * b - a * b.conjugate())
+    gap = abs(a)
+    turn = np.exp(2j * math.pi * np.arange(256) / 256)
+    for frac in (0.1, 0.25, 0.43, 0.45, 0.49):
+        v1 = centre + frac * gap * turn
+        ok, g = _trial_logs(curve, np.full(256, centre), v1, monkeypatch)
+        right = np.abs(g - v1) < 1e-9 * gap
+        assert ok.tolist() == right.tolist()
+        if frac <= 0.43:
+            assert right.all(), (frac, np.count_nonzero(right))
 
 
 def test_continuation_detects_branch_point(sqrt_spec):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -354,6 +355,30 @@ def test_contraction_sampling_runs_one_log_pass_per_curve(monkeypatch):
     curves = sum(kind == "elliptic" for kind, _ in st.problem.signature.factors)
     assert curves == 2 and len(passes) == curves
     assert rep.samples == passes[0] == passes[1] == solver.CONTRACTION_SAMPLES * st.problem.degree
+
+
+def test_every_sweep_log_settles_at_its_closed_form(monkeypatch):
+    # base fibers, contraction samples and tracker trials all take the one
+    # logarithm, log_E_batch, whose closed form leaves Gauss-Newton nothing
+    # to step: every Gauss-Newton pass of the sweep evaluates wp once on the
+    # rows it is handed
+    handed, evaluated = [], []
+    gauss_newton, wp = elliptic._gauss_newton_log, elliptic.wp_both
+
+    def counted_log(curve, x, y, v0, iters=48):
+        handed.append(len(x))
+        return gauss_newton(curve, x, y, v0, iters)
+
+    def counted_wp(z, curve):
+        if sys._getframe(1).f_code is gauss_newton.__code__:
+            evaluated.append(np.size(z))
+        return wp(z, curve)
+
+    monkeypatch.setattr(elliptic, "_gauss_newton_log", counted_log)
+    monkeypatch.setattr(elliptic, "wp_both", counted_wp)
+    res = mini_sweep()
+    assert len(res.records) == 444
+    assert evaluated == handed
 
 
 def test_margin_model_reasons():
@@ -1194,6 +1219,21 @@ def test_mini_sweep_fiber_counts():
     assert len(res.skipped) == 32
     lams = {complex(rec.lam[0]) for rec in res.records}
     assert lams == {8 + 2j}
+
+
+def test_mixed_product_example_records_and_skips():
+    # a torus and an elliptic factor in one trial: of 314 lattice points the
+    # margin model turns 194 away, and each other keeps all 8 branch ids
+    st = parse_run((EXAMPLES / "mixed_product.spec").read_text())
+    res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+    assert res.degree == 8 and len(res.records) == 960
+    assert all(bid is None for _, bid, _ in res.skipped)
+    assert Counter(why for _, _, why in res.skipped) == {"ratio-margin": 99, "arg-margin": 95}
+    ids = {}
+    for rec in res.records:
+        ids.setdefault(tuple(rec.lam.tolist()), []).append(rec.branch_id)
+    assert len(ids) == 120 and all(sorted(b) == list(range(8)) for b in ids.values())
+    assert verify_records(st.problem, st.domain, res.records, st.tol)[0]
 
 
 def test_gamma_matches_fresh_log_of_alpha():

@@ -58,6 +58,27 @@ tol = 1e-10
 max_iter = 60
 """
 
+MIXED_SRC = """
+[group]
+factors = elliptic, torus
+
+[curve 1]
+omega1 = 1
+omega2 = 1i
+
+[equations]
+z2 = x1^2
+w2^2 = z1
+
+[solver]
+c = 1, 1i
+chart = 1
+epsilon = 0.3
+theta = 0.04
+eta = 0.095
+radius = 29.5:60
+"""
+
 TWO_TORUS_SRC = """
 [group]
 factors = torus, torus
@@ -404,6 +425,7 @@ EXAMPLE_SOURCES = {
     "torus_identity": (TORUS_SRC.format(eq="w1 = z1"), 1),
     "sqrt_branch": (TORUS_SRC.format(eq="w1^2 = z1"), 2),
     "wp_example": (WP_SRC, 12),
+    "mixed_product": (MIXED_SRC, 8),
 }
 
 
