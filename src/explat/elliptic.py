@@ -278,7 +278,10 @@ def wp_both(z, curve: EllipticCurveParams):
     complex product rounds (a temporary first operand is reused in place
     without a swap, which rounds alike).  So every product here whose second
     operand would be a temporary is given named operands; the products by
-    4.0 and 8j are exact in either order.
+    4.0 and 8j are exact in either order.  Steps done in place (out=, +=,
+    *=) keep each operation's operands in order, so they round alike; they
+    free each temporary after its last use and never write z, which may be
+    a column of the caller's array.
     """
     tab = curve.tables()
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -294,17 +297,22 @@ def wp_both(z, curve: EllipticCurveParams):
     grow = np.exp(2.0 * theta.imag)
     cos2, sin2 = (cos_re - sin_re) * (cos_re + sin_re), 2.0 * sin_re * cos_re
     u[0].real, u[0].imag, u[1].real, u[1].imag = cos2 / grow, sin2 / grow, grow * cos2, -grow * sin2  # X, 1/X
+    del zr, zs, theta, sin, sin_re, cos_re, sinh_im, cosh_im, grow, cos2, sin2
     A = u * tab.q
-    r = 1.0 / (1.0 - A)
-    f = A * r * r
-    Ap1 = 1.0 + A
-    g = f * Ap1 * r
+    r = 1.0 - A
+    np.divide(1.0, r, out=r)
+    f = A * r
+    f *= r
+    g = np.multiply(f, np.add(1.0, A, out=A), out=A)  # f (1 + A), in A's place
+    g *= r
+    del r
     h = tab.tail[-1] * u  # (wp, wp') x (X, 1/X) tails
     for c in tab.tail[-2::-1]:
         h += c
         h *= u
     f += h[0]
     g += h[1]
+    del u, h
     series = csc2 - tab.e2_third - 4.0 * (f[0] + f[1])
     dseries = -2.0 * cos * csc * csc2 - 8j * (g[0] - g[1])
     return tab.k ** 2 * series, tab.k ** 3 * dseries, pole

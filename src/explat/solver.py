@@ -764,9 +764,13 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
           max_iter: int = 60, jobs: int = 1) -> SweepResult:
     """Enumerate, gate, and solve; returns records and skips in canonical order.
 
-    The lambdas the margin model turns away (one row each) and the chunks'
-    (lambda, branch) rows (branch-minor) keep enumerate_lattice's order of
-    their lambdas: one stable argsort of each row's enumeration index.
+    Each chunk's rows are cut as they arrive (from the pool, in submission
+    order) to the solved rows' record columns and G at lambda, and the failed
+    rows' (enumeration index, lambda, branch, code), so no chunk's rows
+    outlive it.  The records need no sort: the kept lambdas keep
+    enumerate_lattice's order, the chunks run in it, and their rows are
+    lambda-major.  The skips, the lambdas the margin model turns away and the
+    failed rows, are merged by a stable argsort of their enumeration index.
     """
     lams = enumerate_lattice(spec.signature, domain, radius_range)
     if lams.shape[0] == 0:
@@ -779,57 +783,65 @@ def sweep(spec: ProblemSpec, domain: SectorDomain, radius_range, tol: float = 1e
         )
 
     code = report.admits(lams, domain)
-    turned, kept = lams[code != 0], lams[code == 0]
-    k, d = turned.shape[0], spec.degree
-    # turned-away lambdas as rows; their s, residuals and g are never read
-    parts = [_Rows(turned, np.full(k, -1), code[code != 0], turned, np.zeros(k), np.zeros(k),
-                   np.zeros(k, dtype=int), turned)]
-    if kept.shape[0]:
-        leg1 = _continue_leg1(spec, domain, kept[:, domain.chart])
+    turned, kept, d = np.flatnonzero(code != 0), np.flatnonzero(code == 0), spec.degree
+    solved, failed = [], [(turned, lams[turned], np.full(turned.size, -1), code[turned])]
+
+    def cut(rows: _Rows, i: int):
+        ok, bad = rows.code == 0, np.flatnonzero(rows.code != 0)
+        solved.append([col[ok] for col in (rows.lam, rows.s, rows.branch, rows.residual, rows.f_residual,
+                                            rows.iterations, rows.g_lambda)])
+        failed.append((kept[i + bad // d], rows.lam[bad], rows.branch[bad], rows.code[bad]))
+
+    if kept.size:
+        leg1 = _continue_leg1(spec, domain, lams[kept, domain.chart])
         classes = _leg2_classes(spec, domain, leg1.base)
         per_chunk = max(1, CHUNK_ROWS // d)
-        firsts = range(0, kept.shape[0], per_chunk)
+        firsts = range(0, kept.size, per_chunk)
 
         def chunk(i):
-            return spec, domain, kept[i : i + per_chunk], leg1.start(i, i + per_chunk, d), tol, max_iter, classes
+            return spec, domain, lams[kept[i : i + per_chunk]], leg1.start(i, i + per_chunk, d), tol, max_iter, classes
 
         if jobs > 1 and len(firsts) > 1:
             # imported here: it loads multiprocessing, which no other run needs
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=min(jobs, len(firsts))) as pool:
-                futs = [pool.submit(_solve_chunk, *chunk(i)) for i in firsts]
-                parts += [f.result() for f in futs]
+                futs = {i: pool.submit(_solve_chunk, *chunk(i)) for i in firsts}
+                for i in firsts:
+                    cut(futs.pop(i).result(), i)
         else:
-            parts += [_solve_chunk(*chunk(i)) for i in firsts]
+            for i in firsts:
+                cut(_solve_chunk(*chunk(i)), i)
 
-    rows = _Rows(*map(np.concatenate, zip(*parts)))
-    # the enumeration index of each row's lambda: the turned-away lambdas, then d rows per kept one
-    index = np.concatenate([np.flatnonzero(code != 0), np.repeat(np.flatnonzero(code == 0), d)])
+    records, asym = Records.empty(spec.n), {}
+    if solved:
+        *cols, g_lambda = map(np.concatenate, zip(*solved))
+        del solved
+        records = Records(*cols)
+        if len(records):
+            asym = _asymptotic_report(spec, records, g_lambda)
+    index, lam, branch, why = map(np.concatenate, zip(*failed))
     order = np.argsort(index, kind="stable")
-    solved, skips = order[rows.code[order] == 0], order[rows.code[order] != 0]
-    records = Records(*(col[solved] for col in (rows.lam, rows.s, rows.branch, rows.residual, rows.f_residual,
-                                                  rows.iterations)))
-    skipped = [(lam, None if b < 0 else b, REASONS[c])
-               for lam, b, c in zip(rows.lam[skips], rows.branch[skips].tolist(), rows.code[skips].tolist())]
-    asym = _asymptotic_report(spec, rows, solved) if solved.size else {}
+    skipped = [(row, None if b < 0 else b, REASONS[c])
+               for row, b, c in zip(lam[order], branch[order].tolist(), why[order].tolist())]
     return SweepResult(records=records, skipped=skipped, contraction=report, degree=spec.degree,
                        enumerated=int(lams.shape[0]), asymptotics=asym)
 
 
-def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
+def _asymptotic_report(spec: ProblemSpec, records: Records, g_lambda: np.ndarray) -> dict:
     """Per-branch gamma for abelian coordinates, torus log-growth fit, decay
-    table (N x 2: size, error), over the solved rows idx (the records, in order).
+    table (N x 2: size, error), over the records (in order) and g_lambda,
+    G at z = lambda of each.
 
     Sizes are measured by max|lambda_i|; gamma averages S - lambda over the
     GAMMA_POINTS largest records of each branch; the decay prediction is
     gamma for elliptic coordinates and G(lambda) for torus coordinates.
     """
     kinds = np.array([kind for kind, _ in spec.signature.factors])
-    lam = rows.lam[idx]
-    offset = rows.s[idx] - lam
+    lam = records.lam
+    offset = records.s - lam
     size = _fold_columns(np.maximum, np.abs(lam))
-    bids, branch = np.unique(rows.branch[idx], return_inverse=True)
+    bids, branch = np.unique(records.branch_id, return_inverse=True)
 
     gamma: dict = {}
     for j, bid in enumerate(bids.tolist()):
@@ -845,7 +857,7 @@ def _asymptotic_report(spec: ProblemSpec, rows: _Rows, idx: np.ndarray) -> dict:
         log_c = max(0.0, float(np.max(growth / np.maximum(1.0, [math.log(v) for v in size.tolist()]))))
 
     gammas = np.array(list(gamma.values()))
-    pred = np.where(kinds == "elliptic", gammas[branch], rows.g_lambda[idx])
+    pred = np.where(kinds == "elliptic", gammas[branch], g_lambda)
     decay = np.stack((size, _fold_columns(np.maximum, np.abs(offset - pred))), axis=1)
     return {"gamma": gamma, "log_growth_constant": log_c, "decay": decay}
 

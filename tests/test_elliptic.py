@@ -376,11 +376,18 @@ def test_wp_both_does_not_depend_on_batch_size(lattice):
     curve = EllipticCurveParams.from_lattice(lattice)
     rng = np.random.default_rng(7)
     z = rng.uniform(-2.0, 2.0, 30000) + 1j * rng.uniform(-2.0, 2.0, 30000)
+    S = np.stack([-z, z], axis=1)  # _exp_S hands wp_both the column view S[:, k]
+    z_bits, S_bits = z.tobytes(), S.tobytes()
     full = wp_both(z, curve)
     for n in (1, 100, 4095, 4096, 8191, 8192, 16383):
         part = wp_both(z[:n], curve)
         for a, b in zip(full, part):
             assert a[:n].tobytes() == b.tobytes(), n
+    for a, b in zip(full, wp_both(S[:, 1], curve)):
+        assert a.tobytes() == b.tobytes()
+    # wp_both works in place on its own temporaries only: a write into its
+    # input would move Newton's S
+    assert z.tobytes() == z_bits and S.tobytes() == S_bits
 
 
 @pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.2 + 2.5j], ids=["square", "tau=0.3+1.1i", "tau=0.2+2.5i"])

@@ -21,7 +21,6 @@ from explat.solver import (
     GAMMA_POINTS,
     REASONS,
     Records,
-    _Rows,
     LatticeTooLarge,
     ZeroOnBoundary,
     _asymptotic_report,
@@ -1135,21 +1134,33 @@ def test_verify_recomputes_the_sweep_residuals(case):
         assert max(abs(a - getattr(rec, name)) for a, rec in zip(got, res.records)) < 1e-14
 
 
-def test_sweep_result_holds_records_as_columns():
+def test_sweep_result_holds_records_as_columns(monkeypatch):
     # the records and the decay table are arrays: dropping the result of the
     # examples/wp_example.spec sweep frees under 250 B a record (lambda and s
-    # take 64 of them), where one object per record held some 575 B
+    # take 64 of them), where one object per record held some 575 B.  Each
+    # chunk's rows are cut to records and skips as they arrive, and wp_both
+    # frees its temporaries, so the traced peak reads about 5.1 MB at the
+    # default CHUNK_ROWS and 2.8 MB at 1024 rows; keeping every chunk's rows
+    # to the end of the sweep reads about 6.2 MB at both
     st = parse_run((EXAMPLES / "wp_example.spec").read_text())
-    tracemalloc.start()
-    try:
-        res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
-        count, held = len(res.records), tracemalloc.get_traced_memory()[0]
-        del res
-        held -= tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+
+    def traced():
+        tracemalloc.start()
+        try:
+            res = sweep(st.problem, st.domain, st.radius, tol=st.tol, max_iter=st.max_iter)
+            count, (held, peak) = len(res.records), tracemalloc.get_traced_memory()
+            del res
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return count, held, peak
+
+    count, held, peak = traced()
     assert count == 10524
     assert held < 250 * count
+    assert peak <= 5.3e6
+    monkeypatch.setattr(solver, "CHUNK_ROWS", 1024)
+    assert traced()[2] <= 4.0e6
 
 
 def test_empty_annulus_returns_empty_result():
@@ -1234,6 +1245,17 @@ def test_mixed_product_example_records_and_skips():
         ids.setdefault(tuple(rec.lam.tolist()), []).append(rec.branch_id)
     assert len(ids) == 120 and all(sorted(b) == list(range(8)) for b in ids.values())
     assert verify_records(st.problem, st.domain, res.records, st.tol)[0]
+
+
+def test_jobs_do_not_move_mixed_product_sweep():
+    # over 29.5:90 the 632 kept of 1191 lambda run as two chunks of 512, so
+    # jobs=2 cuts the pool's results chunk by chunk on a torus x elliptic product
+    st = parse_run((EXAMPLES / "mixed_product.spec").read_text())
+    res1, res2 = (sweep(st.problem, st.domain, (29.5, 90.0), tol=st.tol, max_iter=st.max_iter, jobs=jobs)
+                  for jobs in (1, 2))
+    assert len(res1.records) == 5056
+    assert Counter(why for _, _, why in res1.skipped) == {"ratio-margin": 300, "arg-margin": 259}
+    assert _sweep_bits(res2) == _sweep_bits(res1)
 
 
 def test_gamma_matches_fresh_log_of_alpha():
@@ -1336,9 +1358,8 @@ def test_asymptotic_report_matches_per_record_arithmetic(kinds):
     def col(field):
         return np.array([getattr(r, field) for r in records])
 
-    # the report reads the lambda, branch, s and g columns of the solved rows
-    rows = _Rows(col("lam"), col("branch_id"), None, col("s"), None, None, None, col("g_lambda"))
-    got = _asymptotic_report(spec, rows, np.arange(len(records)))
+    # the report reads the lambda, s and branch columns of the records, and G at lambda
+    got = _asymptotic_report(spec, Records(col("lam"), col("s"), col("branch_id"), None, None, None), col("g_lambda"))
     gamma, log_c, decay = _asymptotics_per_record(kinds, records)
     assert list(got["gamma"]) == list(gamma)
     assert all(got["gamma"][b].tobytes() == gamma[b].tobytes() for b in gamma)
