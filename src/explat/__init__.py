@@ -12,11 +12,10 @@ from .elliptic import (
 )
 from .fiber import (
     DegenerateFiber,
-    LeftDomain,
     NonTriangularSystem,
     ProblemSpec,
     SectorDomain,
-    branch_base,
+    fiber_rows,
     monodromy_profile,
 )
 from .solver import (
@@ -32,7 +31,7 @@ from .solver import (
     sweep,
 )
 from .specfile import ParseError, RunSetup, ValidationError, parse_run, parse_spec
-from .torus import torus_log, torus_log_near
+from .torus import torus_log_near
 
 __version__ = "0.1.0"
 
@@ -42,7 +41,6 @@ __all__ = [
     "EllipticCurveParams",
     "Lattice",
     "LatticeTooLarge",
-    "LeftDomain",
     "NonConvergence",
     "NonTriangularSystem",
     "ParseError",
@@ -54,10 +52,10 @@ __all__ = [
     "SweepResult",
     "ValidationError",
     "ZeroOnBoundary",
-    "branch_base",
     "count_zeros_window",
     "eisenstein_invariants",
     "enumerate_lattice",
+    "fiber_rows",
     "log_E_batch",
     "measure_contraction",
     "monodromy_profile",
@@ -65,7 +63,6 @@ __all__ = [
     "parse_spec",
     "reduce_mod_lattice",
     "sweep",
-    "torus_log",
     "torus_log_near",
     "wp_both",
 ]

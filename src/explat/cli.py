@@ -18,7 +18,7 @@ import numpy as np
 from . import report as report_mod
 from .core import NonConvergence
 from .elliptic import EllipticCurveParams, Lattice
-from .fiber import DegenerateFiber, SectorDomain, branch_base, monodromy_profile
+from .fiber import DegenerateFiber, SectorDomain, fiber_rows, monodromy_profile
 from .solver import (
     ContractionGateFailed,
     LatticeTooLarge,
@@ -272,10 +272,9 @@ def cmd_monodromy(args) -> int:
         c=dom.c, chart=dom.chart, epsilon=dom.epsilon,
         theta=dom.theta, eta=dom.theta + width,
     )
-    try:
-        base = branch_base(setup.problem, domain, _base_point(domain))
-    except DegenerateFiber as exc:
-        _err(f"degenerate geometry: {exc}")
+    base, why = fiber_rows(setup.problem, _base_point(domain)[None, :])
+    if why:
+        _err(f"degenerate geometry: {why[0]}")
         return EXIT_GEOMETRY
     print(f"{'branch':>6} {'e':>3}  stage orders")
     for bid, prof in zip(base.branch_ids.tolist(), monodromy_profile(setup.problem, base)):

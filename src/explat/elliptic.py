@@ -96,10 +96,7 @@ def reduce_mod_lattice(z, lat: Lattice):
     m = np.ceil(s - 0.5)
     n = np.ceil(t - 0.5)
     part = lat.from_coords(m, n)
-    rep = np.asarray(z, dtype=complex) - part
-    if rep.shape == ():
-        return complex(rep), complex(part)
-    return rep, part
+    return np.asarray(z, dtype=complex) - part, part
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ and continuation only picks its translate in the period lattice.
 The continuation engine (_Tracker) is batched: it advances many
 (parameter-path, branch) rows through the same stage structure at once,
 which is what makes lattice sweeps cheap.  It is the only form branch rows
-take: branch_base returns the base fiber as one, and each row carries its
+take: fiber_rows returns base fibers as one, and each row carries its
 point, fiber values, logarithm, step rates and failure reason, so a row
 that fails keeps the guard that fired and later advances pass it by.
 Each row sizes its own substeps from two rates per unit of parameter
@@ -62,10 +62,6 @@ MONODROMY_TOL = 1e-8   # relative distance at which a turned fiber point has ret
 
 class DegenerateFiber(RuntimeError):
     """Fiber solving hit a vanished leading coefficient or clustered roots."""
-
-
-class LeftDomain(RuntimeError):
-    """A continuation target or iterate exited the sector domain."""
 
 
 class NonTriangularSystem(ValueError):
@@ -247,9 +243,6 @@ class SectorDomain:
                 continue
             ok &= np.abs(Z[:, i] / safe - self.c[i]) < self.epsilon
         return ok
-
-    def contains(self, z) -> bool:
-        return bool(self.contains_batch(np.asarray(z, dtype=complex)[None, :])[0])
 
 
 # ----------------------------------------------------------------------
@@ -460,12 +453,8 @@ def fiber_logs(spec: ProblemSpec, vals: dict):
     ok = np.ones(m, dtype=bool)
     for k, (kind, curve) in enumerate(spec.signature.factors):
         v = [vals[nm] for nm in spec.signature.factor_vars(k)]
-        if kind == "torus":
-            ok &= np.abs(v[0]) > 0
-            G[:, k] = torus_log_near(np.where(np.abs(v[0]) > 0, v[0], 1.0), 0.0)
-        else:
-            G[:, k], vok = log_E_batch(curve, *v)
-            ok &= vok
+        G[:, k], vok = torus_log_near(v[0], 0.0) if kind == "torus" else log_E_batch(curve, *v)
+        ok &= vok
     return G, ok
 
 
@@ -532,24 +521,11 @@ def g_jacobian(spec: ProblemSpec, Z, vals: dict) -> np.ndarray:
 # the base fiber
 
 
-def branch_base(spec: ProblemSpec, domain: SectorDomain, z0) -> "_Tracker":
-    """A tracker with one row per fiber point at z0 (_fiber_rows).  A
-    degenerate fiber raises DegenerateFiber naming the guard and the stage
-    that fired, a logarithm that did not converge NonConvergence.  (A sweep
-    solves its base fiber in the batch of its leg-1 rungs instead.)
-    """
-    z0 = np.asarray(z0, dtype=complex)
-    if domain is not None and not domain.contains(z0):
-        raise LeftDomain("base point outside the sector domain")
-    tr, why = _fiber_rows(spec, z0[None, :])
-    if why:
-        raise why[0]
-    return tr
-
-
-def _fiber_rows(spec: ProblemSpec, Z):
+def fiber_rows(spec: ProblemSpec, Z):
     """The fibers over the rows of Z as one tracker, and why the others failed.
 
+    The one way to a base fiber: a sweep solves its base point with its
+    leg-1 rungs here, and explat monodromy its base point alone.
     Returns (tr, why).  tr holds degree rows for each row of Z whose whole
     fiber passed every guard, in the order of Z, with ids 0..degree-1 by
     lexicographic alpha order within each; G is the anchor-0 torus branch /
@@ -639,7 +615,7 @@ class _Tracker:
       of the predicted stage roots at the new point, the largest over the
       stages of degree > 1 (it grows as |dZ|^2);
     - log_rate: max_k |dG_k| / gap_k.
-    branch_base builds the rows of a base fiber with the rates in closed
+    fiber_rows builds the rows of a base fiber with the rates in closed
     form (_start_rates); each accepted substep then sets them from its own
     alpha and log motion over its |dZ| (_measure).  take() copies rows with
     their rates and reasons, so a row that failed stays failed; aim() sets
@@ -725,10 +701,8 @@ class _Tracker:
             if still.issuperset(spec.signature.factor_vars(k)):
                 gk = prev_g
             elif kind == "torus":
-                w = cand[spec.signature.factor_vars(k)[0]]
-                wsafe = np.where(np.abs(w) < 1e-300, 1.0, w)
-                ok &= np.abs(w) >= 1e-300
-                gk = torus_log_near(wsafe, prev_g)
+                gk, wok = torus_log_near(cand[spec.signature.factor_vars(k)[0]], prev_g)
+                ok &= wok
             else:
                 xk, yk = spec.signature.factor_vars(k)
                 keep = np.flatnonzero(ok)

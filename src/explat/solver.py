@@ -41,10 +41,10 @@ from .fiber import (
     ProblemSpec,
     SectorDomain,
     _batched_fiber,
-    _fiber_rows,
     _stage_roots,
     _Tracker,
     fiber_logs,
+    fiber_rows,
     g_jacobian,
     group_distance,
     straight_path,
@@ -441,8 +441,8 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, lam_l) -> _Leg1:
     straight in L = log r + i arg(z_l), mapped by z = c * exp(L).
     Hubs: the points of the base ray at radii base_r * HUB_RATIO^j that some chart point is
     nearest to (in log r), the farthest being J.  The ray is a ladder: the fibers at the base
-    point (_base_point, rung 0) and the rungs j = 1..J-1 are solved in one batch (_fiber_rows), a
-    degenerate base fiber raising as branch_base does, and one advance runs every segment, base
+    point (_base_point, rung 0) and the rungs j = 1..J-1 are solved in one batch (fiber_rows), a
+    degenerate base fiber raising its first failure, and one advance runs every segment, base
     to rung 1 and rung j to j+1, at once.  Walking up, each live arrival at a rung is matched
     one-to-one to the re-solved root it lands on (group_distance), whose rows take its branch id
     and, on their log, the lattice offset arrival G - fresh G.  Continuing along the segments in
@@ -466,7 +466,7 @@ def _continue_leg1(spec: ProblemSpec, domain: SectorDomain, lam_l) -> _Leg1:
     L = L0 + np.arange(hubs[-1] + 1) * math.log(HUB_RATIO)
 
     rung_Z = cvec[None, :] * np.exp(L[1:-1])[:, None]
-    source, why = _fiber_rows(spec, np.concatenate([_base_point(domain)[None, :], rung_Z]))  # d rows per start
+    source, why = fiber_rows(spec, np.concatenate([_base_point(domain)[None, :], rung_Z]))  # d rows per start
     if 0 in why:
         raise why[0]
     rungs, hub_set = {k for k in range(1, L.size - 1) if k not in why}, set(hubs.tolist())
@@ -608,8 +608,8 @@ def _log_at_s(spec: ProblemSpec, S, LAM, exp, vals: dict, anchor):
     for k, (kind, curve) in enumerate(sig.factors):
         v = sig.factor_vars(k)
         if kind == "torus":
-            ok &= np.abs(vals[v[0]]) >= 1e-300
-            G[:, k] = torus_log_near(np.where(ok, vals[v[0]], 1.0), anchor[:, k])
+            G[:, k], wok = torus_log_near(vals[v[0]], anchor[:, k])
+            ok &= wok
             dist = np.abs(S[:, k] - G[:, k] - LAM[:, k])
         else:
             step = _gauss_newton_step(curve, e[v[0]], e[v[1]], e[v[0]] - vals[v[0]], e[v[1]] - vals[v[1]])

@@ -11,24 +11,21 @@ import math
 import numpy as np
 
 TORUS_PERIOD = 2j * math.pi
-
-
-def torus_log(w):
-    """Principal logarithm, Im in (-pi, pi]; w must be nonzero."""
-    w = np.asarray(w, dtype=complex)
-    if np.any(w == 0):
-        raise ValueError("log of zero")
-    out = np.log(w)
-    # numpy yields Im = -pi on the negative real axis approached from below;
-    # normalize the boundary to the +pi side
-    out = np.where(out.imag == -math.pi, np.conj(out), out)
-    return out if out.shape else complex(out)
+ZERO_TOL = 1e-300      # |w| below this has no logarithm: w has left the torus
 
 
 def torus_log_near(w, anchor):
-    """The branch of log w nearest to anchor: principal + 2*pi*i*k."""
-    base = np.asarray(torus_log(w), dtype=complex)
+    """(G, ok): the branch of log w nearest to anchor, principal + 2*pi*i*k, and ok = |w| >= ZERO_TOL.
+
+    The principal branch takes Im in (-pi, pi]; where ok is False (w zero,
+    below ZERO_TOL or NaN), G is the anchor's branch of log 1.
+    """
+    w = np.asarray(w, dtype=complex)
+    ok = np.abs(w) >= ZERO_TOL
+    base = np.log(np.where(ok, w, 1.0))
+    # numpy yields Im = -pi on the negative real axis approached from below;
+    # normalize the boundary to the +pi side
+    base = np.where(base.imag == -math.pi, np.conj(base), base)
     anchor = np.asarray(anchor, dtype=complex)
     k = np.round((anchor.imag - base.imag) / (2.0 * math.pi))
-    out = base + TORUS_PERIOD * k
-    return out if out.shape else complex(out)
+    return base + TORUS_PERIOD * k, ok

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from explat.elliptic import EllipticCurveParams, Lattice, wp_both
-from explat.fiber import SectorDomain, branch_base, monodromy_profile
+from explat.fiber import SectorDomain, fiber_rows, monodromy_profile
 from explat.solver import _base_point, count_zeros_window, measure_contraction, sweep
 from explat.specfile import parse_run
 
@@ -303,7 +303,7 @@ def _wide(domain):
 def _profiles(st):
     """Monodromy profiles of every branch at the base point of st's widened domain."""
     dom = _wide(st.domain)
-    return monodromy_profile(st.problem, branch_base(st.problem, dom, _base_point(dom)))
+    return monodromy_profile(st.problem, fiber_rows(st.problem, np.array([_base_point(dom)]))[0])
 
 
 def test_criterion_7_monodromy_orders():

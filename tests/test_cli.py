@@ -19,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TORUS_SPEC = ROOT / "examples" / "torus_identity.spec"
 SQRT_SPEC = ROOT / "examples" / "sqrt_branch.spec"
 WP_SPEC = ROOT / "examples" / "wp_example.spec"
+MIXED_SPEC = ROOT / "examples" / "mixed_product.spec"
 # child interpreters find the package through the repo's src, installed or not
 CLI_ENV = {
     **os.environ,
@@ -37,6 +38,7 @@ TORUS_TABLE = (
     "     0   1  w1:1\n"
 )
 WP_TABLE = "branch   e  stage orders\n" + "".join(f"{b:>6}   4  y2:1, x2:1, x1:2, y1:4\n" for b in range(12))
+MIXED_TABLE = "branch   e  stage orders\n" + "".join(f"{b:>6}   4  x1:2, w2:2, y1:4\n" for b in range(8))
 
 
 def run_cli(*args):
@@ -691,6 +693,33 @@ def test_monodromy_curve_product_stage_orders():
     assert len(lines) == 12
     assert all("x1:2" in ln for ln in lines)
     assert r.stdout == WP_TABLE
+
+
+def test_monodromy_mixed_torus_and_curve_product():
+    # the one example whose base fiber has a torus and a curve coordinate
+    r = run_cli("monodromy", "--spec", MIXED_SPEC)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == MIXED_TABLE
+
+
+def test_monodromy_exit_on_base_logarithm_that_did_not_converge(monkeypatch, capsys):
+    # monodromy's base fiber takes the sweep's entry, fiber_rows, so a logarithm
+    # that did not converge there exits 3 as explat solve does, with no table
+    import numpy as np
+
+    from explat import fiber
+
+    log = fiber.log_E_batch
+
+    def no_log(curve, x, y):
+        v, ok = log(curve, x, y)
+        return v, np.zeros_like(ok)
+
+    monkeypatch.setattr(fiber, "log_E_batch", no_log)
+    assert cli.main(["monodromy", "--spec", str(WP_SPEC)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "degenerate geometry: fiber logarithm did not converge\n"
 
 
 def test_monodromy_failing_branch_stops_the_table(monkeypatch, capsys):

@@ -17,8 +17,8 @@ from explat.fiber import (
     _batched_fiber,
     _start_rates,
     _Tracker,
-    branch_base,
     build_problem,
+    fiber_rows,
     straight_path,
 )
 from explat import core, solver
@@ -131,7 +131,7 @@ def _walk(spec, z0, w0, corners):
 
     Returns (w1, ok, reason) after the last segment or the first failure.
     """
-    base = branch_base(spec, None, [z0])
+    base = fiber_rows(spec, np.array([[z0]]))[0]
     tr = base.take([int(np.argmin(np.abs(base.vals["w1"] - w0)))])
     for corner in corners:
         target = np.array([[complex(corner)]])

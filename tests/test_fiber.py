@@ -13,7 +13,6 @@ from explat.fiber import (
     SAG_STEP,
     DegenerateFiber,
     GroupSignature,
-    LeftDomain,
     MPoly,
     NonTriangularSystem,
     ProblemSpec,
@@ -21,9 +20,9 @@ from explat.fiber import (
     _batched_fiber,
     _start_rates,
     _Tracker,
-    branch_base,
     build_problem,
     fiber_logs,
+    fiber_rows,
     g_jacobian,
     group_distance,
     monodromy_profile,
@@ -167,19 +166,20 @@ def test_g_jacobian_matches_central_differences(name):
 def test_sector_domain_membership():
     dom = SectorDomain(c=(1.0, 2.0 - 1.0j), chart=0, epsilon=0.3, theta=0.1, eta=1.4)
     zl = 10.0 * np.exp(0.7j)
-    assert dom.contains([zl, zl * (2.0 - 1.0j)])
-    assert not dom.contains([zl, zl * (2.0 - 1.0j) + 5.0])      # ratio off
-    assert not dom.contains([2.0 * np.exp(0.7j), 2.0 * (2 - 1j) * np.exp(0.7j)])  # too small
-    assert not dom.contains([10.0 * np.exp(2.0j), 10.0 * (2 - 1j) * np.exp(2.0j)])  # arg out
+    Z = [
+        [zl, zl * (2.0 - 1.0j)],
+        [zl, zl * (2.0 - 1.0j) + 5.0],                            # ratio off
+        [2.0 * np.exp(0.7j), 2.0 * (2 - 1j) * np.exp(0.7j)],      # too small
+        [10.0 * np.exp(2.0j), 10.0 * (2 - 1j) * np.exp(2.0j)],    # arg out
+    ]
+    assert dom.contains_batch(Z).tolist() == [True, False, False, False]
 
 
 def test_sector_domain_wrapped_window():
     # window crossing the -pi/pi cut: theta just below pi
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=3.0, eta=3.8)
-    assert dom.contains([5.0 * np.exp(1j * 3.1)])
-    assert dom.contains([5.0 * np.exp(1j * (3.5 - 2 * math.pi))])  # same ray, arg branch -2.78
-    assert not dom.contains([5.0 * np.exp(1j * 2.9)])
-    assert not dom.contains([5.0 * np.exp(1j * 3.9)])
+    args = [3.1, 3.5 - 2 * math.pi, 2.9, 3.9]  # -2.78 is the ray at arg 3.5, inside the window
+    assert dom.contains_batch(5.0 * np.exp(1j * np.array(args))[:, None]).tolist() == [True, True, False, False]
 
 
 def test_sector_domain_validation():
@@ -189,22 +189,6 @@ def test_sector_domain_validation():
         SectorDomain(c=(1.0,), chart=0, epsilon=0.3, theta=1.0, eta=1.0)   # empty window
     with pytest.raises(ValueError):
         SectorDomain(c=(1.0,), chart=0, epsilon=0.3, theta=0.0, eta=7.0)   # > 2*pi
-
-
-def test_sector_domain_batch_agrees_with_scalar():
-    dom = SectorDomain(c=(1.0, 0.5j), chart=0, epsilon=0.35, theta=-0.4, eta=0.9)
-    Z = np.stack(
-        [
-            (3.0 + 7.0 * RNG.random(200)) * np.exp(1j * RNG.uniform(-1.0, 1.5, 200)),
-            np.zeros(200, complex),
-        ],
-        axis=1,
-    )
-    Z[:, 1] = Z[:, 0] * (0.5j + 0.5 * dom.epsilon * (RNG.standard_normal(200) + 1j * RNG.standard_normal(200)))
-    got = dom.contains_batch(Z)
-    assert got.any() and not got.all()
-    for i in range(200):
-        assert got[i] == dom.contains(Z[i])
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +249,7 @@ def test_fiber_count_is_constant(curve_pair_spec):
 
 
 def test_fiber_points_lie_on_curves(curve_pair_spec, square_curve):
-    base = branch_base(curve_pair_spec, None, [19.0 + 2.0j, 23.0 - 1.5j])
+    base = fiber_rows(curve_pair_spec, np.array([[19.0 + 2.0j, 23.0 - 1.5j]]))[0]
     assert base.m == 12
     g2, g3 = square_curve.g2, square_curve.g3
     for k in range(2):
@@ -275,8 +259,9 @@ def test_fiber_points_lie_on_curves(curve_pair_spec, square_curve):
 
 def test_fiber_degenerate_at_branch_locus(sqrt_spec):
     # w1^2 = z1 has a double root at z1 = 0
-    with pytest.raises(DegenerateFiber, match="root gap guard fired in the w1 stage"):
-        branch_base(sqrt_spec, None, [0.0])
+    tr, why = fiber_rows(sqrt_spec, np.array([[0.0]]))
+    assert tr.m == 0 and list(why) == [0]
+    assert isinstance(why[0], DegenerateFiber) and str(why[0]) == "root gap guard fired in the w1 stage"
 
 
 def test_branch_base_torus_coordinate_vanishes():
@@ -285,9 +270,10 @@ def test_branch_base_torus_coordinate_vanishes():
     av = sig.z_vars + sig.group_vars
     eq = MPoly.from_dict(av, {term(av, w1=1): 1.0, term(av, z1=1): -1.0, term(av): 5.0})
     spec = build_problem(sig, [eq])
-    assert branch_base(spec, None, [6.0]).m == 1
-    with pytest.raises(DegenerateFiber, match="torus coordinate vanished"):
-        branch_base(spec, None, [5.0])
+    assert fiber_rows(spec, np.array([[6.0]]))[0].m == 1
+    tr, why = fiber_rows(spec, np.array([[5.0]]))
+    assert tr.m == 0 and list(why) == [0]
+    assert isinstance(why[0], DegenerateFiber) and str(why[0]) == "torus coordinate vanished on the fiber"
 
 
 def test_fiber_degenerate_leading_coefficient():
@@ -296,9 +282,10 @@ def test_fiber_degenerate_leading_coefficient():
     av = sig.z_vars + sig.group_vars
     eq = MPoly.from_dict(av, {term(av, z1=1, w1=2): 1.0, term(av): -1.0})
     spec = build_problem(sig, [eq])
-    assert branch_base(spec, None, [2.0 + 1.0j]).m == 2
-    with pytest.raises(DegenerateFiber, match="leading coefficient guard fired in the w1 stage"):
-        branch_base(spec, None, [0.0])
+    assert fiber_rows(spec, np.array([[2.0 + 1.0j]]))[0].m == 2
+    tr, why = fiber_rows(spec, np.array([[0.0]]))
+    assert tr.m == 0 and list(why) == [0]
+    assert isinstance(why[0], DegenerateFiber) and str(why[0]) == "leading coefficient guard fired in the w1 stage"
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +306,7 @@ def _carry_one(row, target):
 
 
 def test_branch_base_ids_and_logs(curve_pair_spec):
-    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    base = fiber_rows(curve_pair_spec, np.array([[21.0 + 2.0j, 23.5 + 1.1j]]))[0]
     assert base.branch_ids.tolist() == list(range(12))
     assert not base.reason.any()
     # exp_S(g) lands on alpha for every branch
@@ -331,7 +318,7 @@ def test_branch_base_rates_are_closed_form_at_z0(curve_pair_spec, sqrt_spec):
     # every row sits at z0 with the closed-form rates of its own branch, so
     # the rates follow the rows into branch order
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
-    base = branch_base(curve_pair_spec, None, z0)
+    base = fiber_rows(curve_pair_spec, np.array([z0]))[0]
     assert np.array_equal(base.Z, np.repeat(z0[None, :], 12, axis=0))
     for r in range(base.m):
         one = base.take([r])
@@ -340,7 +327,7 @@ def test_branch_base_rates_are_closed_form_at_z0(curve_pair_spec, sqrt_spec):
     # w1^2 = z1: gamma = 1/(2|w|) and dw/dz = 1/(2w), so alpha_rate = 1/(4|z|);
     # dG/dz = 1/(2z) over the gap 2*pi
     z = 9.0 + 1.0j
-    base = branch_base(sqrt_spec, None, [z])
+    base = fiber_rows(sqrt_spec, np.array([[z]]))[0]
     assert np.allclose(base.alpha_rate, 1.0 / (4.0 * abs(z)), rtol=1e-12, atol=0.0)
     assert np.allclose(base.log_rate, 1.0 / (2.0 * abs(z) * 2.0 * math.pi), rtol=1e-12, atol=0.0)
 
@@ -350,7 +337,7 @@ def test_directed_rates_never_exceed_the_undirected_ones(curve_pair_spec):
     # the rate that bounds every direction (up to the rounding of the unit
     # direction's modulus), and below it where the direction misses the
     # steepest one
-    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    base = fiber_rows(curve_pair_spec, np.array([[21.0 + 2.0j, 23.5 + 1.1j]]))[0]
     rng = np.random.default_rng(3)
     heading = rng.standard_normal((base.m, 2)) + 1j * rng.standard_normal((base.m, 2))
     heading[:4, 0] = 0.0
@@ -370,7 +357,7 @@ def test_directed_rate_of_a_stage_the_direction_does_not_move_is_zero():
     eq2 = MPoly.from_dict(av, {term(av, w2=1): 1.0, term(av, z2=1): -1.0})
     spec = build_problem(sig, [eq1, eq2])
     z = np.array([9.0 + 1.0j, 4.0 - 2.0j])
-    base = branch_base(spec, None, z)
+    base = fiber_rows(spec, np.array([z]))[0]
     alpha, log = _start_rates(spec, base.Z, base.vals, np.tile([0.0, 0.5j], (base.m, 1)))
     assert np.all(base.alpha_rate > 0.0) and np.all(alpha == 0.0)
     assert np.allclose(log, 1.0 / (abs(z[1]) * 2.0 * math.pi), rtol=1e-14, atol=0.0)
@@ -380,7 +367,7 @@ def test_aim_sets_rates_along_each_direction_and_zero_keeps_them(curve_pair_spec
     # a row aimed along a direction gets the closed-form rates along it; a
     # row whose direction is 0 (a leg 2 of zero length) keeps the rates it
     # inherited, which its later continuations start from
-    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    base = fiber_rows(curve_pair_spec, np.array([[21.0 + 2.0j, 23.5 + 1.1j]]))[0]
     tr = base.take([0, 1, 2, 3])
     tr.alpha_rate[:], tr.log_rate[:] = 0.7, 0.3
     heading = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 2.0j], [0.0, 0.0]])
@@ -389,13 +376,6 @@ def test_aim_sets_rates_along_each_direction_and_zero_keeps_them(curve_pair_spec
                               heading[[0, 2]])
     assert tr.alpha_rate.tolist() == [alpha[0], 0.7, alpha[1], 0.7]
     assert tr.log_rate.tolist() == [log[0], 0.3, log[1], 0.3]
-
-
-def test_branch_base_respects_domain(identity_spec):
-    dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=0.1, eta=1.5)
-    branch_base(identity_spec, dom, [10.0 * np.exp(0.5j)])
-    with pytest.raises(LeftDomain):
-        branch_base(identity_spec, dom, [10.0 * np.exp(2.5j)])
 
 
 def test_straight_path_copies_its_ends():
@@ -415,7 +395,7 @@ def test_straight_path_copies_its_ends():
 def test_continuation_roundtrip(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([25.0 - 1.0j, 27.0 + 3.0j])
-    s0 = branch_base(curve_pair_spec, None, z0).take([3])
+    s0 = fiber_rows(curve_pair_spec, np.array([z0]))[0].take([3])
     s2 = _carry_one(_carry_one(s0, z1), z0)
     assert max(abs(s2.vals[k][0] - s0.vals[k][0]) for k in s0.vals) < 1e-9
     assert np.max(np.abs(s2.G - s0.G)) < 1e-9
@@ -426,7 +406,7 @@ def test_continuation_path_independent(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([26.0 + 4.0j, 24.0 - 2.0j])
     mid = 0.5 * (z0 + z1)
-    s0 = branch_base(curve_pair_spec, None, z0).take([7])
+    s0 = fiber_rows(curve_pair_spec, np.array([z0]))[0].take([7])
     direct = _carry_one(s0, z1)
     via = _carry_one(_carry_one(s0, mid), z1)
     assert max(abs(direct.vals[k][0] - via.vals[k][0]) for k in direct.vals) < 1e-9
@@ -438,9 +418,9 @@ def test_continued_branches_exhaust_fiber(curve_pair_spec):
     sig = curve_pair_spec.signature
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([24.0 + 5.0j, 21.0 + 0.5j])
-    moved = _carry(branch_base(curve_pair_spec, None, z0), z1)
+    moved = _carry(fiber_rows(curve_pair_spec, np.array([z0]))[0], z1)
     assert not moved.reason.any()
-    target = branch_base(curve_pair_spec, None, z1).vals
+    target = fiber_rows(curve_pair_spec, np.array([z1]))[0].vals
     used = np.zeros(curve_pair_spec.degree, dtype=bool)
     for r in range(moved.m):
         dists = np.where(used, np.inf, group_distance(sig, {nm: col[r] for nm, col in moved.vals.items()}, target))
@@ -453,7 +433,7 @@ def test_continued_branches_exhaust_fiber(curve_pair_spec):
 def test_batched_tracker_matches_single_rows(curve_pair_spec):
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     z1 = np.array([23.0 + 3.0j, 25.0 + 2.0j])
-    base = branch_base(curve_pair_spec, None, z0)
+    base = fiber_rows(curve_pair_spec, np.array([z0]))[0]
     batched = _carry(base, z1)
     assert not batched.reason.any()
     for r in range(base.m):
@@ -465,7 +445,7 @@ def test_batched_tracker_matches_single_rows(curve_pair_spec):
 def test_advance_trials_only_live_rows(identity_spec):
     # a row that arrives on its first step is not trialled again while
     # the other row is still on its way
-    tr = branch_base(identity_spec, None, [10.0 + 1.0j]).take([0, 0])
+    tr = fiber_rows(identity_spec, np.array([[10.0 + 1.0j]]))[0].take([0, 0])
     target = np.array([[10.0 + 1.0j], [-30.0 + 40.0j]])
     sizes = []
     trial = tr._trial
@@ -488,7 +468,7 @@ def test_segment_near_branch_point_keeps_its_branch(p):
     sig = GroupSignature(factors=(("torus", None),))
     av = sig.z_vars + sig.group_vars
     spec = build_problem(sig, [MPoly.from_dict(av, {term(av, w1=2): 1.0, term(av, z1=1): -1.0, term(av): p})])
-    base = branch_base(spec, None, [-2.0 + 0j])
+    base = fiber_rows(spec, np.array([[-2.0 + 0j]]))[0]
     ends = _carry(base, [2.0 + 0j])
     for r in range(base.m):
         sign = complex(base.vals["w1"][r]) / cmath.sqrt(-2.0 - p)
@@ -502,7 +482,7 @@ def test_step_keeps_a_loose_row_on_its_spiral(identity_spec):
     # motion bound, sets the step, and the row still arrives on its arc.
     # The longest dt within the sag bound is 0.562; the sag's quadratic
     # model alone, fitted at dt = 1, cut it to 0.106
-    tr = branch_base(identity_spec, None, [1.0 + 0j])
+    tr = fiber_rows(identity_spec, np.array([[1.0 + 0j]]))[0]
     tr.log_rate[:] = 1e-3
 
     def spiral(t, rows):
@@ -608,7 +588,7 @@ def test_predicted_start_alpha_falls_with_the_square_of_the_step(sqrt_spec):
     # the previous root w it starts O(|dZ|) away, and alpha falls about 2x.
     # kappa = sqrt(alpha)/|dZ| is then about the closed-form rate
     # gamma |dw/dz| = 1/(4|z|) that a row starts from
-    tr = branch_base(sqrt_spec, None, [9.0 + 1.0j])
+    tr = fiber_rows(sqrt_spec, np.array([[9.0 + 1.0j]]))[0]
     predicted, previous = [], []
     for h in (0.4, 0.2):
         dZ = h * np.exp(0.7j)
@@ -626,7 +606,7 @@ def test_trial_starts_a_row_whose_prediction_is_not_finite_from_its_previous_roo
     # row 3's predictions forced to nan: its Newton starts from its previous
     # roots, in every stage, and still certifies this short step; every
     # other row keeps the bits of a trial without the forcing
-    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    base = fiber_rows(curve_pair_spec, np.array([[21.0 + 2.0j, 23.5 + 1.1j]]))[0]
     Znext = base.Z + 0.01 * np.exp(1j * np.arange(base.m))[:, None]
     want_ok, _, want, want_G = base._trial(Znext, None)
     starts = []
@@ -661,7 +641,7 @@ def test_trial_solves_logs_only_on_the_rows_its_guards_kept(curve_pair_spec, mon
     # the translate whose difference from the previous log lies in the cell
     z0 = np.array([21.0 + 2.0j, 23.5 + 1.1j])
     dom = SectorDomain(c=(1.0, z0[1] / z0[0]), chart=0, epsilon=0.1, theta=0.0, eta=0.5)
-    tr = branch_base(curve_pair_spec, dom, z0)
+    tr = fiber_rows(curve_pair_spec, np.array([z0]))[0]
     inside = np.arange(tr.m) < 6
     Znext = tr.Z + 0.02 * np.exp(1j * np.arange(tr.m))[:, None]
     Znext[~inside, 1] += 5.0
@@ -749,13 +729,13 @@ def test_trial_log_takes_the_translate_of_the_move(name, monkeypatch):
 
 def test_continuation_detects_branch_point(sqrt_spec):
     # the segment 1 -> -1 passes through the double root at the origin
-    s0 = branch_base(sqrt_spec, None, [1.0 + 0.0j]).take([1])
+    s0 = fiber_rows(sqrt_spec, np.array([[1.0 + 0.0j]]))[0].take([1])
     assert _carry(s0, [-1.0 + 0.0j]).reason[0] == _Tracker.FAIL_BRANCH
 
 
 def test_continuation_respects_domain(identity_spec):
     dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=0.1, eta=1.5)
-    s0 = branch_base(identity_spec, dom, [10.0 * np.exp(0.5j)])
+    s0 = fiber_rows(identity_spec, np.array([[10.0 * np.exp(0.5j)]]))[0]
     assert _carry(s0, [10.0 * np.exp(2.2j)], domain=dom).reason[0] == _Tracker.FAIL_DOMAIN
 
 
@@ -770,7 +750,7 @@ def test_failed_row_keeps_its_guard_and_is_skipped(identity_spec, sqrt_spec, gua
         spec = identity_spec
         dom = SectorDomain(c=(1.0,), chart=0, epsilon=0.4, theta=0.1, eta=1.5)
         z0, bad, good = (10.0 * np.exp(1j * a) for a in (0.5, 2.2, 0.9))
-    tr = branch_base(spec, dom, [z0]).take([0, 0])
+    tr = fiber_rows(spec, np.array([[z0]]))[0].take([0, 0])
     tr.advance(straight_path(tr.Z, np.array([[bad], [good]])), domain=dom)
     assert tr.reason.tolist() == [guard, _Tracker.OK]
     stopped = (tr.Z[0].copy(), tr.G[0].copy(), {nm: col[0] for nm, col in tr.vals.items()})
@@ -795,19 +775,19 @@ def test_failed_row_keeps_its_guard_and_is_skipped(identity_spec, sqrt_spec, gua
 
 
 def test_monodromy_sqrt_is_two(sqrt_spec):
-    base = branch_base(sqrt_spec, None, [9.0 + 1.0j])
+    base = fiber_rows(sqrt_spec, np.array([[9.0 + 1.0j]]))[0]
     assert [prof["e"] for prof in monodromy_profile(sqrt_spec, base)] == [2, 2]
 
 
 def test_monodromy_identity_is_one(identity_spec):
-    (prof,) = monodromy_profile(identity_spec, branch_base(identity_spec, None, [5.0 + 2.0j]))
+    (prof,) = monodromy_profile(identity_spec, fiber_rows(identity_spec, np.array([[5.0 + 2.0j]]))[0])
     assert prof["e"] == 1
     assert prof["stage_orders"] == {"w1": 1}
 
 
 def test_monodromy_stage_orders(curve_pair_spec):
     # the x1 stage solves x1^2 = z2, so its order under a full turn is 2
-    base = branch_base(curve_pair_spec, None, [21.0 + 2.0j, 23.5 + 1.1j])
+    base = fiber_rows(curve_pair_spec, np.array([[21.0 + 2.0j, 23.5 + 1.1j]]))[0]
     prof = monodromy_profile(curve_pair_spec, base)[0]
     assert prof["stage_orders"]["x1"] == 2
     assert prof["stage_orders"]["y2"] == 1
@@ -817,7 +797,7 @@ def test_monodromy_stage_orders(curve_pair_spec):
 def test_half_turn_swaps_sqrt_branches(sqrt_spec):
     # transporting along a half turn exchanges the two square roots
     z0 = 9.0 + 0.0j
-    base = branch_base(sqrt_spec, None, [z0])
+    base = fiber_rows(sqrt_spec, np.array([[z0]]))[0]
     tr = base.take([0])
 
     def half_loop(t, rows):

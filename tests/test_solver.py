@@ -15,7 +15,7 @@ import pytest
 from explat import elliptic, fiber, solver
 from explat.core import NonConvergence
 from explat.elliptic import EllipticCurveParams, Lattice, log_E_batch, reduce_mod_lattice
-from explat.fiber import GroupSignature, SectorDomain, _batched_fiber, _Tracker, branch_base
+from explat.fiber import GroupSignature, SectorDomain, _batched_fiber, _Tracker, fiber_rows
 from explat.solver import (
     ContractionGateFailed,
     GAMMA_POINTS,
@@ -682,7 +682,7 @@ def test_leg1_tree_keeps_the_branch_labels(name, radius):
     st = parse_run((EXAMPLES / f"{name}.spec").read_text())
     spec, dom = st.problem, st.domain
     charts = np.unique(enumerate_lattice(spec.signature, dom, radius or st.radius)[:, dom.chart])
-    base = branch_base(spec, dom, _base_point(dom))
+    base = fiber_rows(spec, np.array([_base_point(dom)]))[0]
     tree = _continue_leg1(spec, dom, charts)
 
     direct = base.take(np.tile(np.arange(base.m), charts.size))
@@ -746,7 +746,7 @@ def test_leg1_ladder_hubs_match_a_direct_advance(monkeypatch, src, radius):
     st = parse_run(src)
     spec, dom = st.problem, st.domain
     charts = np.unique(enumerate_lattice(spec.signature, dom, radius or st.radius)[:, dom.chart])
-    base = branch_base(spec, dom, _base_point(dom))
+    base = fiber_rows(spec, np.array([_base_point(dom)]))[0]
     advance, twig = _Tracker.advance, []
 
     def keep_twig_start(self, path, domain=None, active=None):
@@ -951,7 +951,7 @@ def test_trial_keeps_the_stages_a_still_z1_leaves_alone(monkeypatch):
     # 2's log: a trial that leaves z1 bitwise equal keeps their bits and runs
     # the certified Newton only for the stages that read z2 (x1, then y1
     # through x1); with z1 moved too, every stage is re-solved
-    tr = branch_base(wp_setup().problem, MINI_DOMAIN, _base_point(MINI_DOMAIN))
+    tr = fiber_rows(wp_setup().problem, np.array([_base_point(MINI_DOMAIN)]))[0]
     degrees = []
     newton = fiber._certified_newton
 
@@ -1004,7 +1004,7 @@ def test_leg2_classes_share_walks_only_between_copies(monkeypatch):
     # read only the chart's z1, so the 12 base rows fall into 4 classes of 3
     # and one row of each walks leg 2 for the other two
     st = wp_setup()
-    base = branch_base(st.problem, st.domain, _base_point(st.domain))
+    base = fiber_rows(st.problem, np.array([_base_point(st.domain)]))[0]
     assert solver._leg2_moved(st.problem, 0) == ["x1", "y1"]
     classes = solver._leg2_classes(st.problem, st.domain, base)
     assert np.unique(classes, return_counts=True)[1].tolist() == [3] * 4
@@ -1014,7 +1014,7 @@ def test_leg2_classes_share_walks_only_between_copies(monkeypatch):
     # w2 = z2*w1 reads w1, which only the chart's z1 moves: both w1 roots
     # are in the key, so each branch is its own class and no walk is shared
     tori = parse_run(TORI_SRC)
-    base = branch_base(tori.problem, tori.domain, _base_point(tori.domain))
+    base = fiber_rows(tori.problem, np.array([_base_point(tori.domain)]))[0]
     assert solver._leg2_moved(tori.problem, 0) == ["w2"]
     assert solver._leg2_classes(tori.problem, tori.domain, base).tolist() == [0, 1]
 
@@ -1284,10 +1284,10 @@ def test_gamma_matches_fresh_log_of_alpha():
 
 def test_gamma_matches_ray_anchor_set():
     st = wp_setup()
-    dom, res = wp_mini()
+    _, res = wp_mini()
     gam = res.asymptotics["gamma"]
     zf = 8.46 * np.exp(1j * 0.245) * np.ones(2, dtype=complex)
-    base = branch_base(st.problem, dom, zf)
+    base = fiber_rows(st.problem, np.array([zf]))[0]
 
     def lat_dist(u, v):
         m = 0.0
