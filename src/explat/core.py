@@ -96,14 +96,15 @@ def _certified_newton(coeffs: np.ndarray, x: np.ndarray, ok: np.ndarray):
     for _ in range(NEWTON_STEPS - 1):
         if not live.size:
             break
-        r = x[live]
-        c = coeffs[live]
+        sel = slice(None) if live.size == x.size else live  # views of the whole batch until a row stops
+        r = x[sel]
+        c = coeffs[sel]
         p = c[:, d]
         dp = np.zeros_like(r)
         for k in range(d - 1, -1, -1):
             dp = dp * r + p
             p = p * r + c[:, k]
         step = p / np.where(dp == 0, np.nan, dp)
-        x[live] = r - step
-        live = live[~(np.abs(step) <= ROOT_TOL * (1.0 + np.abs(r)))]
+        live = live[~(np.abs(step) <= ROOT_TOL * (1.0 + np.abs(r)))]  # r before x moves: it may be x
+        x[sel] -= step
     return x, alpha, cert

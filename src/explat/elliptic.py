@@ -346,19 +346,21 @@ def _gauss_newton_log(curve, x, y, v0, iters=48):
     for it in range(iters + 1):  # the last pass only evaluates the last step
         if not live.size:
             break
-        val, dval, pole = wp_both(v[live], curve)
-        r1 = val - x[live]
-        r2 = dval - y[live]
-        res[live] = np.where(pole, np.inf, np.maximum(np.abs(r1), np.abs(r2)) / scale[live])
+        sel = slice(None) if live.size == v.size else live  # views of the whole batch until a row stops
+        val, dval, pole = wp_both(v[sel], curve)
+        r1 = val - x[sel]
+        r2 = dval - y[sel]
+        res[sel] = np.where(pole, np.inf, np.maximum(np.abs(r1), np.abs(r2)) / scale[sel])
         if it == iters:
             break
-        done = ~pole & (np.abs(r1) <= 1e-13 * scale[live]) & (np.abs(r2) <= 1e-13 * scale[live])
+        done = ~pole & (np.abs(r1) <= 1e-13 * scale[sel]) & (np.abs(r2) <= 1e-13 * scale[sel])
         step = _gauss_newton_step(curve, val, dval, r1, r2)
         mag = np.abs(step)
         step = np.where(mag > lim, step * (lim / np.where(mag == 0, 1.0, mag)), step)
         step = np.where(pole, -(0.13 + 0.077j) * tab.gap, step)
+        step[done] = 0.0  # v - 0 is v, bit for bit, so a row that stops keeps its v
+        v[sel] -= step
         live = live[~done]
-        v[live] -= step[~done]
     return v, res < LOG_ACCEPT_TOL, res
 
 
@@ -383,12 +385,13 @@ def _closed_form_log(curve: EllipticCurveParams, x, y):
     shrink = np.ones(a.shape)  # 4^-m
     live = np.flatnonzero(spread >= np.abs(a))
     while live.size:  # 4^-m spread falls to 0 and |A| to R_F^-2, so every row stops
-        s = np.sqrt(d[:, live])
+        sel = slice(None) if live.size == a.size else live  # views of the whole batch until a row stops
+        s = np.sqrt(d[:, sel])
         lam = s[0] * s[1] + s[0] * s[2] + s[1] * s[2]
-        d[:, live] = (d[:, live] + lam) * 0.25
-        a[live] = (a[live] + lam) * 0.25
-        shrink[live] *= 0.25
-        live = live[shrink[live] * spread[live] >= np.abs(a[live])]
+        d[:, sel] = (d[:, sel] + lam) * 0.25
+        a[sel] = (a[sel] + lam) * 0.25
+        shrink[sel] *= 0.25
+        live = live[shrink[sel] * spread[sel] >= np.abs(a[sel])]
     scale = shrink / a
     X = (a0 - d0[0]) * scale
     Y = (a0 - d0[1]) * scale

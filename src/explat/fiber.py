@@ -34,6 +34,10 @@ commutative product it swaps the operands to do so, which changes how a
 complex product rounds.  Kernels therefore name such operands (see
 elliptic.wp_both), and then a row's result does not depend on how work is
 batched; tests pin this for wp_both and for sweeps at several chunk sizes.
+An iterative kernel (Newton on F, the certified stage Newton, Carlson's
+duplication, the Gauss-Newton log) steps the whole batch in place until a
+row stops, and only then indexes the rows still running; it writes only
+arrays it made, never through a view of its caller's.
 """
 from __future__ import annotations
 
@@ -97,7 +101,7 @@ class MPoly:
             term = c
             for name, e in zip(self.vars, exps):
                 if e:
-                    term = term * values[name] ** e
+                    term = term * (values[name] if e == 1 else values[name] ** e)
             acc = acc + term
         return acc
 

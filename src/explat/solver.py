@@ -718,11 +718,12 @@ def _solve_chunk(spec: ProblemSpec, domain: SectorDomain, lam_chunk: np.ndarray,
         rows = np.flatnonzero(stepping)
         if not rows.size:
             break
+        sel = slice(None) if rows.size == m else rows  # views of the whole batch until a row stops
         with np.errstate(all="ignore"):
-            F, DF = _exp_F(spec, S[rows])
+            F, DF = _exp_F(spec, S[sel])
             step, good = _solve_rows(DF, F)
-            S[rows] -= step
-            done = good & (_fold_columns(np.maximum, np.abs(step)) <= step_tol[rows])
+            S[sel] -= step
+            done = good & (_fold_columns(np.maximum, np.abs(step)) <= step_tol[sel])
         iterations[rows[done]] = it
         stepping[rows[done | ~good]] = False
     converged = iterations > 0

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from explat.core import ALPHA_0, _poly_residual_ok, _smale
-from explat.elliptic import EllipticCurveParams, Lattice
+from explat.elliptic import EllipticCurveParams, Lattice, _closed_form_log, _gauss_newton_log, wp_both
 from explat.fiber import (
     GroupSignature,
     MPoly,
@@ -79,6 +79,50 @@ def test_roots_bits_do_not_depend_on_batch_size(degree):
         for lo in (0, 5000 - size):
             got = core._roots(coeffs[lo : lo + size].copy())
             assert got.tobytes() == want[lo : lo + size].tobytes(), (size, lo)
+
+
+def test_iterative_kernels_do_not_depend_on_which_rows_finish():
+    # each iterative kernel steps the whole batch in place until a row stops,
+    # then only the rows still running: a row must come out with the bits it
+    # has alone whichever rows beside it stop first, and no kernel may write
+    # into its caller's arrays, not even through a view
+    def check(kernel, *args):
+        before = [a.tobytes() for a in args]
+        batch = kernel(*args)
+        for i in range(args[0].shape[0]):
+            alone = kernel(*(a[i : i + 1] for a in args))
+            for got, want in zip(batch, alone):
+                assert got[i : i + 1].tobytes() == want.tobytes(), (kernel, i)
+        assert [a.tobytes() for a in args] == before
+        return batch
+
+    # Newton from offsets of a root of x^3 - 3x + 1 that stop after 1, 1, 2,
+    # 3, 4 and 5 steps; then with a row refused by ok, one by alpha and one
+    # at x = 1, where p' vanishes
+    c = np.array([1.0, -3.0, 0.0, 1.0], dtype=complex)
+    root = max(np.roots(c[::-1]).real)
+    x = root + np.array([0.0, 1e-9, 1e-5, 0.03, 0.1, 0.2, 0.1, 0.25]) * (1 + 1j) / math.sqrt(2)
+    x = np.r_[x, 1.0]
+    coeffs = np.repeat(c[None], x.size, axis=0)
+    ok = np.arange(x.size) != 6
+    check(core._certified_newton, coeffs[:6], x[:6], ok[:6])
+    check(core._certified_newton, coeffs, x, ok)
+
+    # Carlson's duplication on points that take 2, 5 and 7 duplications and a
+    # non-finite row; then with a point so far out that it takes none
+    curve = EllipticCurveParams.from_lattice(Lattice(1.0, 1j))
+    X, Y, _ = wp_both(np.array([0.05 + 0.02j, 0.31 + 0.27j, 0.4 + 0.45j, 0.002 + 0.001j]), curve)
+    X, Y = np.r_[X[:3], np.inf, X[3]], np.r_[Y[:3], 0.0, Y[3]]
+    check(lambda x, y: (_closed_form_log(curve, x, y),), X[:4], Y[:4])
+    check(lambda x, y: (_closed_form_log(curve, x, y),), X, Y)
+
+    # Gauss-Newton from a settled seed, which keeps its bits, seeds that take
+    # 2, 3 and 6 passes and a seed on a lattice point, a pole, that takes 11
+    z = 0.31 + 0.27j
+    X, Y, _ = wp_both(np.full(5, z), curve)
+    v0 = np.array([z + 1e-14, z + 1e-9, z + 1e-4, z + 0.03 - 0.02j, 1.0 + 1j])
+    v, _, _ = check(lambda x, y, v: _gauss_newton_log(curve, x, y, v), X, Y, v0)
+    assert v[0] == v0[0] and v[4] != v0[4]
 
 
 def test_poly_roots_triple_root_cluster():
