@@ -43,6 +43,11 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_complex(z: complex) -> str:
+    """z as an `a+bi` or `a-bi` literal that parse_complex reads back bit for bit, -0.0 as `-0i`."""
+    return f"{_fmt(z.real)}{'-' if math.copysign(1.0, z.imag) < 0 else '+'}{_fmt(abs(z.imag))}i"
+
+
 def _load_run(path: str):
     try:
         with open(path, "rb") as fh:
@@ -105,10 +110,7 @@ def _box_arg(text: str):
 def _echo_invariants(sig):
     for k, (kind, curve) in enumerate(sig.factors, start=1):
         if kind == "elliptic":
-            _err(
-                f"curve {k}: g2 = {_fmt(curve.g2.real)}+{_fmt(curve.g2.imag)}i, "
-                f"g3 = {_fmt(curve.g3.real)}+{_fmt(curve.g3.imag)}i"
-            )
+            _err(f"curve {k}: g2 = {_fmt_complex(curve.g2)}, g3 = {_fmt_complex(curve.g3)}")
 
 
 def _add_domain_flags(p):
@@ -254,10 +256,9 @@ def cmd_invariants(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         _err(f"degenerate lattice: {exc}")
         return EXIT_GEOMETRY
-    a, b = curve.lattice.reduced_basis()
-    print(f"g2 = {_fmt(curve.g2.real)}+{_fmt(curve.g2.imag)}i")
-    print(f"g3 = {_fmt(curve.g3.real)}+{_fmt(curve.g3.imag)}i")
-    print(f"fundamental_cell = {_fmt(a.real)}+{_fmt(a.imag)}i, {_fmt(b.real)}+{_fmt(b.imag)}i")
+    print(f"g2 = {_fmt_complex(curve.g2)}")
+    print(f"g3 = {_fmt_complex(curve.g3)}")
+    print(f"fundamental_cell = {_fmt_complex(curve.lattice.omega1)}, {_fmt_complex(curve.lattice.omega2)}")
     print(f"lattice_gap = {_fmt(curve.lattice.min_gap)}")
     return EXIT_OK
 

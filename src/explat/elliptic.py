@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-POLE_REL_TOL = 1e-8        # dist(z, lattice) below this times |omega1| is a pole
+POLE_REL_TOL = 1e-8        # dist(z, lattice) below this times the shortest period is a pole
 LOG_ACCEPT_TOL = 1e-10     # logarithm acceptance residual (relative)
 RF_SPREAD = 3e-16 ** (-1.0 / 6.0)  # Carlson's (3r)^(-1/6) for a relative error r = 1e-16
 
@@ -37,27 +37,23 @@ RF_SPREAD = 3e-16 ** (-1.0 / 6.0)  # Carlson's (3r)^(-1/6) for a relative error 
 
 @dataclass
 class Lattice:
-    """Rank-2 period lattice Z*omega1 + Z*omega2, oriented Im(w2/w1) > 0, so its cell area det is positive."""
+    """Rank-2 period lattice Z*omega1 + Z*omega2, held in its Gauss-reduced basis.
+
+    From any basis it keeps the reduced one, |omega1| <= |omega2| <= |omega2 +- omega1|, oriented
+    Im(omega2/omega1) > 0 so its cell area det is positive; a reduced basis comes back as given."""
 
     omega1: complex
     omega2: complex
 
     def __post_init__(self):
-        self.omega1 = complex(self.omega1)
-        self.omega2 = complex(self.omega2)
-        if self.omega1 == 0 or self.omega2 == 0:
+        a, b = complex(self.omega1), complex(self.omega2)
+        if a == 0 or b == 0:
             raise ValueError("lattice periods must be nonzero")
-        ratio = self.omega2 / self.omega1
+        ratio = b / a
         if ratio.imag == 0:
             raise ValueError("periods are collinear; not a rank-2 lattice")
         if ratio.imag < 0:
-            self.omega2 = -self.omega2
-        w1, w2 = self.omega1, self.omega2
-        self.det = w1.real * w2.imag - w1.imag * w2.real
-        self._reduced = self._gauss_reduce()
-
-    def _gauss_reduce(self):
-        a, b = self.omega1, self.omega2
+            b = -b
         for _ in range(64):
             if abs(b) < abs(a):
                 a, b = b, a
@@ -67,15 +63,13 @@ class Lattice:
             b = b - m * a
         if (b / a).imag < 0:
             b = -b
-        return a, b
-
-    def reduced_basis(self):
-        return self._reduced
+        self.omega1, self.omega2 = a, b
+        self.det = a.real * b.imag - a.imag * b.real
 
     @property
     def min_gap(self) -> float:
         """Length of the shortest nonzero lattice vector."""
-        return abs(self._reduced[0])
+        return abs(self.omega1)
 
     def coords(self, z):
         """Real basis coordinates (s, t) with z = s*omega1 + t*omega2."""
@@ -124,7 +118,7 @@ def eisenstein_invariants(lat: Lattice):
     sums; the nome satisfies |q| <= exp(-pi*sqrt(3)) after reduction, so a
     handful of terms reaches full double precision.
     """
-    a, b = lat.reduced_basis()
+    a, b = lat.omega1, lat.omega2
     tau = b / a
     q = cmath.exp(2j * math.pi * tau)
     e4 = 1.0 + 240.0 * _lambert_sigma(q, 3)
@@ -151,7 +145,6 @@ class EllipticCurveParams:
         scale = max(1.0, abs(self.g2) ** 3, 27.0 * abs(self.g3) ** 2)
         if abs(disc) < 1e-12 * scale:
             raise ValueError("degenerate curve: g2^3 - 27 g3^2 vanishes")
-        self._tables = None
 
     @classmethod
     def from_lattice(cls, lat: Lattice) -> "EllipticCurveParams":
@@ -162,10 +155,9 @@ class EllipticCurveParams:
     def pole_tol(self) -> float:
         return POLE_REL_TOL * abs(self.lattice.omega1)
 
+    @cached_property
     def tables(self) -> "_WpTables":
-        if self._tables is None:
-            self._tables = _WpTables(self)
-        return self._tables
+        return _WpTables(self)
 
 
 def _modulus(z):
@@ -231,7 +223,7 @@ class _WpTables:
     """
 
     def __init__(self, curve: EllipticCurveParams):
-        a, b = curve.lattice.reduced_basis()
+        a, b = curve.lattice.omega1, curve.lattice.omega2
         q = cmath.exp(2j * math.pi * b / a)
         terms = 1
         while 8.0 * terms ** 2 * abs(q) ** (1.5 * terms) >= 1e-17:
@@ -241,16 +233,14 @@ class _WpTables:
         lambert = j * qj * qj / (1.0 - qj)
         self.tail = np.stack([lambert, j * lambert], axis=1)[:, :, None, None]
         self.q = q
-        self.cell = Lattice(a, b)
         self.k = math.pi / a
         self.e2_third = (1.0 - 24.0 * _lambert_sigma(q, 1)) / 3.0
-        self.gap = abs(a)
         self.curve = curve
 
     @cached_property
     def roots(self):
         """wp at the half-periods a/2, b/2, (a+b)/2: the roots of 4x^3 - g2 x - g3."""
-        a, b = self.cell.omega1, self.cell.omega2
+        a, b = self.curve.lattice.omega1, self.curve.lattice.omega2
         return wp_both(np.array([0.5 * a, 0.5 * b, 0.5 * (a + b)]), self.curve)[0]
 
 
@@ -280,11 +270,11 @@ def wp_both(z, curve: EllipticCurveParams):
     free each temporary after its last use and never write z, which may be
     a column of the caller's array.
     """
-    tab = curve.tables()
+    tab = curve.tables
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zr, _ = reduce_mod_lattice(z, tab.cell)
+    zr, _ = reduce_mod_lattice(z, curve.lattice)
     pole = np.abs(zr) < curve.pole_tol
-    zs = np.where(pole, 0.5 * tab.gap, zr)  # safe placeholder at poles
+    zs = np.where(pole, 0.5 * curve.lattice.min_gap, zr)  # safe placeholder at poles
     theta = tab.k * zs
     sin_re, cos_re, sinh_im, cosh_im = np.sin(theta.real), np.cos(theta.real), np.sinh(theta.imag), np.cosh(theta.imag)
     sin, cos, u = np.empty_like(theta), np.empty_like(theta), np.empty((2,) + theta.shape, dtype=complex)
@@ -335,12 +325,11 @@ def _gauss_newton_log(curve, x, y, v0, iters=48):
     rows still running are evaluated, so no row waits for another.  A row
     that lands on a pole is shifted off it, and the other rows still step.
     """
-    tab = curve.tables()
     v = np.atleast_1d(np.asarray(v0, dtype=complex)).copy()
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     scale = 1.0 + np.abs(x) + np.abs(y)
-    lim = 0.45 * tab.gap
+    lim = 0.45 * curve.lattice.min_gap
     res = np.full(v.shape, np.inf)
     live = np.arange(v.shape[0])
     for it in range(iters + 1):  # the last pass only evaluates the last step
@@ -357,7 +346,7 @@ def _gauss_newton_log(curve, x, y, v0, iters=48):
         step = _gauss_newton_step(curve, val, dval, r1, r2)
         mag = np.abs(step)
         step = np.where(mag > lim, step * (lim / np.where(mag == 0, 1.0, mag)), step)
-        step = np.where(pole, -(0.13 + 0.077j) * tab.gap, step)
+        step = np.where(pole, -(0.13 + 0.077j) * curve.lattice.min_gap, step)
         step[done] = 0.0  # v - 0 is v, bit for bit, so a row that stops keeps its v
         v[sel] -= step
         live = live[~done]
@@ -376,7 +365,7 @@ def _closed_form_log(curve: EllipticCurveParams, x, y):
     """
     v = np.zeros(x.shape, dtype=complex)
     fin = np.flatnonzero(np.isfinite(x) & np.isfinite(y))
-    d0 = x[fin] - curve.tables().roots[:, None]  # (3, rows)
+    d0 = x[fin] - curve.tables.roots[:, None]  # (3, rows)
     s = np.sqrt(d0)
     dwp = -2.0 * s[0] * s[1] * s[2]
     a0 = d0.sum(axis=0) / 3.0
@@ -410,7 +399,7 @@ def log_E_batch(curve: EllipticCurveParams, x, y):
     Each row is seeded by the closed form wp^-1(x) = R_F(x - e1, x - e2,
     x - e3) (DLMF 19.25(vi); Carlson, Numer. Algorithms 10, 1995), with the
     sign that wp' = y picks, and settled by one Gauss-Newton pass.  Returns
-    (v, ok): v is reduced to the fundamental cell, and 0 where ok is False.
+    (v, ok): v is reduced to the cell of the reduced basis, and 0 where ok is False.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     y = np.atleast_1d(np.asarray(y, dtype=complex))

@@ -712,7 +712,7 @@ class _Tracker:
                 keep = np.flatnonzero(ok)
                 v, vok = log_E_batch(curve, cand[xk][keep], cand[yk][keep])
                 gk = prev_g.copy()
-                gk[keep] = v + reduce_mod_lattice(prev_g[keep] - v, curve.tables().cell)[1]
+                gk[keep] = v + reduce_mod_lattice(prev_g[keep] - v, curve.lattice)[1]
                 ok[keep] &= vok
             ok &= np.abs(gk - prev_g) <= 0.5 * self.gaps[k]
             Gnew[:, k] = gk

@@ -104,10 +104,10 @@ def _disc_ranges(sig, k: int, center, radius):
             half = np.sqrt(np.maximum(radius * radius - center.real * center.real, 0.0))
             return [(np.ceil((center.imag - half) / (2.0 * math.pi)),
                      np.floor((center.imag + half) / (2.0 * math.pi)))]
-        cell = curve.tables().cell
-        cm, cn = (np.floor(c) for c in cell.coords(center))
-        mpad = np.ceil(radius * abs(cell.omega2) / cell.det) + 1.0
-        npad = np.ceil(radius * abs(cell.omega1) / cell.det) + 1.0
+        lat = curve.lattice
+        cm, cn = (np.floor(c) for c in lat.coords(center))
+        mpad = np.ceil(radius * abs(lat.omega2) / lat.det) + 1.0
+        npad = np.ceil(radius * abs(lat.omega1) / lat.det) + 1.0
         return [(cm - mpad, cm + mpad), (cn - npad, cn + npad)]
 
 
@@ -143,7 +143,7 @@ def _disc_points(sig, k: int, center, radius):
         pts = 2j * math.pi * (lo[0] + pos)
     else:
         mlen = counts[0][disc]
-        pts = curve.tables().cell.from_coords(lo[0] + pos % mlen, lo[1] + pos // mlen)
+        pts = curve.lattice.from_coords(lo[0] + pos % mlen, lo[1] + pos // mlen)
     keep = np.abs(pts - center[disc]) < radius[disc]
     return pts[keep], disc[keep]
 
@@ -940,7 +940,7 @@ def verify_records(spec: ProblemSpec, domain: SectorDomain, records, tol: float)
     res, _, f = _log_at_s(spec, S, LAM, exp, vals, S - LAM)
     for k, (kind, curve) in enumerate(spec.signature.factors):
         if kind != "torus":
-            lat = curve.tables().cell
+            lat = curve.lattice
             f = np.maximum(f, np.abs(LAM[:, k] - lat.from_coords(*np.round(lat.coords(LAM[:, k])))))
     why.update((r, f"{guard} guard fired in the {unknown} stage") for r, (unknown, guard) in fired.items())
     got = np.stack((res, f), axis=1)

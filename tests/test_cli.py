@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -664,6 +665,31 @@ def test_invariants_square_lattice():
     assert g2.real == pytest.approx(189.07272012923383, abs=1e-8)
     assert abs(g3) < 1e-12
     assert float(lines["lattice_gap"]) == 1.0
+
+
+@pytest.mark.parametrize("omega1, omega2", [("1", "0.3+1.1i"), ("1+1000i", "1+1001i")])
+def test_invariants_print_literals_that_read_back(capsys, omega1, omega2):
+    # g3 on the first lattice and the reduced cell (i, -1) of the second have
+    # negative imaginary parts, -0.0 included; each prints as a-bi, which
+    # parse_complex reads back to the same bits
+    from explat.elliptic import EllipticCurveParams, Lattice
+    from explat.fiber import GroupSignature
+    from explat.specfile import parse_complex
+
+    def bits(z):
+        return struct.pack("<dd", z.real, z.imag)
+
+    curve = EllipticCurveParams.from_lattice(Lattice(parse_complex(omega1, 1), parse_complex(omega2, 1)))
+    assert cli.main(["invariants", "--omega1", omega1, "--omega2", omega2]) == 0
+    lines = dict(ln.split(" = ") for ln in capsys.readouterr().out.splitlines())
+    got = [lines["g2"], lines["g3"], *lines["fundamental_cell"].split(", ")]
+    want = [curve.g2, curve.g3, curve.lattice.omega1, curve.lattice.omega2]
+    assert [bits(parse_complex(tok, 1)) for tok in got] == [bits(z) for z in want], got
+    assert float(lines["lattice_gap"]) == curve.lattice.min_gap
+    # solve's curve echo writes the same literals
+    cli._echo_invariants(GroupSignature(factors=(("elliptic", curve),)))
+    echo = capsys.readouterr().err.strip().removeprefix("curve 1: ")
+    assert echo == f"g2 = {lines['g2']}, g3 = {lines['g3']}"
 
 
 def test_invariants_rejects_flat_lattice():

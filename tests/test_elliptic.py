@@ -64,7 +64,7 @@ def _brute_invariants(w1, w2):
 
 def _nearest_point(lat, z):
     """Lattice point(s) nearest to z; vectorized over arrays."""
-    a, b = lat.reduced_basis()
+    a, b = lat.omega1, lat.omega2
     z = np.asarray(z, dtype=complex)
     det = a.real * b.imag - a.imag * b.real
     s = (b.imag * z.real - b.real * z.imag) / det
@@ -114,20 +114,102 @@ def test_lattice_rejects_collinear():
 
 
 def test_reduced_basis_is_minimal():
-    lat = Lattice(5.0 + 7.0j, 7.0 + 10.0j)  # badly skewed basis, det = 1
-    a, b = lat.reduced_basis()
-    # reduced vectors are lattice members ...
+    w1, w2 = 5.0 + 7.0j, 7.0 + 10.0j  # badly skewed basis, det = 1
+    lat = Lattice(w1, w2)
+    a, b = lat.omega1, lat.omega2
+    # each basis is an integer combination of the other: one lattice, two bases
+    given = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
     for vec in (a, b):
+        st = np.linalg.solve(given, [vec.real, vec.imag])
+        assert np.abs(st - np.round(st)).max() < 1e-9
+    for vec in (w1, w2):
         s, t = lat.coords(vec)
         assert abs(s - round(s)) < 1e-9 and abs(t - round(t)) < 1e-9
     # ... and the first is the lattice minimum (brute check over a box)
     ms = np.arange(-30, 31)
     mm, nn = np.meshgrid(ms, ms)
-    pts = (mm * lat.omega1 + nn * lat.omega2).ravel()
+    pts = (mm * w1 + nn * w2).ravel()
     pts = pts[np.abs(pts) > 0]
     assert abs(a) <= np.min(np.abs(pts)) + 1e-12
+    assert lat.min_gap == abs(a)
     assert abs((b * a.conjugate()).real) <= 0.5 * abs(a) ** 2 + 1e-12
     assert (b / a).imag > 0
+
+
+def _reference_reduction(w1, w2):
+    """The basis reduction in Python complex arithmetic: the orientation flip, then Gauss's loop."""
+    a, b = complex(w1), complex(w2)
+    if (b / a).imag < 0:
+        b = -b
+    for _ in range(64):
+        if abs(b) < abs(a):
+            a, b = b, a
+        m = round((b * a.conjugate()).real / abs(a) ** 2)
+        if m == 0:
+            break
+        b = b - m * a
+    if (b / a).imag < 0:
+        b = -b
+    return a, b
+
+
+# the bases the tests give Lattice, as written
+TEST_BASES = [
+    (1.0, 1j), (1.3 + 0.4j, -0.2 + 1.1j), (1.0, complex(math.cos(math.pi / 3), math.sin(math.pi / 3))),
+    (1.0, 0.3 + 3j), (1.0, 0.1 + 5j), (2 - 1j, 1 + 6j), (1.0, 0.3 + 1.1j), (1.0, 0.2 + 2.5j),
+    (1.0, -1j), (5.0 + 7.0j, 7.0 + 10.0j), (1 + 1000j, 1 + 1001j), (1.0, -0.5j),
+]
+
+
+def _random_bases(count, rng):
+    """Random bases, half of them skewed by random unimodular steps b += m a and swaps."""
+    w = rng.normal(size=(count, 4)) @ np.diag(np.exp(rng.uniform(-3.0, 3.0, 4)))
+    bases = []
+    for i, (ar, ai, br, bi) in enumerate(w):
+        a, b = complex(ar, ai), complex(br, bi)
+        if i % 2:
+            for m in rng.integers(-9, 10, size=rng.integers(0, 6)):
+                a, b = b + int(m) * a, a
+        bases.append((a, b))
+    return bases
+
+
+def test_stored_basis_is_the_reference_reduction_bit_for_bit():
+    # the reports stay the same bytes because a reduced basis, (1, i) in every
+    # shipped spec, comes back as given; any other basis is reduced exactly as
+    # the reference does it
+    def bits(*zs):
+        return np.array(zs, dtype=complex).tobytes()
+
+    bases = TEST_BASES + _random_bases(2000, np.random.default_rng(4040))
+    assert _reference_reduction(1.0, -0.5j) == (0.5j, -1.0)
+    for w1, w2 in bases:
+        a, b = _reference_reduction(w1, w2)
+        lat = Lattice(w1, w2)
+        assert bits(lat.omega1, lat.omega2) == bits(a, b), (w1, w2)
+        assert bits(lat.det) == bits(a.real * b.imag - a.imag * b.real), (w1, w2)
+        again = Lattice(a, b)
+        assert bits(again.omega1, again.omega2, again.det) == bits(a, b, lat.det), (w1, w2)
+
+
+def test_wp_and_log_do_not_depend_on_the_basis():
+    # (1+1000i, 1+1001i) is another basis of Z[i]; it reduces to (i, -1), so the
+    # pole test scales with the shortest period, not with |1+1000i|
+    skew = EllipticCurveParams.from_lattice(Lattice(1 + 1000j, 1 + 1001j))
+    square = EllipticCurveParams.from_lattice(SQUARE)
+    assert (skew.lattice.omega1, skew.lattice.omega2) == (1j, -1)
+    z = np.r_[1e-6, 0.3 + 0.2j, 7.2 - 3.9j, 0.8 * (RNG.random(60) - 0.5) + 0.8j * (RNG.random(60) - 0.5)]
+    got, want = wp_both(z, skew), wp_both(z, square)
+    assert not got[2].any() and not want[2].any()
+    assert got[0][0] == pytest.approx(1e12, rel=1e-12)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.max(np.abs(g - w) / np.abs(w)) <= 1e-12
+    v, ok = log_E_batch(skew, got[0], got[1])
+    assert ok.all()
+    # the reduced cell of (i, -1): -1/2 < Im v <= 1/2 and -1/2 <= Re v < 1/2
+    assert np.all((-0.5 < v.imag) & (v.imag <= 0.5) & (-0.5 <= v.real) & (v.real < 0.5))
+    off = v - z
+    assert np.max(np.abs(off - np.round(off.real) - 1j * np.round(off.imag))) <= 1e-12
 
 
 def test_reduce_mod_lattice_decomposition():
@@ -331,7 +413,7 @@ def _lattice_sum_wp(z, curve):
     the argument reduced to its nearest lattice point.  Accurate where the
     cell's covering radius cov stays below the shortest period gap."""
     lat = curve.lattice
-    a, b = lat.reduced_basis()
+    a, b = lat.omega1, lat.omega2
     gap, cov = abs(a), 0.5 * (abs(a) + abs(b))
     r_near = max(6.0 * gap, 3.0 * cov + gap)
     det = abs(a.real * b.imag - a.imag * b.real)
@@ -413,7 +495,7 @@ def test_wp_matches_lattice_sum_oracle(curves):
     # errors relative to 1 + |wp|, as above: wp and wp' have zeros in the cell.
     # The hexagonal lattice has the largest |Q| after reduction, so the
     # longest tail series
-    assert {name: len(curve.tables().tail) for name, curve in curves.items()} == {"square": 5, "skew": 4, "hex": 6}
+    assert {name: len(curve.tables.tail) for name, curve in curves.items()} == {"square": 5, "skew": 4, "hex": 6}
     for curve in curves.values():
         lat = curve.lattice
         cell = _cell_points(lat, 300)

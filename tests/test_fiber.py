@@ -660,7 +660,7 @@ def test_trial_solves_logs_only_on_the_rows_its_guards_kept(curve_pair_spec, mon
     curve = curve_pair_spec.signature.factors[0][1]
     for k, (xk, yk) in enumerate((("x1", "y1"), ("x2", "y2"))):
         every, _ = log(curve, cand[xk], cand[yk])
-        every += reduce_mod_lattice(tr.G[:, k] - every, curve.tables().cell)[1]
+        every += reduce_mod_lattice(tr.G[:, k] - every, curve.lattice)[1]
         assert Gnew[inside, k].tobytes() == every[inside].tobytes()
 
 
@@ -712,7 +712,7 @@ def test_trial_log_takes_the_translate_of_the_move(name, monkeypatch):
     # exactly those
     lat = TRANSLATE_LATTICES[name]
     curve = EllipticCurveParams.from_lattice(lat)
-    a, b = lat.reduced_basis()
+    a, b = lat.omega1, lat.omega2
     if (b * a.conjugate()).real < 0:
         b = a + b
     centre = a * b * (a - b).conjugate() / (a.conjugate() * b - a * b.conjugate())

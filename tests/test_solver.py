@@ -216,7 +216,8 @@ def _enumerate_per_chart(sig, domain, radius_range):
         if sig.factors[k][0] == "torus":
             pts = 2j * math.pi * axes[0]
         else:
-            a, b = sig.factors[k][1].lattice.reduced_basis()
+            lat = sig.factors[k][1].lattice
+            a, b = lat.omega1, lat.omega2
             ms, ns = np.meshgrid(*axes)
             pts = ms.ravel() * a + ns.ravel() * b
         return pts[np.abs(pts - center) < radius]
@@ -1245,6 +1246,29 @@ def test_mixed_product_example_records_and_skips():
         ids.setdefault(tuple(rec.lam.tolist()), []).append(rec.branch_id)
     assert len(ids) == 120 and all(sorted(b) == list(range(8)) for b in ids.values())
     assert verify_records(st.problem, st.domain, res.records, st.tol)[0]
+
+
+@pytest.mark.parametrize("name", ["wp_example", "mixed_product"])
+def test_records_do_not_depend_on_the_lattice_basis(name):
+    # (1+1000i, 1+1001i) is another basis of Z[i]: the sweep keeps the spec's
+    # records and skips in their order; s moves by ulps, as that basis reduces
+    # to (i, -1), not (1, i)
+    text = (EXAMPLES / f"{name}.spec").read_text()
+    skewed = text.replace("omega1 = 1\nomega2 = 1i\n", "omega1 = 1+1000i\nomega2 = 1+1001i\n")
+    assert skewed.count("1+1000i") == text.count("[curve ") >= 1
+    st = parse_run(skewed)
+    want, got = (sweep(run.problem, run.domain, run.radius, tol=run.tol, max_iter=run.max_iter)
+                 for run in (parse_run(text), st))
+    assert len(got.records) == len(want.records) > 0
+    assert np.array_equal(got.records.lam, want.records.lam)
+    assert np.array_equal(got.records.branch_id, want.records.branch_id)
+    assert np.abs(got.records.s - want.records.s).max() <= 1e-12
+
+    def skips(res):
+        return [(tuple(np.asarray(lam).tolist()), bid, why) for lam, bid, why in res.skipped]
+
+    assert skips(got) == skips(want)
+    assert verify_records(st.problem, st.domain, got.records, st.tol)[0]
 
 
 def test_jobs_do_not_move_mixed_product_sweep():
